@@ -1,266 +1,71 @@
-"""Hot numeric kernels: configuration enumeration and the Jacobi eigensolver.
+"""Numeric kernels: configuration enumeration and the Hermitian eigensolver.
 
-Each kernel exists twice, once compiled with numba and once as a pure
-numpy/python routine.  ``BETHE_COVER_BACKEND`` picks the implementation at
-call time (``auto`` prefers the compiled one); ``benchmarks/bench_backends.py``
-compares the two.
+``enum_configs`` is the one enumeration routine of the package: the
+partition-function oracle :func:`enum_partition` and the loop series both
+walk configurations through it.  ``jacobi_eigh`` is the one eigensolver.
 """
 
 import numpy as np
 
-try:
-    from numba import njit
-
-    NUMBA_OK = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    NUMBA_OK = False
-
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-
-        return wrap
-
-
 _CHUNK = 65536
 
 
-def _use_numba():
-    from . import config
+def enum_configs(node_arrays, node_edges, sizes):
+    """Yield ``(digits, values)`` chunks over every configuration.
 
-    return config.backend() == "numba"
-
-
-# ------------------------------------------------------------------ #
-# configuration enumeration                                           #
-# ------------------------------------------------------------------ #
-
-@njit(cache=True)
-def _enum_sum_numba(node_data, offsets, eptr, enode, estride,
-                    sizes, start, stop):
-    # odometer over the edge digits; per-node flat indices are updated
-    # incrementally as digits change
-    n_edges = sizes.shape[0]
-    n_nodes = offsets.shape[0] - 1
-    digits = np.zeros(n_edges, dtype=np.int64)
-    idx = np.zeros(n_nodes, dtype=np.int64)
-    cc = start
-    for e in range(n_edges - 1, -1, -1):
-        digits[e] = cc % sizes[e]
-        cc //= sizes[e]
-    for e in range(n_edges):
-        if digits[e]:
-            for k in range(eptr[e], eptr[e + 1]):
-                idx[enode[k]] += estride[k] * digits[e]
-    total = 0.0 + 0.0j
-    chunk = 0.0 + 0.0j
-    count = 0
-    for c in range(start, stop):
-        prod = 1.0 + 0.0j
-        for f in range(n_nodes):
-            prod *= node_data[offsets[f] + idx[f]]
-        chunk += prod
-        count += 1
-        if count == _CHUNK:
-            total += chunk
-            chunk = 0.0 + 0.0j
-            count = 0
-        if c + 1 == stop:
-            break
-        e = n_edges - 1
-        while True:
-            if digits[e] + 1 < sizes[e]:
-                digits[e] += 1
-                for k in range(eptr[e], eptr[e + 1]):
-                    idx[enode[k]] += estride[k]
-                break
-            for k in range(eptr[e], eptr[e + 1]):
-                idx[enode[k]] -= estride[k] * digits[e]
-            digits[e] = 0
-            e -= 1
-    return total + chunk
-
-
-def _enum_sum_numpy(node_data, offsets, ptr, edge_ids, edge_strides,
-                    sizes, start, stop):
-    n_edges = sizes.shape[0]
-    n_nodes = offsets.shape[0] - 1
+    ``node_arrays[f]`` is the dense tensor of node ``f`` whose axes follow
+    ``node_edges[f]`` (global edge indices); ``sizes[e]`` is the axis size
+    of edge ``e``.  Configurations run in row-major order (the last edge
+    varies fastest), at most 65536 per chunk: ``digits`` holds one row of
+    edge values per configuration and ``values`` the product of the node
+    entries it selects.
+    """
+    sizes = np.asarray(sizes, dtype=np.int64)
+    n_edges = len(sizes)
     # row-major place value of each digit
     radix = np.ones(n_edges, dtype=np.int64)
     for e in range(n_edges - 2, -1, -1):
         radix[e] = radix[e + 1] * sizes[e + 1]
-    total = 0.0 + 0.0j
-    for lo in range(start, stop, _CHUNK):
-        hi = min(lo + _CHUNK, stop)
+    gathers = []
+    for arr, edges in zip(node_arrays, node_edges):
+        edges = np.asarray(edges, dtype=np.int64)
+        strides = np.ones(len(edges), dtype=np.int64)
+        for k in range(len(edges) - 2, -1, -1):
+            strides[k] = strides[k + 1] * sizes[edges[k + 1]]
+        flat = np.ascontiguousarray(arr, dtype=np.complex128).ravel()
+        gathers.append((flat, edges, strides))
+    total = int(np.prod(sizes)) if n_edges else 1
+    for lo in range(0, total, _CHUNK):
+        hi = min(lo + _CHUNK, total)
         idx = np.arange(lo, hi, dtype=np.int64)
         digits = (idx[:, None] // radix[None, :]) % sizes[None, :]
-        prod = np.ones(hi - lo, dtype=np.complex128)
-        for f in range(n_nodes):
-            sl = slice(ptr[f], ptr[f + 1])
-            flat = digits[:, edge_ids[sl]] @ edge_strides[sl]
-            prod *= node_data[offsets[f] + flat]
-        total += prod.sum()
-    return total
+        values = np.ones(hi - lo, dtype=np.complex128)
+        for flat, edges, strides in gathers:
+            values *= flat[digits[:, edges] @ strides]
+        yield digits, values
 
 
 def enum_partition(node_arrays, node_edges, sizes):
     """Sum of products of node-tensor entries over every configuration.
 
-    ``node_arrays[f]`` is the dense tensor of node ``f`` whose axes follow
-    ``node_edges[f]`` (global edge indices); ``sizes[e]`` is the axis size
-    of edge ``e``.  Runs in fixed chunk order, so the result is
-    deterministic for a given backend.
+    Arguments as for :func:`enum_configs`.  Chunk sums are added in fixed
+    order, so the result is deterministic.
     """
-    sizes = np.asarray(sizes, dtype=np.int64)
-    n_edges = len(sizes)
-    flats, offsets = [], [0]
-    ptr, edge_ids, edge_strides = [0], [], []
-    touching = [[] for _ in range(n_edges)]   # edge -> [(node, stride)]
-    for f, (arr, edges) in enumerate(zip(node_arrays, node_edges)):
-        arr = np.ascontiguousarray(arr, dtype=np.complex128)
-        flats.append(arr.ravel())
-        offsets.append(offsets[-1] + arr.size)
-        strides = np.ones(len(edges), dtype=np.int64)
-        for k in range(len(edges) - 2, -1, -1):
-            strides[k] = strides[k + 1] * sizes[edges[k + 1]]
-        for e, s in zip(edges, strides.tolist()):
-            touching[e].append((f, s))
-        edge_ids.extend(edges)
-        edge_strides.extend(strides.tolist())
-        ptr.append(ptr[-1] + len(edges))
-    node_data = np.concatenate(flats) if flats else np.zeros(0, np.complex128)
-    offsets = np.asarray(offsets, dtype=np.int64)
-    ptr = np.asarray(ptr, dtype=np.int64)
-    edge_ids = np.asarray(edge_ids, dtype=np.int64)
-    edge_strides = np.asarray(edge_strides, dtype=np.int64)
-    total = int(np.prod(sizes)) if n_edges else 1
-    if _use_numba():
-        eptr, enode, estride = [0], [], []
-        for pairs in touching:
-            for f, s in pairs:
-                enode.append(f)
-                estride.append(s)
-            eptr.append(len(enode))
-        return complex(_enum_sum_numba(
-            node_data, offsets,
-            np.asarray(eptr, dtype=np.int64),
-            np.asarray(enode, dtype=np.int64),
-            np.asarray(estride, dtype=np.int64),
-            sizes, 0, total))
-    return complex(_enum_sum_numpy(node_data, offsets, ptr, edge_ids,
-                                   edge_strides, sizes, 0, total))
+    total = 0.0 + 0.0j
+    for _, values in enum_configs(node_arrays, node_edges, sizes):
+        total += values.sum()
+    return complex(total)
 
 
-# ------------------------------------------------------------------ #
-# cyclic Jacobi eigensolver for Hermitian matrices                    #
-# ------------------------------------------------------------------ #
-
-@njit(cache=True)
-def _jacobi_numba(A, V, max_sweeps, off_tol):
-    n = A.shape[0]
-    for _ in range(max_sweeps):
-        off = 0.0
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                off += abs(A[p, q]) ** 2
-        if off <= off_tol:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = A[p, q]
-                r = abs(apq)
-                if r == 0.0:
-                    continue
-                app = A[p, p].real
-                aqq = A[q, q].real
-                tau = (aqq - app) / (2.0 * r)
-                if tau >= 0.0:
-                    t = 1.0 / (tau + np.sqrt(1.0 + tau * tau))
-                else:
-                    t = -1.0 / (-tau + np.sqrt(1.0 + tau * tau))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                w = apq / r
-                wc = np.conj(w)
-                A[p, p] = app * c * c + aqq * s * s - 2.0 * c * s * r
-                A[q, q] = app * s * s + aqq * c * c + 2.0 * c * s * r
-                A[p, q] = 0.0
-                A[q, p] = 0.0
-                for i in range(n):
-                    if i == p or i == q:
-                        continue
-                    aip = A[i, p]
-                    aiq = A[i, q]
-                    A[i, p] = c * aip - s * wc * aiq
-                    A[i, q] = s * w * aip + c * aiq
-                    A[p, i] = np.conj(A[i, p])
-                    A[q, i] = np.conj(A[i, q])
-                for i in range(n):
-                    vip = V[i, p]
-                    viq = V[i, q]
-                    V[i, p] = c * vip - s * wc * viq
-                    V[i, q] = s * w * vip + c * viq
-
-
-def _jacobi_numpy(A, V, max_sweeps, off_tol):
-    n = A.shape[0]
-    for _ in range(max_sweeps):
-        off = 0.0
-        for p in range(n - 1):
-            off += float(np.sum(np.abs(A[p, p + 1:]) ** 2))
-        if off <= off_tol:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = A[p, q]
-                r = abs(apq)
-                if r == 0.0:
-                    continue
-                app = A[p, p].real
-                aqq = A[q, q].real
-                tau = (aqq - app) / (2.0 * r)
-                if tau >= 0.0:
-                    t = 1.0 / (tau + np.sqrt(1.0 + tau * tau))
-                else:
-                    t = -1.0 / (-tau + np.sqrt(1.0 + tau * tau))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                w = apq / r
-                wc = np.conj(w)
-                A[p, p] = app * c * c + aqq * s * s - 2.0 * c * s * r
-                A[q, q] = app * s * s + aqq * c * c + 2.0 * c * s * r
-                A[p, q] = 0.0
-                A[q, p] = 0.0
-                mask = np.ones(n, dtype=bool)
-                mask[p] = mask[q] = False
-                aip = A[mask, p].copy()
-                aiq = A[mask, q].copy()
-                A[mask, p] = c * aip - s * wc * aiq
-                A[mask, q] = s * w * aip + c * aiq
-                A[p, mask] = np.conj(A[mask, p])
-                A[q, mask] = np.conj(A[mask, q])
-                vip = V[:, p].copy()
-                viq = V[:, q].copy()
-                V[:, p] = c * vip - s * wc * viq
-                V[:, q] = s * w * vip + c * viq
-
-
-def jacobi_eigh(matrix, max_sweeps=100):
+def jacobi_eigh(matrix):
     """Eigenvalues (descending) and orthonormal eigenvectors of a
-    Hermitian matrix, by cyclic Jacobi rotations.
+    Hermitian matrix, by LAPACK through ``np.linalg.eigh``.
 
-    The caller is responsible for the Hermitian check; the strictly lower
-    triangle is taken as the conjugate of the upper one.
+    The name does not describe the algorithm; it is kept because
+    ``bench/tracing.py`` and ``bench/selftest.py`` look the function up by
+    it.  The caller is responsible for the Hermitian check; the matrix is
+    replaced by its Hermitian part ``(A + A^H) / 2`` before decomposing.
     """
-    A = np.array(matrix, dtype=np.complex128, copy=True)
-    n = A.shape[0]
-    # work on an exactly Hermitian copy
-    A = (A + A.conj().T) / 2.0
-    V = np.eye(n, dtype=np.complex128)
-    scale = max(1.0, float(np.linalg.norm(A)))
-    off_tol = (1e-14 * scale) ** 2
-    fn = _jacobi_numba if _use_numba() else _jacobi_numpy
-    fn(A, V, max_sweeps, off_tol)
-    vals = np.real(np.diag(A))
-    order = np.argsort(-vals)
-    return vals[order], V[:, order]
+    A = np.asarray(matrix, dtype=np.complex128)
+    vals, vecs = np.linalg.eigh((A + A.conj().T) / 2.0)
+    return vals[::-1], vecs[:, ::-1]

@@ -20,9 +20,7 @@ from . import experiment as exp_mod
 from . import lct as lct_mod
 from . import nfg
 from .errors import (BetheCoverError, BigCountError, CapacityError,
-                     DegenerateParameterError, InternalConsistencyError,
-                     LctInapplicableError, NonConvergenceError, ParseError,
-                     SignedRootError, StructuralError, ValidationError)
+                     NonConvergenceError)
 from .generators import ENSEMBLES, TOPOLOGIES, GeneratorSpec, gen
 from .spa import spa_run
 
@@ -322,6 +320,7 @@ def build_parser():
     ]
     for name, fn, spa_args, zbm_args in specs:
         p = sub.add_parser(name)
+        p.set_defaults(func=fn)
         _add_graph_args(p)
         _add_output_args(p)
         if spa_args:
@@ -339,33 +338,20 @@ def build_parser():
     return parser
 
 
-_EXIT_VALIDATION = (StructuralError, ValidationError, ParseError,
-                    LctInapplicableError, DegenerateParameterError,
-                    InternalConsistencyError, SignedRootError)
 _EXIT_CAPACITY = (CapacityError, BigCountError)
 
 
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    handlers = {
-        "gen": cmd_gen, "validate": cmd_validate, "exact": cmd_exact,
-        "spa": cmd_spa, "lct": cmd_lct, "loopseries": cmd_loopseries,
-        "cover": cmd_cover, "zbm": cmd_zbm,
-        "check-condition": cmd_check_condition, "bounds": cmd_bounds,
-        "experiment": cmd_experiment,
-    }
     try:
-        return handlers[args.command](args)
+        return args.func(args)
     except _EXIT_CAPACITY as exc:
         print(f"capacity error: {exc}", file=sys.stderr)
         return 3
     except NonConvergenceError as exc:
         print(f"non-convergence: {exc}", file=sys.stderr)
         return 4
-    except _EXIT_VALIDATION as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except BetheCoverError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,25 +1,23 @@
-"""Global tolerances, capacity limits and compute-backend selection.
+"""Global tolerances and capacity limits.
 
 Capacity limits can be overridden through the environment variable
 ``BETHE_COVER_LIMITS``, a comma-separated list of ``key=value`` pairs with
 keys ``enum`` (configuration enumeration limit), ``contract`` (complex
 entries allowed in one intermediate tensor) and ``covers`` (covers visited
-by the exhaustive mean).
-
-The compiled/pure-numpy kernel split is controlled by
-``BETHE_COVER_BACKEND``: ``auto`` (default, use numba when importable),
-``numba`` or ``numpy``.
+by the exhaustive mean).  A malformed value raises
+:class:`~bethecover.errors.ValidationError`.
 """
 
 import os
 from dataclasses import dataclass
+
+from .errors import ValidationError
 
 
 @dataclass
 class Tolerances:
     herm: float = 1e-9          # Hermitian defect allowed in a Choi matrix
     psd: float = 1e-9           # eigenvalue slack for the PSD test
-    eig: float = 1e-10          # eigendecomposition reconstruction error
     fixed_point: float = 1e-9   # message residual declaring convergence
     zero: float = 1e-12         # degenerate-edge trigger inside the SPA
     z_edge: float = 1e-9        # smallest usable edge normalizer Z_e
@@ -47,8 +45,13 @@ def _parse_limits(text):
         key, _, value = part.partition("=")
         key = key.strip()
         if key not in ("enum", "contract", "covers"):
-            raise ValueError(f"unknown BETHE_COVER_LIMITS key: {key!r}")
-        setattr(lim, key, int(value))
+            raise ValidationError(f"unknown BETHE_COVER_LIMITS key: {key!r}")
+        try:
+            setattr(lim, key, int(value))
+        except ValueError:
+            raise ValidationError(
+                f"BETHE_COVER_LIMITS {key}={value.strip()!r} is not an "
+                "integer") from None
     return lim
 
 
@@ -59,14 +62,3 @@ def limits():
         return Limits()
     return _parse_limits(text)
 
-
-def backend():
-    """Selected kernel backend: 'numba' or 'numpy'."""
-    choice = os.environ.get("BETHE_COVER_BACKEND", "auto").lower()
-    if choice not in ("auto", "numba", "numpy"):
-        raise ValueError(f"unknown BETHE_COVER_BACKEND: {choice!r}")
-    if choice == "auto":
-        from . import _kernels
-
-        return "numba" if _kernels.NUMBA_OK else "numpy"
-    return choice

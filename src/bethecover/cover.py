@@ -197,6 +197,8 @@ def zbm_exhaustive(g, degree, cover_limit=None, memory_cap=None):
 def zbm_montecarlo(g, degree, samples, seed=0, memory_cap=None):
     """Unbiased sample mean over uniformly drawn covers; deterministic
     for a given seed (one independent permutation per edge per sample)."""
+    if samples < 1:
+        raise StructuralError(f"samples must be positive, got {samples}")
     values = np.empty(samples, dtype=np.complex128)
     for s in range(samples):
         rng = np.random.default_rng([seed, s])

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import config
+from ._kernels import enum_configs
 from .errors import (CapacityError, DegenerateParameterError,
                      InternalConsistencyError, LctInapplicableError,
                      ValidationError)
@@ -269,29 +270,11 @@ def transform(g, fixed_point, param_overrides=None, tols=None):
 # ------------------------------------------------------------------ #
 
 def _config_values(g):
-    """Yield (config tuple, global value) over all configurations in
-    chunks, using the flat-gather scheme of the enumeration kernel."""
-    sizes = np.array([g.axis_size(e.eid) for e in g.edges], dtype=np.int64)
-    n_edges = len(sizes)
-    radix = np.ones(n_edges, dtype=np.int64)
-    for e in range(n_edges - 2, -1, -1):
-        radix[e] = radix[e + 1] * sizes[e + 1]
+    """Yield (digits, values) chunks over all configurations of ``g``."""
+    sizes = [g.axis_size(e.eid) for e in g.edges]
     pos = {e.eid: k for k, e in enumerate(g.edges)}
-    total = int(np.prod(sizes)) if n_edges else 1
-    chunk = 65536
-    for lo in range(0, total, chunk):
-        hi = min(lo + chunk, total)
-        idx = np.arange(lo, hi, dtype=np.int64)
-        digits = (idx[:, None] // radix[None, :]) % sizes[None, :]
-        vals = np.ones(hi - lo, dtype=np.complex128)
-        for k in range(g.n_nodes):
-            edges = [pos[eid] for eid in g.incidences[k]]
-            strides = np.ones(len(edges), dtype=np.int64)
-            for a in range(len(edges) - 2, -1, -1):
-                strides[a] = strides[a + 1] * sizes[edges[a + 1]]
-            flat = digits[:, edges] @ strides
-            vals *= g.tensors[k].reshape(-1)[flat]
-        yield digits, vals
+    node_edges = [[pos[eid] for eid in inc] for inc in g.incidences]
+    return enum_configs(list(g.tensors), node_edges, sizes)
 
 
 def loop_series(lr, limit=None, weight_floor=1e-12):

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import config
 from ._kernels import jacobi_eigh
-from .errors import DegenerateBeliefError, ValidationError
+from .errors import DegenerateBeliefError, StructuralError, ValidationError
 from .nfg import STANDARD
 
 _LETTERS = string.ascii_letters
@@ -88,11 +88,6 @@ def random_message(g, eid, rng):
 def random_messages(g, rng):
     return MessageVector({(eid, node): random_message(g, eid, rng)
                           for eid, node in g.directed_keys()})
-
-
-def message_choi(vec, base):
-    """Matrix view of a double-edge message."""
-    return np.asarray(vec).reshape(base, base)
 
 
 # ------------------------------------------------------------------ #
@@ -314,6 +309,8 @@ def spa_run(g, init="uniform", max_iter=10000, tol_fp=None, damping=0.0,
     every further restart uses fresh random messages.  A non-convergent
     run is reported, not raised.
     """
+    if max_iter < 1:
+        raise StructuralError(f"max_iter must be positive, got {max_iter}")
     tol_fp = config.TOLS.fixed_point if tol_fp is None else tol_fp
     best = None
     best_score = None

@@ -53,9 +53,6 @@ class ComplexTensor:
     def size_of(self, label):
         return self.array.shape[self.labels.index(label)]
 
-    def to_flat(self):
-        return self.array.reshape(-1)
-
 
 def contract(a, b, shared_labels):
     """Contract two tensors over ``shared_labels``.
@@ -136,8 +133,8 @@ def _as_choi(c):
 
 
 def hermitian_eigendecompose(c, tol_herm=None):
-    """Eigendecomposition of a Hermitian matrix via cyclic Jacobi
-    rotations; eigenvalues come out sorted descending."""
+    """Eigendecomposition of a Hermitian matrix (LAPACK through numpy);
+    eigenvalues come out sorted descending."""
     c = _as_choi(c)
     tol = config.TOLS.herm if tol_herm is None else tol_herm
     defect = c.hermitian_defect()

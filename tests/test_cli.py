@@ -164,3 +164,21 @@ def test_experiment_row_identity(tmp_path, capsys):
         cells = ln.split(",")
         z, zbm1 = float(cells[1]), float(cells[3])
         assert zbm1 == pytest.approx(z, rel=1e-9)
+
+
+def test_malformed_limits_exit_code(graph_file, monkeypatch, capsys):
+    monkeypatch.setenv("BETHE_COVER_LIMITS", "enum=abc")
+    assert main(["exact", graph_file]) == 2
+    assert "BETHE_COVER_LIMITS" in capsys.readouterr().err
+
+
+def test_montecarlo_zero_samples_exit_code(graph_file, capsys):
+    code = main(["zbm", graph_file, "--m", "2", "--method", "montecarlo",
+                 "--samples", "0"])
+    assert code == 2
+    assert "samples" in capsys.readouterr().err
+
+
+def test_spa_zero_max_iter_exit_code(graph_file, capsys):
+    assert main(["spa", graph_file, "--max-iter", "0"]) == 2
+    assert "max_iter" in capsys.readouterr().err

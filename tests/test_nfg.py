@@ -144,13 +144,6 @@ class TestPartitionExact:
             assert abs(z.imag) <= 1e-9 * (1.0 + abs(z))
             assert z.real >= -1e-9
 
-    def test_numpy_backend_agrees(self, monkeypatch):
-        g = fig3_psd(8)
-        z_default = nfg.partition_exact(g)
-        monkeypatch.setenv("BETHE_COVER_BACKEND", "numpy")
-        z_numpy = nfg.partition_exact(g)
-        assert z_numpy == pytest.approx(z_default, rel=1e-12)
-
 
 class TestPartitionContract:
     def test_tree_equals_exact(self):

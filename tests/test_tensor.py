@@ -175,16 +175,6 @@ class TestEigendecompose:
         with pytest.raises(ValidationError):
             hermitian_eigendecompose(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
-    def test_numpy_backend_agrees(self, monkeypatch, rng):
-        a = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-        h = a @ a.conj().T
-        default = hermitian_eigendecompose(h)
-        monkeypatch.setenv("BETHE_COVER_BACKEND", "numpy")
-        fallback = hermitian_eigendecompose(h)
-        assert np.allclose(default.eigenvalues, fallback.eigenvalues,
-                           atol=1e-12)
-        assert fallback.reconstruction_error(h) < 1e-10
-
 
 class TestIsPsd:
     def test_identity(self):
