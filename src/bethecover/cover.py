@@ -3,8 +3,14 @@
 Three estimators of the same quantity cross-check each other: an
 exhaustive mean over all labeled covers, a seeded Monte-Carlo mean over
 uniformly drawn covers, and a direct contraction of the average-cover
-network in which every edge carries the symmetric-subspace projector
-acting on length-M socket vectors.
+network.  In that network every edge carries the symmetric-subspace
+projector on length-M socket vectors; the projector is constant on type
+classes, so the network is contracted in the type basis: one type tensor
+per node, whose legs run over the ``C(s+M-1, M)`` types of a length-M
+vector over s symbols, and one weight ``1/multinomial(type)`` per edge
+(P. O. Vontobel, "Counting in Graph Covers", IEEE Trans. IT 59(9), 2013).
+:func:`socket_projector` keeps the socket-basis projector as ground
+truth.
 """
 
 import itertools
@@ -214,41 +220,122 @@ def zbm_montecarlo(g, degree, samples, seed=0, memory_cap=None):
                    samples=samples)
 
 
+def _types(alphabet_size, degree):
+    """All types of length-``degree`` vectors, in the fixed order the type
+    tensors index them by."""
+    return [type_of(v, alphabet_size) for v in
+            itertools.combinations_with_replacement(range(alphabet_size),
+                                                    degree)]
+
+
+def _predecessors(alphabet_size, level):
+    """Gather table of the type recursion at ``level`` >= 1.
+
+    Row k, column c holds the index at ``level - 1`` of type k with one c
+    removed, or the zero slot ``n_{level-1}`` when type k holds no c.  An
+    extra last row, the zero slot of ``level``, maps every c to the zero
+    slot.
+    """
+    below = {t: k for k, t in enumerate(_types(alphabet_size, level - 1))}
+    here = _types(alphabet_size, level)
+    table = np.full((len(here) + 1, alphabet_size), len(below),
+                    dtype=np.intp)
+    for k, t in enumerate(here):
+        for c in range(alphabet_size):
+            if t[c]:
+                table[k, c] = below[t[:c] + (t[c] - 1,) + t[c + 1:]]
+    return table
+
+
+def _type_tensor_peak(sizes, degree):
+    """Entries of the largest array :func:`_type_tensor` allocates for a
+    node with leg sizes ``sizes``.  Sizes grow with the level, so the
+    last step (level M-1 to M) holds the peak."""
+    if not sizes:
+        return 1
+    below = [math.comb(s + degree - 2, degree - 1) + 1 for s in sizes]
+    here = [math.comb(s + degree - 1, degree) + 1 for s in sizes]
+    gathered = here[0] * sizes[0] * math.prod(below[1:])
+    legs = [here[0]] + [n * s for n, s in zip(below[1:], sizes[1:])]
+    peak = max(gathered, math.prod(legs))
+    for a in range(1, len(sizes)):
+        legs[a] = here[a]
+        peak = max(peak, math.prod(legs))
+    return peak
+
+
+def _type_tensor(t, tables, degree):
+    """Type tensor of a node: entry ``[u_1..u_d]`` sums
+    ``prod_m t(x^(m))`` over the ordered M-tuples of configurations whose
+    leg-a symbols have type ``u_a``, i.e. the coefficients of the M-th
+    power of the node's multilinear form.
+
+    ``tables[a][j]`` is leg a's :func:`_predecessors` table for level
+    j + 1.  Level j + 1 is gathered from level j one leg at a time; every
+    axis carries one trailing zero slot, which invalid predecessors read.
+    """
+    d = t.ndim
+    if d == 0:
+        return t ** degree
+    level = np.zeros((2,) * d, dtype=np.complex128)
+    level[(0,) * d] = 1.0
+    for j in range(degree):
+        pred = [leg[j] for leg in tables]
+        # leg 0 folds in t; axes become (i_1..i_{d-1}, c_1..c_{d-1}, u_0)
+        x = np.tensordot(level[pred[0]], t, axes=([1], [0]))
+        x = np.moveaxis(x, 0, -1)
+        for a in range(1, d):
+            # i_a is axis 0, c_a is axis d - a
+            between = (slice(None),) * (d - a - 1)
+            acc = x[(pred[a][:, 0],) + between + (0,)]
+            for c in range(1, t.shape[a]):
+                acc += x[(pred[a][:, c],) + between + (c,)]
+            x = np.moveaxis(acc, 0, -1)
+        level = x
+    return level[(slice(-1),) * d]
+
+
 def zbm_typeformula(g, degree, memory_cap=None):
-    """Contract the average-cover network: M-fold stacked local functions
-    joined through per-edge socket projectors."""
+    """Contract the average-cover network in the type basis.
+
+    Each edge's socket projector factors as ``S diag(1/|class|) S^T``,
+    where ``S`` sums a length-M socket vector into its type.  Pushing
+    ``S`` into the M-fold stacked local functions leaves one type tensor
+    per node, with leg size ``C(s+M-1, M)`` instead of ``s**M``; each edge
+    keeps the diagonal weight ``1/multinomial(type)``, folded into its
+    head endpoint.  The capacity check covers the largest array the type
+    tensors' construction allocates, before any is allocated; the
+    contraction of the type-tensor network checks its own intermediates.
+    """
     cap = config.limits().contract if memory_cap is None else memory_cap
     M = degree
-    tensors = []
-    for k in range(g.n_nodes):
-        t = np.asarray(g.tensors[k])
-        d = t.ndim
-        stacked_size = float(t.size) ** M
-        if stacked_size > cap:
+    # an isolated node's value is stored with shape (1,), not ()
+    local = [g.tensors[k].reshape([g.axis_size(eid)
+                                   for eid in g.incidences[k]])
+             for k in range(g.n_nodes)]
+    for k, t in enumerate(local):
+        peak = _type_tensor_peak(t.shape, M)
+        if peak > cap:
             raise CapacityError(
-                f"stacked node tensor of {stacked_size:.3g} entries "
-                f"exceeds the contraction cap {cap}",
-                limit=cap, requested=int(stacked_size))
-        stacked = t
-        for _ in range(M - 1):
-            stacked = np.multiply.outer(stacked, t)
-        order = [m * d + a for a in range(d) for m in range(M)]
-        stacked = stacked.transpose(order)
-        stacked = stacked.reshape([s ** M for s in t.shape])
-        labels = []
-        for eid in g.incidences[k]:
-            e = g.edge(eid)
-            side = "i" if k == e.head else "j"
-            labels.append(f"{eid}|{side}")
-        tensors.append(ComplexTensor(tuple(labels), stacked))
+                f"type tensor construction for node {g.node_names[k]!r} "
+                f"needs {peak} entries, over the contraction cap {cap}",
+                limit=cap, requested=peak)
+    tables, weights = {}, {}
     for e in g.edges:
         s = g.axis_size(e.eid)
-        if float(s) ** (2 * M) > cap:
-            raise CapacityError(
-                f"socket projector for edge {e.eid!r} exceeds the cap",
-                limit=cap)
-        proj = socket_projector(s, M)
-        tensors.append(ComplexTensor((f"{e.eid}|i", f"{e.eid}|j"), proj))
+        if s not in tables:
+            tables[s] = [_predecessors(s, j) for j in range(1, M + 1)]
+            weights[s] = np.array([1.0 / class_size(u)
+                                   for u in _types(s, M)])
+    tensors = []
+    for k, t in enumerate(local):
+        u = _type_tensor(t, [tables[s] for s in t.shape], M)
+        for a, eid in enumerate(g.incidences[k]):
+            if g.edge(eid).head == k:
+                shape = [1] * t.ndim
+                shape[a] = -1
+                u = u * weights[t.shape[a]].reshape(shape)
+        tensors.append(ComplexTensor(g.incidences[k], u))
     mean = contract_network(tensors, memory_cap=cap)
     return _finish("typeformula", degree, mean)
 

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import StructuralError, ValidationError
 from .nfg import DOUBLE, STANDARD, load, make_graph, validate
 from .tensor import paired_from_choi
 
@@ -130,6 +130,9 @@ def gen(spec):
         if not spec.path:
             raise ValidationError("custom-file topology needs a path")
         return load(spec.path)
+    if spec.alphabet < 1:
+        raise StructuralError(
+            f"alphabet size must be positive, got {spec.alphabet}")
     rng = np.random.default_rng(spec.seed)
     if spec.topology == "unitary-chain":
         g = _unitary_chain(spec, rng)

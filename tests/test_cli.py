@@ -182,3 +182,11 @@ def test_montecarlo_zero_samples_exit_code(graph_file, capsys):
 def test_spa_zero_max_iter_exit_code(graph_file, capsys):
     assert main(["spa", graph_file, "--max-iter", "0"]) == 2
     assert "max_iter" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_experiment_zero_alphabet_exit_code(capsys):
+    code = main(["experiment", "--topology", "fig3", "--alphabet", "0",
+                 "--instances", "1", "--mmax", "1"])
+    assert code == 2
+    assert "alphabet" in capsys.readouterr().err

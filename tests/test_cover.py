@@ -1,14 +1,17 @@
 """Covers, the three degree-M estimators, type utilities, bounds."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bethecover import cover, lct, nfg, spa
 from bethecover.errors import (BigCountError, CapacityError, SignedRootError,
                                StructuralError)
 from bethecover.generators import GeneratorSpec, gen
+from bethecover.tensor import ComplexTensor
 
 from conftest import build_fig3, fig3_near_identity, fig3_psd, \
     random_tree_de, two_cycle
@@ -165,6 +168,104 @@ def socket_sum_oracle(g, degree):
     return total
 
 
+def dense_projector_network(g, degree, cap):
+    """The average-cover network in the socket basis: M-fold stacked
+    local functions joined through per-edge socket projectors.  Raises
+    CapacityError before building a stacked tensor or projector larger
+    than ``cap`` entries."""
+    tensors = []
+    for k in range(g.n_nodes):
+        t = g.tensors[k].reshape([g.axis_size(eid)
+                                  for eid in g.incidences[k]])
+        if t.size ** degree > cap:
+            raise CapacityError("stacked node tensor over the cap")
+        stacked = np.ones(())
+        for _ in range(degree):
+            stacked = np.multiply.outer(stacked, t)
+        d = t.ndim
+        order = [m * d + a for a in range(d) for m in range(degree)]
+        stacked = stacked.transpose(order).reshape(
+            [s ** degree for s in t.shape])
+        labels = [f"{eid}|{'i' if g.edge(eid).head == k else 'j'}"
+                  for eid in g.incidences[k]]
+        tensors.append(ComplexTensor(tuple(labels), stacked))
+    for e in g.edges:
+        s = g.axis_size(e.eid)
+        if s ** (2 * degree) > cap:
+            raise CapacityError("socket projector over the cap")
+        tensors.append(ComplexTensor((f"{e.eid}|i", f"{e.eid}|j"),
+                                     cover.socket_projector(s, degree)))
+    return nfg.contract_network(tensors, memory_cap=cap)
+
+
+def with_isolated_node(g, value=1.3):
+    """``g`` plus a node ``iso`` with no edges and local value ``value``."""
+    nodes = [(name, list(g.incidences[k]))
+             for k, name in enumerate(g.node_names)] + [("iso", [])]
+    edges = [(e.eid, (g.node_names[e.head], g.node_names[e.tail]),
+              e.alphabet) for e in g.edges]
+    tensors = dict(zip(g.node_names, g.tensors))
+    tensors["iso"] = np.array(value)
+    return nfg.make_graph(g.kind, nodes, edges, tensors)
+
+
+ORACLE_GRAPHS = {"fig3": dict(topology="fig3"),
+                 "fig-b": dict(topology="fig-b"),
+                 "tree": dict(topology="tree", n=4),
+                 "2-cycle": dict(topology="cycle", n=2),
+                 "isolated": dict(topology="tree", n=2)}
+KIND_ENSEMBLES = (("standard", "positive-s-nfg"),
+                  ("double-edge", "psd-random"))
+
+
+class TestTypeBasis:
+    @pytest.mark.parametrize("name", sorted(ORACLE_GRAPHS))
+    @pytest.mark.parametrize("kind,ensemble", KIND_ENSEMBLES)
+    def test_matches_projector_network(self, name, kind, ensemble):
+        compared = 0
+        for alphabet in (1, 2, 3):
+            g = gen(GeneratorSpec(kind=kind, ensemble=ensemble,
+                                  alphabet=alphabet, seed=alphabet,
+                                  **ORACLE_GRAPHS[name]))
+            if name == "isolated":
+                g = with_isolated_node(g)
+            for degree in (1, 2, 3):
+                try:
+                    dense = dense_projector_network(g, degree, cap=2**18)
+                except CapacityError:
+                    continue
+                est = cover.zbm_typeformula(g, degree)
+                assert est.power_value == pytest.approx(dense.real,
+                                                        rel=1e-12)
+                compared += 1
+        assert compared >= 5
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(topology=st.sampled_from(["tree", "cycle"]),
+           n=st.integers(2, 3),
+           kind_ensemble=st.sampled_from(KIND_ENSEMBLES),
+           alphabet=st.integers(1, 3),
+           seed=st.integers(0, 2**16),
+           degree=st.sampled_from([2, 3]))
+    def test_matches_exhaustive_on_random_graphs(
+            self, topology, n, kind_ensemble, alphabet, seed, degree):
+        kind, ensemble = kind_ensemble
+        g = gen(GeneratorSpec(topology=topology, n=n, kind=kind,
+                              ensemble=ensemble, alphabet=alphabet,
+                              seed=seed))
+        typ = cover.zbm_typeformula(g, degree)
+        exh = cover.zbm_exhaustive(g, degree)
+        assert typ.power_value == pytest.approx(exh.power_value, rel=1e-9)
+
+    def test_degree_four_montecarlo_vs_typeformula(self):
+        g = gen(GeneratorSpec(topology="cycle", n=2, kind="double-edge",
+                              ensemble="psd-random", seed=9))
+        typ = cover.zbm_typeformula(g, 4)
+        mc = cover.zbm_montecarlo(g, 4, samples=400, seed=17)
+        tol = 3.0 * mc.stderr + 1e-9 * (1.0 + abs(typ.power_value))
+        assert abs(mc.power_value - typ.power_value) <= tol
+
+
 class TestEstimators:
     def test_socket_sum_oracle(self):
         # third, fully literal route for the degree-M mean on fixtures
@@ -242,9 +343,20 @@ class TestEstimators:
             cover.zbm_exhaustive(g, 4, cover_limit=1000)
 
     def test_typeformula_capacity(self):
+        # the peak is the degree-3 node's first gather step at the last
+        # level: 21 padded types of length 3 times (11 padded types of
+        # length 2 times 4 symbols) on each of its other two legs
         g = fig3_psd(0)
-        with pytest.raises(CapacityError):
-            cover.zbm_typeformula(g, 3, memory_cap=1000)
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError) as info:
+                cover.zbm_typeformula(g, 3, memory_cap=1000)
+            _, peak_bytes = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert info.value.requested == 21 * (11 * 4) ** 2
+        assert info.value.limit == 1000
+        assert peak_bytes < 16 * 1000
 
     def test_signed_root_error(self):
         # a weak-sense pair with negative partition value on every cover
@@ -318,6 +430,22 @@ class TestBounds:
         for ent in report.entries:
             assert ent.margin_lower > 0.0
             assert ent.margin_upper > 0.0
+
+    def test_degrees_four_and_five_within_bounds(self):
+        checked = 0
+        for seed in range(12):
+            g = fig3_near_identity(seed)
+            rep = spa.spa_run(g, restarts=1, tol_fp=1e-12)
+            c = lct.check_condition(lct.transform(g, rep))
+            if not c.condition:
+                continue
+            ests = [cover.zbm_typeformula(g, m) for m in (4, 5)]
+            report = cover.bethe_cover_bounds(ests, c.z_star, c.alpha)
+            assert report.all_ok
+            checked += 1
+            if checked == 4:
+                break
+        assert checked == 4
 
     def test_degree_one_always_within_bounds_when_passing(self):
         for seed in (0, 5, 9):
