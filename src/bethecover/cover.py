@@ -305,15 +305,12 @@ def zbm_typeformula(g, degree, memory_cap=None):
     keeps the diagonal weight ``1/multinomial(type)``, folded into its
     head endpoint.  The capacity check covers the largest array the type
     tensors' construction allocates, before any is allocated; the
-    contraction of the type-tensor network checks its own intermediates.
+    contraction of the type-tensor network checks its plan's largest
+    intermediate before it contracts anything.
     """
     cap = config.limits().contract if memory_cap is None else memory_cap
     M = degree
-    # an isolated node's value is stored with shape (1,), not ()
-    local = [g.tensors[k].reshape([g.axis_size(eid)
-                                   for eid in g.incidences[k]])
-             for k in range(g.n_nodes)]
-    for k, t in enumerate(local):
+    for k, t in enumerate(g.tensors):
         peak = _type_tensor_peak(t.shape, M)
         if peak > cap:
             raise CapacityError(
@@ -328,7 +325,7 @@ def zbm_typeformula(g, degree, memory_cap=None):
             weights[s] = np.array([1.0 / class_size(u)
                                    for u in _types(s, M)])
     tensors = []
-    for k, t in enumerate(local):
+    for k, t in enumerate(g.tensors):
         u = _type_tensor(t, [tables[s] for s in t.shape], M)
         for a, eid in enumerate(g.incidences[k]):
             if g.edge(eid).head == k:

@@ -45,7 +45,8 @@ class ExperimentResult:
 
 def zbm_estimate(g, degree, samples=2000, seed=0):
     """Pick an estimator for one degree: exhaustive for degree one, the
-    socket-projector contraction while affordable, Monte-Carlo beyond."""
+    type formula up to ``MAX_DIRECT_DEGREE`` unless it is refused by the
+    contraction cap, Monte-Carlo beyond."""
     if degree == 1:
         return zbm_exhaustive(g, 1)
     if degree <= MAX_DIRECT_DEGREE:

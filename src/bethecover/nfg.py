@@ -9,14 +9,16 @@ and local functions are complex with a Hermitian (weak sense) or
 positive-semidefinite (strict sense) matrix representation.
 """
 
+import heapq
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import config
 from ._kernels import enum_partition
-from .errors import CapacityError, ParseError, StructuralError
+from .errors import CapacityError, DimensionError, ParseError, StructuralError
 from .tensor import ComplexTensor, ChoiMatrix, choi_from_paired, contract, min_eigenvalue
 
 STANDARD = "standard"
@@ -185,7 +187,7 @@ def make_graph(kind, nodes, edges, tensors, weak_sense=False):
             raise StructuralError(
                 f"tensor for node {name!r} has shape {arr.shape}, "
                 f"incident edges require {want}")
-        arrays.append(np.ascontiguousarray(arr))
+        arrays.append(np.asarray(arr, order="C"))
     return FactorGraph(kind, names, incidences, edge_objs, arrays, weak_sense)
 
 
@@ -315,75 +317,115 @@ def partition_exact(g, limit=None):
 # greedy contraction                                                  #
 # ------------------------------------------------------------------ #
 
+@dataclass(frozen=True)
+class ContractionPlan:
+    """Pairwise merges that contract a closed network to a scalar.
+
+    Slots ``0..n-1`` are the input tensors and step j writes slot
+    ``n + j``.  ``steps`` holds ``(left slot, right slot, shared labels)``;
+    ``scalars`` lists the slots whose values multiply into the result, in
+    that order; ``peak`` is the entry count of the largest intermediate
+    (0 when nothing is merged).
+    """
+
+    steps: tuple
+    scalars: tuple
+    peak: int
+
+
+def plan_contraction(shapes):
+    """Plan the greedy elimination of a network given as
+    ``(labels, sizes)`` pairs, one per tensor, from labels and sizes alone.
+
+    Every label must occur on exactly two tensors, with one size.  At
+    each step the cluster whose merge with all its neighbours leaves the
+    smallest open size is eliminated, ties going to the earliest created
+    cluster (inputs in list order, then merged clusters); the neighbours
+    are merged into it one by one in creation order, and the merged
+    cluster is created last.  A merge changes the cost of the new cluster
+    and of its neighbours only, so just those are re-costed; the rest of
+    the costs wait in a heap of ``(cost, slot)`` whose stale entries are
+    skipped (greedy paths as in Smith & Gray, "opt_einsum", JOSS 2018).
+    """
+    # nbr[slot]: label -> the slot holding its other end, in label order
+    nbr, size, ends = [], {}, {}
+    for slot, (labels, sizes) in enumerate(shapes):
+        for lab, s in zip(labels, sizes):
+            if size.setdefault(lab, s) != s:
+                raise DimensionError(
+                    f"label {lab!r}: size {size[lab]} vs {s}")
+            ends.setdefault(lab, []).append(slot)
+        nbr.append(dict.fromkeys(labels))
+    bad = [lab for lab, holders in ends.items() if len(holders) != 2]
+    if bad:
+        raise StructuralError(f"labels not paired: {sorted(bad)[:5]}")
+    for lab, (a, b) in ends.items():
+        nbr[a][lab], nbr[b][lab] = b, a
+
+    def cost(k):
+        group = {k, *nbr[k].values()}
+        return math.prod(size[lab] for m in group
+                         for lab, p in nbr[m].items() if p not in group)
+
+    current = {k: cost(k) for k, labs in enumerate(nbr) if labs}
+    heap = [(c, k) for k, c in current.items()]
+    heapq.heapify(heap)
+    scalars = [k for k, labs in enumerate(nbr) if not labs]
+    steps, peak = [], 0
+    while heap:
+        c, k = heapq.heappop(heap)
+        if current.get(k) != c:
+            continue
+        new, merged, out = k, {k}, nbr[k]
+        for i in sorted(set(out.values())):
+            shared = tuple(lab for lab, p in out.items() if p == i)
+            # free labels in tensor.contract's order: left's, then right's
+            out = {lab: p for lab, p in out.items() if p != i}
+            out.update((lab, p) for lab, p in nbr[i].items()
+                       if p not in merged)
+            merged.add(i)
+            peak = max(peak, math.prod(size[lab] for lab in out))
+            steps.append((new, i, shared))
+            new = len(nbr)
+            nbr.append(None)
+        nbr[new] = out
+        for m in merged:
+            nbr[m] = None
+            current.pop(m)
+        if not out:
+            scalars.append(new)
+            continue
+        for lab, p in out.items():
+            nbr[p][lab] = new
+        for m in {new, *out.values()}:
+            current[m] = cost(m)
+            heapq.heappush(heap, (current[m], m))
+    return ContractionPlan(tuple(steps), tuple(scalars), peak)
+
+
 def contract_network(tensors, memory_cap=None):
     """Contract a closed network of labeled tensors down to a scalar.
 
-    Every label must occur on exactly two tensors.  Nodes are eliminated
-    greedily: at each step the node whose close-the-box merge yields the
-    smallest tensor goes first.
+    Plan, check, execute.  :func:`plan_contraction` fixes every pairwise
+    merge and the largest intermediate from labels and sizes alone; that
+    intermediate is checked against the ``contract`` cap (``CapacityError``
+    with ``requested`` set to its entry count) before any contraction
+    runs; the plan's merges then run through :func:`tensor.contract`.
     """
     cap = config.limits().contract if memory_cap is None else memory_cap
-    clusters = list(tensors)
-    label_count = {}
-    for t in clusters:
-        for lab in t.labels:
-            label_count[lab] = label_count.get(lab, 0) + 1
-    bad = [lab for lab, c in label_count.items() if c != 2]
-    if bad:
-        raise StructuralError(f"labels not paired: {sorted(bad)[:5]}")
-
+    plan = plan_contraction([(t.labels, t.sizes) for t in tensors])
+    if plan.peak > cap:
+        raise CapacityError(
+            f"contraction plan needs an intermediate tensor of {plan.peak} "
+            f"entries, over the contraction cap {cap}",
+            limit=cap, requested=plan.peak)
+    slots = list(tensors)
+    for a, b, shared in plan.steps:
+        slots.append(contract(slots[a], slots[b], shared))
+        slots[a] = slots[b] = None
     result = 1.0 + 0.0j
-    while clusters:
-        scalars = [t for t in clusters if not t.labels]
-        for t in scalars:
-            result *= complex(t.array)
-        clusters = [t for t in clusters if t.labels]
-        if not clusters:
-            break
-
-        # merged size if cluster k were eliminated with its neighborhood
-        def merged_cost(k):
-            group = {k}
-            labs = set(clusters[k].labels)
-            for i, t in enumerate(clusters):
-                if i != k and labs & set(t.labels):
-                    group.add(i)
-            open_sizes = 1
-            for i in group:
-                for lab in clusters[i].labels:
-                    holders = sum(
-                        1 for j in group if lab in clusters[j].labels)
-                    if holders == 1:
-                        open_sizes *= clusters[i].size_of(lab)
-            return open_sizes, group
-
-        best_k, best_cost, best_group = None, None, None
-        for k in range(len(clusters)):
-            cost, group = merged_cost(k)
-            if best_cost is None or cost < best_cost:
-                best_k, best_cost, best_group = k, cost, group
-
-        merged = clusters[best_k]
-        for i in sorted(best_group - {best_k}):
-            shared = [lab for lab in merged.labels
-                      if lab in clusters[i].labels]
-            new_size = (np.prod([s for lab, s
-                                 in zip(merged.labels, merged.sizes)
-                                 if lab not in shared] +
-                                [s for lab, s
-                                 in zip(clusters[i].labels,
-                                        clusters[i].sizes)
-                                 if lab not in shared], dtype=np.float64)
-                        if merged.labels or clusters[i].labels else 1.0)
-            if new_size > cap:
-                raise CapacityError(
-                    f"intermediate tensor of {int(new_size)} entries "
-                    f"exceeds the contraction cap {cap}",
-                    limit=cap, requested=int(new_size))
-            merged = contract(merged, clusters[i], shared)
-        clusters = [t for i, t in enumerate(clusters)
-                    if i not in best_group]
-        clusters.append(merged)
+    for k in plan.scalars:
+        result *= complex(slots[k].array)
     return result
 
 

@@ -266,6 +266,23 @@ class TestTypeBasis:
         assert abs(mc.power_value - typ.power_value) <= tol
 
 
+class TestIsolatedNode:
+    """An edgeless node keeps its 0-d local function and multiplies Z."""
+
+    @pytest.mark.parametrize("kind,ensemble", KIND_ENSEMBLES)
+    def test_routes_match_their_oracles(self, kind, ensemble):
+        g = with_isolated_node(gen(GeneratorSpec(
+            topology="fig3", kind=kind, ensemble=ensemble, seed=4)))
+        assert g.tensors[-1].shape == ()
+        assert nfg.partition_contract(g) == pytest.approx(
+            nfg.partition_exact(g), rel=1e-12)
+        assert cover.zbm_exhaustive(g, 2).power_value == pytest.approx(
+            cover.zbm_typeformula(g, 2).power_value, rel=1e-12)
+        g2 = nfg.parse(nfg.serialize(g))
+        assert g2.tensors[-1].shape == ()
+        assert g2.tensors[-1] == g.tensors[-1]
+
+
 class TestEstimators:
     def test_socket_sum_oracle(self):
         # third, fully literal route for the degree-M mean on fixtures

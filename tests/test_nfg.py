@@ -2,14 +2,17 @@
 
 import itertools
 import os
+import time
 
 import numpy as np
 import pytest
 
 from bethecover import nfg
-from bethecover.errors import CapacityError, ParseError, StructuralError
+from bethecover.cover import build_cover, random_cover
+from bethecover.errors import (CapacityError, DimensionError, ParseError,
+                               StructuralError)
 from bethecover.generators import GeneratorSpec, gen
-from bethecover.tensor import paired_from_choi
+from bethecover.tensor import ComplexTensor, contract, paired_from_choi
 
 from conftest import (FIG3_EDGES, FIG3_NODES, build_fig3, fig3_psd,
                       graph_with_choi, power_trap_graph, random_tree_de,
@@ -188,6 +191,164 @@ class TestPartitionContract:
         g = fig3_psd(0)
         with pytest.raises(CapacityError):
             nfg.partition_contract(g, memory_cap=4)
+
+    def test_capacity_refused_before_any_contraction(self, monkeypatch):
+        g = fig3_psd(0)
+        merges = record_merges(monkeypatch)
+        nfg.partition_contract(g)
+        measured = max(int(np.prod(sizes)) for _, sizes, _ in merges)
+        merges.clear()
+        plan = nfg.plan_contraction([(t.labels, t.sizes)
+                                     for t in network_of(g)])
+        assert plan.peak == measured
+        with pytest.raises(CapacityError) as info:
+            nfg.partition_contract(g, memory_cap=4)
+        assert info.value.requested == plan.peak
+        assert info.value.limit == 4
+        assert merges == []
+
+    def test_long_cycle_matches_transfer_matrices(self):
+        n = 300
+        g = gen(GeneratorSpec(topology="cycle", kind="standard",
+                              ensemble="positive-s-nfg", n=n, seed=3))
+        start = time.perf_counter()
+        z = nfg.partition_contract(g)
+        elapsed = time.perf_counter() - start
+        # node k's incoming edge is the one it shares with node k - 1
+        product = np.eye(2)
+        for k in range(n):
+            incoming = set(g.incidences[k]) & set(g.incidences[k - 1])
+            t = g.tensors[k].real
+            product = product @ (t if g.incidences[k][0] in incoming
+                                 else t.T)
+        assert z == pytest.approx(np.trace(product), rel=1e-10)
+        assert elapsed < 1.0
+
+
+def network_of(g):
+    return [ComplexTensor(g.incidences[k], g.tensors[k])
+            for k in range(g.n_nodes)]
+
+
+def record_merges(monkeypatch):
+    """Make ``nfg.contract`` log every pairwise merge as ``(operand
+    labels, result sizes, shared labels)``; returns the log."""
+    merges = []
+
+    def logged(a, b, shared):
+        out = contract(a, b, shared)
+        merges.append((a.labels + b.labels, out.sizes, tuple(shared)))
+        return out
+
+    monkeypatch.setattr(nfg, "contract", logged)
+    return merges
+
+
+def greedy_oracle(tensors):
+    """The elimination rule as first written, every cluster re-costed
+    against every other at every step (O(n^3)).  Returns the value and
+    the pairwise merges, logged as :func:`record_merges` does."""
+    clusters = list(tensors)
+    merges = []
+    result = 1.0 + 0.0j
+    while clusters:
+        scalars = [t for t in clusters if not t.labels]
+        for t in scalars:
+            result *= complex(t.array)
+        clusters = [t for t in clusters if t.labels]
+        if not clusters:
+            break
+
+        # merged size if cluster k were eliminated with its neighborhood
+        def merged_cost(k):
+            group = {k}
+            labs = set(clusters[k].labels)
+            for i, t in enumerate(clusters):
+                if i != k and labs & set(t.labels):
+                    group.add(i)
+            open_sizes = 1
+            for i in group:
+                for lab in clusters[i].labels:
+                    holders = sum(
+                        1 for j in group if lab in clusters[j].labels)
+                    if holders == 1:
+                        open_sizes *= clusters[i].size_of(lab)
+            return open_sizes, group
+
+        best_k, best_cost, best_group = None, None, None
+        for k in range(len(clusters)):
+            cost, group = merged_cost(k)
+            if best_cost is None or cost < best_cost:
+                best_k, best_cost, best_group = k, cost, group
+
+        merged = clusters[best_k]
+        for i in sorted(best_group - {best_k}):
+            shared = [lab for lab in merged.labels
+                      if lab in clusters[i].labels]
+            out = contract(merged, clusters[i], shared)
+            merges.append((merged.labels + clusters[i].labels, out.sizes,
+                           tuple(shared)))
+            merged = out
+        clusters = [t for i, t in enumerate(clusters)
+                    if i not in best_group]
+        clusters.append(merged)
+    return result, merges
+
+
+def oracle_networks():
+    """Named closed networks: base graphs of both kinds, covers at
+    M = 2, 4, 8, networks with a 0-label tensor and with two components."""
+    kinds = (("standard", "positive-s-nfg"), ("double-edge", "psd-random"))
+    nets = []
+    for seed in range(3):
+        for kind, ens in kinds:
+            for topo, n in (("fig3", 4), ("fig-b", 4), ("cycle", 2 + seed),
+                            ("cycle", 7), ("tree", 3 + seed), ("tree", 8)):
+                g = gen(GeneratorSpec(topology=topo, kind=kind, ensemble=ens,
+                                      n=n, seed=seed))
+                nets.append((f"{topo}-{n}-{kind}-{seed}", network_of(g)))
+    for kind, ens in kinds:
+        g = gen(GeneratorSpec(topology="fig3", kind=kind, ensemble=ens,
+                              seed=5))
+        for degree in (2, 4, 8):
+            for s in range(3):
+                cov = build_cover(g, random_cover(
+                    g, degree, np.random.default_rng([degree, s])))
+                nets.append((f"fig3-cover{degree}-{kind}-{s}",
+                             network_of(cov)))
+        a = network_of(g)
+        b = [ComplexTensor(tuple(f"b{lab}" for lab in t.labels), t.array)
+             for t in network_of(gen(GeneratorSpec(
+                 topology="cycle", kind=kind, ensemble=ens, n=5, seed=2)))]
+        scalar = ComplexTensor((), np.array(1.3))
+        nets.append((f"scalar-first-{kind}", [scalar] + a))
+        nets.append((f"scalar-middle-{kind}", a[:2] + [scalar] + a[2:]))
+        nets.append((f"two-components-{kind}", a + b))
+        nets.append((f"interleaved-components-{kind}",
+                     [t for pair in itertools.zip_longest(b, a)
+                      for t in pair if t is not None]))
+    return nets
+
+
+class TestPlanner:
+    def test_same_merges_as_the_old_rule(self, monkeypatch):
+        nets = oracle_networks()
+        assert len(nets) >= 50
+        merges = record_merges(monkeypatch)
+        for name, tensors in nets:
+            merges.clear()
+            value = nfg.contract_network(tensors)
+            want, want_merges = greedy_oracle(tensors)
+            assert merges == want_merges, name
+            assert value == want, name
+
+    def test_label_size_mismatch_refused_by_the_plan(self, monkeypatch):
+        merges = record_merges(monkeypatch)
+        tensors = [ComplexTensor(("a", "b"), np.ones((2, 3))),
+                   ComplexTensor(("a", "b"), np.ones((2, 2)))]
+        with pytest.raises(DimensionError, match="'b'"):
+            nfg.contract_network(tensors)
+        assert merges == []
 
 
 class TestEmbedding:
