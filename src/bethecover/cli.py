@@ -2,8 +2,10 @@
 
 Subcommands: gen, validate, exact, spa, lct, loopseries, cover, zbm,
 check-condition, bounds, experiment.  Each one reads a ``.nfg.json``
-graph file and/or generator flags, prints a human summary to stdout and
-optionally writes machine output via ``--json``/``--csv``.
+graph file or generator flags (``experiment`` generator flags only),
+prints a human summary to stdout and optionally writes machine output
+via ``--json`` or ``--csv``.  A subcommand declares only the flags it
+reads.
 
 Exit codes: 0 success, 2 validation failure, 3 capacity error, 4
 non-convergence.
@@ -25,9 +27,10 @@ from .generators import ENSEMBLES, TOPOLOGIES, GeneratorSpec, gen
 from .spa import spa_run
 
 
-def _add_graph_args(p):
-    p.add_argument("graph", nargs="?", default=None,
-                   help="path to a .nfg.json file (omit to generate)")
+def _add_graph_args(p, from_file):
+    if from_file:
+        p.add_argument("graph", nargs="?", default=None,
+                       help="path to a .nfg.json file (omit to generate)")
     p.add_argument("--topology", default="fig3", choices=TOPOLOGIES)
     p.add_argument("--kind", default="double-edge",
                    choices=[nfg.STANDARD, nfg.DOUBLE])
@@ -40,26 +43,33 @@ def _add_graph_args(p):
     p.add_argument("--seed", type=int, default=0)
 
 
-def _add_spa_args(p):
-    p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--max-iter", type=int, default=10000)
-    p.add_argument("--restarts", type=int, default=8)
-    p.add_argument("--damping", type=float, default=0.0)
+_FLAGS = {
+    "--json": dict(metavar="PATH", default=None),
+    "--csv": dict(metavar="PATH", default=None),
+    "--tol": dict(type=float, default=1e-9),
+    "--max-iter": dict(type=int, default=10000),
+    "--restarts": dict(type=int, default=8),
+    "--damping": dict(type=float, default=0.0),
+    "--m": dict(type=int, default=1),
+    "--mmax": dict(type=int, default=3),
+    "--samples": dict(type=int, default=2000),
+    "--method": dict(default="auto", choices=["auto", "exhaustive",
+                                              "montecarlo", "typeformula"]),
+    "--identity-sigma": dict(action="store_true"),
+    "--instances": dict(type=int, default=100),
+}
+_SPA = ("--tol", "--max-iter", "--restarts", "--damping")
 
 
-def _add_output_args(p):
-    p.add_argument("--json", metavar="PATH", default=None)
-    p.add_argument("--csv", metavar="PATH", default=None)
-
-
-def _graph_of(args):
-    if args.graph:
-        return nfg.load(args.graph)
-    spec = GeneratorSpec(topology=args.topology, kind=args.kind,
+def _spec_of(args):
+    return GeneratorSpec(topology=args.topology, kind=args.kind,
                          alphabet=args.alphabet, ensemble=args.ensemble,
                          eta=args.eta, scale=args.scale, n=args.nodes,
                          seed=args.seed)
-    return gen(spec)
+
+
+def _graph_of(args):
+    return nfg.load(args.graph) if args.graph else gen(_spec_of(args))
 
 
 def _spa_of(args, g):
@@ -276,12 +286,8 @@ def cmd_bounds(args):
 
 
 def cmd_experiment(args):
-    spec = GeneratorSpec(topology=args.topology, kind=args.kind,
-                         alphabet=args.alphabet, ensemble=args.ensemble,
-                         eta=args.eta, scale=args.scale, n=args.nodes,
-                         seed=args.seed)
     result = exp_mod.run_experiment(
-        spec, args.instances, args.mmax, samples=args.samples,
+        _spec_of(args), args.instances, args.mmax, samples=args.samples,
         master_seed=args.seed,
         spa_options=dict(max_iter=args.max_iter, tol_fp=args.tol,
                          damping=args.damping, restarts=args.restarts))
@@ -305,36 +311,29 @@ def build_parser():
                     "normal factor graphs.")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # name, handler, takes a graph file, flags beyond the generator flags
     specs = [
-        ("gen", cmd_gen, False, False),
-        ("validate", cmd_validate, False, False),
-        ("exact", cmd_exact, False, False),
-        ("spa", cmd_spa, True, False),
-        ("lct", cmd_lct, True, False),
-        ("loopseries", cmd_loopseries, True, False),
-        ("cover", cmd_cover, False, True),
-        ("zbm", cmd_zbm, False, True),
-        ("check-condition", cmd_check_condition, True, False),
-        ("bounds", cmd_bounds, True, True),
-        ("experiment", cmd_experiment, True, True),
+        ("gen", cmd_gen, True, ("--json",)),
+        ("validate", cmd_validate, True, ("--json",)),
+        ("exact", cmd_exact, True, ("--json",)),
+        ("spa", cmd_spa, True, ("--json", *_SPA)),
+        ("lct", cmd_lct, True, ("--json", *_SPA)),
+        ("loopseries", cmd_loopseries, True, ("--csv", *_SPA)),
+        ("cover", cmd_cover, True, ("--json", "--m", "--identity-sigma")),
+        ("zbm", cmd_zbm, True,
+         ("--json", "--csv", "--m", "--samples", "--method")),
+        ("check-condition", cmd_check_condition, True, ("--json", *_SPA)),
+        ("bounds", cmd_bounds, True,
+         ("--json", *_SPA, "--mmax", "--samples")),
+        ("experiment", cmd_experiment, False,
+         ("--csv", *_SPA, "--mmax", "--samples", "--instances")),
     ]
-    for name, fn, spa_args, zbm_args in specs:
+    for name, fn, from_file, flags in specs:
         p = sub.add_parser(name)
         p.set_defaults(func=fn)
-        _add_graph_args(p)
-        _add_output_args(p)
-        if spa_args:
-            _add_spa_args(p)
-        if zbm_args:
-            p.add_argument("--m", type=int, default=1)
-            p.add_argument("--mmax", type=int, default=3)
-            p.add_argument("--samples", type=int, default=2000)
-            p.add_argument("--method", default="auto",
-                           choices=["auto", "exhaustive", "montecarlo",
-                                    "typeformula"])
-            p.add_argument("--identity-sigma", action="store_true")
-        if name == "experiment":
-            p.add_argument("--instances", type=int, default=100)
+        _add_graph_args(p, from_file)
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
     return parser
 
 

@@ -1,7 +1,8 @@
 """Global tolerances and capacity limits.
 
-Capacity limits can be overridden through the environment variable
-``BETHE_COVER_LIMITS``, a comma-separated list of ``key=value`` pairs with
+Capacity limits can be overridden only through the environment variable
+``BETHE_COVER_LIMITS``, which every capped call reads afresh: a
+comma-separated list of ``key=value`` pairs with
 keys ``enum`` (configuration enumeration limit), ``contract`` (complex
 entries allowed in one intermediate tensor) and ``covers`` (covers visited
 by the exhaustive mean).  A malformed value raises

@@ -26,6 +26,8 @@ from .nfg import contract_network, partition_contract
 from .tensor import ComplexTensor
 
 _INT64_MAX = 2**63 - 1
+_IMAG_TOL = 1e-9      # relative imaginary part allowed in a cover mean
+_BOUND_SLACK = 1e-6   # margin a sandwich bound may miss by and still hold
 
 
 # ------------------------------------------------------------------ #
@@ -165,9 +167,9 @@ class ZbmEstimate:
     samples: int = None       # Monte-Carlo only
 
 
-def _finish(method, degree, mean, tol=1e-9, **extra):
+def _finish(method, degree, mean, **extra):
     mean = complex(mean)
-    if abs(mean.imag) > tol * (1.0 + abs(mean)):
+    if abs(mean.imag) > _IMAG_TOL * (1.0 + abs(mean)):
         raise InternalConsistencyError(
             f"cover mean {mean!r} has a non-negligible imaginary part")
     value = mean.real
@@ -180,9 +182,9 @@ def _finish(method, degree, mean, tol=1e-9, **extra):
                        root=root, **extra)
 
 
-def zbm_exhaustive(g, degree, cover_limit=None, memory_cap=None):
+def zbm_exhaustive(g, degree):
     """Arithmetic mean of the partition function over all labeled covers."""
-    lim = config.limits().covers if cover_limit is None else cover_limit
+    lim = config.limits().covers
     n_covers = math.factorial(degree) ** g.n_edges
     if n_covers > lim:
         raise CapacityError(
@@ -194,13 +196,12 @@ def zbm_exhaustive(g, degree, cover_limit=None, memory_cap=None):
     for perms in itertools.product(
             itertools.permutations(range(degree)), repeat=len(eids)):
         spec = CoverSpec(degree, dict(zip(eids, perms)))
-        total += partition_contract(build_cover(g, spec),
-                                    memory_cap=memory_cap)
+        total += partition_contract(build_cover(g, spec))
         count += 1
     return _finish("exhaustive", degree, total / count, covers=count)
 
 
-def zbm_montecarlo(g, degree, samples, seed=0, memory_cap=None):
+def zbm_montecarlo(g, degree, samples, seed=0):
     """Unbiased sample mean over uniformly drawn covers; deterministic
     for a given seed (one independent permutation per edge per sample)."""
     if samples < 1:
@@ -209,8 +210,7 @@ def zbm_montecarlo(g, degree, samples, seed=0, memory_cap=None):
     for s in range(samples):
         rng = np.random.default_rng([seed, s])
         spec = random_cover(g, degree, rng)
-        values[s] = partition_contract(build_cover(g, spec),
-                                       memory_cap=memory_cap)
+        values[s] = partition_contract(build_cover(g, spec))
     mean = values.sum() / samples
     if samples > 1:
         stderr = float(np.std(values.real, ddof=1) / np.sqrt(samples))
@@ -295,7 +295,7 @@ def _type_tensor(t, tables, degree):
     return level[(slice(-1),) * d]
 
 
-def zbm_typeformula(g, degree, memory_cap=None):
+def zbm_typeformula(g, degree):
     """Contract the average-cover network in the type basis.
 
     Each edge's socket projector factors as ``S diag(1/|class|) S^T``,
@@ -308,7 +308,9 @@ def zbm_typeformula(g, degree, memory_cap=None):
     contraction of the type-tensor network checks its plan's largest
     intermediate before it contracts anything.
     """
-    cap = config.limits().contract if memory_cap is None else memory_cap
+    if degree < 1:
+        raise StructuralError("cover degree must be positive")
+    cap = config.limits().contract
     M = degree
     for k, t in enumerate(g.tensors):
         peak = _type_tensor_peak(t.shape, M)
@@ -333,7 +335,7 @@ def zbm_typeformula(g, degree, memory_cap=None):
                 shape[a] = -1
                 u = u * weights[t.shape[a]].reshape(shape)
         tensors.append(ComplexTensor(g.incidences[k], u))
-    mean = contract_network(tensors, memory_cap=cap)
+    mean = contract_network(tensors)
     return _finish("typeformula", degree, mean)
 
 
@@ -363,7 +365,7 @@ class BoundsReport:
         return all(ent.ok for ent in self.entries)
 
 
-def bethe_cover_bounds(estimates, z_star, alpha, slack=1e-6):
+def bethe_cover_bounds(estimates, z_star, alpha):
     """Check the geometric-series sandwich on (Z_{B,M}/Z*)**M.
 
     ``estimates`` is an iterable of :class:`ZbmEstimate`.  For a
@@ -382,5 +384,5 @@ def bethe_cover_bounds(estimates, z_star, alpha, slack=1e-6):
         report.entries.append(BoundEntry(
             degree=M, ratio_power=ratio, lower=lower, upper=upper,
             margin_lower=ml, margin_upper=mu,
-            ok=(ml >= -slack and mu >= -slack)))
+            ok=(ml >= -_BOUND_SLACK and mu >= -_BOUND_SLACK)))
     return report

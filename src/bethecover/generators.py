@@ -2,16 +2,15 @@
 and cycles, the unitary-chain fixture, and the random local-function
 ensembles used by the experiment harness."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import StructuralError, ValidationError
-from .nfg import DOUBLE, STANDARD, load, make_graph, validate
+from .nfg import DOUBLE, STANDARD, make_graph, validate
 from .tensor import paired_from_choi
 
-TOPOLOGIES = ("fig3", "fig-b", "cycle", "tree", "unitary-chain",
-              "custom-file")
+TOPOLOGIES = ("fig3", "fig-b", "cycle", "tree", "unitary-chain")
 ENSEMBLES = ("psd-random", "psd-near-identity", "positive-s-nfg")
 
 
@@ -25,9 +24,6 @@ class GeneratorSpec:
     scale: float = 1.0       # overall factor on psd-random functions
     n: int = 4               # node count for cycle / tree topologies
     seed: object = 0         # int or sequence of ints
-    path: str = None         # graph file for the custom-file topology
-
-    extra: dict = field(default_factory=dict)
 
 
 def _topology(spec, rng):
@@ -126,10 +122,6 @@ def gen(spec):
     Deterministic for a given seed; the generated graph always passes
     :func:`bethecover.nfg.validate` for the declared kind.
     """
-    if spec.topology == "custom-file":
-        if not spec.path:
-            raise ValidationError("custom-file topology needs a path")
-        return load(spec.path)
     if spec.alphabet < 1:
         raise StructuralError(
             f"alphabet size must be positive, got {spec.alphabet}")

@@ -18,9 +18,12 @@ from ._kernels import enum_configs
 from .errors import (CapacityError, DegenerateParameterError,
                      InternalConsistencyError, LctInapplicableError,
                      ValidationError)
-from .nfg import serialize as serialize_graph
+from .nfg import enumeration_args, serialize as serialize_graph
 from .spa import (MessageVector, SpaReport, bethe_partition_value,
                   edge_normalizers, node_normalizers, raw_updates)
+
+_REAL_TOL = 1e-9       # relative imaginary part allowed in a real value
+_WEIGHT_FLOOR = 1e-12  # loop-series terms below this share of g0 are dropped
 
 
 @dataclass
@@ -49,16 +52,16 @@ class EdgeParams:
     fragile: bool            # |1 - b0| in the numerically delicate band
 
 
-def _real_scalar(z, what, tol=1e-9):
+def _real_scalar(z, what):
     z = complex(z)
-    if abs(z.imag) > tol * (1.0 + abs(z)):
+    if abs(z.imag) > _REAL_TOL * (1.0 + abs(z)):
         raise LctInapplicableError(
             f"{what} is not real within tolerance: {z!r}")
     return z.real
 
 
 def resolve_params(mu_i, mu_j, eid="e", zeta_i=None, chi_i=None,
-                   delta_i=None, eps_i=None, tols=None):
+                   delta_i=None, eps_i=None):
     """Resolve the per-edge constants from the two opposing messages.
 
     The defaults are the symmetric choice ``zeta = z_e**-0.5``, ``chi = 1``
@@ -67,7 +70,7 @@ def resolve_params(mu_i, mu_j, eid="e", zeta_i=None, chi_i=None,
     the b0=1 branch and ``eps_i`` on it.  Partner values follow from the
     constraint system.
     """
-    tols = config.TOLS if tols is None else tols
+    tols = config.TOLS
     mu_i = np.asarray(mu_i, dtype=np.complex128)
     mu_j = np.asarray(mu_j, dtype=np.complex128)
     z_e = _real_scalar(np.sum(mu_i * mu_j), f"edge {eid!r}: Z_e")
@@ -148,14 +151,13 @@ def constraint_residuals(p, mu_i0, mu_j0):
     return res
 
 
-def build_m_matrices(mu_i, mu_j, params, tols=None):
+def build_m_matrices(mu_i, mu_j, params):
     """The biorthogonal matrix pair for one edge.
 
     Row index is the original edge variable, column index the transformed
     one; column 0 stores the scaled message itself.  Raises when the
     biorthogonality residual exceeds its tolerance.
     """
-    tols = config.TOLS if tols is None else tols
     mu_i = np.asarray(mu_i, dtype=np.complex128)
     mu_j = np.asarray(mu_j, dtype=np.complex128)
     n = mu_i.size
@@ -175,7 +177,7 @@ def build_m_matrices(mu_i, mu_j, params, tols=None):
     m_j = one_side(mu_j, mu_i, p.zeta_j, p.chi_j, p.delta_j, p.eps_j)
     gram = m_i @ m_j.T
     res = float(np.max(np.abs(gram - np.eye(n))))
-    if res > tols.biorth:
+    if res > config.TOLS.biorth:
         raise InternalConsistencyError(
             f"edge {p.eid!r}: biorthogonality residual {res:.3e}",
             residual=res)
@@ -205,14 +207,13 @@ def _messages_of(fixed_point):
     raise TypeError("expected an SpaReport or MessageVector")
 
 
-def transform(g, fixed_point, param_overrides=None, tols=None):
+def transform(g, fixed_point, param_overrides=None):
     """Apply the loop-calculus transform at a fixed point of ``g``.
 
     ``param_overrides`` optionally maps edge ids to keyword dictionaries
     accepted by :func:`resolve_params` (used to exercise non-default but
     valid parameter choices).
     """
-    tols = config.TOLS if tols is None else tols
     m = _messages_of(fixed_point)
     z_f = node_normalizers(g, m)
     z_e = edge_normalizers(g, m)
@@ -230,10 +231,10 @@ def transform(g, fixed_point, param_overrides=None, tols=None):
     for e in g.edges:
         mu_i = m[(e.eid, e.head)]
         mu_j = m[(e.eid, e.tail)]
-        p = resolve_params(mu_i, mu_j, eid=e.eid, tols=tols,
+        p = resolve_params(mu_i, mu_j, eid=e.eid,
                            **overrides.get(e.eid, {}))
         params[e.eid] = p
-        mats[e.eid] = build_m_matrices(mu_i, mu_j, p, tols=tols)
+        mats[e.eid] = build_m_matrices(mu_i, mu_j, p)
 
     new_tensors = []
     for k in range(g.n_nodes):
@@ -269,34 +270,26 @@ def transform(g, fixed_point, param_overrides=None, tols=None):
 # consumers of a transform                                            #
 # ------------------------------------------------------------------ #
 
-def _config_values(g):
-    """Yield (digits, values) chunks over all configurations of ``g``."""
-    sizes = [g.axis_size(e.eid) for e in g.edges]
-    pos = {e.eid: k for k, e in enumerate(g.edges)}
-    node_edges = [[pos[eid] for eid in inc] for inc in g.incidences]
-    return enum_configs(list(g.tensors), node_edges, sizes)
-
-
-def loop_series(lr, limit=None, weight_floor=1e-12):
+def loop_series(lr):
     """Correction terms of the transformed graph relative to its all-zero
     configuration.
 
     Returns a list of (configuration, weight) pairs with configurations in
     the format accepted by :func:`bethecover.nfg.global_eval`; the all-zero
-    term itself is omitted.  Terms whose magnitude is below
-    ``weight_floor`` relative to the all-zero value are dropped.
+    term itself is omitted.  Terms whose magnitude is below 1e-12
+    relative to the all-zero value are dropped.
     """
     g = lr.transformed
-    lim = config.limits().enum if limit is None else limit
+    lim = config.limits().enum
     count = g.config_count()
     if count > lim:
         raise CapacityError(
             f"{count} transformed configurations exceed the limit {lim}",
             limit=lim, requested=count)
     g0 = lr.g0
-    floor = weight_floor * abs(g0)
+    floor = _WEIGHT_FLOOR * abs(g0)
     out = []
-    for digits, vals in _config_values(g):
+    for digits, vals in enum_configs(*enumeration_args(g)):
         keep = np.nonzero(np.abs(vals) > floor)[0]
         for row in keep:
             if not digits[row].any():
@@ -364,9 +357,9 @@ class ConditionReport:
     alpha_condition: bool
 
 
-def check_condition(lr, tol=1e-9):
+def check_condition(lr):
     z_star = complex(lr.g0)
-    if abs(z_star.imag) > tol * (1.0 + abs(z_star)) or z_star.real <= 0.0:
+    if abs(z_star.imag) > _REAL_TOL * (1.0 + abs(z_star)) or z_star.real <= 0.0:
         raise ValidationError(
             f"the all-zero value {z_star!r} is not a positive real")
     z_star = z_star.real

@@ -19,7 +19,7 @@ import numpy as np
 from . import config
 from ._kernels import enum_partition
 from .errors import CapacityError, DimensionError, ParseError, StructuralError
-from .tensor import ComplexTensor, ChoiMatrix, choi_from_paired, contract, min_eigenvalue
+from .tensor import ComplexTensor, choi_from_paired, contract
 
 STANDARD = "standard"
 DOUBLE = "double-edge"
@@ -132,6 +132,11 @@ def make_graph(kind, nodes, edges, tensors, weak_sense=False):
     ``tensors`` -- mapping name -> dense array over the incident edges,
                    axis k belonging to the k-th incident edge (paired axis
                    of size ``alphabet**2`` for double-edge graphs)
+
+    Arrays are copied, except a read-only C-contiguous complex array that
+    owns its data (such as another graph's tensor, which covers reuse), so
+    later writes to the caller's arrays or their bases never reach the
+    graph.
     """
     if kind not in (STANDARD, DOUBLE):
         raise StructuralError(f"unknown graph kind {kind!r}")
@@ -187,7 +192,10 @@ def make_graph(kind, nodes, edges, tensors, weak_sense=False):
             raise StructuralError(
                 f"tensor for node {name!r} has shape {arr.shape}, "
                 f"incident edges require {want}")
-        arrays.append(np.asarray(arr, order="C"))
+        if (arr.flags.writeable or not arr.flags.owndata
+                or not arr.flags.c_contiguous):
+            arr = arr.copy(order="C")
+        arrays.append(arr)
     return FactorGraph(kind, names, incidences, edge_objs, arrays, weak_sense)
 
 
@@ -237,8 +245,8 @@ def validate(g):
     else:
         strict = True
         for k, name in enumerate(g.node_names):
-            c = ChoiMatrix(g.node_choi(k))
-            defect = c.hermitian_defect()
+            c = g.node_choi(k)
+            defect = float(np.max(np.abs(c - c.conj().T)))
             if defect > tol.herm:
                 problems.append(
                     f"node {name!r}: matrix not Hermitian "
@@ -246,7 +254,7 @@ def validate(g):
                 node_status[name] = NodeStatus(defect, float("nan"), False)
                 strict = False
                 continue
-            lo = min_eigenvalue(c.matrix)
+            lo = float(np.linalg.eigvalsh((c + c.conj().T) / 2.0)[0])
             psd = lo >= -tol.psd
             node_status[name] = NodeStatus(defect, lo, psd)
             if not psd:
@@ -299,18 +307,24 @@ def global_eval(g, configuration):
     return out
 
 
-def partition_exact(g, limit=None):
+def enumeration_args(g):
+    """``(node arrays, node edge indices, axis sizes)``, the arguments
+    :func:`_kernels.enum_configs` and :func:`_kernels.enum_partition`
+    take for the configurations of ``g``."""
+    pos = {e.eid: k for k, e in enumerate(g.edges)}
+    node_edges = [[pos[eid] for eid in inc] for inc in g.incidences]
+    return g.tensors, node_edges, [g.axis_size(e.eid) for e in g.edges]
+
+
+def partition_exact(g):
     """Partition function by direct summation over all configurations."""
-    limit = config.limits().enum if limit is None else limit
+    limit = config.limits().enum
     count = g.config_count()
     if count > limit:
         raise CapacityError(
             f"{count} configurations exceed the enumeration limit {limit}",
             limit=limit, requested=count)
-    sizes = [g.axis_size(e.eid) for e in g.edges]
-    pos = {e.eid: k for k, e in enumerate(g.edges)}
-    node_edges = [[pos[eid] for eid in inc] for inc in g.incidences]
-    return enum_partition(list(g.tensors), node_edges, sizes)
+    return enum_partition(*enumeration_args(g))
 
 
 # ------------------------------------------------------------------ #
@@ -403,7 +417,7 @@ def plan_contraction(shapes):
     return ContractionPlan(tuple(steps), tuple(scalars), peak)
 
 
-def contract_network(tensors, memory_cap=None):
+def contract_network(tensors):
     """Contract a closed network of labeled tensors down to a scalar.
 
     Plan, check, execute.  :func:`plan_contraction` fixes every pairwise
@@ -412,7 +426,7 @@ def contract_network(tensors, memory_cap=None):
     with ``requested`` set to its entry count) before any contraction
     runs; the plan's merges then run through :func:`tensor.contract`.
     """
-    cap = config.limits().contract if memory_cap is None else memory_cap
+    cap = config.limits().contract
     plan = plan_contraction([(t.labels, t.sizes) for t in tensors])
     if plan.peak > cap:
         raise CapacityError(
@@ -429,11 +443,11 @@ def contract_network(tensors, memory_cap=None):
     return result
 
 
-def partition_contract(g, memory_cap=None):
+def partition_contract(g):
     """Partition function by greedy sequential node elimination."""
     tensors = [ComplexTensor(g.incidences[k], g.tensors[k])
                for k in range(g.n_nodes)]
-    return contract_network(tensors, memory_cap=memory_cap)
+    return contract_network(tensors)
 
 
 # ------------------------------------------------------------------ #

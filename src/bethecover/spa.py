@@ -20,6 +20,7 @@ from .errors import DegenerateBeliefError, StructuralError, ValidationError
 from .nfg import STANDARD
 
 _LETTERS = string.ascii_letters
+_BELIEF_TOL = 1e-6   # slack of the pmf and local-consistency checks
 
 
 @dataclass
@@ -168,7 +169,7 @@ class StepInfo:
     map_residual: float = float("inf")
 
 
-def spa_step(g, m, rng=None, tol_zero=None, damping=0.0):
+def spa_step(g, m, rng=None, damping=0.0):
     """One synchronous sweep of all directed messages.
 
     The degeneracy test multiplies the two message normalizers of an edge
@@ -181,7 +182,7 @@ def spa_step(g, m, rng=None, tol_zero=None, damping=0.0):
     ``info.map_residual`` is the change produced by the plain update,
     before damping, and is what convergence is judged on.
     """
-    tol_zero = config.TOLS.zero if tol_zero is None else tol_zero
+    tol_zero = config.TOLS.zero
     raw, kappa_msg = raw_updates(g, m)
 
     new = {}
@@ -239,15 +240,14 @@ def edge_normalizers(g, m):
     return _edge_kappas(g, m)
 
 
-def bethe_partition_value(z_f, z_e, tol_z=None):
+def bethe_partition_value(z_f, z_e):
     """Message-based Bethe partition value prod Z_f / prod Z_e, or None
     when some edge overlap vanishes."""
-    tol_z = config.TOLS.z_edge if tol_z is None else tol_z
     out = 1.0 + 0.0j
     for v in z_f.values():
         out *= v
     for v in z_e.values():
-        if abs(v) <= tol_z:
+        if abs(v) <= config.TOLS.z_edge:
             return None
         out /= v
     return out
@@ -433,7 +433,7 @@ def _entropy(p):
     return float(-(p[mask] * np.log(p[mask])).sum())
 
 
-def bethe_free_energy(g, b, consistency_tol=1e-6, simplex_tol=1e-6):
+def bethe_free_energy(g, b):
     """Bethe free energy of a collection of beliefs on a standard graph.
 
     Average energy minus Bethe entropy, with the 0*log(0)=0 convention.
@@ -445,18 +445,18 @@ def bethe_free_energy(g, b, consistency_tol=1e-6, simplex_tol=1e-6):
             "the Bethe free energy is only evaluated on standard graphs")
     for name, t in b.node.items():
         ti = np.asarray(t)
-        if (float(np.max(np.abs(ti.imag))) > simplex_tol
-                or float(np.min(ti.real)) < -simplex_tol
-                or abs(float(np.sum(ti.real)) - 1.0) > simplex_tol):
+        if (float(np.max(np.abs(ti.imag))) > _BELIEF_TOL
+                or float(np.min(ti.real)) < -_BELIEF_TOL
+                or abs(float(np.sum(ti.real)) - 1.0) > _BELIEF_TOL):
             raise ValidationError(f"node belief {name!r} is not a pmf")
     for eid, v in b.edge.items():
         vi = np.asarray(v)
-        if (float(np.max(np.abs(vi.imag))) > simplex_tol
-                or float(np.min(vi.real)) < -simplex_tol
-                or abs(float(np.sum(vi.real)) - 1.0) > simplex_tol):
+        if (float(np.max(np.abs(vi.imag))) > _BELIEF_TOL
+                or float(np.min(vi.real)) < -_BELIEF_TOL
+                or abs(float(np.sum(vi.real)) - 1.0) > _BELIEF_TOL):
             raise ValidationError(f"edge belief {eid!r} is not a pmf")
     defect = consistency_defect(g, b)
-    if defect > consistency_tol:
+    if defect > _BELIEF_TOL:
         raise ValidationError(
             f"beliefs violate local consistency by {defect:.3e}")
 

@@ -1,5 +1,5 @@
-"""Dense complex tensors with labeled axes, plus small Hermitian-matrix
-utilities (PSD tests, eigendecompositions, Kronecker products).
+"""Dense complex tensors with labeled axes, plus the pair-axis reshuffles
+between a double-edge tensor and its matrix representation.
 
 Tensors are immutable value objects: the underlying array is marked
 read-only on construction, so instances can be shared freely.
@@ -9,9 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import config
-from ._kernels import jacobi_eigh
-from .errors import DimensionError, ValidationError
+from .errors import DimensionError
 
 
 @dataclass(frozen=True)
@@ -36,15 +34,6 @@ class ComplexTensor:
         arr.flags.writeable = False
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "array", arr)
-
-    @classmethod
-    def from_flat(cls, labels, sizes, flat):
-        flat = np.asarray(flat, dtype=np.complex128)
-        expected = int(np.prod(sizes)) if len(sizes) else 1
-        if flat.size != expected:
-            raise DimensionError(
-                f"flat data has {flat.size} entries, axes need {expected}")
-        return cls(tuple(labels), flat.reshape(tuple(sizes)))
 
     @property
     def sizes(self):
@@ -82,82 +71,6 @@ def contract(a, b, shared_labels):
             f"free labels {sorted(clash)} appear on both operands; "
             "contract over them instead")
     return ComplexTensor(tuple(keep_a + keep_b), out)
-
-
-def kron(a, b):
-    """Kronecker product of two matrices."""
-    return np.kron(np.asarray(a), np.asarray(b))
-
-
-# ------------------------------------------------------------------ #
-# Hermitian matrices                                                  #
-# ------------------------------------------------------------------ #
-
-@dataclass(frozen=True)
-class ChoiMatrix:
-    """Square complex matrix, rows indexed by unprimed and columns by
-    primed variable tuples."""
-
-    matrix: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=np.complex128)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise DimensionError(f"expected a square matrix, got {m.shape}")
-        m = np.ascontiguousarray(m)
-        m.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
-
-    @property
-    def side(self):
-        return self.matrix.shape[0]
-
-    def hermitian_defect(self):
-        m = self.matrix
-        return float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
-
-
-@dataclass(frozen=True)
-class EigenDecomposition:
-    eigenvalues: np.ndarray   # real, sorted descending
-    eigenvectors: np.ndarray  # orthonormal columns
-
-    def reconstruction_error(self, matrix):
-        w, v = self.eigenvalues, self.eigenvectors
-        rebuilt = (v * w) @ v.conj().T
-        return float(np.max(np.abs(np.asarray(matrix) - rebuilt)))
-
-
-def _as_choi(c):
-    return c if isinstance(c, ChoiMatrix) else ChoiMatrix(np.asarray(c))
-
-
-def hermitian_eigendecompose(c, tol_herm=None):
-    """Eigendecomposition of a Hermitian matrix (LAPACK through numpy);
-    eigenvalues come out sorted descending."""
-    c = _as_choi(c)
-    tol = config.TOLS.herm if tol_herm is None else tol_herm
-    defect = c.hermitian_defect()
-    if defect > tol:
-        raise ValidationError(
-            f"matrix is not Hermitian: defect {defect:.3e} > {tol:.3e}")
-    vals, vecs = jacobi_eigh(c.matrix)
-    return EigenDecomposition(vals, vecs)
-
-
-def is_psd(c, tol=None):
-    """True iff the Hermitian matrix has minimum eigenvalue >= -tol."""
-    c = _as_choi(c)
-    tol = config.TOLS.psd if tol is None else tol
-    dec = hermitian_eigendecompose(c)
-    if dec.eigenvalues.size == 0:
-        return True
-    return bool(dec.eigenvalues[-1] >= -tol)
-
-
-def min_eigenvalue(matrix):
-    vals, _ = jacobi_eigh(np.asarray(matrix))
-    return float(vals[-1]) if vals.size else 0.0
 
 
 # ------------------------------------------------------------------ #

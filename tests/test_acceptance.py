@@ -223,8 +223,7 @@ def test_criterion_7_sandwich_bounds():
         ests = [cover.zbm_exhaustive(g, 1),
                 cover.zbm_typeformula(g, 2),
                 cover.zbm_typeformula(g, 3)]
-        rep = cover.bethe_cover_bounds(ests, cond.z_star, cond.alpha,
-                                       slack=1e-6)
+        rep = cover.bethe_cover_bounds(ests, cond.z_star, cond.alpha)
         assert rep.all_ok
         for ent in rep.entries:
             worst_margin = min(worst_margin, ent.margin_lower,

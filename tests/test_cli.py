@@ -1,12 +1,13 @@
 """Command-line interface: subcommands, exit codes, determinism."""
 
+import argparse
 import json
 
 import numpy as np
 import pytest
 
 from bethecover import nfg
-from bethecover.cli import main
+from bethecover.cli import build_parser, main
 
 from conftest import graph_with_choi
 
@@ -190,3 +191,68 @@ def test_experiment_zero_alphabet_exit_code(capsys):
                  "--instances", "1", "--mmax", "1"])
     assert code == 2
     assert "alphabet" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("method",
+                         ["auto", "exhaustive", "montecarlo", "typeformula"])
+def test_zbm_zero_degree_exit_code(graph_file, method, capsys):
+    assert main(["zbm", graph_file, "--m", "0", "--method", method]) == 2
+    assert "degree" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["experiment", "GRAPH", "--instances", "1", "--mmax", "1"],
+    ["exact", "GRAPH", "--csv", "x.csv"],
+    ["loopseries", "GRAPH", "--json", "x.json"],
+    ["cover", "GRAPH", "--mmax", "2"],
+    ["zbm", "GRAPH", "--identity-sigma"],
+    ["bounds", "GRAPH", "--method", "montecarlo"],
+    ["gen", "--topology", "custom-file"],
+])
+def test_undeclared_flag_exit_code(graph_file, argv, capsys):
+    argv = [graph_file if a == "GRAPH" else a for a in argv]
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    capsys.readouterr()
+
+
+class ReadRecorder(argparse.Namespace):
+    """Namespace that records the attributes a handler reads."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.reads = set()
+
+    def __getattribute__(self, name):
+        value = super().__getattribute__(name)
+        if not name.startswith("_") and name != "reads":
+            super().__getattribute__("reads").add(name)
+        return value
+
+
+GENERATOR_DESTS = {"topology", "kind", "alphabet", "ensemble", "eta",
+                   "scale", "nodes", "seed"}
+
+
+def test_every_declared_flag_is_read(graph_file, capsys):
+    parser = build_parser()
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    for name in sub.choices:
+        if name == "experiment":
+            argv = [name, "--instances", "1", "--mmax", "1",
+                    "--restarts", "1"]
+        else:
+            argv = [name, graph_file]
+        args = vars(parser.parse_args(argv))
+        handler = args.pop("func")
+        args.pop("command")
+        rec = ReadRecorder(**args)
+        assert handler(rec) == 0, name
+        unread = set(args) - rec.reads
+        if args.get("graph"):
+            unread -= GENERATOR_DESTS
+        assert not unread, f"{name} declares {sorted(unread)} but never " \
+                           "reads them"
+    capsys.readouterr()

@@ -171,8 +171,8 @@ def socket_sum_oracle(g, degree):
 def dense_projector_network(g, degree, cap):
     """The average-cover network in the socket basis: M-fold stacked
     local functions joined through per-edge socket projectors.  Raises
-    CapacityError before building a stacked tensor or projector larger
-    than ``cap`` entries."""
+    CapacityError before building a stacked tensor, projector or
+    contraction intermediate larger than ``cap`` entries."""
     tensors = []
     for k in range(g.n_nodes):
         t = g.tensors[k].reshape([g.axis_size(eid)
@@ -195,7 +195,10 @@ def dense_projector_network(g, degree, cap):
             raise CapacityError("socket projector over the cap")
         tensors.append(ComplexTensor((f"{e.eid}|i", f"{e.eid}|j"),
                                      cover.socket_projector(s, degree)))
-    return nfg.contract_network(tensors, memory_cap=cap)
+    plan = nfg.plan_contraction([(t.labels, t.sizes) for t in tensors])
+    if plan.peak > cap:
+        raise CapacityError("contraction intermediate over the cap")
+    return nfg.contract_network(tensors)
 
 
 def with_isolated_node(g, value=1.3):
@@ -354,26 +357,32 @@ class TestEstimators:
         tol = 3.0 * mc.stderr + 1e-9 * (1.0 + abs(typ.power_value))
         assert abs(mc.power_value - typ.power_value) <= tol
 
-    def test_exhaustive_capacity(self):
+    def test_exhaustive_capacity(self, monkeypatch):
         g = fig3_psd(0)
+        monkeypatch.setenv("BETHE_COVER_LIMITS", "covers=1000")
         with pytest.raises(CapacityError, match="covers"):
-            cover.zbm_exhaustive(g, 4, cover_limit=1000)
+            cover.zbm_exhaustive(g, 4)
 
-    def test_typeformula_capacity(self):
+    def test_typeformula_capacity(self, monkeypatch):
         # the peak is the degree-3 node's first gather step at the last
         # level: 21 padded types of length 3 times (11 padded types of
         # length 2 times 4 symbols) on each of its other two legs
         g = fig3_psd(0)
+        monkeypatch.setenv("BETHE_COVER_LIMITS", "contract=1000")
         tracemalloc.start()
         try:
             with pytest.raises(CapacityError) as info:
-                cover.zbm_typeformula(g, 3, memory_cap=1000)
+                cover.zbm_typeformula(g, 3)
             _, peak_bytes = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert info.value.requested == 21 * (11 * 4) ** 2
         assert info.value.limit == 1000
         assert peak_bytes < 16 * 1000
+
+    def test_typeformula_degree_zero_refused(self):
+        with pytest.raises(StructuralError, match="degree"):
+            cover.zbm_typeformula(fig3_psd(0), 0)
 
     def test_signed_root_error(self):
         # a weak-sense pair with negative partition value on every cover

@@ -77,7 +77,7 @@ def test_custom_file_round_trip(tmp_path):
     g = gen(GeneratorSpec(topology="fig3", ensemble="psd-random", seed=4))
     path = tmp_path / "custom.nfg.json"
     nfg.save(g, path)
-    g2 = gen(GeneratorSpec(topology="custom-file", path=str(path)))
+    g2 = nfg.load(path)
     assert nfg.serialize(g2) == nfg.serialize(g)
 
 

@@ -61,6 +61,24 @@ class TestConstruction:
         e = g.edge("e1")
         assert e.head < e.tail
 
+    def test_caller_arrays_not_aliased(self):
+        own = np.array([1.0, 2.0], dtype=np.complex128)
+        base = np.array([[1.0, 1.0], [3.0, 4.0]])
+        g = nfg.make_graph("standard",
+                           nodes=[("f1", ["e1"]), ("f2", ["e1"])],
+                           edges=[("e1", ("f1", "f2"), 2)],
+                           tensors={"f1": own, "f2": base[0]})
+        own[0] = 5.0
+        base[0] = 7.0
+        assert g.tensors[0].tolist() == [1, 2]
+        assert g.tensors[1].tolist() == [1, 1]
+
+    def test_graph_tensors_shared_by_covers(self):
+        g = fig3_psd(0)
+        cov = build_cover(g, random_cover(g, 2, np.random.default_rng(0)))
+        assert all(cov.tensors[2 * k + m] is g.tensors[k]
+                   for k in range(g.n_nodes) for m in range(2))
+
 
 class TestValidate:
     def test_identity_choi_fig3_is_strict(self):
@@ -135,10 +153,11 @@ class TestPartitionExact:
         assert z.real >= 0.0
         assert z == pytest.approx(brute_force_partition(g), rel=1e-12)
 
-    def test_capacity_error_names_limit(self):
+    def test_capacity_error_names_limit(self, monkeypatch):
         g = build_fig3()
+        monkeypatch.setenv("BETHE_COVER_LIMITS", "enum=16")
         with pytest.raises(CapacityError, match="16"):
-            nfg.partition_exact(g, limit=16)
+            nfg.partition_exact(g)
 
     def test_strict_sense_realness_bounds(self):
         for seed in range(25):
@@ -187,10 +206,11 @@ class TestPartitionContract:
             worst = max(worst, abs(zc - ze) / max(abs(ze), 1e-12))
         assert worst <= 1e-9
 
-    def test_contract_capacity(self):
+    def test_contract_capacity(self, monkeypatch):
         g = fig3_psd(0)
+        monkeypatch.setenv("BETHE_COVER_LIMITS", "contract=4")
         with pytest.raises(CapacityError):
-            nfg.partition_contract(g, memory_cap=4)
+            nfg.partition_contract(g)
 
     def test_capacity_refused_before_any_contraction(self, monkeypatch):
         g = fig3_psd(0)
@@ -201,8 +221,9 @@ class TestPartitionContract:
         plan = nfg.plan_contraction([(t.labels, t.sizes)
                                      for t in network_of(g)])
         assert plan.peak == measured
+        monkeypatch.setenv("BETHE_COVER_LIMITS", "contract=4")
         with pytest.raises(CapacityError) as info:
-            nfg.partition_contract(g, memory_cap=4)
+            nfg.partition_contract(g)
         assert info.value.requested == plan.peak
         assert info.value.limit == 4
         assert merges == []

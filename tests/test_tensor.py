@@ -1,14 +1,18 @@
-"""Tensor contraction, Kronecker products and the Hermitian eigensolver."""
+"""Tensor contraction, pair-axis reshuffles, the Hermitian eigensolver
+and the Hermitian/PSD check of node validation."""
 
 import itertools
 
 import numpy as np
 import pytest
 
-from bethecover.errors import DimensionError, ValidationError
-from bethecover.tensor import (ChoiMatrix, ComplexTensor, choi_from_paired,
-                               contract, hermitian_eigendecompose, is_psd,
-                               kron, paired_from_choi)
+from bethecover import nfg
+from bethecover._kernels import jacobi_eigh
+from bethecover.errors import DimensionError
+from bethecover.tensor import (ComplexTensor, choi_from_paired, contract,
+                               paired_from_choi)
+
+from conftest import graph_with_choi
 
 
 def loop_contract(a, b, shared):
@@ -110,10 +114,6 @@ class TestContract:
         with pytest.raises(DimensionError):
             ComplexTensor(("x", "x"), np.ones((2, 2)))
 
-    def test_from_flat_length_check(self):
-        with pytest.raises(DimensionError):
-            ComplexTensor.from_flat(("x", "y"), (2, 2), np.ones(3))
-
 
 def char_poly_eigvals(h):
     """Eigenvalues of a 2x2 or 3x3 Hermitian matrix from the
@@ -137,15 +137,29 @@ def char_poly_eigvals(h):
     raise ValueError(n)
 
 
+def reconstruction_error(h, vals, vecs):
+    return float(np.max(np.abs((vecs * vals) @ vecs.conj().T - h)))
+
+
+def node_status(choi):
+    """Validation status of a degree-1 double-edge node whose matrix is
+    ``choi``; its single edge leads to a node with the identity matrix."""
+    side = choi.shape[0]
+    g = graph_with_choi([("f1", ["e1"]), ("f2", ["e1"])],
+                        [("e1", ("f1", "f2"), side)],
+                        {"f1": choi, "f2": np.eye(side)})
+    return nfg.validate(g).node_status["f1"]
+
+
 class TestEigendecompose:
     def test_identity(self):
-        dec = hermitian_eigendecompose(np.eye(2))
-        assert np.allclose(dec.eigenvalues, [1.0, 1.0])
+        vals, _ = jacobi_eigh(np.eye(2))
+        assert np.allclose(vals, [1.0, 1.0])
 
     def test_diag(self):
-        dec = hermitian_eigendecompose(np.diag([2.0, 0.0]))
-        assert np.allclose(dec.eigenvalues, [2.0, 0.0])
-        assert dec.eigenvalues[0] >= dec.eigenvalues[1]
+        vals, _ = jacobi_eigh(np.diag([2.0, 0.0]))
+        assert np.allclose(vals, [2.0, 0.0])
+        assert vals[0] >= vals[1]
 
     @pytest.mark.parametrize("side", [2, 3])
     @pytest.mark.parametrize("seed", range(6))
@@ -154,34 +168,37 @@ class TestEigendecompose:
         a = (rng.standard_normal((side, side))
              + 1j * rng.standard_normal((side, side)))
         h = a @ a.conj().T
-        dec = hermitian_eigendecompose(h)
-        assert dec.eigenvalues[-1] >= -1e-12
-        assert dec.reconstruction_error(h) < 1e-10
-        assert np.allclose(dec.eigenvalues, char_poly_eigvals(h),
-                           atol=1e-9, rtol=1e-9)
+        vals, vecs = jacobi_eigh(h)
+        assert vals[-1] >= -1e-12
+        assert reconstruction_error(h, vals, vecs) < 1e-10
+        assert np.allclose(vals, char_poly_eigvals(h), atol=1e-9, rtol=1e-9)
 
     @pytest.mark.parametrize("side", [2, 4, 7, 11, 16])
     def test_reconstruction_and_orthonormality(self, side, rng):
         a = (rng.standard_normal((side, side))
              + 1j * rng.standard_normal((side, side)))
         h = (a + a.conj().T) / 2
-        dec = hermitian_eigendecompose(h)
-        assert dec.reconstruction_error(h) < 1e-10
-        gram = dec.eigenvectors.conj().T @ dec.eigenvectors
+        vals, vecs = jacobi_eigh(h)
+        assert reconstruction_error(h, vals, vecs) < 1e-10
+        gram = vecs.conj().T @ vecs
         assert np.max(np.abs(gram - np.eye(side))) < 1e-10
-        assert np.all(np.diff(dec.eigenvalues) <= 1e-12)
+        assert np.all(np.diff(vals) <= 1e-12)
 
     def test_non_hermitian_rejected(self):
-        with pytest.raises(ValidationError):
-            hermitian_eigendecompose(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        # validation reports the defect and takes no eigenvalue
+        st = node_status(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        assert st.hermitian_defect == 1.0
+        assert np.isnan(st.min_eigenvalue) and not st.psd
 
 
 class TestIsPsd:
     def test_identity(self):
-        assert is_psd(np.eye(3))
+        assert node_status(np.eye(3)).psd
 
     def test_indefinite_symmetric(self):
-        assert not is_psd(np.array([[1.0, 2.0], [2.0, 1.0]]))
+        st = node_status(np.array([[1.0, 2.0], [2.0, 1.0]]))
+        assert not st.psd
+        assert st.min_eigenvalue == pytest.approx(-1.0)
 
     @pytest.mark.parametrize("side", [2, 3, 5, 8])
     @pytest.mark.parametrize("seed", range(4))
@@ -189,31 +206,13 @@ class TestIsPsd:
         rng = np.random.default_rng([seed, side])
         a = (rng.standard_normal((side, side))
              + 1j * rng.standard_normal((side, side)))
-        assert is_psd(a @ a.conj().T)
+        assert node_status(a @ a.conj().T).psd
 
     def test_choi_wrapper(self):
-        c = ChoiMatrix(np.eye(4))
-        assert c.side == 4
-        assert c.hermitian_defect() == 0.0
-        assert is_psd(c)
-
-
-class TestKron:
-    def test_identities(self):
-        assert np.array_equal(kron(np.eye(2), np.eye(2)), np.eye(4))
-
-    def test_basis_vectors(self):
-        e0 = np.array([[1.0], [0.0]])
-        e1 = np.array([[0.0], [1.0]])
-        assert np.array_equal(kron(e0, e1).ravel(), [0.0, 1.0, 0.0, 0.0])
-
-    def test_index_formula(self, rng):
-        a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        b = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        out = kron(a, b)
-        for i, j, k, el in itertools.product(range(2), repeat=4):
-            assert out[2 * i + k, 2 * j + el] == pytest.approx(
-                a[i, j] * b[k, el])
+        st = node_status(np.eye(4))
+        assert st.hermitian_defect == 0.0
+        assert st.min_eigenvalue == pytest.approx(1.0)
+        assert st.psd
 
 
 class TestPairedReshuffle:
