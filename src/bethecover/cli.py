@@ -177,11 +177,12 @@ def cmd_lct(args):
     rep = _spa_of(args, g)
     lr = lct_mod.transform(g, rep)
     d = lr.diagnostics
-    worst = max(max(v) for v in d["biorthogonality"].values())
     print(f"Z_B = {lr.zb_spa.real!r}")
     print(f"transformed all-zero value = {lr.g0.real!r} + {lr.g0.imag!r}j "
           f"(relative gap {d['g0_vs_bethe_rel']:.3e})")
-    print(f"worst biorthogonality residual: {worst:.3e}")
+    if d["biorthogonality"]:   # a graph without edges has no matrix pairs
+        worst = max(max(v) for v in d["biorthogonality"].values())
+        print(f"worst biorthogonality residual: {worst:.3e}")
     print(f"fragile edges: {d['fragile_edges'] or 'none'}")
     if args.json:
         _write(args.json, lct_mod.serialize_result(lr))

@@ -18,7 +18,7 @@ from ._kernels import enum_configs
 from .errors import (CapacityError, DegenerateParameterError,
                      InternalConsistencyError, LctInapplicableError,
                      ValidationError)
-from .nfg import enumeration_args, serialize as serialize_graph
+from .nfg import STANDARD, enumeration_args, serialize as serialize_graph
 from .spa import (MessageVector, SpaReport, bethe_partition_value,
                   edge_normalizers, node_normalizers, raw_updates)
 
@@ -288,21 +288,20 @@ def loop_series(lr):
             limit=lim, requested=count)
     g0 = lr.g0
     floor = _WEIGHT_FLOOR * abs(g0)
+    eids = [e.eid for e in g.edges]
     out = []
     for digits, vals in enum_configs(*enumeration_args(g)):
-        keep = np.nonzero(np.abs(vals) > floor)[0]
-        for row in keep:
-            if not digits[row].any():
-                continue
-            cfg = {}
-            for k, e in enumerate(g.edges):
-                v = int(digits[row, k])
-                if g.kind == "standard":
-                    cfg[e.eid] = v
-                else:
-                    n = e.alphabet
-                    cfg[e.eid] = (v // n, v % n)
-            out.append((cfg, complex(vals[row] / g0)))
+        keep = (np.abs(vals) > floor) & digits.any(axis=1)
+        kept = digits[keep]
+        if g.kind == STANDARD:
+            columns = [kept[:, k].tolist() for k in range(len(eids))]
+        else:
+            columns = [list(zip((kept[:, k] // e.alphabet).tolist(),
+                                (kept[:, k] % e.alphabet).tolist()))
+                       for k, e in enumerate(g.edges)]
+        weights = (vals[keep] / g0).tolist()
+        out.extend((dict(zip(eids, values)), w)
+                   for values, w in zip(zip(*columns), weights))
     return out
 
 
@@ -311,7 +310,7 @@ def nonzero_edge_subgraph_degrees(g, cfg):
     deg = [0] * g.n_nodes
     for e in g.edges:
         v = cfg[e.eid]
-        nonzero = (v != 0) if g.kind == "standard" else (v != (0, 0))
+        nonzero = (v != 0) if g.kind == STANDARD else (v != (0, 0))
         if nonzero:
             deg[e.head] += 1
             deg[e.tail] += 1
@@ -323,22 +322,13 @@ def induced_fixed_point_check(lr):
     sum-product update on the transformed graph, after per-message
     rescaling."""
     g = lr.transformed
-    data = {}
-    for eid, node in g.directed_keys():
-        vec = np.zeros(g.axis_size(eid), dtype=np.complex128)
-        vec[0] = 1.0
-        data[(eid, node)] = vec
-    m = MessageVector(data)
-    raw, _kappa = raw_updates(g, m)
-    worst = 0.0
-    for key, vec in raw.items():
-        lead = vec[0]
-        if abs(lead) == 0.0:
-            worst = max(worst, float(np.max(np.abs(vec))))
-            continue
-        worst = max(worst, float(np.max(np.abs(vec[1:] / lead)))
-                    if vec.size > 1 else 0.0)
-    return worst
+    raw, _kappa = raw_updates(g, MessageVector({
+        key: np.eye(1, g.axis_size(key[0]), dtype=np.complex128)[0]
+        for key in g.directed_keys()}))
+    lead = raw.rows[:, :1]
+    # a message whose lead entry vanishes is measured unscaled
+    ratios = raw.rows[:, 1:] / np.where(lead == 0.0, 1.0, lead)
+    return float(np.max(np.abs(ratios), initial=0.0))
 
 
 @dataclass

@@ -102,10 +102,17 @@ class FactorGraph:
         return choi_from_paired(self.tensors[node], bases)
 
     def with_tensors(self, tensors, weak_sense=None):
+        """The same graph with new local functions, one per node in node
+        order, stored and shape-checked as :func:`make_graph` does."""
+        tensors = list(tensors)
+        if len(tensors) != self.n_nodes:
+            raise StructuralError(
+                f"{len(tensors)} tensors given for {self.n_nodes} nodes")
         weak = self.weak_sense_flag if weak_sense is None else weak_sense
+        arrays = [_stored_tensor(name, t, old.shape) for name, t, old
+                  in zip(self.node_names, tensors, self.tensors)]
         return FactorGraph(self.kind, self.node_names, self.incidences,
-                           self.edges, [np.asarray(t, dtype=np.complex128)
-                                        for t in tensors], weak)
+                           self.edges, arrays, weak)
 
     def is_forest(self):
         parent = list(range(self.n_nodes))
@@ -133,10 +140,8 @@ def make_graph(kind, nodes, edges, tensors, weak_sense=False):
                    axis k belonging to the k-th incident edge (paired axis
                    of size ``alphabet**2`` for double-edge graphs)
 
-    Arrays are copied, except a read-only C-contiguous complex array that
-    owns its data (such as another graph's tensor, which covers reuse), so
-    later writes to the caller's arrays or their bases never reach the
-    graph.
+    Arrays are stored by :func:`_stored_tensor`: copied unless read-only,
+    C-contiguous and owning their data.
     """
     if kind not in (STANDARD, DOUBLE):
         raise StructuralError(f"unknown graph kind {kind!r}")
@@ -186,17 +191,25 @@ def make_graph(kind, nodes, edges, tensors, weak_sense=False):
     for k, name in enumerate(names):
         if name not in tensors:
             raise StructuralError(f"missing tensor for node {name!r}")
-        arr = np.asarray(tensors[name], dtype=np.complex128)
         want = tuple(by_id[eid].alphabet ** mult for eid in incidences[k])
-        if arr.shape != want:
-            raise StructuralError(
-                f"tensor for node {name!r} has shape {arr.shape}, "
-                f"incident edges require {want}")
-        if (arr.flags.writeable or not arr.flags.owndata
-                or not arr.flags.c_contiguous):
-            arr = arr.copy(order="C")
-        arrays.append(arr)
+        arrays.append(_stored_tensor(name, tensors[name], want))
     return FactorGraph(kind, names, incidences, edge_objs, arrays, weak_sense)
+
+
+def _stored_tensor(name, arr, want):
+    """Node ``name``'s local function as a graph stores it: a complex array
+    of shape ``want``, copied unless it is a read-only C-contiguous array
+    that owns its data (such as another graph's tensor, which covers
+    reuse), so later writes to the caller's arrays never reach the graph."""
+    arr = np.asarray(arr, dtype=np.complex128)
+    if arr.shape != want:
+        raise StructuralError(
+            f"tensor for node {name!r} has shape {arr.shape}, "
+            f"incident edges require {want}")
+    if (arr.flags.writeable or not arr.flags.owndata
+            or not arr.flags.c_contiguous):
+        arr = arr.copy(order="C")
+    return arr
 
 
 # ------------------------------------------------------------------ #

@@ -6,6 +6,12 @@ keyed by ``(edge id, receiving node index)``; the update for the message
 into node ``f_j`` along edge ``e`` is computed at the opposite endpoint
 ``f_i`` from its local function and the messages entering ``f_i`` on the
 remaining edges.
+
+A message vector lives in one complex array with a zero-padded row per
+directed key.  A sweep works on that array through a plan built once per
+graph: nodes whose local functions have the same shape form a group whose
+tensors are stacked, so each group needs one batched einsum per leg for
+its outgoing messages and one for its node sums, whatever its size.
 """
 
 import string
@@ -19,42 +25,84 @@ from ._kernels import jacobi_eigh
 from .errors import DegenerateBeliefError, StructuralError, ValidationError
 from .nfg import STANDARD
 
-_LETTERS = string.ascii_letters
+_LETTERS = string.ascii_letters[:-1]   # "Z" indexes the stacked nodes
 _BELIEF_TOL = 1e-6   # slack of the pmf and local-consistency checks
 
 
-@dataclass
 class MessageVector:
-    """Normalized directed messages, keyed by (edge id, node index)."""
+    """Normalized directed messages, keyed by (edge id, node index).
 
-    data: dict
+    Built from a dict of vectors; stored as ``rows``, one read-only complex
+    array with a zero-padded row per key in the order of ``keys``.
+    ``m[key]`` and the values of ``data`` are views of a row cut to the
+    key's axis size.
+    """
+
+    def __init__(self, data):
+        keys = tuple(data)
+        vecs = [np.asarray(data[k], dtype=np.complex128) for k in keys]
+        sizes = [v.size for v in vecs]
+        rows = np.zeros((len(keys), max(sizes, default=0)),
+                        dtype=np.complex128)
+        for r, v in enumerate(vecs):
+            rows[r, :v.size] = v
+        self._set(keys, {k: r for r, k in enumerate(keys)}, sizes, rows)
+
+    def _set(self, keys, index, sizes, rows):
+        rows.flags.writeable = False
+        self.keys, self._index, self._sizes, self.rows = (
+            keys, index, sizes, rows)
+
+    @classmethod
+    def _of_plan(cls, plan, rows):
+        out = cls.__new__(cls)
+        out._set(plan.keys, plan.index, plan.sizes, rows)
+        return out
+
+    def _with_rows(self, rows):
+        out = MessageVector.__new__(MessageVector)
+        out._set(self.keys, self._index, self._sizes, rows)
+        return out
+
+    @property
+    def data(self):
+        return {k: self.rows[r, :s]
+                for r, (k, s) in enumerate(zip(self.keys, self._sizes))}
 
     def copy(self):
-        return MessageVector({k: v.copy() for k, v in self.data.items()})
+        return self._with_rows(self.rows.copy())
 
     def __getitem__(self, key):
-        return self.data[key]
+        r = self._index[key]
+        return self.rows[r, :self._sizes[r]]
 
     def __iter__(self):
-        return iter(self.data)
+        return iter(self.keys)
 
     def scaled(self, key, factor):
-        out = self.copy()
-        out.data[key] = out.data[key] * factor
-        return out
+        rows = self.rows.copy()
+        r = self._index[key]
+        rows[r, :self._sizes[r]] *= factor
+        return self._with_rows(rows)
+
+
+def _max_abs(arr):
+    return float(np.max(np.abs(arr), initial=0.0))
 
 
 def residual(a, b):
     """Largest componentwise change between two message vectors."""
-    return max(float(np.max(np.abs(a.data[k] - b.data[k]))) for k in a.data)
+    if a.keys == b.keys and a._sizes == b._sizes:
+        return _max_abs(a.rows - b.rows)
+    return max((_max_abs(a[k] - b[k]) for k in a), default=0.0)
 
 
 def uniform_messages(g):
-    data = {}
-    for eid, node in g.directed_keys():
-        n = g.axis_size(eid)
-        data[(eid, node)] = np.full(n, 1.0 / n, dtype=np.complex128)
-    return MessageVector(data)
+    plan = _plan(g)
+    rows = np.zeros((len(plan.keys), plan.width), dtype=np.complex128)
+    for r, n in enumerate(plan.sizes):
+        rows[r, :n] = 1.0 / n
+    return MessageVector._of_plan(plan, rows)
 
 
 def _psd_project(vec, base):
@@ -87,80 +135,139 @@ def random_message(g, eid, rng):
 
 
 def random_messages(g, rng):
-    return MessageVector({(eid, node): random_message(g, eid, rng)
-                          for eid, node in g.directed_keys()})
+    plan = _plan(g)
+    rows = np.zeros((len(plan.keys), plan.width), dtype=np.complex128)
+    for r, (eid, _node) in enumerate(plan.keys):
+        rows[r, :plan.sizes[r]] = random_message(g, eid, rng)
+    return MessageVector._of_plan(plan, rows)
+
+
+# ------------------------------------------------------------------ #
+# the sweep plan                                                      #
+# ------------------------------------------------------------------ #
+
+@dataclass
+class _NodeGroup:
+    """Nodes sharing one local-function shape, and their einsums."""
+
+    nodes: np.ndarray      # node indices
+    tensors: np.ndarray    # (n_group, *shape), the stacked local functions
+    sizes: tuple           # axis size of each leg
+    in_rows: list          # per leg: rows of the messages entering
+    out_rows: list         # per leg: rows of the messages leaving
+    leave_one_out: list    # per leg: "Zabc,Zb,Zc->Za"
+    full: str              # "Zabc,Za,Zb,Zc->Z"
+
+    def incoming(self, rows):
+        return [rows[r, :n] for r, n in zip(self.in_rows, self.sizes)]
+
+
+class _SweepPlan:
+    """Row layout of a message array and the batched node contractions
+    of one sweep on a graph."""
+
+    def __init__(self, g):
+        self.keys = tuple(g.directed_keys())
+        self.index = {key: r for r, key in enumerate(self.keys)}
+        self.sizes = [g.axis_size(eid) for eid, _node in self.keys]
+        self.width = max(self.sizes, default=0)
+        self.n_nodes = g.n_nodes
+        # directed_keys lists the head key, then the tail key, of each edge
+        self.head_rows = np.arange(0, len(self.keys), 2)
+        self.tail_rows = self.head_rows + 1
+        self.heads = np.array([e.head for e in g.edges], dtype=np.int64)
+        self.tails = np.array([e.tail for e in g.edges], dtype=np.int64)
+        by_shape = {}
+        for k in range(g.n_nodes):
+            by_shape.setdefault(g.tensors[k].shape, []).append(k)
+        self.groups = [self._group(g, nodes)
+                       for nodes in by_shape.values()]
+
+    def _group(self, g, nodes):
+        d = g.degree(nodes[0])
+        subs = _LETTERS[:d]
+        in_rows, out_rows = [], []
+        for a in range(d):
+            in_rows.append(np.array(
+                [self.index[(g.incidences[k][a], k)] for k in nodes]))
+            out_rows.append(np.array(
+                [self.index[(g.incidences[k][a],
+                             g.other_endpoint(g.incidences[k][a], k))]
+                 for k in nodes]))
+        leave_one_out = [
+            "Z" + subs + "".join(",Z" + subs[b] for b in range(d) if b != a)
+            + "->Z" + subs[a] for a in range(d)]
+        full = "Z" + subs + "".join(",Z" + c for c in subs) + "->Z"
+        return _NodeGroup(
+            nodes=np.array(nodes),
+            tensors=np.stack([g.tensors[k] for k in nodes]),
+            sizes=g.tensors[nodes[0]].shape, in_rows=in_rows,
+            out_rows=out_rows, leave_one_out=leave_one_out, full=full)
+
+    def rows_of(self, m):
+        """The message array of ``m`` in this plan's row layout."""
+        if m.keys == self.keys and m._sizes == self.sizes:
+            return m.rows
+        rows = np.zeros((len(self.keys), self.width), dtype=np.complex128)
+        for r, key in enumerate(self.keys):
+            rows[r, :self.sizes[r]] = m[key]
+        return rows
+
+    def raw(self, rows):
+        """Unnormalized outgoing messages of every node."""
+        out = np.zeros_like(rows)
+        for grp in self.groups:
+            msgs = grp.incoming(rows)
+            for a, expr in enumerate(grp.leave_one_out):
+                out[grp.out_rows[a], :grp.sizes[a]] = np.einsum(
+                    expr, grp.tensors, *msgs[:a], *msgs[a + 1:])
+        return out
+
+    def node_sums(self, rows):
+        """Per-node contraction of the local function with its messages."""
+        out = np.empty(self.n_nodes, dtype=np.complex128)
+        for grp in self.groups:
+            out[grp.nodes] = np.einsum(grp.full, grp.tensors,
+                                       *grp.incoming(rows))
+        return out
+
+    def edge_sums(self, rows):
+        """Per-edge overlap of the two opposing messages."""
+        return np.sum(rows[self.head_rows] * rows[self.tail_rows], axis=1)
+
+
+_PLANS = weakref.WeakKeyDictionary()
+
+
+def _plan(g):
+    """The sweep plan of ``g``, built on first use."""
+    plan = _PLANS.get(g)
+    if plan is None:
+        plan = _PLANS[g] = _SweepPlan(g)
+    return plan
 
 
 # ------------------------------------------------------------------ #
 # one synchronous update                                              #
 # ------------------------------------------------------------------ #
 
-_PLANS = weakref.WeakKeyDictionary()
-
-
-def _plan(g):
-    """Cached einsum recipes for the leave-one-out node contractions."""
-    plan = _PLANS.get(g)
-    if plan is not None:
-        return plan
-    plan = []
-    for k in range(g.n_nodes):
-        incident = g.incidences[k]
-        d = len(incident)
-        subs = _LETTERS[:d]
-        leave_one_out = []
-        for a in range(d):
-            ops = ",".join(subs[b] for b in range(d) if b != a)
-            expr = f"{subs},{ops}->{subs[a]}" if d > 1 else f"{subs}->{subs}"
-            leave_one_out.append(expr)
-        full = f"{subs},{','.join(subs)}->" if d else "->"
-        plan.append((incident, leave_one_out, full))
-    _PLANS[g] = plan
-    return plan
-
-
 def raw_updates(g, m):
-    """Unnormalized outgoing messages and their scaling factors, both
-    keyed like the message vector."""
-    raw, kappa_msg = {}, {}
-    for k in range(g.n_nodes):
-        incident, expressions, _full = _plan(g)[k]
-        msgs = [m[(eid, k)] for eid in incident]
-        t = g.tensors[k]
-        for a, eid in enumerate(incident):
-            others = [msgs[b] for b in range(len(incident)) if b != a]
-            vec = np.einsum(expressions[a], t, *others)
-            key = (eid, g.other_endpoint(eid, k))
-            raw[key] = vec
-            kappa_msg[key] = complex(vec.sum())
-    return raw, kappa_msg
-
-
-def _node_kappas(g, m):
-    """Per-node contraction of the local function with its messages."""
-    out = []
-    for k in range(g.n_nodes):
-        incident, _expressions, full = _plan(g)[k]
-        msgs = [m[(eid, k)] for eid in incident]
-        out.append(complex(np.einsum(full, g.tensors[k], *msgs)))
-    return out
-
-
-def _edge_kappas(g, m):
-    return {e.eid: complex(np.sum(m[(e.eid, e.head)] * m[(e.eid, e.tail)]))
-            for e in g.edges}
+    """Unnormalized outgoing messages, as a message vector, and their
+    scaling factors (component sums), one per row of it."""
+    plan = _plan(g)
+    raw = plan.raw(plan.rows_of(m))
+    return MessageVector._of_plan(plan, raw), raw.sum(axis=1)
 
 
 def fixed_point_residual(g, m):
     """Residual of the plain update map at ``m`` (no reinitialization)."""
-    raw, kappa_msg = raw_updates(g, m)
-    worst = 0.0
-    for key, vec in raw.items():
-        k = kappa_msg[key]
-        if abs(k) == 0.0:
-            return float("inf")
-        worst = max(worst, float(np.max(np.abs(vec / k - m[key]))))
-    return worst
+    plan = _plan(g)
+    rows = plan.rows_of(m)
+    raw = plan.raw(rows)
+    kappa = raw.sum(axis=1)
+    if np.any(kappa == 0.0):
+        return float("inf")
+    return _max_abs(raw / kappa[:, None] - rows)
 
 
 @dataclass
@@ -183,27 +290,24 @@ def spa_step(g, m, rng=None, damping=0.0):
     before damping, and is what convergence is judged on.
     """
     tol_zero = config.TOLS.zero
-    raw, kappa_msg = raw_updates(g, m)
+    plan = _plan(g)
+    rows = plan.rows_of(m)
+    raw = plan.raw(rows)
+    kappa = raw.sum(axis=1)
 
-    new = {}
-    for key, vec in raw.items():
-        k = kappa_msg[key]
-        if abs(k) <= tol_zero:
-            new[key] = m[key].copy()  # replaced below by reinitialization
-        else:
-            new[key] = vec / k
-    stepped = MessageVector(new)
-    map_residual = residual(stepped, m)
+    # a message whose normalizer vanishes keeps its old value until the
+    # reinitialization below replaces it
+    live = np.abs(kappa) > tol_zero
+    new = np.where(live[:, None],
+                   raw / np.where(live, kappa, 1.0)[:, None], rows)
+    map_residual = _max_abs(new - rows)
 
-    kappa_node = _node_kappas(g, stepped)
-    kappa_edge = _edge_kappas(g, stepped)
-    degenerate = []
-    for e in g.edges:
-        prod = (kappa_msg[(e.eid, e.head)] * kappa_msg[(e.eid, e.tail)]
-                * kappa_edge[e.eid]
-                * kappa_node[e.head] * kappa_node[e.tail])
-        if abs(prod) <= tol_zero:
-            degenerate.append(e.eid)
+    kappa_node = plan.node_sums(new)
+    prod = (kappa[plan.head_rows] * kappa[plan.tail_rows]
+            * plan.edge_sums(new)
+            * kappa_node[plan.heads] * kappa_node[plan.tails])
+    degenerate = [g.edges[i].eid
+                  for i in np.nonzero(np.abs(prod) <= tol_zero)[0]]
 
     reinit_keys = set()
     for eid in degenerate:
@@ -211,18 +315,21 @@ def spa_step(g, m, rng=None, damping=0.0):
         for node in (e.head, e.tail):
             for other_eid in g.incidences[node]:
                 reinit_keys.add((other_eid, node))
+    reinit = np.zeros(len(plan.keys), dtype=bool)
     if reinit_keys:
         if rng is None:
             rng = np.random.default_rng(0)
-        for key in sorted(reinit_keys, key=lambda k: (k[0], k[1])):
-            new[key] = random_message(g, key[0], rng)
+        for key in sorted(reinit_keys):
+            r = plan.index[key]
+            new[r, :plan.sizes[r]] = random_message(g, key[0], rng)
+            reinit[r] = True
         map_residual = float("inf")
 
     if damping:
-        for key in new:
-            if key not in reinit_keys:
-                new[key] = (1.0 - damping) * new[key] + damping * m[key]
-    return MessageVector(new), StepInfo(degenerate, map_residual)
+        keep = ~reinit
+        new[keep] = (1.0 - damping) * new[keep] + damping * rows[keep]
+    return MessageVector._of_plan(plan, new), StepInfo(degenerate,
+                                                       map_residual)
 
 
 # ------------------------------------------------------------------ #
@@ -231,13 +338,16 @@ def spa_step(g, m, rng=None, damping=0.0):
 
 def node_normalizers(g, m):
     """Per-node sums Z_f of the local function against its messages."""
-    kappas = _node_kappas(g, m)
-    return {g.node_names[k]: kappas[k] for k in range(g.n_nodes)}
+    plan = _plan(g)
+    return dict(zip(g.node_names,
+                    plan.node_sums(plan.rows_of(m)).tolist()))
 
 
 def edge_normalizers(g, m):
     """Per-edge overlaps Z_e of the two opposing messages."""
-    return _edge_kappas(g, m)
+    plan = _plan(g)
+    return dict(zip((e.eid for e in g.edges),
+                    plan.edge_sums(plan.rows_of(m)).tolist()))
 
 
 def bethe_partition_value(z_f, z_e):
@@ -358,29 +468,30 @@ class Beliefs:
 
 def beliefs_at(g, m):
     """Edge and node beliefs induced by a message vector."""
-    kappa_node = _node_kappas(g, m)
-    kappa_edge = _edge_kappas(g, m)
-    edge = {}
-    for e in g.edges:
-        k = kappa_edge[e.eid]
-        if abs(k) == 0.0:
-            raise DegenerateBeliefError(
-                f"edge {e.eid!r}: belief normalizer vanished")
-        edge[e.eid] = m[(e.eid, e.head)] * m[(e.eid, e.tail)] / k
-    node = {}
-    for idx, name in enumerate(g.node_names):
-        k = kappa_node[idx]
-        if abs(k) == 0.0:
-            raise DegenerateBeliefError(
-                f"node {name!r}: belief normalizer vanished")
-        incident = g.incidences[idx]
-        t = g.tensors[idx].copy()
-        for a, eid in enumerate(incident):
-            shape = [1] * len(incident)
-            shape[a] = -1
-            t = t * m[(eid, idx)].reshape(shape)
-        node[name] = t / k
-    return Beliefs(edge, node)
+    plan = _plan(g)
+    rows = plan.rows_of(m)
+    kappa_node = plan.node_sums(rows)
+    pair = rows[plan.head_rows] * rows[plan.tail_rows]
+    kappa_edge = pair.sum(axis=1)
+    for i in np.nonzero(kappa_edge == 0.0)[0][:1]:
+        raise DegenerateBeliefError(
+            f"edge {g.edges[i].eid!r}: belief normalizer vanished")
+    for k in np.nonzero(kappa_node == 0.0)[0][:1]:
+        raise DegenerateBeliefError(
+            f"node {g.node_names[k]!r}: belief normalizer vanished")
+    edge = {e.eid: pair[i, :plan.sizes[2 * i]] / kappa_edge[i]
+            for i, e in enumerate(g.edges)}
+    node = [None] * g.n_nodes
+    for grp in plan.groups:
+        t = grp.tensors.copy()
+        d = len(grp.sizes)
+        for a, msg in enumerate(grp.incoming(rows)):
+            shape = [len(grp.nodes)] + [1] * d
+            shape[1 + a] = -1
+            t = t * msg.reshape(shape)
+        for j, k in enumerate(grp.nodes):
+            node[k] = t[j] / kappa_node[k]
+    return Beliefs(edge, dict(zip(g.node_names, node)))
 
 
 def consistency_defect(g, b):

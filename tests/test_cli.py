@@ -85,6 +85,23 @@ def test_bounds_near_identity(capsys):
     assert "VIOLATED" not in out
 
 
+def test_graph_without_edges(tmp_path, capsys):
+    # one isolated node of value 2: every route reduces to Z_B = Z = 2
+    path = tmp_path / "isolated.nfg.json"
+    nfg.save(nfg.make_graph("standard", [("f", [])], [],
+                            {"f": np.array(2.0)}), path)
+    for cmd in ("spa", "lct", "loopseries", "check-condition", "bounds"):
+        assert main([cmd, str(path)]) == 0, cmd
+        out = capsys.readouterr().out
+        if cmd == "spa":
+            assert "after 1 iterations (residual 0.000e+00" in out
+            assert "Z_B = 2.0 + 0.0j" in out
+        if cmd == "lct":
+            assert "Z_B = 2.0\n" in out and "biorthogonality" not in out
+    assert main(["exact", str(path)]) == 0
+    assert capsys.readouterr().out == "Z = 2.0 + 0.0j\n"
+
+
 def test_loopseries_csv(graph_file, tmp_path, capsys):
     cpath = tmp_path / "loops.csv"
     assert main(["loopseries", graph_file, "--restarts", "1",

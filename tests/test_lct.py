@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from bethecover import lct, nfg, spa
+from bethecover._kernels import enum_configs
+from bethecover.cover import zbm_typeformula
 from bethecover.errors import (DegenerateParameterError,
                                LctInapplicableError)
 from bethecover.generators import GeneratorSpec, gen
@@ -18,6 +20,25 @@ def converged_transform(g, seed=0, restarts=1, overrides=None):
     rep = spa.spa_run(g, restarts=restarts, tol_fp=1e-12, seed=seed)
     assert rep.converged
     return lct.transform(g, rep, param_overrides=overrides)
+
+
+def oracle_loop_series(lr):
+    """One dict per kept row: the loop series that the masked column
+    decode of :func:`lct.loop_series` replaces, kept as its oracle."""
+    g = lr.transformed
+    floor = 1e-12 * abs(lr.g0)
+    out = []
+    for digits, vals in enum_configs(*nfg.enumeration_args(g)):
+        for row in np.nonzero(np.abs(vals) > floor)[0]:
+            if not digits[row].any():
+                continue
+            cfg = {}
+            for k, e in enumerate(g.edges):
+                v = int(digits[row, k])
+                cfg[e.eid] = (v if g.kind == nfg.STANDARD
+                              else (v // e.alphabet, v % e.alphabet))
+            out.append((cfg, complex(vals[row] / lr.g0)))
+    return out
 
 
 def weight_one_entries(transformed):
@@ -216,6 +237,18 @@ class TestTransform:
             lr = converged_transform(fig3_psd(seed))
             assert lct.induced_fixed_point_check(lr) <= 1e-8
 
+    @pytest.mark.parametrize("g", [
+        fig3_psd(1), fig3_psd(2), fig3_near_identity(0),
+        gen(GeneratorSpec(topology="fig3", kind="standard",
+                          ensemble="positive-s-nfg", seed=1))],
+        ids=["psd-1", "psd-2", "near-identity-0", "standard-1"])
+    def test_transform_preserves_degree_m_bethe_value(self, g):
+        lr = converged_transform(g)
+        for m in (2, 3):
+            want = zbm_typeformula(g, m).power_value
+            got = zbm_typeformula(lr.transformed, m).power_value
+            assert got == pytest.approx(want, rel=1e-12)
+
     def test_serialize_result_round_trip(self):
         lr = converged_transform(fig3_psd(3))
         import json
@@ -254,6 +287,28 @@ class TestLoopSeries:
             degs = lct.nonzero_edge_subgraph_degrees(lr.transformed, cfg)
             assert all(d != 1 for d in degs)
             assert any(d > 0 for d in degs)
+
+
+    def test_matches_per_row_oracle(self):
+        graphs = [gen(GeneratorSpec(topology=topo, kind=kind, ensemble=ens,
+                                    seed=seed))
+                  for topo in ("fig3", "fig-b") for seed in (1, 2)
+                  for kind, ens in (("standard", "positive-s-nfg"),
+                                    ("double-edge", "psd-random"))]
+        graphs.append(gen(GeneratorSpec(topology="cycle", kind="standard",
+                                        ensemble="positive-s-nfg", n=4,
+                                        alphabet=3, seed=3)))
+        for g in graphs:
+            lr = converged_transform(g)
+            terms = lct.loop_series(lr)
+            assert terms and terms == oracle_loop_series(lr)
+            for cfg, w in terms:
+                assert type(w) is complex
+                value = cfg[g.edges[0].eid]
+                if g.kind == nfg.STANDARD:
+                    assert type(value) is int
+                else:
+                    assert [type(v) for v in value] == [int, int]
 
 
 class TestPartitionSplit:

@@ -73,6 +73,26 @@ class TestConstruction:
         assert g.tensors[0].tolist() == [1, 2]
         assert g.tensors[1].tolist() == [1, 1]
 
+    def test_with_tensors_does_not_alias(self):
+        g = two_cycle(np.ones((2, 2)), np.ones((2, 2)))
+        base = np.array([[[1.0, 1.0], [1.0, 1.0]], [[2.0, 0.0], [0.0, 2.0]]],
+                        dtype=np.complex128)
+        h = g.with_tensors([base[0], base[1]])
+        assert not np.shares_memory(h.tensors[0], base[0])
+        base[0] = 7.0
+        assert h.tensors[0].tolist() == [[1, 1], [1, 1]]
+        assert nfg.partition_exact(h) == 4.0
+
+    def test_with_tensors_checks_shapes(self):
+        g = nfg.make_graph("standard",
+                           nodes=[("f1", ["e1"]), ("f2", ["e1"])],
+                           edges=[("e1", ("f1", "f2"), 2)],
+                           tensors={"f1": np.ones(2), "f2": np.ones(2)})
+        with pytest.raises(StructuralError, match="shape"):
+            g.with_tensors([np.ones(3), np.ones(3)])
+        with pytest.raises(StructuralError, match="1 tensors"):
+            g.with_tensors([np.ones(2)])
+
     def test_graph_tensors_shared_by_covers(self):
         g = fig3_psd(0)
         cov = build_cover(g, random_cover(g, 2, np.random.default_rng(0)))

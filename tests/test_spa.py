@@ -1,20 +1,211 @@
 """Sum-product iteration, fixed points, beliefs, Bethe free energy."""
 
+import string
+
 import numpy as np
 import pytest
 
-from bethecover import nfg, spa
+from bethecover import config, nfg, spa
 from bethecover.errors import DegenerateBeliefError, ValidationError
 from bethecover.generators import GeneratorSpec, gen
 from bethecover.tensor import choi_from_paired
 
-from conftest import (build_fig3, fig3_psd, power_trap_fixed_point,
-                      power_trap_graph, random_tree_de, two_cycle)
+from conftest import (build_fig3, fig3_psd, graph_with_choi,
+                      power_trap_fixed_point, power_trap_graph, random_choi,
+                      random_tree_de, two_cycle)
 
 
 def min_choi_eigenvalue(vec, base):
     c = np.asarray(vec).reshape(base, base)
     return float(np.linalg.eigvalsh((c + c.conj().T) / 2)[0])
+
+
+def oracle_raw_updates(g, m):
+    """One einsum per directed message: the sweep the batched node groups
+    of :func:`spa.raw_updates` replace, kept as their oracle."""
+    raw, kappa = {}, {}
+    for k in range(g.n_nodes):
+        incident = g.incidences[k]
+        subs = string.ascii_letters[:len(incident)]
+        msgs = [m[(eid, k)] for eid in incident]
+        for a, eid in enumerate(incident):
+            rest = [b for b in range(len(incident)) if b != a]
+            expr = subs + "".join("," + subs[b] for b in rest) + "->" + subs[a]
+            vec = np.einsum(expr, g.tensors[k], *[msgs[b] for b in rest])
+            key = (eid, g.other_endpoint(eid, k))
+            raw[key] = vec
+            kappa[key] = complex(vec.sum())
+    return raw, kappa
+
+
+def oracle_node_sums(g, m):
+    out = []
+    for k in range(g.n_nodes):
+        subs = string.ascii_letters[:g.degree(k)]
+        expr = subs + "".join("," + c for c in subs) + "->"
+        msgs = [m[(eid, k)] for eid in g.incidences[k]]
+        out.append(complex(np.einsum(expr, g.tensors[k], *msgs)))
+    return out
+
+
+def oracle_step(g, m, rng=None, damping=0.0):
+    """The per-message :func:`spa.spa_step`: messages (a dict),
+    map residual and degenerate edges."""
+    tol_zero = config.TOLS.zero
+    raw, kappa = oracle_raw_updates(g, m)
+    new = {key: (vec / kappa[key] if abs(kappa[key]) > tol_zero
+                 else m[key].copy()) for key, vec in raw.items()}
+    map_residual = max((float(np.max(np.abs(new[key] - m[key])))
+                        for key in new), default=0.0)
+    kappa_node = oracle_node_sums(g, new)
+    degenerate = []
+    for e in g.edges:
+        overlap = complex(np.sum(new[(e.eid, e.head)] * new[(e.eid, e.tail)]))
+        prod = (kappa[(e.eid, e.head)] * kappa[(e.eid, e.tail)] * overlap
+                * kappa_node[e.head] * kappa_node[e.tail])
+        if abs(prod) <= tol_zero:
+            degenerate.append(e.eid)
+    reinit = sorted({(other, node) for eid in degenerate
+                     for node in g.edge(eid).endpoints
+                     for other in g.incidences[node]})
+    for key in reinit:
+        new[key] = spa.random_message(g, key[0], rng)
+    if reinit:
+        map_residual = float("inf")
+    if damping:
+        for key in new:
+            if key not in reinit:
+                new[key] = (1.0 - damping) * new[key] + damping * m[key]
+    return new, map_residual, degenerate
+
+
+def with_isolated_node(g):
+    """``g`` plus one node without edges."""
+    return nfg.make_graph(
+        g.kind,
+        [(name, g.incidences[k]) for k, name in enumerate(g.node_names)]
+        + [("iso", [])],
+        [(e.eid, (g.node_names[e.head], g.node_names[e.tail]), e.alphabet)
+         for e in g.edges],
+        {**dict(zip(g.node_names, g.tensors)), "iso": np.array(1.5)})
+
+
+def mixed_alphabet_graph(kind, seed):
+    """A triangle with edge alphabets 2, 3 and 2."""
+    rng = np.random.default_rng(seed)
+    nodes = [("f1", ["e1", "e3"]), ("f2", ["e1", "e2"]),
+             ("f3", ["e2", "e3"])]
+    edges = [("e1", ("f1", "f2"), 2), ("e2", ("f2", "f3"), 3),
+             ("e3", ("f3", "f1"), 2)]
+    alpha = {eid: a for eid, _, a in edges}
+    if kind == "standard":
+        return nfg.make_graph(kind, nodes, edges, {
+            name: rng.uniform(0.1, 1.0, [alpha[e] for e in inc])
+            for name, inc in nodes})
+    return graph_with_choi(nodes, edges, {
+        name: random_choi(int(np.prod([alpha[e] for e in inc])), rng)
+        for name, inc in nodes})
+
+
+def oracle_graphs():
+    """(graph, all axis sizes equal) pairs over both kinds."""
+    out = []
+    for kind, ens in (("standard", "positive-s-nfg"),
+                      ("double-edge", "psd-random")):
+        for topo in ("fig3", "fig-b"):
+            out.append((gen(GeneratorSpec(topology=topo, kind=kind,
+                                          ensemble=ens, seed=4)), True))
+        tree = gen(GeneratorSpec(topology="tree", kind=kind, ensemble=ens,
+                                 n=5, seed=2))
+        out += [(tree, True), (with_isolated_node(tree), True),
+                (gen(GeneratorSpec(topology="cycle", kind=kind,
+                                   ensemble=ens, n=2, seed=3)), True),
+                (mixed_alphabet_graph(kind, 1), False)]
+    return out
+
+
+class TestBatchedSweep:
+    @pytest.mark.parametrize("damping", [0.0, 0.5])
+    def test_step_matches_per_message_oracle(self, damping):
+        for g, equal_sizes in oracle_graphs():
+            m = spa.random_messages(g, np.random.default_rng(7))
+            new, info = spa.spa_step(g, m, damping=damping)
+            want, residual, degenerate = oracle_step(g, m, damping=damping)
+            assert info.degenerate_edges == degenerate == []
+            assert list(new) == g.directed_keys()
+            for key in want:
+                if equal_sizes:
+                    assert np.array_equal(new[key], want[key]), key
+                else:
+                    assert np.allclose(new[key], want[key], rtol=1e-14,
+                                       atol=0.0), key
+            if equal_sizes:
+                assert info.map_residual == residual
+            else:
+                assert info.map_residual == pytest.approx(residual,
+                                                          rel=1e-14)
+
+    def test_reinitialization_matches_oracle(self):
+        g = power_trap_graph()
+        m = power_trap_fixed_point()
+        new, info = spa.spa_step(g, m, rng=np.random.default_rng(5))
+        want, residual, degenerate = oracle_step(
+            g, m, rng=np.random.default_rng(5))
+        assert info.degenerate_edges == degenerate == ["e1", "e2"]
+        assert info.map_residual == residual == float("inf")
+        for key in want:
+            assert np.array_equal(new[key], want[key]), key
+
+    def test_node_sum_degeneracy_matches_oracle(self):
+        # a path a - b - c whose middle node sums to zero against the
+        # updated messages while every message normalizer and edge
+        # overlap stays nonzero: only the node factor flags the edges
+        g = nfg.make_graph(
+            "standard", [("a", ["e1"]), ("b", ["e1", "e2"]), ("c", ["e2"])],
+            [("e1", ("a", "b"), 2), ("e2", ("b", "c"), 2)],
+            {"a": np.ones(2), "b": np.array([[1.0, 1.0], [1.0, -3.0]]),
+             "c": np.ones(2)}, weak_sense=True)
+        m = spa.MessageVector({
+            ("e1", 0): np.array([0.5, 0.5]), ("e1", 1): np.array([0.8, 0.2]),
+            ("e2", 1): np.array([0.8, 0.2]), ("e2", 2): np.array([0.5, 0.5])})
+        new, info = spa.spa_step(g, m, rng=np.random.default_rng(2))
+        want, _residual, degenerate = oracle_step(
+            g, m, rng=np.random.default_rng(2))
+        assert info.degenerate_edges == degenerate == ["e1", "e2"]
+        for key in want:
+            assert np.array_equal(new[key], want[key]), key
+
+    def test_raw_updates_match_oracle(self):
+        for g, _equal in oracle_graphs():
+            m = spa.random_messages(g, np.random.default_rng(3))
+            raw, kappa = spa.raw_updates(g, m)
+            want, want_kappa = oracle_raw_updates(g, m)
+            for r, key in enumerate(raw):
+                assert np.allclose(raw[key], want[key], rtol=1e-14, atol=0)
+                assert kappa[r] == pytest.approx(want_kappa[key], rel=1e-14)
+
+    def test_message_vector_from_dict(self):
+        # a dict in any key order gives the same sweep as the plan's layout
+        g = power_trap_graph()
+        m = power_trap_fixed_point()
+        assert list(m) != g.directed_keys()
+        laid_out = spa.MessageVector({k: m[k] for k in g.directed_keys()})
+        assert spa.fixed_point_residual(g, m) == \
+            spa.fixed_point_residual(g, laid_out) == 0.0
+        assert spa.residual(m, laid_out) == 0.0
+        scaled = m.scaled(("e1", 0), 2.0)
+        assert scaled[("e1", 0)].tolist() == [0, 2]
+        assert m[("e1", 0)].tolist() == [0, 1]
+        with pytest.raises(ValueError):
+            m[("e1", 0)][0] = 1.0
+
+    def test_graph_without_edges(self):
+        g = nfg.make_graph("double-edge", [("a", []), ("b", [])], [],
+                           {"a": np.array(2.0), "b": np.array(1.5)})
+        rep = spa.spa_run(g)
+        assert rep.converged and rep.iterations == 1
+        assert rep.residual == 0.0
+        assert rep.zb_spa == 3.0 and rep.z_e == {}
 
 
 class TestStep:
@@ -153,6 +344,39 @@ class TestRun:
         rep = spa.spa_run(g, init="seeded-random", restarts=1, seed=3)
         assert rep.converged
         assert rep.damping_used == 0.5
+
+    def test_one_keyword_step_call_per_iteration(self, monkeypatch):
+        # a tracer that wraps spa.spa_step counts sweeps and reads the
+        # damping switch off the rng= and damping= keywords of each call
+        calls = []
+        step = spa.spa_step
+
+        def wrapper(*args, **kwargs):
+            new, info = step(*args, **kwargs)
+            calls.append((len(args), sorted(kwargs), kwargs["rng"],
+                          kwargs["damping"], info.map_residual))
+            return new, info
+
+        monkeypatch.setattr(spa, "spa_step", wrapper)
+        g = two_cycle(np.array([[0.0, 1.0], [1.0, 0.0]]), np.eye(2))
+        rep = spa.spa_run(g, init="seeded-random", restarts=3, seed=3)
+        assert rep.restarts_converged == 3 and rep.damping_used == 0.5
+        assert all(c[:2] == (2, ["damping", "rng"]) for c in calls)
+        runs = {}
+        for call in calls:
+            runs.setdefault(id(call[2]), []).append(call)
+        assert len(runs) == 3
+        tol = config.TOLS.fixed_point
+        switched = 0
+        for run in runs.values():
+            # a run stops at its first converged sweep
+            assert [c[4] <= tol for c in run] == [False] * (len(run) - 1) \
+                + [True]
+            damping = [c[3] for c in run]
+            assert damping == sorted(damping)
+            switched += damping[-1] > damping[0]
+        assert switched >= 1
+        assert rep.iterations in [len(run) for run in runs.values()]
 
     def test_non_convergence_reported_not_raised(self):
         g = fig3_psd(3)
