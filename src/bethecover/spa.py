@@ -17,6 +17,7 @@ its outgoing messages and one for its node sums, whatever its size.
 import string
 import weakref
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -34,8 +35,9 @@ class MessageVector:
 
     Built from a dict of vectors; stored as ``rows``, one read-only complex
     array with a zero-padded row per key in the order of ``keys``.
-    ``m[key]`` and the values of ``data`` are views of a row cut to the
-    key's axis size.
+    ``m[key]`` and the values of the read-only mapping ``data`` are views
+    of a row cut to the key's axis size.  A vector never changes after it
+    is built, so ``copy`` returns it unchanged.
     """
 
     def __init__(self, data):
@@ -46,31 +48,27 @@ class MessageVector:
                         dtype=np.complex128)
         for r, v in enumerate(vecs):
             rows[r, :v.size] = v
-        self._set(keys, {k: r for r, k in enumerate(keys)}, sizes, rows)
+        self._fill(keys, {k: r for r, k in enumerate(keys)}, sizes, rows)
 
-    def _set(self, keys, index, sizes, rows):
+    def _fill(self, keys, index, sizes, rows):
         rows.flags.writeable = False
         self.keys, self._index, self._sizes, self.rows = (
             keys, index, sizes, rows)
 
     @classmethod
-    def _of_plan(cls, plan, rows):
+    def _from_rows(cls, keys, index, sizes, rows):
         out = cls.__new__(cls)
-        out._set(plan.keys, plan.index, plan.sizes, rows)
-        return out
-
-    def _with_rows(self, rows):
-        out = MessageVector.__new__(MessageVector)
-        out._set(self.keys, self._index, self._sizes, rows)
+        out._fill(keys, index, sizes, rows)
         return out
 
     @property
     def data(self):
-        return {k: self.rows[r, :s]
-                for r, (k, s) in enumerate(zip(self.keys, self._sizes))}
+        return MappingProxyType({
+            k: self.rows[r, :s]
+            for r, (k, s) in enumerate(zip(self.keys, self._sizes))})
 
     def copy(self):
-        return self._with_rows(self.rows.copy())
+        return self
 
     def __getitem__(self, key):
         r = self._index[key]
@@ -83,7 +81,7 @@ class MessageVector:
         rows = self.rows.copy()
         r = self._index[key]
         rows[r, :self._sizes[r]] *= factor
-        return self._with_rows(rows)
+        return self._from_rows(self.keys, self._index, self._sizes, rows)
 
 
 def _max_abs(arr):
@@ -92,8 +90,6 @@ def _max_abs(arr):
 
 def residual(a, b):
     """Largest componentwise change between two message vectors."""
-    if a.keys == b.keys and a._sizes == b._sizes:
-        return _max_abs(a.rows - b.rows)
     return max((_max_abs(a[k] - b[k]) for k in a), default=0.0)
 
 
@@ -102,7 +98,7 @@ def uniform_messages(g):
     rows = np.zeros((len(plan.keys), plan.width), dtype=np.complex128)
     for r, n in enumerate(plan.sizes):
         rows[r, :n] = 1.0 / n
-    return MessageVector._of_plan(plan, rows)
+    return plan.vector(rows)
 
 
 def _psd_project(vec, base):
@@ -139,7 +135,7 @@ def random_messages(g, rng):
     rows = np.zeros((len(plan.keys), plan.width), dtype=np.complex128)
     for r, (eid, _node) in enumerate(plan.keys):
         rows[r, :plan.sizes[r]] = random_message(g, eid, rng)
-    return MessageVector._of_plan(plan, rows)
+    return plan.vector(rows)
 
 
 # ------------------------------------------------------------------ #
@@ -204,6 +200,11 @@ class _SweepPlan:
             sizes=g.tensors[nodes[0]].shape, in_rows=in_rows,
             out_rows=out_rows, leave_one_out=leave_one_out, full=full)
 
+    def vector(self, rows):
+        """A message vector in this plan's row layout holding ``rows``."""
+        return MessageVector._from_rows(self.keys, self.index, self.sizes,
+                                        rows)
+
     def rows_of(self, m):
         """The message array of ``m`` in this plan's row layout."""
         if m.keys == self.keys and m._sizes == self.sizes:
@@ -251,20 +252,25 @@ def _plan(g):
 # one synchronous update                                              #
 # ------------------------------------------------------------------ #
 
+def _raw(g, m):
+    """The plan of ``g``, the message array of ``m``, the raw updates and
+    their sums."""
+    plan = _plan(g)
+    rows = plan.rows_of(m)
+    raw = plan.raw(rows)
+    return plan, rows, raw, raw.sum(axis=1)
+
+
 def raw_updates(g, m):
     """Unnormalized outgoing messages, as a message vector, and their
     scaling factors (component sums), one per row of it."""
-    plan = _plan(g)
-    raw = plan.raw(plan.rows_of(m))
-    return MessageVector._of_plan(plan, raw), raw.sum(axis=1)
+    plan, _rows, raw, kappa = _raw(g, m)
+    return plan.vector(raw), kappa
 
 
 def fixed_point_residual(g, m):
     """Residual of the plain update map at ``m`` (no reinitialization)."""
-    plan = _plan(g)
-    rows = plan.rows_of(m)
-    raw = plan.raw(rows)
-    kappa = raw.sum(axis=1)
+    _, rows, raw, kappa = _raw(g, m)
     if np.any(kappa == 0.0):
         return float("inf")
     return _max_abs(raw / kappa[:, None] - rows)
@@ -290,10 +296,7 @@ def spa_step(g, m, rng=None, damping=0.0):
     before damping, and is what convergence is judged on.
     """
     tol_zero = config.TOLS.zero
-    plan = _plan(g)
-    rows = plan.rows_of(m)
-    raw = plan.raw(rows)
-    kappa = raw.sum(axis=1)
+    plan, rows, raw, kappa = _raw(g, m)
 
     # a message whose normalizer vanishes keeps its old value until the
     # reinitialization below replaces it
@@ -328,7 +331,7 @@ def spa_step(g, m, rng=None, damping=0.0):
     if damping:
         keep = ~reinit
         new[keep] = (1.0 - damping) * new[keep] + damping * rows[keep]
-    return MessageVector._of_plan(plan, new), StepInfo(degenerate,
+    return plan.vector(new), StepInfo(degenerate,
                                                        map_residual)
 
 
@@ -473,12 +476,14 @@ def beliefs_at(g, m):
     kappa_node = plan.node_sums(rows)
     pair = rows[plan.head_rows] * rows[plan.tail_rows]
     kappa_edge = pair.sum(axis=1)
-    for i in np.nonzero(kappa_edge == 0.0)[0][:1]:
+    bad = np.flatnonzero(kappa_edge == 0.0)
+    if bad.size:
         raise DegenerateBeliefError(
-            f"edge {g.edges[i].eid!r}: belief normalizer vanished")
-    for k in np.nonzero(kappa_node == 0.0)[0][:1]:
+            f"edge {g.edges[bad[0]].eid!r}: belief normalizer vanished")
+    bad = np.flatnonzero(kappa_node == 0.0)
+    if bad.size:
         raise DegenerateBeliefError(
-            f"node {g.node_names[k]!r}: belief normalizer vanished")
+            f"node {g.node_names[bad[0]]!r}: belief normalizer vanished")
     edge = {e.eid: pair[i, :plan.sizes[2 * i]] / kappa_edge[i]
             for i, e in enumerate(g.edges)}
     node = [None] * g.n_nodes

@@ -198,6 +198,9 @@ class TestBatchedSweep:
         assert m[("e1", 0)].tolist() == [0, 1]
         with pytest.raises(ValueError):
             m[("e1", 0)][0] = 1.0
+        with pytest.raises(TypeError):
+            m.data[("e1", 0)] = np.ones(2)
+        assert m.copy() is m
 
     def test_graph_without_edges(self):
         g = nfg.make_graph("double-edge", [("a", []), ("b", [])], [],
