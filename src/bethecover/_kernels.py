@@ -1,8 +1,9 @@
 """Numeric kernels: configuration enumeration and the Hermitian eigensolver.
 
 ``enum_configs`` is the one enumeration routine of the package: the
-partition-function oracle :func:`enum_partition` and the loop series both
-walk configurations through it.  ``jacobi_eigh`` is the one eigensolver.
+partition-function oracle ``nfg.partition_exact`` and the loop series both
+walk configurations through it, by way of ``nfg.configurations``, which
+checks the ``enum`` cap first.  ``jacobi_eigh`` is the one eigensolver.
 """
 
 import numpy as np
@@ -21,20 +22,13 @@ def enum_configs(node_arrays, node_edges, sizes):
     entries it selects.
     """
     sizes = np.asarray(sizes, dtype=np.int64)
-    n_edges = len(sizes)
-    # row-major place value of each digit
-    radix = np.ones(n_edges, dtype=np.int64)
-    for e in range(n_edges - 2, -1, -1):
-        radix[e] = radix[e + 1] * sizes[e + 1]
+    radix = _place_values(sizes)
     gathers = []
     for arr, edges in zip(node_arrays, node_edges):
         edges = np.asarray(edges, dtype=np.int64)
-        strides = np.ones(len(edges), dtype=np.int64)
-        for k in range(len(edges) - 2, -1, -1):
-            strides[k] = strides[k + 1] * sizes[edges[k + 1]]
         flat = np.ascontiguousarray(arr, dtype=np.complex128).ravel()
-        gathers.append((flat, edges, strides))
-    total = int(np.prod(sizes)) if n_edges else 1
+        gathers.append((flat, edges, _place_values(sizes[edges])))
+    total = int(np.prod(sizes)) if len(sizes) else 1
     for lo in range(0, total, _CHUNK):
         hi = min(lo + _CHUNK, total)
         idx = np.arange(lo, hi, dtype=np.int64)
@@ -45,16 +39,10 @@ def enum_configs(node_arrays, node_edges, sizes):
         yield digits, values
 
 
-def enum_partition(node_arrays, node_edges, sizes):
-    """Sum of products of node-tensor entries over every configuration.
-
-    Arguments as for :func:`enum_configs`.  Chunk sums are added in fixed
-    order, so the result is deterministic.
-    """
-    total = 0.0 + 0.0j
-    for _, values in enum_configs(node_arrays, node_edges, sizes):
-        total += values.sum()
-    return complex(total)
+def _place_values(sizes):
+    """Row-major place value of each digit of a number with these digit
+    sizes: the product of the sizes after it."""
+    return np.cumprod(np.r_[sizes, 1][:0:-1])[::-1]
 
 
 def jacobi_eigh(matrix):

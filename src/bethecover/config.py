@@ -3,16 +3,17 @@
 Capacity limits can be overridden only through the environment variable
 ``BETHE_COVER_LIMITS``, which every capped call reads afresh: a
 comma-separated list of ``key=value`` pairs with
-keys ``enum`` (configuration enumeration limit), ``contract`` (complex
-entries allowed in one intermediate tensor) and ``covers`` (covers visited
-by the exhaustive mean).  A malformed value raises
-:class:`~bethecover.errors.ValidationError`.
+keys ``enum`` (configurations enumerated), ``contract`` (complex entries
+of any one array sized by the input) and ``covers`` (covers visited by the
+exhaustive mean).  A malformed value raises
+:class:`~bethecover.errors.ValidationError`.  Every capped route asks
+:func:`check_capacity` before it allocates anything sized by the request.
 """
 
 import os
 from dataclasses import dataclass
 
-from .errors import ValidationError
+from .errors import CapacityError, ValidationError
 
 
 @dataclass
@@ -37,9 +38,10 @@ class Limits:
     covers: int = 10**5      # covers averaged by the exhaustive estimator
 
 
-def _parse_limits(text):
+def limits():
+    """Capacity limits, honoring the BETHE_COVER_LIMITS environment."""
     lim = Limits()
-    for part in text.split(","):
+    for part in os.environ.get("BETHE_COVER_LIMITS", "").split(","):
         part = part.strip()
         if not part:
             continue
@@ -56,10 +58,16 @@ def _parse_limits(text):
     return lim
 
 
-def limits():
-    """Capacity limits, honoring the BETHE_COVER_LIMITS environment."""
-    text = os.environ.get("BETHE_COVER_LIMITS")
-    if not text:
-        return Limits()
-    return _parse_limits(text)
-
+def check_capacity(key, requested, what):
+    """Raise :class:`~bethecover.errors.CapacityError` when ``requested``
+    (entries, configurations or covers of ``what``) exceeds the ``key``
+    limit.  The error carries ``limit`` and ``requested`` and reads
+    ``"<what>: <requested> over the <key> cap <limit>"``; a request of
+    2**63 or more is reported as 2**63, a lower bound ("at least 2**63").
+    """
+    limit = getattr(limits(), key)
+    if requested > limit:
+        shown = min(requested, 2**63)
+        text = "at least 2**63" if shown == 2**63 else shown
+        raise CapacityError(f"{what}: {text} over the {key} cap {limit}",
+                            limit=limit, requested=shown)

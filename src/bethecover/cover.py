@@ -20,9 +20,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import config
-from .errors import (BigCountError, CapacityError, InternalConsistencyError,
+from .errors import (BigCountError, InternalConsistencyError,
                      SignedRootError, StructuralError)
-from .nfg import contract_network, partition_contract
+from .nfg import contract_network, make_graph, partition_contract
 from .tensor import ComplexTensor
 
 _INT64_MAX = 2**63 - 1
@@ -66,8 +66,15 @@ def build_cover(g, spec):
 
     Node ``(f, m)`` keeps f's local function; the m-th copy of edge
     ``e = (f_i, f_j)`` joins ``(f_i, m)`` to ``(f_j, sigma_e(m))``.
-    Double edges are permuted as units.
+    Double edges are permuted as units.  ``spec`` must name exactly the
+    edges of ``g``.
     """
+    eids = {e.eid for e in g.edges}
+    if spec.sigma.keys() != eids:
+        missing = [e.eid for e in g.edges if e.eid not in spec.sigma]
+        extra = [eid for eid in spec.sigma if eid not in eids]
+        raise StructuralError(f"cover spec does not match the graph's "
+                              f"edges: missing {missing}, extra {extra}")
     M = spec.degree
     names = [f"{name}.{m}" for name in g.node_names for m in range(M)]
     incidences = []
@@ -94,8 +101,6 @@ def build_cover(g, spec):
         for m in range(M):
             tensors[names[k * M + m]] = g.tensors[k]
     nodes = list(zip(names, incidences))
-    from .nfg import make_graph
-
     return make_graph(g.kind, nodes, edges, tensors,
                       weak_sense=g.weak_sense_flag)
 
@@ -140,6 +145,8 @@ def socket_projector(alphabet_size, degree):
     Row/column index is the socket vector read as a base-``alphabet_size``
     number, first entry most significant.
     """
+    config.check_capacity("contract", alphabet_size ** (2 * degree),
+                          "socket projector")
     vecs = list(itertools.product(range(alphabet_size), repeat=degree))
     keys = [type_of(v, alphabet_size) for v in vecs]
     uniq = {}
@@ -184,12 +191,15 @@ def _finish(method, degree, mean, **extra):
 
 def zbm_exhaustive(g, degree):
     """Arithmetic mean of the partition function over all labeled covers."""
-    lim = config.limits().covers
-    n_covers = math.factorial(degree) ** g.n_edges
-    if n_covers > lim:
-        raise CapacityError(
-            f"{n_covers} covers exceed the exhaustive limit {lim}",
-            limit=lim, requested=n_covers)
+    if degree < 1:
+        raise StructuralError("cover degree must be positive")
+    # (M!)**|E| covers; where lgamma puts that over 2**65, the lower bound
+    # 2**64 stands in, so a huge degree is refused without computing M!
+    if g.n_edges * math.lgamma(degree + 1) > 65 * math.log(2):
+        n_covers = 2**64
+    else:
+        n_covers = math.factorial(degree) ** g.n_edges
+    config.check_capacity("covers", n_covers, "labeled covers")
     eids = [e.eid for e in g.edges]
     total = 0.0 + 0.0j
     count = 0
@@ -206,6 +216,7 @@ def zbm_montecarlo(g, degree, samples, seed=0):
     for a given seed (one independent permutation per edge per sample)."""
     if samples < 1:
         raise StructuralError(f"samples must be positive, got {samples}")
+    config.check_capacity("contract", samples, "Monte-Carlo value buffer")
     values = np.empty(samples, dtype=np.complex128)
     for s in range(samples):
         rng = np.random.default_rng([seed, s])
@@ -310,15 +321,10 @@ def zbm_typeformula(g, degree):
     """
     if degree < 1:
         raise StructuralError("cover degree must be positive")
-    cap = config.limits().contract
     M = degree
-    for k, t in enumerate(g.tensors):
-        peak = _type_tensor_peak(t.shape, M)
-        if peak > cap:
-            raise CapacityError(
-                f"type tensor construction for node {g.node_names[k]!r} "
-                f"needs {peak} entries, over the contraction cap {cap}",
-                limit=cap, requested=peak)
+    for name, t in zip(g.node_names, g.tensors):
+        config.check_capacity("contract", _type_tensor_peak(t.shape, M),
+                              f"type tensor of node {name!r}")
     tables, weights = {}, {}
     for e in g.edges:
         s = g.axis_size(e.eid)

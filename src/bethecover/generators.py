@@ -6,6 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import config
 from .errors import StructuralError, ValidationError
 from .nfg import DOUBLE, STANDARD, make_graph, validate
 from .tensor import paired_from_choi
@@ -120,16 +121,24 @@ def gen(spec):
     """Build the graph described by a :class:`GeneratorSpec`.
 
     Deterministic for a given seed; the generated graph always passes
-    :func:`bethecover.nfg.validate` for the declared kind.
+    :func:`bethecover.nfg.validate` for the declared kind.  Every local
+    function's size is checked against the ``contract`` cap before any draw.
     """
     if spec.alphabet < 1:
         raise StructuralError(
             f"alphabet size must be positive, got {spec.alphabet}")
     rng = np.random.default_rng(spec.seed)
     if spec.topology == "unitary-chain":
+        config.check_capacity("contract", spec.alphabet ** 4,
+                              "unitary-chain local function")
         g = _unitary_chain(spec, rng)
     else:
         nodes, edges = _topology(spec, rng)
+        mult = 1 if spec.kind == STANDARD else 2
+        for name, incident in nodes:
+            config.check_capacity("contract",
+                                  spec.alphabet ** (mult * len(incident)),
+                                  f"local function of node {name!r}")
         tensors = {name: _node_tensor(spec, len(incident), rng)
                    for name, incident in nodes}
         g = make_graph(spec.kind, nodes, edges, tensors)

@@ -14,11 +14,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import config
-from ._kernels import enum_configs
-from .errors import (CapacityError, DegenerateParameterError,
-                     InternalConsistencyError, LctInapplicableError,
-                     ValidationError)
-from .nfg import STANDARD, enumeration_args, serialize as serialize_graph
+from .errors import (DegenerateParameterError, InternalConsistencyError,
+                     LctInapplicableError, ValidationError)
+from .nfg import STANDARD, configurations, serialize as serialize_graph
 from .spa import (MessageVector, SpaReport, bethe_partition_value,
                   edge_normalizers, node_normalizers, raw_updates)
 
@@ -280,17 +278,11 @@ def loop_series(lr):
     relative to the all-zero value are dropped.
     """
     g = lr.transformed
-    lim = config.limits().enum
-    count = g.config_count()
-    if count > lim:
-        raise CapacityError(
-            f"{count} transformed configurations exceed the limit {lim}",
-            limit=lim, requested=count)
     g0 = lr.g0
     floor = _WEIGHT_FLOOR * abs(g0)
     eids = [e.eid for e in g.edges]
     out = []
-    for digits, vals in enum_configs(*enumeration_args(g)):
+    for digits, vals in configurations(g):
         keep = (np.abs(vals) > floor) & digits.any(axis=1)
         kept = digits[keep]
         if g.kind == STANDARD:

@@ -17,9 +17,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import config
-from ._kernels import enum_partition
-from .errors import CapacityError, DimensionError, ParseError, StructuralError
-from .tensor import ComplexTensor, choi_from_paired, contract
+from ._kernels import enum_configs
+from .errors import DimensionError, ParseError, StructuralError
+from .tensor import ComplexTensor, choi_from_paired, contract, paired_from_choi
 
 STANDARD = "standard"
 DOUBLE = "double-edge"
@@ -51,7 +51,6 @@ class FactorGraph:
         self.tensors = tuple(tensors)
         self.weak_sense_flag = bool(weak_sense)
         self._edge_pos = {e.eid: k for k, e in enumerate(self.edges)}
-        self._node_pos = {n: k for k, n in enumerate(self.node_names)}
         for t in self.tensors:
             t.flags.writeable = False
 
@@ -68,18 +67,9 @@ class FactorGraph:
     def edge(self, eid):
         return self.edges[self._edge_pos[eid]]
 
-    def node_index(self, name):
-        return self._node_pos[name]
-
     def axis_size(self, eid):
         n = self.edge(eid).alphabet
         return n if self.kind == STANDARD else n * n
-
-    def config_count(self):
-        total = 1
-        for e in self.edges:
-            total *= self.axis_size(e.eid)
-        return total
 
     def degree(self, node):
         return len(self.incidences[node])
@@ -242,10 +232,15 @@ def validate(g):
         problems.append("edge endpoint order violated")
 
     node_status = {}
-    if g.kind == STANDARD:
-        classification = STANDARD
-        for k, name in enumerate(g.node_names):
-            t = g.tensors[k]
+    strict = True
+    for k, name in enumerate(g.node_names):
+        t = g.tensors[k]
+        if not np.isfinite(t).all():
+            # before any eigenvalue: LAPACK does not converge on NaN or inf
+            problems.append(f"node {name!r}: non-finite entries")
+            node_status[name] = NodeStatus(float("nan"), float("nan"), False)
+            strict = False
+        elif g.kind == STANDARD:
             im = float(np.max(np.abs(t.imag))) if t.size else 0.0
             neg = float(np.min(t.real)) if t.size else 0.0
             if im > tol.herm:
@@ -255,9 +250,7 @@ def validate(g):
                 problems.append(
                     f"node {name!r}: negative entries (min {neg:.3e})")
             node_status[name] = NodeStatus(im, neg, neg >= -tol.psd)
-    else:
-        strict = True
-        for k, name in enumerate(g.node_names):
+        else:
             c = g.node_choi(k)
             defect = float(np.max(np.abs(c - c.conj().T)))
             if defect > tol.herm:
@@ -276,7 +269,8 @@ def validate(g):
                     problems.append(
                         f"node {name!r}: not positive semidefinite "
                         f"(min eigenvalue {lo:.3e})")
-        classification = "strict-sense" if strict else "weak-sense"
+    classification = (STANDARD if g.kind == STANDARD
+                      else "strict-sense" if strict else "weak-sense")
 
     return ValidationReport(
         kind=g.kind,
@@ -320,24 +314,22 @@ def global_eval(g, configuration):
     return out
 
 
-def enumeration_args(g):
-    """``(node arrays, node edge indices, axis sizes)``, the arguments
-    :func:`_kernels.enum_configs` and :func:`_kernels.enum_partition`
-    take for the configurations of ``g``."""
-    pos = {e.eid: k for k, e in enumerate(g.edges)}
-    node_edges = [[pos[eid] for eid in inc] for inc in g.incidences]
-    return g.tensors, node_edges, [g.axis_size(e.eid) for e in g.edges]
+def configurations(g):
+    """The ``(digits, values)`` chunks of :func:`_kernels.enum_configs`
+    over every configuration of ``g``, after the ``enum`` cap check."""
+    sizes = [g.axis_size(e.eid) for e in g.edges]
+    config.check_capacity("enum", math.prod(sizes), "configurations")
+    node_edges = [[g._edge_pos[eid] for eid in inc] for inc in g.incidences]
+    return enum_configs(g.tensors, node_edges, sizes)
 
 
 def partition_exact(g):
-    """Partition function by direct summation over all configurations."""
-    limit = config.limits().enum
-    count = g.config_count()
-    if count > limit:
-        raise CapacityError(
-            f"{count} configurations exceed the enumeration limit {limit}",
-            limit=limit, requested=count)
-    return enum_partition(*enumeration_args(g))
+    """Partition function by direct summation over all configurations,
+    chunk sums added in fixed order."""
+    total = 0.0 + 0.0j
+    for _, values in configurations(g):
+        total += values.sum()
+    return complex(total)
 
 
 # ------------------------------------------------------------------ #
@@ -439,13 +431,9 @@ def contract_network(tensors):
     with ``requested`` set to its entry count) before any contraction
     runs; the plan's merges then run through :func:`tensor.contract`.
     """
-    cap = config.limits().contract
     plan = plan_contraction([(t.labels, t.sizes) for t in tensors])
-    if plan.peak > cap:
-        raise CapacityError(
-            f"contraction plan needs an intermediate tensor of {plan.peak} "
-            f"entries, over the contraction cap {cap}",
-            limit=cap, requested=plan.peak)
+    config.check_capacity("contract", plan.peak,
+                          "largest contraction intermediate")
     slots = list(tensors)
     for a, b, shared in plan.steps:
         slots.append(contract(slots[a], slots[b], shared))
@@ -554,6 +542,9 @@ def parse(text):
         except (TypeError, ValueError) as exc:
             raise ParseError(f"complex entries must be [re, im] pairs: {exc}",
                              location=f"tensors[{name!r}].data") from exc
+        if not np.isfinite(flat).all():
+            raise ParseError(f"tensor data for {name!r} is not finite",
+                             location=f"tensors[{name!r}].data")
         shape = tuple(alpha[eid] ** mult for eid in incident)
         tensors[name] = flat.reshape(shape)
     try:
@@ -587,8 +578,6 @@ def as_double_edge(g):
     for k, name in enumerate(g.node_names):
         flat = g.tensors[k].reshape(-1)
         bases = [g.edge(eid).alphabet for eid in g.incidences[k]]
-        from .tensor import paired_from_choi
-
         tensors[name] = paired_from_choi(np.diag(flat), bases)
     nodes = [(name, list(g.incidences[k]))
              for k, name in enumerate(g.node_names)]

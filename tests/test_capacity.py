@@ -1,0 +1,164 @@
+"""The capacity gate: every capped route refuses through
+``config.check_capacity`` before it allocates anything sized by the
+request, and only ``config`` reads a limit or builds a CapacityError."""
+
+import pathlib
+import re
+import time
+import tracemalloc
+
+import pytest
+
+import bethecover
+from bethecover import cover, lct, nfg, spa
+from bethecover.cli import main
+from bethecover.errors import CapacityError
+from bethecover.generators import GeneratorSpec, gen
+
+from conftest import build_fig3, fig3_psd
+
+
+def _exact():
+    return lambda: nfg.partition_exact(build_fig3()), 32
+
+
+def _loop_series():
+    g = fig3_psd(1)
+    lr = lct.transform(g, spa.spa_run(g, restarts=1, tol_fp=1e-12, seed=0))
+    return lambda: lct.loop_series(lr), 4 ** 5
+
+
+def _exhaustive(degree, requested):
+    def build():
+        g = fig3_psd(0)
+        return lambda: cover.zbm_exhaustive(g, degree), requested
+    return build
+
+
+def _contract():
+    g = fig3_psd(0)
+    plan = nfg.plan_contraction([(g.incidences[k], g.tensors[k].shape)
+                                 for k in range(g.n_nodes)])
+    return lambda: nfg.partition_contract(g), plan.peak
+
+
+def _typeformula():
+    g = fig3_psd(0)
+    return lambda: cover.zbm_typeformula(g, 3), 21 * (11 * 4) ** 2
+
+
+def _gen():
+    # fig3's degree-3 node f1 has 2**6 paired entries
+    spec = GeneratorSpec(topology="fig3", kind="double-edge", seed=0)
+    return lambda: gen(spec), 2 ** 6
+
+
+def _montecarlo():
+    g = fig3_psd(0)
+    return lambda: cover.zbm_montecarlo(g, 2, samples=1000), 1000
+
+
+def _socket():
+    return lambda: cover.socket_projector(2, 3), 2 ** 6
+
+
+# route: (builder of (refused call, requested), cap key, cap, new check)
+ROUTES = {
+    "partition_exact": (_exact, "enum", 16, False),
+    "loop_series": (_loop_series, "enum", 16, False),
+    "zbm_exhaustive": (_exhaustive(2, 2 ** 5), "covers", 16, False),
+    "zbm_exhaustive_huge": (_exhaustive(300000, 2 ** 63), "covers", 16,
+                            True),
+    "partition_contract": (_contract, "contract", 4, False),
+    "zbm_typeformula": (_typeformula, "contract", 1000, False),
+    "gen": (_gen, "contract", 16, True),
+    "zbm_montecarlo": (_montecarlo, "contract", 100, True),
+    "socket_projector": (_socket, "contract", 16, True),
+}
+
+
+@pytest.mark.parametrize("route", sorted(ROUTES))
+def test_every_route_refuses_through_the_gate(route, monkeypatch):
+    build, key, cap, new = ROUTES[route]
+    call, requested = build()
+    monkeypatch.setenv("BETHE_COVER_LIMITS", f"{key}={cap}")
+    with pytest.raises(CapacityError):
+        call()   # lazy imports on a first call are not sized by the request
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        with pytest.raises(CapacityError) as info:
+            call()
+        elapsed = time.perf_counter() - start
+        _, peak_bytes = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    exc = info.value
+    assert exc.limit == cap
+    assert exc.requested == requested
+    message = str(exc)
+    assert f"{key} cap {cap}" in message and "\n" not in message
+    if new:
+        assert peak_bytes < 64 * 1024
+        assert elapsed < 1.0
+
+
+def test_default_caps_refuse_the_huge_requests():
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError) as info:
+            cover.socket_projector(4, 9)
+        _, peak_bytes = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert info.value.requested == 4 ** 18
+    assert peak_bytes < 64 * 1024
+    with pytest.raises(CapacityError, match="contract"):
+        gen(GeneratorSpec(alphabet=40))
+    with pytest.raises(CapacityError, match="contract"):
+        gen(GeneratorSpec(topology="unitary-chain", alphabet=100))
+
+
+def test_cover_count_exact_below_two_to_the_63(monkeypatch):
+    # 20! ** 5 is over 2**63 and reported as the lower bound 2**63;
+    # 5! ** 5 is reported exactly
+    g = fig3_psd(0)
+    monkeypatch.setenv("BETHE_COVER_LIMITS", "covers=1")
+    with pytest.raises(CapacityError, match="at least 2\\*\\*63") as info:
+        cover.zbm_exhaustive(g, 20)
+    assert info.value.requested == 2 ** 63
+    with pytest.raises(CapacityError) as info:
+        cover.zbm_exhaustive(g, 5)
+    assert info.value.requested == 120 ** 5
+
+
+@pytest.mark.parametrize("argv", [
+    ["exact", "--alphabet", "40"],
+    ["zbm", "--m", "2", "--method", "montecarlo",
+     "--samples", "1000000000000"],
+    ["zbm", "--m", "1000", "--method", "exhaustive"],
+    ["zbm", "--m", "300000", "--method", "exhaustive"],
+])
+def test_cli_capacity_exit(argv, capsys):
+    start = time.perf_counter()
+    assert main(argv) == 3
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("capacity error: ")
+    assert err.count("\n") == 1
+
+
+GATE_BYPASS = re.compile(r"(?<!class )\bCapacityError\(|\blimits\(\)")
+
+
+def test_only_config_reads_limits_or_raises_capacity_errors():
+    package = pathlib.Path(bethecover.__file__).parent
+    offenders = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "config.py":
+            continue
+        for n, line in enumerate(path.read_text().splitlines(), 1):
+            if GATE_BYPASS.search(line):
+                offenders.append(f"{path.name}:{n}: {line.strip()}")
+    assert not offenders, "capacity checks outside config.check_capacity:" \
+                          + "".join(f"\n  {o}" for o in offenders)

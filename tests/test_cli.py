@@ -234,6 +234,29 @@ def test_undeclared_flag_exit_code(graph_file, argv, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv", [
+    ["spa", "--scale", "nan"],
+    ["spa", "--eta", "nan", "--ensemble", "psd-near-identity"],
+    ["exact", "--scale", "inf"],
+])
+def test_non_finite_generated_functions_exit_2(argv, capsys):
+    assert main(argv) == 2
+    assert "non-finite entries" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["validate"], ["exact"], ["spa"],
+                                  ["zbm", "--m", "2"]])
+def test_non_finite_file_exits_2(argv, graph_file, capsys):
+    doc = json.load(open(graph_file))
+    doc["tensors"]["f2"]["data"][0][0] = float("nan")
+    with open(graph_file, "w") as fh:
+        json.dump(doc, fh)
+    assert main([argv[0], graph_file, *argv[1:]]) == 2
+    captured = capsys.readouterr()
+    assert "tensors['f2'].data" in captured.err
+    assert "nan" not in captured.out
+
+
 class ReadRecorder(argparse.Namespace):
     """Namespace that records the attributes a handler reads."""
 

@@ -62,6 +62,22 @@ class TestBuildCover:
         with pytest.raises(StructuralError):
             cover.CoverSpec(2, {e.eid: (0, 0) for e in g.edges})
 
+    def test_spec_missing_an_edge_rejected(self):
+        g = build_fig3()
+        spec = cover.CoverSpec(2, {"e1": (1, 0)})
+        with pytest.raises(StructuralError,
+                           match=r"missing \['e2', 'e3', 'e4', 'e5'\], "
+                                 r"extra \[\]"):
+            cover.build_cover(g, spec)
+
+    def test_spec_with_an_extra_edge_rejected(self):
+        g = build_fig3()
+        sigma = {e.eid: (1, 0) for e in g.edges}
+        sigma["zz"] = (0, 1)
+        with pytest.raises(StructuralError,
+                           match=r"missing \[\], extra \['zz'\]"):
+            cover.build_cover(g, cover.CoverSpec(2, sigma))
+
 
 class TestTypeUtilities:
     def test_binary_degree_two(self):

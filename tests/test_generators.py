@@ -73,6 +73,15 @@ def test_kind_ensemble_mismatch():
                           ensemble="positive-s-nfg", seed=0))
 
 
+@pytest.mark.parametrize("field", [dict(scale=float("nan")),
+                                   dict(scale=float("inf")),
+                                   dict(eta=float("nan"),
+                                        ensemble="psd-near-identity")])
+def test_non_finite_functions_fail_validation(field):
+    with pytest.raises(ValidationError, match="non-finite entries"):
+        gen(GeneratorSpec(topology="fig3", seed=0, **field))
+
+
 def test_custom_file_round_trip(tmp_path):
     g = gen(GeneratorSpec(topology="fig3", ensemble="psd-random", seed=4))
     path = tmp_path / "custom.nfg.json"

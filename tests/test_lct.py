@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from bethecover import lct, nfg, spa
-from bethecover._kernels import enum_configs
 from bethecover.cover import zbm_typeformula
 from bethecover.errors import (DegenerateParameterError,
                                LctInapplicableError)
@@ -28,7 +27,7 @@ def oracle_loop_series(lr):
     g = lr.transformed
     floor = 1e-12 * abs(lr.g0)
     out = []
-    for digits, vals in enum_configs(*nfg.enumeration_args(g)):
+    for digits, vals in nfg.configurations(g):
         for row in np.nonzero(np.abs(vals) > floor)[0]:
             if not digits[row].any():
                 continue

@@ -1,6 +1,7 @@
 """Graph model, validation, partition functions and serialization."""
 
 import itertools
+import json
 import os
 import time
 
@@ -135,6 +136,21 @@ class TestValidate:
         g = two_cycle(np.array([[1.0, -0.5], [0.0, 1.0]]), np.eye(2))
         report = nfg.validate(g)
         assert not report.valid
+
+    @pytest.mark.parametrize("kind", ["standard", "double-edge"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_entries_reported_before_eigenvalues(self, kind,
+                                                            bad):
+        g = fig3_psd(0) if kind == "double-edge" else build_fig3()
+        t = np.array(g.tensors[2])
+        t.flat[1] = bad
+        report = nfg.validate(g.with_tensors([*g.tensors[:2], t,
+                                              *g.tensors[3:]]))
+        assert not report.valid
+        assert report.problems == ["node 'f3': non-finite entries"]
+        assert not report.node_status["f3"].psd
+        assert report.classification == (
+            "standard" if kind == "standard" else "weak-sense")
 
 
 class TestGlobalEval:
@@ -421,11 +437,16 @@ class TestSerialization:
         assert g.n_edges == 5
 
     def test_corrupted_axis_order(self):
-        import json
-
         doc = json.loads(nfg.serialize(build_fig3()))
         doc["tensors"]["f1"]["axes"] = ["e2", "e1", "e3"]
         with pytest.raises(ParseError, match="axis order"):
+            nfg.parse(json.dumps(doc))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("-inf")])
+    def test_non_finite_entry_refused(self, bad):
+        doc = json.loads(nfg.serialize(fig3_psd(0)))
+        doc["tensors"]["f3"]["data"][5] = [0.5, bad]
+        with pytest.raises(ParseError, match=r"tensors\['f3'\]\.data"):
             nfg.parse(json.dumps(doc))
 
     def test_malformed_json(self):
