@@ -1,16 +1,14 @@
-"""Degree-M graph covers and the degree-M Bethe partition function.
+"""Degree-M graph covers and the degree-M Bethe partition function, the
+mean of Z over the labeled M-covers (P. O. Vontobel, "Counting in Graph
+Covers", IEEE Trans. IT 59(9), 2013).
 
-Three estimators of the same quantity cross-check each other: an
-exhaustive mean over all labeled covers, a seeded Monte-Carlo mean over
-uniformly drawn covers, and a direct contraction of the average-cover
-network.  In that network every edge carries the symmetric-subspace
-projector on length-M socket vectors; the projector is constant on type
-classes, so the network is contracted in the type basis: one type tensor
-per node, whose legs run over the ``C(s+M-1, M)`` types of a length-M
-vector over s symbols, and one weight ``1/multinomial(type)`` per edge
-(P. O. Vontobel, "Counting in Graph Covers", IEEE Trans. IT 59(9), 2013).
-:func:`socket_projector` keeps the socket-basis projector as ground
-truth.
+:func:`cover_network` states the cover wiring once, as an integer-labeled
+network that the exhaustive and Monte-Carlo means contract directly;
+:func:`build_cover` names it as a graph.  The third estimator contracts
+the average-cover network, whose edges carry the symmetric-subspace
+projector, in the type basis: one tensor per node over the types of
+length-M socket vectors, one weight ``1/multinomial(type)`` per edge.
+:func:`socket_projector` keeps the socket-basis projector as ground truth.
 """
 
 import itertools
@@ -22,7 +20,7 @@ import numpy as np
 from . import config
 from .errors import (BigCountError, InternalConsistencyError,
                      SignedRootError, StructuralError)
-from .nfg import contract_network, make_graph, partition_contract
+from .nfg import contract_network, make_graph
 from .tensor import ComplexTensor
 
 _INT64_MAX = 2**63 - 1
@@ -61,46 +59,49 @@ def random_cover(g, degree, rng):
                               for e in g.edges})
 
 
-def build_cover(g, spec):
-    """The degree-M cover determined by one permutation per edge.
-
-    Node ``(f, m)`` keeps f's local function; the m-th copy of edge
-    ``e = (f_i, f_j)`` joins ``(f_i, m)`` to ``(f_j, sigma_e(m))``.
-    Double edges are permuted as units.  ``spec`` must name exactly the
-    edges of ``g``.
+def cover_network(g, spec):
+    """The degree-M cover of ``g`` as a closed network, one
+    :class:`ComplexTensor` per cover node ``(f_k, m)`` in the order
+    ``k*M + m``, with f_k's legs and f_k's read-only array itself: the one
+    statement of the wiring.  Copy m of the i-th base edge e (a double
+    edge moves as a unit) is the label ``i*M + m`` at ``(head, m)`` and
+    ``(tail, sigma_e(m))``.  For a valid ``g`` and a spec naming exactly
+    its edges, no :func:`make_graph` check can fail: names are distinct;
+    head != tail, so no self-loop; sigma_e is a permutation, so each label
+    is on exactly two legs; shapes and alphabets are the base graph's.
     """
-    eids = {e.eid for e in g.edges}
-    if spec.sigma.keys() != eids:
-        missing = [e.eid for e in g.edges if e.eid not in spec.sigma]
-        extra = [eid for eid in spec.sigma if eid not in eids]
+    pos = {e.eid: i for i, e in enumerate(g.edges)}
+    if spec.sigma.keys() != pos.keys():
+        missing = [eid for eid in pos if eid not in spec.sigma]
+        extra = [eid for eid in spec.sigma if eid not in pos]
         raise StructuralError(f"cover spec does not match the graph's "
                               f"edges: missing {missing}, extra {extra}")
     M = spec.degree
+    legs = [[None] * len(inc) for inc in g.incidences for _ in range(M)]
+    for k, inc in enumerate(g.incidences):
+        for a, eid in enumerate(inc):
+            held = range(M) if g.edge(eid).head == k else spec.sigma[eid]
+            for lab, c in enumerate(held, pos[eid] * M):
+                legs[k * M + c][a] = lab    # lab = i*M + m, on (f_k, c)
+    return [ComplexTensor(labels, g.tensors[n // M])
+            for n, labels in enumerate(legs)]
+
+
+def build_cover(g, spec):
+    """:func:`cover_network` as a graph: node ``(f, m)`` is ``f.m``; label
+    ``i*M + m`` is edge ``e.m`` between the two nodes that hold it."""
+    network = cover_network(g, spec)
+    M = spec.degree
     names = [f"{name}.{m}" for name in g.node_names for m in range(M)]
-    incidences = []
-    for k in range(g.n_nodes):
-        for m in range(M):
-            inc = []
-            for eid in g.incidences[k]:
-                e = g.edge(eid)
-                if k == e.head:
-                    copy = m
-                else:
-                    copy = spec.sigma[eid].index(m)
-                inc.append(f"{eid}.{copy}")
-            incidences.append(tuple(inc))
-    edges = []
-    for e in g.edges:
-        for m in range(M):
-            edges.append((f"{e.eid}.{m}",
-                          (names[e.head * M + m],
-                           names[e.tail * M + spec.sigma[e.eid][m]]),
-                          e.alphabet))
-    tensors = {}
-    for k in range(g.n_nodes):
-        for m in range(M):
-            tensors[names[k * M + m]] = g.tensors[k]
-    nodes = list(zip(names, incidences))
+    labels = [f"{e.eid}.{m}" for e in g.edges for m in range(M)]
+    nodes, tensors, ends = [], {}, [[] for _ in labels]
+    for name, t in zip(names, network):
+        nodes.append((name, [labels[lab] for lab in t.labels]))
+        tensors[name] = t.array
+        for lab in t.labels:
+            ends[lab].append(name)
+    edges = [(labels[lab], tuple(ab), g.edges[lab // M].alphabet)
+             for lab, ab in enumerate(ends)]
     return make_graph(g.kind, nodes, edges, tensors,
                       weak_sense=g.weak_sense_flag)
 
@@ -206,7 +207,7 @@ def zbm_exhaustive(g, degree):
     for perms in itertools.product(
             itertools.permutations(range(degree)), repeat=len(eids)):
         spec = CoverSpec(degree, dict(zip(eids, perms)))
-        total += partition_contract(build_cover(g, spec))
+        total += contract_network(cover_network(g, spec))
         count += 1
     return _finish("exhaustive", degree, total / count, covers=count)
 
@@ -219,9 +220,8 @@ def zbm_montecarlo(g, degree, samples, seed=0):
     config.check_capacity("contract", samples, "Monte-Carlo value buffer")
     values = np.empty(samples, dtype=np.complex128)
     for s in range(samples):
-        rng = np.random.default_rng([seed, s])
-        spec = random_cover(g, degree, rng)
-        values[s] = partition_contract(build_cover(g, spec))
+        spec = random_cover(g, degree, np.random.default_rng([seed, s]))
+        values[s] = contract_network(cover_network(g, spec))
     mean = values.sum() / samples
     if samples > 1:
         stderr = float(np.std(values.real, ddof=1) / np.sqrt(samples))

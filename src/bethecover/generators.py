@@ -121,12 +121,19 @@ def gen(spec):
     """Build the graph described by a :class:`GeneratorSpec`.
 
     Deterministic for a given seed; the generated graph always passes
-    :func:`bethecover.nfg.validate` for the declared kind.  Every local
-    function's size is checked against the ``contract`` cap before any draw.
+    :func:`bethecover.nfg.validate` for the declared kind.  A non-finite
+    ``scale`` or ``eta``, and a local function over the ``contract`` cap,
+    are refused before any draw.
     """
     if spec.alphabet < 1:
         raise StructuralError(
             f"alphabet size must be positive, got {spec.alphabet}")
+    factor = {"psd-random": "scale", "psd-near-identity": "eta"}.get(
+        spec.ensemble)
+    if (spec.topology != "unitary-chain" and factor
+            and not np.isfinite(getattr(spec, factor))):
+        raise ValidationError(f"{factor} {getattr(spec, factor)!r} would "
+                              f"give local functions non-finite entries")
     rng = np.random.default_rng(spec.seed)
     if spec.topology == "unitary-chain":
         config.check_capacity("contract", spec.alphabet ** 4,

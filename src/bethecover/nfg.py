@@ -19,7 +19,8 @@ import numpy as np
 from . import config
 from ._kernels import enum_configs
 from .errors import DimensionError, ParseError, StructuralError
-from .tensor import ComplexTensor, choi_from_paired, contract, paired_from_choi
+from .tensor import (ComplexTensor, choi_from_paired, contract,
+                     paired_from_choi, stored_array)
 
 STANDARD = "standard"
 DOUBLE = "double-edge"
@@ -51,8 +52,6 @@ class FactorGraph:
         self.tensors = tuple(tensors)
         self.weak_sense_flag = bool(weak_sense)
         self._edge_pos = {e.eid: k for k, e in enumerate(self.edges)}
-        for t in self.tensors:
-            t.flags.writeable = False
 
     # -- lookups ---------------------------------------------------- #
 
@@ -130,8 +129,8 @@ def make_graph(kind, nodes, edges, tensors, weak_sense=False):
                    axis k belonging to the k-th incident edge (paired axis
                    of size ``alphabet**2`` for double-edge graphs)
 
-    Arrays are stored by :func:`_stored_tensor`: copied unless read-only,
-    C-contiguous and owning their data.
+    Arrays are stored by :func:`tensor.stored_array`: copied unless
+    read-only, C-contiguous and owning their data.
     """
     if kind not in (STANDARD, DOUBLE):
         raise StructuralError(f"unknown graph kind {kind!r}")
@@ -187,18 +186,13 @@ def make_graph(kind, nodes, edges, tensors, weak_sense=False):
 
 
 def _stored_tensor(name, arr, want):
-    """Node ``name``'s local function as a graph stores it: a complex array
-    of shape ``want``, copied unless it is a read-only C-contiguous array
-    that owns its data (such as another graph's tensor, which covers
-    reuse), so later writes to the caller's arrays never reach the graph."""
-    arr = np.asarray(arr, dtype=np.complex128)
+    """:func:`tensor.stored_array` of node ``name``'s local function
+    ``arr``, which must have shape ``want``."""
+    arr = stored_array(arr)
     if arr.shape != want:
         raise StructuralError(
             f"tensor for node {name!r} has shape {arr.shape}, "
             f"incident edges require {want}")
-    if (arr.flags.writeable or not arr.flags.owndata
-            or not arr.flags.c_contiguous):
-        arr = arr.copy(order="C")
     return arr
 
 

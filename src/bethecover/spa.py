@@ -420,16 +420,23 @@ def spa_run(g, init="uniform", max_iter=10000, tol_fp=None, damping=0.0,
 
     ``init`` picks the first start (``uniform`` or ``seeded-random``);
     every further restart uses fresh random messages.  A non-convergent
-    run is reported, not raised.
+    run is reported, not raised; out-of-range settings are refused before
+    any sweep.
     """
     if max_iter < 1:
         raise StructuralError(f"max_iter must be positive, got {max_iter}")
     tol_fp = config.TOLS.fixed_point if tol_fp is None else tol_fp
+    if restarts < 1:
+        raise StructuralError(f"restarts must be positive, got {restarts}")
+    if not 0.0 <= damping < 1.0:
+        raise StructuralError(f"damping must lie in [0, 1), got {damping}")
+    if not tol_fp >= 0.0:
+        raise StructuralError(f"tol_fp must be nonnegative, got {tol_fp}")
     best = None
     best_score = None
     n_converged = 0
     event_log = []
-    for r in range(max(1, restarts)):
+    for r in range(restarts):
         rng = np.random.default_rng([seed, r])
         if r == 0 and init == "uniform":
             m0 = uniform_messages(g)
@@ -446,7 +453,7 @@ def spa_run(g, init="uniform", max_iter=10000, tol_fp=None, damping=0.0,
         score = zb.real if zb is not None else -np.inf
         candidate = SpaReport(
             converged=conv, iterations=its, residual=res,
-            restarts_used=max(1, restarts), restarts_converged=0,
+            restarts_used=restarts, restarts_converged=0,
             messages=m, z_f=z_f if conv else None,
             z_e=z_e if conv else None, zb_spa=zb, damping_used=damp)
         if conv and (best is None or not best.converged

@@ -1,8 +1,8 @@
 """Dense complex tensors with labeled axes, plus the pair-axis reshuffles
 between a double-edge tensor and its matrix representation.
 
-Tensors are immutable value objects: the underlying array is marked
-read-only on construction, so instances can be shared freely.
+Tensors are immutable value objects: the underlying array is stored
+read-only by :func:`stored_array`, so instances can be shared freely.
 """
 
 from dataclasses import dataclass, field
@@ -12,26 +12,34 @@ import numpy as np
 from .errors import DimensionError
 
 
+def stored_array(arr):
+    """``arr`` as a read-only C-contiguous complex array that owns its
+    data: a copy unless ``arr`` already is one, so a caller's writable
+    array stays writable and its later writes never reach the copy."""
+    arr = np.asarray(arr, dtype=np.complex128)
+    if (arr.flags.writeable or not arr.flags.owndata
+            or not arr.flags.c_contiguous):
+        # note: ascontiguousarray would promote 0-d scalars to shape (1,)
+        arr = arr.copy(order="C")
+        arr.flags.writeable = False
+    return arr
+
+
 @dataclass(frozen=True)
 class ComplexTensor:
-    """A dense complex array whose axes carry distinct string labels."""
+    """A dense complex array whose axes carry distinct labels."""
 
     labels: tuple
     array: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         labels = tuple(self.labels)
-        arr = np.asarray(self.array, dtype=np.complex128)
+        arr = stored_array(self.array)
         if len(labels) != arr.ndim:
             raise DimensionError(
                 f"{len(labels)} labels for an array of rank {arr.ndim}")
         if len(set(labels)) != len(labels):
             raise DimensionError(f"axis labels not distinct: {labels}")
-        # note: ascontiguousarray would promote 0-d scalars to shape (1,)
-        arr = np.asarray(arr, dtype=np.complex128, order="C")
-        if arr.base is not None or not arr.flags.owndata:
-            arr = arr.copy(order="C")
-        arr.flags.writeable = False
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "array", arr)
 
@@ -63,6 +71,7 @@ def contract(a, b, shared_labels):
         ax_a.append(ia)
         ax_b.append(ib)
     out = np.tensordot(a.array, b.array, axes=(ax_a, ax_b))
+    out.flags.writeable = False     # nothing else holds it: store, not copy
     keep_a = [lab for lab in a.labels if lab not in shared]
     keep_b = [lab for lab in b.labels if lab not in shared]
     clash = set(keep_a) & set(keep_b)

@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import time
 
 import numpy as np
 import pytest
@@ -200,6 +201,20 @@ def test_montecarlo_zero_samples_exit_code(graph_file, capsys):
 def test_spa_zero_max_iter_exit_code(graph_file, capsys):
     assert main(["spa", graph_file, "--max-iter", "0"]) == 2
     assert "max_iter" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag,value,name", [
+    ("--damping", "1.5", "damping"), ("--damping", "1.0", "damping"),
+    ("--damping", "-0.5", "damping"), ("--damping", "nan", "damping"),
+    ("--tol", "-1", "tol_fp"), ("--tol", "nan", "tol_fp"),
+    ("--restarts", "0", "restarts")])
+def test_spa_out_of_range_settings_exit_2_at_once(graph_file, capsys, flag,
+                                                  value, name):
+    start = time.monotonic()
+    assert main(["spa", graph_file, flag, value]) == 2
+    assert time.monotonic() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and name in err
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

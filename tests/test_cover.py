@@ -65,18 +65,122 @@ class TestBuildCover:
     def test_spec_missing_an_edge_rejected(self):
         g = build_fig3()
         spec = cover.CoverSpec(2, {"e1": (1, 0)})
-        with pytest.raises(StructuralError,
-                           match=r"missing \['e2', 'e3', 'e4', 'e5'\], "
-                                 r"extra \[\]"):
-            cover.build_cover(g, spec)
+        for route in (cover.build_cover, cover.cover_network):
+            with pytest.raises(StructuralError,
+                               match=r"missing \['e2', 'e3', 'e4', 'e5'\], "
+                                     r"extra \[\]"):
+                route(g, spec)
 
     def test_spec_with_an_extra_edge_rejected(self):
         g = build_fig3()
         sigma = {e.eid: (1, 0) for e in g.edges}
         sigma["zz"] = (0, 1)
-        with pytest.raises(StructuralError,
-                           match=r"missing \[\], extra \['zz'\]"):
-            cover.build_cover(g, cover.CoverSpec(2, sigma))
+        for route in (cover.build_cover, cover.cover_network):
+            with pytest.raises(StructuralError,
+                               match=r"missing \[\], extra \['zz'\]"):
+                route(g, cover.CoverSpec(2, sigma))
+
+
+def oracle_build_cover(g, spec):
+    """The cover wired edge by edge and checked by ``make_graph``: the
+    m-th copy of ``e = (f_i, f_j)`` joins ``(f_i, m)`` to
+    ``(f_j, sigma_e(m))``, the tail's incidences found through the inverse
+    permutation."""
+    eids = {e.eid for e in g.edges}
+    if spec.sigma.keys() != eids:
+        missing = [e.eid for e in g.edges if e.eid not in spec.sigma]
+        extra = [eid for eid in spec.sigma if eid not in eids]
+        raise StructuralError(f"cover spec does not match the graph's "
+                              f"edges: missing {missing}, extra {extra}")
+    M = spec.degree
+    names = [f"{name}.{m}" for name in g.node_names for m in range(M)]
+    incidences = []
+    for k in range(g.n_nodes):
+        for m in range(M):
+            inc = []
+            for eid in g.incidences[k]:
+                e = g.edge(eid)
+                if k == e.head:
+                    copy = m
+                else:
+                    copy = spec.sigma[eid].index(m)
+                inc.append(f"{eid}.{copy}")
+            incidences.append(tuple(inc))
+    edges = []
+    for e in g.edges:
+        for m in range(M):
+            edges.append((f"{e.eid}.{m}",
+                          (names[e.head * M + m],
+                           names[e.tail * M + spec.sigma[e.eid][m]]),
+                          e.alphabet))
+    tensors = {}
+    for k in range(g.n_nodes):
+        for m in range(M):
+            tensors[names[k * M + m]] = g.tensors[k]
+    nodes = list(zip(names, incidences))
+    return nfg.make_graph(g.kind, nodes, edges, tensors,
+                          weak_sense=g.weak_sense_flag)
+
+
+def network_graphs():
+    """fig3 and fig-b of both kinds, plus fig3 with an isolated node."""
+    graphs = [gen(GeneratorSpec(topology=topo, kind=kind, ensemble=ens,
+                                seed=seed))
+              for topo in ("fig3", "fig-b")
+              for seed, (kind, ens) in enumerate(KIND_ENSEMBLES)]
+    return graphs + [with_isolated_node(graphs[1])]
+
+
+class TestCoverNetwork:
+    @pytest.mark.parametrize("degree", [1, 2, 3, 8])
+    def test_matches_the_oracle_cover(self, degree):
+        for g in network_graphs():
+            rng = np.random.default_rng(degree)
+            for spec in (cover.identity_cover(g, degree),
+                         cover.random_cover(g, degree, rng)):
+                oracle = oracle_build_cover(g, spec)
+                assert nfg.serialize(cover.build_cover(g, spec)) \
+                    == nfg.serialize(oracle)
+                network = cover.cover_network(g, spec)
+                assert nfg.contract_network(network) \
+                    == nfg.partition_contract(oracle)
+                # make_graph's checks, redundant by construction: each
+                # label on two distinct nodes, with one size
+                holders = {}
+                for n, t in enumerate(network):
+                    for lab, size in zip(t.labels, t.sizes):
+                        holders.setdefault(lab, []).append((n, size))
+                assert sorted(holders) == list(range(g.n_edges * degree))
+                for (a, sa), (b, sb) in holders.values():
+                    assert a != b and sa == sb
+
+    def test_arrays_are_the_base_graphs_own(self):
+        for g in network_graphs():
+            spec = cover.random_cover(g, 3, np.random.default_rng(0))
+            network = cover.cover_network(g, spec)
+            assert all(t.array is g.tensors[n // 3]
+                       for n, t in enumerate(network))
+
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_montecarlo_is_the_mean_over_oracle_covers(self, seed):
+        for g in network_graphs():
+            values = np.array([nfg.partition_contract(oracle_build_cover(
+                g, cover.random_cover(g, 4, np.random.default_rng(
+                    [seed, s])))) for s in range(5)])
+            est = cover.zbm_montecarlo(g, 4, 5, seed=seed)
+            assert est.power_value == (values.sum() / 5).real
+            assert est.stderr == float(np.std(values.real, ddof=1)
+                                       / np.sqrt(5))
+
+    def test_estimators_build_no_graph(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("make_graph called")
+
+        g = fig3_psd(1)
+        monkeypatch.setattr(cover, "make_graph", refuse)
+        monkeypatch.setattr(nfg, "make_graph", refuse)
+        assert cover.zbm_exhaustive(g, 2).covers == 2 ** g.n_edges
+        assert cover.zbm_montecarlo(g, 4, 5).samples == 5
 
 
 class TestTypeUtilities:

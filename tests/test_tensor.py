@@ -115,6 +115,26 @@ class TestContract:
             ComplexTensor(("x", "x"), np.ones((2, 2)))
 
 
+class TestStorage:
+    @pytest.mark.parametrize("make", [
+        lambda: np.array([1.0, 2.0], dtype=np.complex128),
+        lambda: np.array([1.0, 2.0]),
+        lambda: np.array([[1.0, 0.0], [2.0, 0.0]])[:, 0],
+    ], ids=["complex-owned", "real", "strided-view"])
+    def test_caller_array_stays_writable_and_unshared(self, make):
+        a = make()
+        t = ComplexTensor(("x",), a)
+        a[0] = 5.0
+        assert a[0] == 5.0
+        assert t.array.tolist() == [1, 2]
+        assert not t.array.flags.writeable
+
+    def test_read_only_owned_array_is_shared(self):
+        a = np.array([1.0, 2.0], dtype=np.complex128)
+        a.flags.writeable = False
+        assert ComplexTensor(("x",), a).array is a
+
+
 def char_poly_eigvals(h):
     """Eigenvalues of a 2x2 or 3x3 Hermitian matrix from the
     characteristic polynomial (independent of any eigensolver)."""
