@@ -18,7 +18,8 @@ import numpy as np
 
 from . import config
 from ._kernels import enum_configs
-from .errors import DimensionError, ParseError, StructuralError
+from .errors import (DimensionError, ParseError, StructuralError,
+                     ValidationError)
 from .tensor import (ComplexTensor, choi_from_paired, contract,
                      paired_from_choi, stored_array)
 
@@ -200,6 +201,20 @@ def _stored_tensor(name, arr, want):
 # validation                                                          #
 # ------------------------------------------------------------------ #
 
+def check_magnitude(g):
+    """Refuse ``g`` (``ValidationError``) unless the product over nodes of
+    ``max(1, sum |t_k|)`` is a finite float.  That product bounds every
+    enumerated product, every contraction intermediate and ``Z``, so none
+    of them can overflow to inf or NaN once ``g`` passes."""
+    with np.errstate(over="ignore"):
+        bound = math.prod(max(1.0, float(np.abs(t).sum()))
+                          for t in g.tensors)
+    if not math.isfinite(bound):
+        raise ValidationError(
+            "local functions too large: the product over nodes of "
+            "sum |t_k| overflows a float")
+
+
 @dataclass
 class NodeStatus:
     hermitian_defect: float
@@ -335,10 +350,12 @@ class ContractionPlan:
     """Pairwise merges that contract a closed network to a scalar.
 
     Slots ``0..n-1`` are the input tensors and step j writes slot
-    ``n + j``.  ``steps`` holds ``(left slot, right slot, shared labels)``;
-    ``scalars`` lists the slots whose values multiply into the result, in
-    that order; ``peak`` is the entry count of the largest intermediate
-    (0 when nothing is merged).
+    ``n + j``.  ``steps`` holds ``(left slot, right slot, (left axes,
+    right axes))``, the axes paired in order; the slot a step writes holds
+    the left operand's free axes, then the right's, each in its operand's
+    order.  ``scalars`` lists the slots whose values multiply into the
+    result, in that order; ``peak`` is the entry count of the largest
+    intermediate (0 when nothing is merged).
     """
 
     steps: tuple
@@ -360,7 +377,7 @@ def plan_contraction(shapes):
     the costs wait in a heap of ``(cost, slot)`` whose stale entries are
     skipped (greedy paths as in Smith & Gray, "opt_einsum", JOSS 2018).
     """
-    # nbr[slot]: label -> the slot holding its other end, in label order
+    # nbr[slot]: label -> the slot holding its other end, in axis order
     nbr, size, ends = [], {}, {}
     for slot, (labels, sizes) in enumerate(shapes):
         for lab, s in zip(labels, sizes):
@@ -391,14 +408,16 @@ def plan_contraction(shapes):
             continue
         new, merged, out = k, {k}, nbr[k]
         for i in sorted(set(out.values())):
-            shared = tuple(lab for lab, p in out.items() if p == i)
-            # free labels in tensor.contract's order: left's, then right's
+            axis = {lab: a for a, lab in enumerate(nbr[i])}
+            pairs = [(a, axis[lab]) for a, (lab, p) in enumerate(out.items())
+                     if p == i]
+            # the result's axes: the left's free ones, then the right's
             out = {lab: p for lab, p in out.items() if p != i}
             out.update((lab, p) for lab, p in nbr[i].items()
                        if p not in merged)
             merged.add(i)
             peak = max(peak, math.prod(size[lab] for lab in out))
-            steps.append((new, i, shared))
+            steps.append((new, i, tuple(zip(*pairs))))
             new = len(nbr)
             nbr.append(None)
         nbr[new] = out
@@ -429,8 +448,8 @@ def contract_network(tensors):
     config.check_capacity("contract", plan.peak,
                           "largest contraction intermediate")
     slots = list(tensors)
-    for a, b, shared in plan.steps:
-        slots.append(contract(slots[a], slots[b], shared))
+    for a, b, axes in plan.steps:
+        slots.append(contract(slots[a], slots[b], axes))
         slots[a] = slots[b] = None
     result = 1.0 + 0.0j
     for k in plan.scalars:
@@ -542,10 +561,12 @@ def parse(text):
         shape = tuple(alpha[eid] ** mult for eid in incident)
         tensors[name] = flat.reshape(shape)
     try:
-        return make_graph(kind, nodes, edges, tensors,
-                          weak_sense=bool(doc.get("weak_sense", False)))
+        g = make_graph(kind, nodes, edges, tensors,
+                       weak_sense=bool(doc.get("weak_sense", False)))
     except StructuralError as exc:
         raise ParseError(str(exc)) from exc
+    check_magnitude(g)
+    return g
 
 
 def save(g, path):

@@ -13,12 +13,15 @@ from .errors import DimensionError
 
 
 def stored_array(arr):
-    """``arr`` as a read-only C-contiguous complex array that owns its
-    data: a copy unless ``arr`` already is one, so a caller's writable
-    array stays writable and its later writes never reach the copy."""
+    """``arr`` as a read-only C-contiguous complex array: ``arr`` itself
+    if it is one and owns its data or views a read-only array that does,
+    else a copy, so a caller's writable array stays writable and its later
+    writes never reach the copy."""
     arr = np.asarray(arr, dtype=np.complex128)
-    if (arr.flags.writeable or not arr.flags.owndata
-            or not arr.flags.c_contiguous):
+    owner = arr if arr.base is None else arr.base
+    if (arr.flags.writeable or not arr.flags.c_contiguous
+            or not isinstance(owner, np.ndarray)
+            or owner.flags.writeable or not owner.flags.owndata):
         # note: ascontiguousarray would promote 0-d scalars to shape (1,)
         arr = arr.copy(order="C")
         arr.flags.writeable = False
@@ -47,39 +50,22 @@ class ComplexTensor:
     def sizes(self):
         return self.array.shape
 
-    def size_of(self, label):
-        return self.array.shape[self.labels.index(label)]
 
-
-def contract(a, b, shared_labels):
-    """Contract two tensors over ``shared_labels``.
-
-    The result carries the symmetric difference of the axes (a's free
-    labels followed by b's); entries are sums of products over all
-    assignments of the shared labels.
-    """
-    shared = list(shared_labels)
-    ax_a, ax_b = [], []
-    for lab in shared:
-        if lab not in a.labels or lab not in b.labels:
-            raise DimensionError(f"label {lab!r} not shared by both tensors")
-        ia, ib = a.labels.index(lab), b.labels.index(lab)
-        if a.array.shape[ia] != b.array.shape[ib]:
-            raise DimensionError(
-                f"label {lab!r}: size {a.array.shape[ia]} vs "
-                f"{b.array.shape[ib]}")
-        ax_a.append(ia)
-        ax_b.append(ib)
-    out = np.tensordot(a.array, b.array, axes=(ax_a, ax_b))
-    out.flags.writeable = False     # nothing else holds it: store, not copy
-    keep_a = [lab for lab in a.labels if lab not in shared]
-    keep_b = [lab for lab in b.labels if lab not in shared]
-    clash = set(keep_a) & set(keep_b)
-    if clash:
-        raise DimensionError(
-            f"free labels {sorted(clash)} appear on both operands; "
-            "contract over them instead")
-    return ComplexTensor(tuple(keep_a + keep_b), out)
+def contract(a, b, axes):
+    """One ``np.tensordot`` of ``a`` and ``b`` over the axis pairs
+    ``axes = (a's axes, b's axes)``; the result keeps a's free axes, then
+    b's, with their labels.  The caller pairs axes of one size and leaves
+    distinct free labels, as :func:`nfg.plan_contraction` does."""
+    ax_a, ax_b = axes
+    out = np.tensordot(a.array, b.array, axes=axes)
+    # tensordot returns a reshaped view of its dot product; nothing else
+    # holds either array, so freezing both lets the result store the view
+    if out.base is not None:
+        out.base.flags.writeable = False
+    out.flags.writeable = False
+    labels = ([lab for k, lab in enumerate(a.labels) if k not in ax_a]
+              + [lab for k, lab in enumerate(b.labels) if k not in ax_b])
+    return ComplexTensor(tuple(labels), out)
 
 
 # ------------------------------------------------------------------ #

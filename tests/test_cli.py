@@ -9,6 +9,7 @@ import pytest
 
 from bethecover import nfg
 from bethecover.cli import build_parser, main
+from bethecover.generators import GeneratorSpec, gen
 
 from conftest import graph_with_choi
 
@@ -270,6 +271,34 @@ def test_non_finite_file_exits_2(argv, graph_file, capsys):
     captured = capsys.readouterr()
     assert "tensors['f2'].data" in captured.err
     assert "nan" not in captured.out
+
+
+@pytest.mark.parametrize("argv", [
+    ["exact", "--scale", "1e150"],
+    ["exact", "--scale", "1e300"],
+    ["exact", "--scale", "1e308"],
+    ["spa", "--scale", "1e300"],
+    ["exact", "GRAPH"],
+])
+def test_overflowing_functions_exit_2(argv, graph_file, capsys):
+    # GRAPH is a fig3 file with every entry scaled by 1e200
+    doc = json.load(open(graph_file))
+    for td in doc["tensors"].values():
+        td["data"] = [[1e200 * re, 1e200 * im] for re, im in td["data"]]
+    with open(graph_file, "w") as fh:
+        json.dump(doc, fh)
+    assert main([graph_file if a == "GRAPH" else a for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.count("\n") == 1 and "too large" in captured.err
+    assert "nan" not in captured.out
+
+
+def test_large_finite_scale_still_computes(capsys):
+    assert main(["exact", "--scale", "1e70"]) == 0
+    out = capsys.readouterr().out
+    z = nfg.partition_exact(gen(GeneratorSpec(scale=1e70)))
+    assert z.real == pytest.approx(3.1553e281, rel=1e-4)
+    assert f"Z = {z.real!r}" in out
 
 
 class ReadRecorder(argparse.Namespace):

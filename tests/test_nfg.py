@@ -4,9 +4,11 @@ import itertools
 import json
 import os
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from bethecover import nfg
 from bethecover.cover import build_cover, random_cover
@@ -281,6 +283,26 @@ class TestPartitionContract:
         assert z == pytest.approx(np.trace(product), rel=1e-10)
         assert elapsed < 1.0
 
+    def test_merge_allocates_its_result_once(self):
+        # a (x, s) with b (s, y) needs no transpose, so the merge's only
+        # large allocation is its N = 2**16-entry result, stored uncopied
+        rng = np.random.default_rng(0)
+        x, s, y = 256, 2, 256
+        n_entries = x * y
+        tensors = [ComplexTensor(("x", "s"), rng.standard_normal((x, s))),
+                   ComplexTensor(("s", "y"), rng.standard_normal((s, y))),
+                   ComplexTensor(("x", "y"), rng.standard_normal((x, y)))]
+        plan = nfg.plan_contraction([(t.labels, t.sizes) for t in tensors])
+        assert plan.steps[0] == (0, 1, ((1,), (0,)))
+        assert plan.peak == n_entries
+        tracemalloc.start()
+        try:
+            nfg.contract_network(tensors)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 16 * n_entries
+
 
 def network_of(g):
     return [ComplexTensor(g.incidences[k], g.tensors[k])
@@ -289,12 +311,14 @@ def network_of(g):
 
 def record_merges(monkeypatch):
     """Make ``nfg.contract`` log every pairwise merge as ``(operand
-    labels, result sizes, shared labels)``; returns the log."""
+    labels, result sizes, shared labels)``, the shared labels read off
+    the left operand's paired axes; returns the log."""
     merges = []
 
-    def logged(a, b, shared):
-        out = contract(a, b, shared)
-        merges.append((a.labels + b.labels, out.sizes, tuple(shared)))
+    def logged(a, b, axes):
+        out = contract(a, b, axes)
+        merges.append((a.labels + b.labels, out.sizes,
+                       tuple(a.labels[k] for k in axes[0])))
         return out
 
     monkeypatch.setattr(nfg, "contract", logged)
@@ -329,7 +353,8 @@ def greedy_oracle(tensors):
                     holders = sum(
                         1 for j in group if lab in clusters[j].labels)
                     if holders == 1:
-                        open_sizes *= clusters[i].size_of(lab)
+                        t = clusters[i]
+                        open_sizes *= t.sizes[t.labels.index(lab)]
             return open_sizes, group
 
         best_k, best_cost, best_group = None, None, None
@@ -342,7 +367,9 @@ def greedy_oracle(tensors):
         for i in sorted(best_group - {best_k}):
             shared = [lab for lab in merged.labels
                       if lab in clusters[i].labels]
-            out = contract(merged, clusters[i], shared)
+            axes = ([merged.labels.index(lab) for lab in shared],
+                    [clusters[i].labels.index(lab) for lab in shared])
+            out = contract(merged, clusters[i], axes)
             merges.append((merged.labels + clusters[i].labels, out.sizes,
                            tuple(shared)))
             merged = out
@@ -406,6 +433,38 @@ class TestPlanner:
         with pytest.raises(DimensionError, match="'b'"):
             nfg.contract_network(tensors)
         assert merges == []
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(n=st.integers(2, 6),
+           edges=st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5),
+                                    st.integers(1, 3)), max_size=8),
+           seed=st.integers(0, 2**16))
+    # several labels on one pair, a 0-label scalar and two components
+    @example(n=5, edges=[(0, 1, 2), (1, 0, 3), (0, 1, 1), (2, 3, 2),
+                         (3, 2, 2)], seed=0)
+    def test_axes_of_random_networks(self, n, edges, seed):
+        """The axes the plan computes, on closed networks of 2-6 tensors
+        whose labels (sizes 1-3) are shuffled per tensor: the contraction
+        equals one einsum of the whole network."""
+        rng = np.random.default_rng(seed)
+        legs = [[] for _ in range(n)]
+        size = []
+        for lab, (a, b, s) in enumerate(edges):
+            a, b = a % n, b % n
+            legs[a].append(lab)
+            legs[b if b != a else (a + 1) % n].append(lab)
+            size.append(s)
+        tensors = []
+        for labels in legs:
+            labels = [int(lab) for lab in rng.permutation(labels)]
+            shape = [size[lab] for lab in labels]
+            tensors.append(ComplexTensor(
+                tuple(labels), rng.uniform(0.5, 1.5, shape)
+                + 1j * rng.uniform(0.0, 0.1, shape)))
+        want = np.einsum(*[x for t in tensors
+                           for x in (t.array, list(t.labels))], [])
+        assert nfg.contract_network(tensors) == pytest.approx(
+            complex(want), rel=1e-12)
 
 
 class TestEmbedding:
