@@ -19,7 +19,7 @@ def enum_configs(node_arrays, node_edges, sizes):
     of edge ``e``.  Configurations run in row-major order (the last edge
     varies fastest), at most 65536 per chunk: ``digits`` holds one row of
     edge values per configuration and ``values`` the product of the node
-    entries it selects.
+    entries it selects, inf or NaN (without a warning) where it overflows.
     """
     sizes = np.asarray(sizes, dtype=np.int64)
     radix = _place_values(sizes)
@@ -34,8 +34,9 @@ def enum_configs(node_arrays, node_edges, sizes):
         idx = np.arange(lo, hi, dtype=np.int64)
         digits = (idx[:, None] // radix[None, :]) % sizes[None, :]
         values = np.ones(hi - lo, dtype=np.complex128)
-        for flat, edges, strides in gathers:
-            values *= flat[digits[:, edges] @ strides]
+        with np.errstate(over="ignore", invalid="ignore"):
+            for flat, edges, strides in gathers:
+                values *= flat[digits[:, edges] @ strides]
         yield digits, values
 
 

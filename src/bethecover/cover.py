@@ -20,7 +20,7 @@ import numpy as np
 from . import config
 from .errors import (BigCountError, InternalConsistencyError,
                      SignedRootError, StructuralError)
-from .nfg import contract_network, make_graph
+from .nfg import contract_network, finite, make_graph
 from .tensor import ComplexTensor
 
 _INT64_MAX = 2**63 - 1
@@ -176,7 +176,7 @@ class ZbmEstimate:
 
 
 def _finish(method, degree, mean, **extra):
-    mean = complex(mean)
+    mean = finite(complex(mean), "the cover mean")
     if abs(mean.imag) > _IMAG_TOL * (1.0 + abs(mean)):
         raise InternalConsistencyError(
             f"cover mean {mean!r} has a non-negligible imaginary part")
@@ -222,11 +222,13 @@ def zbm_montecarlo(g, degree, samples, seed=0):
     for s in range(samples):
         spec = random_cover(g, degree, np.random.default_rng([seed, s]))
         values[s] = contract_network(cover_network(g, spec))
-    mean = values.sum() / samples
-    if samples > 1:
-        stderr = float(np.std(values.real, ddof=1) / np.sqrt(samples))
-    else:
-        stderr = 0.0
+    # a sum that overflows is refused by _finish
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = values.sum() / samples
+        if samples > 1:
+            stderr = float(np.std(values.real, ddof=1) / np.sqrt(samples))
+        else:
+            stderr = 0.0
     return _finish("montecarlo", degree, mean, stderr=stderr,
                    samples=samples)
 
@@ -333,14 +335,16 @@ def zbm_typeformula(g, degree):
             weights[s] = np.array([1.0 / class_size(u)
                                    for u in _types(s, M)])
     tensors = []
-    for k, t in enumerate(g.tensors):
-        u = _type_tensor(t, [tables[s] for s in t.shape], M)
-        for a, eid in enumerate(g.incidences[k]):
-            if g.edge(eid).head == k:
-                shape = [1] * t.ndim
-                shape[a] = -1
-                u = u * weights[t.shape[a]].reshape(shape)
-        tensors.append(ComplexTensor(g.incidences[k], u))
+    # an entry that overflows is refused by contract_network
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, t in enumerate(g.tensors):
+            u = _type_tensor(t, [tables[s] for s in t.shape], M)
+            for a, eid in enumerate(g.incidences[k]):
+                if g.edge(eid).head == k:
+                    shape = [1] * t.ndim
+                    shape[a] = -1
+                    u = u * weights[t.shape[a]].reshape(shape)
+            tensors.append(ComplexTensor(g.incidences[k], u))
     mean = contract_network(tensors)
     return _finish("typeformula", degree, mean)
 

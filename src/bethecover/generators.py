@@ -8,7 +8,7 @@ import numpy as np
 
 from . import config
 from .errors import StructuralError, ValidationError
-from .nfg import DOUBLE, STANDARD, check_magnitude, make_graph, validate
+from .nfg import DOUBLE, STANDARD, make_graph, validate
 from .tensor import paired_from_choi
 
 TOPOLOGIES = ("fig3", "fig-b", "cycle", "tree", "unitary-chain")
@@ -123,8 +123,7 @@ def gen(spec):
     Deterministic for a given seed; the generated graph always passes
     :func:`bethecover.nfg.validate` for the declared kind.  A non-finite
     ``scale`` or ``eta``, and a local function over the ``contract`` cap,
-    are refused before any draw; local functions too large for
-    :func:`bethecover.nfg.check_magnitude` are refused before validation.
+    are refused before any draw.
     """
     if spec.alphabet < 1:
         raise StructuralError(
@@ -147,12 +146,11 @@ def gen(spec):
             config.check_capacity("contract",
                                   spec.alphabet ** (mult * len(incident)),
                                   f"local function of node {name!r}")
-        # an entry that overflows to inf is refused by check_magnitude
+        # an entry that overflows to inf is refused by validate
         with np.errstate(over="ignore"):
             tensors = {name: _node_tensor(spec, len(incident), rng)
                        for name, incident in nodes}
         g = make_graph(spec.kind, nodes, edges, tensors)
-    check_magnitude(g)
     report = validate(g)
     if not report.valid:
         raise ValidationError(

@@ -201,18 +201,14 @@ def _stored_tensor(name, arr, want):
 # validation                                                          #
 # ------------------------------------------------------------------ #
 
-def check_magnitude(g):
-    """Refuse ``g`` (``ValidationError``) unless the product over nodes of
-    ``max(1, sum |t_k|)`` is a finite float.  That product bounds every
-    enumerated product, every contraction intermediate and ``Z``, so none
-    of them can overflow to inf or NaN once ``g`` passes."""
-    with np.errstate(over="ignore"):
-        bound = math.prod(max(1.0, float(np.abs(t).sum()))
-                          for t in g.tensors)
-    if not math.isfinite(bound):
+def finite(value, what):
+    """``value`` if all its entries are finite floats, else
+    ``ValidationError``: ``what`` overflowed, so the local functions are
+    too large for floats."""
+    if not np.isfinite(value).all():
         raise ValidationError(
-            "local functions too large: the product over nodes of "
-            "sum |t_k| overflows a float")
+            f"local functions too large: {what} overflows a float")
+    return value
 
 
 @dataclass
@@ -269,7 +265,8 @@ def validate(g):
                 node_status[name] = NodeStatus(defect, float("nan"), False)
                 strict = False
                 continue
-            lo = float(np.linalg.eigvalsh((c + c.conj().T) / 2.0)[0])
+            # halved before adding: c + c^H overflows for entries near 1e308
+            lo = float(np.linalg.eigvalsh(c / 2.0 + c.conj().T / 2.0)[0])
             psd = lo >= -tol.psd
             node_status[name] = NodeStatus(defect, lo, psd)
             if not psd:
@@ -325,20 +322,23 @@ def global_eval(g, configuration):
 
 def configurations(g):
     """The ``(digits, values)`` chunks of :func:`_kernels.enum_configs`
-    over every configuration of ``g``, after the ``enum`` cap check."""
+    over every configuration of ``g``, after the ``enum`` cap check; a
+    chunk with a product that overflows raises ``ValidationError``."""
     sizes = [g.axis_size(e.eid) for e in g.edges]
     config.check_capacity("enum", math.prod(sizes), "configurations")
     node_edges = [[g._edge_pos[eid] for eid in inc] for inc in g.incidences]
-    return enum_configs(g.tensors, node_edges, sizes)
+    return ((digits, finite(values, "a configuration's product"))
+            for digits, values in enum_configs(g.tensors, node_edges, sizes))
 
 
 def partition_exact(g):
     """Partition function by direct summation over all configurations,
-    chunk sums added in fixed order."""
+    chunk sums added in fixed order; ``ValidationError`` if it overflows."""
     total = 0.0 + 0.0j
-    for _, values in configurations(g):
-        total += values.sum()
-    return complex(total)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _, values in configurations(g):
+            total += values.sum()
+    return finite(complex(total), "Z")
 
 
 # ------------------------------------------------------------------ #
@@ -443,18 +443,21 @@ def contract_network(tensors):
     intermediate is checked against the ``contract`` cap (``CapacityError``
     with ``requested`` set to its entry count) before any contraction
     runs; the plan's merges then run through :func:`tensor.contract`.
+    An intermediate that overflows carries inf or NaN into the result,
+    which then raises ``ValidationError``.
     """
     plan = plan_contraction([(t.labels, t.sizes) for t in tensors])
     config.check_capacity("contract", plan.peak,
                           "largest contraction intermediate")
     slots = list(tensors)
-    for a, b, axes in plan.steps:
-        slots.append(contract(slots[a], slots[b], axes))
-        slots[a] = slots[b] = None
+    with np.errstate(over="ignore", invalid="ignore"):
+        for a, b, axes in plan.steps:
+            slots.append(contract(slots[a], slots[b], axes))
+            slots[a] = slots[b] = None
     result = 1.0 + 0.0j
     for k in plan.scalars:
         result *= complex(slots[k].array)
-    return result
+    return finite(result, "the contraction")
 
 
 def partition_contract(g):
@@ -561,12 +564,10 @@ def parse(text):
         shape = tuple(alpha[eid] ** mult for eid in incident)
         tensors[name] = flat.reshape(shape)
     try:
-        g = make_graph(kind, nodes, edges, tensors,
-                       weak_sense=bool(doc.get("weak_sense", False)))
+        return make_graph(kind, nodes, edges, tensors,
+                          weak_sense=bool(doc.get("weak_sense", False)))
     except StructuralError as exc:
         raise ParseError(str(exc)) from exc
-    check_magnitude(g)
-    return g
 
 
 def save(g, path):

@@ -24,7 +24,7 @@ import numpy as np
 from . import config
 from ._kernels import jacobi_eigh
 from .errors import DegenerateBeliefError, StructuralError, ValidationError
-from .nfg import STANDARD
+from .nfg import STANDARD, finite
 
 _LETTERS = string.ascii_letters[:-1]   # "Z" indexes the stacked nodes
 _BELIEF_TOL = 1e-6   # slack of the pmf and local-consistency checks
@@ -306,9 +306,12 @@ def spa_step(g, m, rng=None, damping=0.0):
     map_residual = _max_abs(new - rows)
 
     kappa_node = plan.node_sums(new)
-    prod = (kappa[plan.head_rows] * kappa[plan.tail_rows]
-            * plan.edge_sums(new)
-            * kappa_node[plan.heads] * kappa_node[plan.tails])
+    # an overflowing product comes out inf or NaN; neither passes the zero
+    # test, and a product that large is not degenerate
+    with np.errstate(over="ignore", invalid="ignore"):
+        prod = (kappa[plan.head_rows] * kappa[plan.tail_rows]
+                * plan.edge_sums(new)
+                * kappa_node[plan.heads] * kappa_node[plan.tails])
     degenerate = [g.edges[i].eid
                   for i in np.nonzero(np.abs(prod) <= tol_zero)[0]]
 
@@ -355,7 +358,7 @@ def edge_normalizers(g, m):
 
 def bethe_partition_value(z_f, z_e):
     """Message-based Bethe partition value prod Z_f / prod Z_e, or None
-    when some edge overlap vanishes."""
+    when some edge overlap vanishes; ``ValidationError`` if it overflows."""
     out = 1.0 + 0.0j
     for v in z_f.values():
         out *= v
@@ -363,7 +366,7 @@ def bethe_partition_value(z_f, z_e):
         if abs(v) <= config.TOLS.z_edge:
             return None
         out /= v
-    return out
+    return finite(out, "the Bethe value")
 
 
 # ------------------------------------------------------------------ #

@@ -273,15 +273,21 @@ def test_non_finite_file_exits_2(argv, graph_file, capsys):
     assert "nan" not in captured.out
 
 
-@pytest.mark.parametrize("argv", [
-    ["exact", "--scale", "1e150"],
-    ["exact", "--scale", "1e300"],
-    ["exact", "--scale", "1e308"],
-    ["spa", "--scale", "1e300"],
-    ["exact", "GRAPH"],
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("argv, message", [
+    (["exact", "--scale", "1e150"], "too large"),
+    (["exact", "--scale", "1e300"], "too large"),
+    (["exact", "--scale", "1e308"], "non-finite entries"),
+    (["spa", "--scale", "1e300"], "too large"),
+    (["loopseries", "--scale", "1e300"], "too large"),
+    (["exact", "GRAPH"], "too large"),
+    (["zbm", "--scale", "1e70", "--m", "2"], "too large"),
+    (["zbm", "--scale", "1e70", "--m", "2", "--method", "exhaustive"],
+     "too large"),
 ])
-def test_overflowing_functions_exit_2(argv, graph_file, capsys):
-    # GRAPH is a fig3 file with every entry scaled by 1e200
+def test_overflowing_functions_exit_2(argv, message, graph_file, capsys):
+    # GRAPH is a fig3 file with every entry scaled by 1e200; a numpy
+    # warning fails the test
     doc = json.load(open(graph_file))
     for td in doc["tensors"].values():
         td["data"] = [[1e200 * re, 1e200 * im] for re, im in td["data"]]
@@ -289,8 +295,21 @@ def test_overflowing_functions_exit_2(argv, graph_file, capsys):
         json.dump(doc, fh)
     assert main([graph_file if a == "GRAPH" else a for a in argv]) == 2
     captured = capsys.readouterr()
-    assert captured.err.count("\n") == 1 and "too large" in captured.err
+    assert captured.err.count("\n") == 1 and message in captured.err
     assert "nan" not in captured.out
+
+
+def test_long_cycle_is_not_refused(capsys):
+    # every node's entries sum to about 2, so the product of those sums
+    # overflows near 1024 nodes while Z stays near 1e-23
+    argv = ["--topology", "cycle", "--kind", "standard",
+            "--ensemble", "positive-s-nfg", "--nodes", "1100"]
+    assert main(["gen", *argv]) == 0
+    assert capsys.readouterr().out.startswith("{")
+    z = nfg.partition_contract(gen(GeneratorSpec(
+        topology="cycle", kind="standard", ensemble="positive-s-nfg",
+        n=1100)))
+    assert 0.0 < z.real < 1.0
 
 
 def test_large_finite_scale_still_computes(capsys):

@@ -13,7 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 from bethecover import nfg
 from bethecover.cover import build_cover, random_cover
 from bethecover.errors import (CapacityError, DimensionError, ParseError,
-                               StructuralError)
+                               StructuralError, ValidationError)
 from bethecover.generators import GeneratorSpec, gen
 from bethecover.tensor import ComplexTensor, contract, paired_from_choi
 
@@ -302,6 +302,16 @@ class TestPartitionContract:
         finally:
             tracemalloc.stop()
         assert peak < 1.5 * 16 * n_entries
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_intermediate_raises(self):
+        # the merge of a and b overflows; c's zeros would turn it into NaN
+        big = np.full((2, 2), 1e200)
+        tensors = [ComplexTensor(("x", "s"), big),
+                   ComplexTensor(("s", "y"), big),
+                   ComplexTensor(("x", "y"), np.zeros((2, 2)))]
+        with pytest.raises(ValidationError, match="too large"):
+            nfg.contract_network(tensors)
 
 
 def network_of(g):
