@@ -21,8 +21,7 @@ from . import cover as cover_mod
 from . import experiment as exp_mod
 from . import lct as lct_mod
 from . import nfg
-from .errors import (BetheCoverError, BigCountError, CapacityError,
-                     NonConvergenceError)
+from .errors import BetheCoverError, CapacityError, NonConvergenceError
 from .generators import ENSEMBLES, TOPOLOGIES, GeneratorSpec, gen
 from .spa import spa_run
 
@@ -117,7 +116,6 @@ def cmd_validate(args):
     report = nfg.validate(g)
     print(f"kind: {report.kind}")
     print(f"classification: {report.classification}")
-    print(f"endpoint order: {'ok' if report.endpoint_order_ok else 'BAD'}")
     for name, st in report.node_status.items():
         print(f"node {name}: hermitian defect {st.hermitian_defect:.3e}, "
               f"min eigenvalue {st.min_eigenvalue:.3e}, "
@@ -197,9 +195,13 @@ def cmd_loopseries(args):
     total = sum(w for _, w in terms)
     print(f"{len(terms)} correction terms; sum = "
           f"{total.real!r} + {total.imag!r}j")
+    # an axis index shows as x, or as the pair (x, x') of a double edge
+    shown = [(e.eid, i, None if g.kind == nfg.STANDARD else e.alphabet)
+             for i, e in sorted(enumerate(g.edges), key=lambda p: p[1].eid)]
     lines = ["config,weight_re,weight_im"]
     for cfg, w in terms:
-        key = ";".join(f"{eid}={cfg[eid]}" for eid in sorted(cfg))
+        key = ";".join(f"{eid}={cfg[i] if n is None else divmod(cfg[i], n)}"
+                       for eid, i, n in shown)
         lines.append(f"{key},{w.real!r},{w.imag!r}")
     if args.csv:
         _write(args.csv, "\n".join(lines))
@@ -338,15 +340,12 @@ def build_parser():
     return parser
 
 
-_EXIT_CAPACITY = (CapacityError, BigCountError)
-
-
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _EXIT_CAPACITY as exc:
+    except CapacityError as exc:
         print(f"capacity error: {exc}", file=sys.stderr)
         return 3
     except NonConvergenceError as exc:

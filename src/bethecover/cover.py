@@ -18,12 +18,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import config
-from .errors import (BigCountError, InternalConsistencyError,
-                     SignedRootError, StructuralError)
+from .errors import (InternalConsistencyError, SignedRootError,
+                     StructuralError)
 from .nfg import contract_network, finite, make_graph
 from .tensor import ComplexTensor
 
-_INT64_MAX = 2**63 - 1
 _IMAG_TOL = 1e-9      # relative imaginary part allowed in a cover mean
 _BOUND_SLACK = 1e-6   # margin a sandwich bound may miss by and still hold
 
@@ -122,10 +121,7 @@ def type_of(vector, alphabet_size):
 
 def num_types(alphabet_size, degree):
     """Number of possible types of length-``degree`` vectors."""
-    value = math.comb(alphabet_size + degree - 1, degree)
-    if value > _INT64_MAX:
-        raise BigCountError(f"type count {value} exceeds 64 bits")
-    return value
+    return math.comb(alphabet_size + degree - 1, degree)
 
 
 def class_size(counts):
@@ -134,8 +130,6 @@ def class_size(counts):
     value = math.factorial(degree)
     for k in counts:
         value //= math.factorial(k)
-    if value > _INT64_MAX:
-        raise BigCountError(f"type class size {value} exceeds 64 bits")
     return value
 
 
@@ -155,7 +149,7 @@ def socket_projector(alphabet_size, degree):
         if key not in uniq:
             uniq[key] = len(uniq)
     ids = np.array([uniq[key] for key in keys])
-    inv_sizes = np.array([1.0 / class_size(key) for key in uniq])
+    inv_sizes = np.array([1 / class_size(key) for key in uniq])
     same = ids[:, None] == ids[None, :]
     return np.where(same, inv_sizes[ids][None, :], 0.0)
 
@@ -332,8 +326,9 @@ def zbm_typeformula(g, degree):
         s = g.axis_size(e.eid)
         if s not in tables:
             tables[s] = [_predecessors(s, j) for j in range(1, M + 1)]
-            weights[s] = np.array([1.0 / class_size(u)
-                                   for u in _types(s, M)])
+            # integer true division is correctly rounded, and a count
+            # beyond the float range gives 0.0, not an OverflowError
+            weights[s] = np.array([1 / class_size(u) for u in _types(s, M)])
     tensors = []
     # an entry that overflows is refused by contract_network
     with np.errstate(over="ignore", invalid="ignore"):

@@ -60,10 +60,6 @@ class DegenerateBeliefError(BetheCoverError):
     """A belief normalizer vanished at the given edge or node."""
 
 
-class BigCountError(BetheCoverError):
-    """An exact combinatorial count does not fit in 64 bits."""
-
-
 class SignedRootError(BetheCoverError):
     """The M-th root of a negative mean was requested."""
 

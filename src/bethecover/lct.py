@@ -16,9 +16,9 @@ import numpy as np
 from . import config
 from .errors import (DegenerateParameterError, InternalConsistencyError,
                      LctInapplicableError, ValidationError)
-from .nfg import STANDARD, configurations, serialize as serialize_graph
+from .nfg import configurations, serialize as serialize_graph
 from .spa import (MessageVector, SpaReport, bethe_partition_value,
-                  edge_normalizers, node_normalizers, raw_updates)
+                  edge_normalizers, messages, node_normalizers, raw_updates)
 
 _REAL_TOL = 1e-9       # relative imaginary part allowed in a real value
 _WEIGHT_FLOOR = 1e-12  # loop-series terms below this share of g0 are dropped
@@ -272,38 +272,27 @@ def loop_series(lr):
     """Correction terms of the transformed graph relative to its all-zero
     configuration.
 
-    Returns a list of (configuration, weight) pairs with configurations in
-    the format accepted by :func:`bethecover.nfg.global_eval`; the all-zero
-    term itself is omitted.  Terms whose magnitude is below 1e-12
-    relative to the all-zero value are dropped.
+    Returns a list of (configuration, weight) pairs: a configuration is a
+    tuple of axis indices, one per edge in ``g.edges`` order, as
+    :func:`bethecover.nfg.global_eval` takes it; its weight is its value
+    divided by the all-zero value, which is itself omitted.  Terms whose
+    magnitude is below 1e-12 relative to the all-zero value are dropped.
     """
-    g = lr.transformed
-    g0 = lr.g0
-    floor = _WEIGHT_FLOOR * abs(g0)
-    eids = [e.eid for e in g.edges]
+    floor = _WEIGHT_FLOOR * abs(lr.g0)
     out = []
-    for digits, vals in configurations(g):
+    for digits, vals in configurations(lr.transformed):
         keep = (np.abs(vals) > floor) & digits.any(axis=1)
-        kept = digits[keep]
-        if g.kind == STANDARD:
-            columns = [kept[:, k].tolist() for k in range(len(eids))]
-        else:
-            columns = [list(zip((kept[:, k] // e.alphabet).tolist(),
-                                (kept[:, k] % e.alphabet).tolist()))
-                       for k, e in enumerate(g.edges)]
-        weights = (vals[keep] / g0).tolist()
-        out.extend((dict(zip(eids, values)), w)
-                   for values, w in zip(zip(*columns), weights))
+        out.extend(zip(map(tuple, digits[keep].tolist()),
+                       (vals[keep] / lr.g0).tolist()))
     return out
 
 
 def nonzero_edge_subgraph_degrees(g, cfg):
-    """Node degrees of the subgraph induced by nonzero edge values."""
+    """Node degrees of the subgraph of the edges whose axis index in the
+    configuration ``cfg`` is nonzero."""
     deg = [0] * g.n_nodes
-    for e in g.edges:
-        v = cfg[e.eid]
-        nonzero = (v != 0) if g.kind == STANDARD else (v != (0, 0))
-        if nonzero:
+    for e, v in zip(g.edges, cfg):
+        if v != 0:
             deg[e.head] += 1
             deg[e.tail] += 1
     return deg
@@ -314,7 +303,7 @@ def induced_fixed_point_check(lr):
     sum-product update on the transformed graph, after per-message
     rescaling."""
     g = lr.transformed
-    raw, _kappa = raw_updates(g, MessageVector({
+    raw, _kappa = raw_updates(g, messages(g, {
         key: np.eye(1, g.axis_size(key[0]), dtype=np.complex128)[0]
         for key in g.directed_keys()}))
     lead = raw.rows[:, :1]

@@ -82,6 +82,11 @@ class FactorGraph:
             keys.append((e.eid, e.tail))
         return keys
 
+    def edge_positions(self, node):
+        """Positions in ``edges`` of the node's incident edges, in axis
+        order."""
+        return [self._edge_pos[eid] for eid in self.incidences[node]]
+
     def other_endpoint(self, eid, node):
         e = self.edge(eid)
         return e.tail if node == e.head else e.head
@@ -225,16 +230,12 @@ class ValidationReport:
     classification: str         # standard | strict-sense | weak-sense
     problems: list = field(default_factory=list)
     node_status: dict = field(default_factory=dict)
-    endpoint_order_ok: bool = True
 
 
 def validate(g):
     """Check structural and local-function invariants of a graph."""
     tol = config.TOLS
     problems = []
-    order_ok = all(e.head < e.tail for e in g.edges)
-    if not order_ok:
-        problems.append("edge endpoint order violated")
 
     node_status = {}
     strict = True
@@ -284,7 +285,6 @@ def validate(g):
         classification=classification,
         problems=problems,
         node_status=node_status,
-        endpoint_order_ok=order_ok,
     )
 
 
@@ -292,31 +292,21 @@ def validate(g):
 # evaluation                                                          #
 # ------------------------------------------------------------------ #
 
-def config_axis_index(g, eid, value):
-    n = g.edge(eid).alphabet
-    if g.kind == STANDARD:
-        x = int(value)
-        if not 0 <= x < n:
-            raise StructuralError(f"edge {eid!r}: value {x} out of range")
-        return x
-    x, xp = value
-    if not (0 <= x < n and 0 <= xp < n):
-        raise StructuralError(f"edge {eid!r}: pair {value} out of range")
-    return int(x) * n + int(xp)
-
-
 def global_eval(g, configuration):
-    """Product of local-function entries selected by a configuration.
+    """Product of the local-function entries a configuration selects.
 
-    ``configuration`` maps edge id to a value in ``range(|X_e|)`` for
-    standard graphs or an (x, x') pair for double-edge graphs.
+    ``configuration`` is a tuple of axis indices, one per edge in
+    ``g.edges`` order: a digit row of :func:`configurations`.  On a
+    double-edge graph the pair ``(x, x')`` has axis index ``x*|X| + x'``.
     """
-    axis_idx = {eid: config_axis_index(g, eid, v)
-                for eid, v in configuration.items()}
+    sizes = [g.axis_size(e.eid) for e in g.edges]
+    if len(configuration) != len(sizes) or not all(
+            0 <= x < n for x, n in zip(configuration, sizes)):
+        raise StructuralError(f"configuration {configuration!r} does not "
+                              f"fit the edges' axis sizes {sizes}")
     out = 1.0 + 0.0j
-    for k in range(g.n_nodes):
-        sel = tuple(axis_idx[eid] for eid in g.incidences[k])
-        out *= g.tensors[k][sel]
+    for k, t in enumerate(g.tensors):
+        out *= t[tuple(configuration[i] for i in g.edge_positions(k))]
     return out
 
 
@@ -326,7 +316,7 @@ def configurations(g):
     chunk with a product that overflows raises ``ValidationError``."""
     sizes = [g.axis_size(e.eid) for e in g.edges]
     config.check_capacity("enum", math.prod(sizes), "configurations")
-    node_edges = [[g._edge_pos[eid] for eid in inc] for inc in g.incidences]
+    node_edges = [g.edge_positions(k) for k in range(g.n_nodes)]
     return ((digits, finite(values, "a configuration's product"))
             for digits, values in enum_configs(g.tensors, node_edges, sizes))
 

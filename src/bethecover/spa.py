@@ -17,7 +17,6 @@ its outgoing messages and one for its node sums, whatever its size.
 import string
 import weakref
 from dataclasses import dataclass
-from types import MappingProxyType
 
 import numpy as np
 
@@ -31,57 +30,45 @@ _BELIEF_TOL = 1e-6   # slack of the pmf and local-consistency checks
 
 
 class MessageVector:
-    """Normalized directed messages, keyed by (edge id, node index).
+    """Normalized directed messages of one graph, keyed by (edge id, node
+    index).
 
-    Built from a dict of vectors; stored as ``rows``, one read-only complex
-    array with a zero-padded row per key in the order of ``keys``.
-    ``m[key]`` and the values of the read-only mapping ``data`` are views
-    of a row cut to the key's axis size.  A vector never changes after it
-    is built, so ``copy`` returns it unchanged.
+    ``rows`` is one read-only complex array with a zero-padded row per key
+    of ``plan``, the graph's sweep plan, in the order of its keys; ``m[key]``
+    is a view of a row cut to the key's axis size.  Build one with
+    :func:`messages`.
     """
 
-    def __init__(self, data):
-        keys = tuple(data)
-        vecs = [np.asarray(data[k], dtype=np.complex128) for k in keys]
-        sizes = [v.size for v in vecs]
-        rows = np.zeros((len(keys), max(sizes, default=0)),
-                        dtype=np.complex128)
-        for r, v in enumerate(vecs):
-            rows[r, :v.size] = v
-        self._fill(keys, {k: r for r, k in enumerate(keys)}, sizes, rows)
-
-    def _fill(self, keys, index, sizes, rows):
+    def __init__(self, plan, rows):
         rows.flags.writeable = False
-        self.keys, self._index, self._sizes, self.rows = (
-            keys, index, sizes, rows)
-
-    @classmethod
-    def _from_rows(cls, keys, index, sizes, rows):
-        out = cls.__new__(cls)
-        out._fill(keys, index, sizes, rows)
-        return out
-
-    @property
-    def data(self):
-        return MappingProxyType({
-            k: self.rows[r, :s]
-            for r, (k, s) in enumerate(zip(self.keys, self._sizes))})
-
-    def copy(self):
-        return self
+        self.plan, self.rows = plan, rows
 
     def __getitem__(self, key):
-        r = self._index[key]
-        return self.rows[r, :self._sizes[r]]
+        r = self.plan.index[key]
+        return self.rows[r, :self.plan.sizes[r]]
 
     def __iter__(self):
-        return iter(self.keys)
+        return iter(self.plan.keys)
 
-    def scaled(self, key, factor):
-        rows = self.rows.copy()
-        r = self._index[key]
-        rows[r, :self._sizes[r]] *= factor
-        return self._from_rows(self.keys, self._index, self._sizes, rows)
+
+def messages(g, mapping):
+    """The message vector of ``g`` holding ``mapping[key]`` at every
+    directed key; ``StructuralError`` on a missing key, an extra key or a
+    vector whose length is not the key's axis size."""
+    plan = _plan(g)
+    missing = [key for key in plan.keys if key not in mapping]
+    extra = [key for key in mapping if key not in plan.index]
+    if missing or extra:
+        raise StructuralError(f"messages do not match the graph's directed "
+                              f"keys: missing {missing}, extra {extra}")
+    rows = np.zeros((len(plan.keys), plan.width), dtype=np.complex128)
+    for r, (key, n) in enumerate(zip(plan.keys, plan.sizes)):
+        vec = np.asarray(mapping[key], dtype=np.complex128)
+        if vec.shape != (n,):
+            raise StructuralError(f"message {key!r} has shape {vec.shape}; "
+                                  f"its edge needs ({n},)")
+        rows[r, :n] = vec
+    return MessageVector(plan, rows)
 
 
 def _max_abs(arr):
@@ -90,7 +77,7 @@ def _max_abs(arr):
 
 def residual(a, b):
     """Largest componentwise change between two message vectors."""
-    return max((_max_abs(a[k] - b[k]) for k in a), default=0.0)
+    return _max_abs(a.rows - a.plan.rows_of(b))
 
 
 def uniform_messages(g):
@@ -98,7 +85,7 @@ def uniform_messages(g):
     rows = np.zeros((len(plan.keys), plan.width), dtype=np.complex128)
     for r, n in enumerate(plan.sizes):
         rows[r, :n] = 1.0 / n
-    return plan.vector(rows)
+    return MessageVector(plan, rows)
 
 
 def _psd_project(vec, base):
@@ -135,7 +122,7 @@ def random_messages(g, rng):
     rows = np.zeros((len(plan.keys), plan.width), dtype=np.complex128)
     for r, (eid, _node) in enumerate(plan.keys):
         rows[r, :plan.sizes[r]] = random_message(g, eid, rng)
-    return plan.vector(rows)
+    return MessageVector(plan, rows)
 
 
 # ------------------------------------------------------------------ #
@@ -165,7 +152,7 @@ class _SweepPlan:
     def __init__(self, g):
         self.keys = tuple(g.directed_keys())
         self.index = {key: r for r, key in enumerate(self.keys)}
-        self.sizes = [g.axis_size(eid) for eid, _node in self.keys]
+        self.sizes = tuple(g.axis_size(eid) for eid, _node in self.keys)
         self.width = max(self.sizes, default=0)
         self.n_nodes = g.n_nodes
         # directed_keys lists the head key, then the tail key, of each edge
@@ -200,19 +187,15 @@ class _SweepPlan:
             sizes=g.tensors[nodes[0]].shape, in_rows=in_rows,
             out_rows=out_rows, leave_one_out=leave_one_out, full=full)
 
-    def vector(self, rows):
-        """A message vector in this plan's row layout holding ``rows``."""
-        return MessageVector._from_rows(self.keys, self.index, self.sizes,
-                                        rows)
-
     def rows_of(self, m):
-        """The message array of ``m`` in this plan's row layout."""
-        if m.keys == self.keys and m._sizes == self.sizes:
-            return m.rows
-        rows = np.zeros((len(self.keys), self.width), dtype=np.complex128)
-        for r, key in enumerate(self.keys):
-            rows[r, :self.sizes[r]] = m[key]
-        return rows
+        """The message array of ``m``, which must be laid out in this
+        plan's keys and sizes (``StructuralError`` otherwise)."""
+        if m.plan is not self and (m.plan.keys, m.plan.sizes) != (
+                self.keys, self.sizes):
+            raise StructuralError(
+                "the message vector belongs to a graph with other "
+                "directed keys or axis sizes")
+        return m.rows
 
     def raw(self, rows):
         """Unnormalized outgoing messages of every node."""
@@ -265,7 +248,7 @@ def raw_updates(g, m):
     """Unnormalized outgoing messages, as a message vector, and their
     scaling factors (component sums), one per row of it."""
     plan, _rows, raw, kappa = _raw(g, m)
-    return plan.vector(raw), kappa
+    return MessageVector(plan, raw), kappa
 
 
 def fixed_point_residual(g, m):
@@ -334,8 +317,7 @@ def spa_step(g, m, rng=None, damping=0.0):
     if damping:
         keep = ~reinit
         new[keep] = (1.0 - damping) * new[keep] + damping * rows[keep]
-    return plan.vector(new), StepInfo(degenerate,
-                                                       map_residual)
+    return MessageVector(plan, new), StepInfo(degenerate, map_residual)
 
 
 # ------------------------------------------------------------------ #
@@ -426,6 +408,9 @@ def spa_run(g, init="uniform", max_iter=10000, tol_fp=None, damping=0.0,
     run is reported, not raised; out-of-range settings are refused before
     any sweep.
     """
+    if init not in ("uniform", "seeded-random"):
+        raise StructuralError(f"init must be 'uniform' or 'seeded-random', "
+                              f"got {init!r}")
     if max_iter < 1:
         raise StructuralError(f"max_iter must be positive, got {max_iter}")
     tol_fp = config.TOLS.fixed_point if tol_fp is None else tol_fp
@@ -526,30 +511,23 @@ def beliefs_from_configuration_weights(g, weights):
     """Consistent beliefs induced by a distribution over configurations.
 
     ``weights`` maps configurations to nonnegative numbers; they are
-    normalized internally.  A configuration is a dict as accepted by
-    :func:`bethecover.nfg.global_eval`, or a hashable tuple of
-    (edge id, value) pairs.  The resulting beliefs satisfy the local
-    consistency constraints exactly.
+    normalized internally.  A configuration is a tuple of axis indices,
+    one per edge in ``g.edges`` order, as :func:`bethecover.nfg.global_eval`
+    takes it.  The resulting beliefs satisfy the local consistency
+    constraints exactly.
     """
-    from .nfg import config_axis_index
-
-    pairs = [(cfg if isinstance(cfg, dict) else dict(cfg), w)
-             for cfg, w in weights.items()]
-    total = float(sum(w for _, w in pairs))
+    total = float(sum(weights.values()))
     edge = {e.eid: np.zeros(g.axis_size(e.eid), dtype=np.complex128)
             for e in g.edges}
-    node = {}
-    for idx, name in enumerate(g.node_names):
-        shape = tuple(g.axis_size(eid) for eid in g.incidences[idx])
-        node[name] = np.zeros(shape, dtype=np.complex128)
-    for cfg, w in pairs:
+    node = {name: np.zeros(g.tensors[k].shape, dtype=np.complex128)
+            for k, name in enumerate(g.node_names)}
+    legs = [g.edge_positions(k) for k in range(g.n_nodes)]
+    for cfg, w in weights.items():
         p = w / total
-        axis = {eid: config_axis_index(g, eid, v) for eid, v in cfg.items()}
-        for e in g.edges:
-            edge[e.eid][axis[e.eid]] += p
-        for idx, name in enumerate(g.node_names):
-            sel = tuple(axis[eid] for eid in g.incidences[idx])
-            node[name][sel] += p
+        for e, x in zip(g.edges, cfg):
+            edge[e.eid][x] += p
+        for name, pos in zip(g.node_names, legs):
+            node[name][tuple(cfg[i] for i in pos)] += p
     return Beliefs(edge, node)
 
 

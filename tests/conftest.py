@@ -5,7 +5,7 @@ import pytest
 
 from bethecover import nfg
 from bethecover.generators import GeneratorSpec, gen
-from bethecover.spa import MessageVector
+from bethecover.spa import messages
 from bethecover.tensor import paired_from_choi
 
 FIG3_NODES = [("f1", ["e1", "e2", "e3"]), ("f2", ["e1", "e4"]),
@@ -38,8 +38,10 @@ def power_trap_graph():
     return two_cycle(np.array([[1.0, 1.0], [0.0, 1.0]]), np.eye(2))
 
 
-def power_trap_fixed_point():
-    return MessageVector({
+def power_trap_fixed_point(g):
+    """The fixed point of :func:`power_trap_graph` ``g`` whose edge
+    overlaps vanish."""
+    return messages(g, {
         ("e1", 0): np.array([0, 1], dtype=np.complex128),
         ("e2", 0): np.array([1, 0], dtype=np.complex128),
         ("e1", 1): np.array([1, 0], dtype=np.complex128),

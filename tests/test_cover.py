@@ -8,8 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bethecover import cover, lct, nfg, spa
-from bethecover.errors import (BigCountError, CapacityError, SignedRootError,
-                               StructuralError)
+from bethecover.errors import CapacityError, SignedRootError, StructuralError
 from bethecover.generators import GeneratorSpec, gen
 from bethecover.tensor import ComplexTensor
 
@@ -206,10 +205,6 @@ class TestTypeUtilities:
             total += cover.class_size(t)
         assert total == 4 ** 3
 
-    def test_big_count_guard(self):
-        with pytest.raises(BigCountError):
-            cover.class_size((40,) * 40)
-
 
 class TestSocketProjector:
     def test_binary_degree_two_ground_truth(self):
@@ -387,6 +382,38 @@ class TestTypeBasis:
         mc = cover.zbm_montecarlo(g, 4, samples=400, seed=17)
         tol = 3.0 * mc.stderr + 1e-9 * (1.0 + abs(typ.power_value))
         assert abs(mc.power_value - typ.power_value) <= tol
+
+
+def cycle_h_m(g, degree):
+    """``Z_{B,M}^M`` of a generated cycle by the transfer matrix: with
+    ``A = T_1 ... T_n`` and power sums ``p_k = tr(A^k)``, it is the complete
+    homogeneous symmetric polynomial ``h_M`` of A's eigenvalues (the cycle
+    index of S_M at ``p_k``), by Newton's recurrence
+    ``h_M = (1/M) sum_{k=1..M} p_k h_{M-k}``."""
+    a = np.eye(g.tensors[0].shape[0])
+    for k, t in enumerate(g.tensors):
+        # node k holds edges k-1 and k; the transfer runs from k-1 to k
+        a = a @ (t if g.incidences[k][0] == g.edges[k - 1].eid else t.T)
+    power, p = np.eye(len(a)), []
+    for _ in range(degree):
+        power = power @ a
+        p.append(np.trace(power).real)
+    h = [1.0]
+    for m in range(1, degree + 1):
+        h.append(sum(p[k - 1] * h[m - k] for k in range(1, m + 1)) / m)
+    return h[degree]
+
+
+class TestCycleOracle:
+    @pytest.mark.parametrize("n", [3, 4])
+    @pytest.mark.parametrize("degree", [70, 100])
+    def test_typeformula_matches_h_m(self, n, degree):
+        # type-class sizes reach C(100, 50) ~ 1e29, beyond 64 bits
+        g = gen(GeneratorSpec(topology="cycle", kind="standard",
+                              ensemble="positive-s-nfg", n=n, seed=1))
+        est = cover.zbm_typeformula(g, degree)
+        assert est.power_value == pytest.approx(cycle_h_m(g, degree),
+                                                rel=1e-12)
 
 
 class TestIsolatedNode:

@@ -22,8 +22,9 @@ def converged_transform(g, seed=0, restarts=1, overrides=None):
 
 
 def oracle_loop_series(lr):
-    """One dict per kept row: the loop series that the masked column
-    decode of :func:`lct.loop_series` replaces, kept as its oracle."""
+    """One configuration per kept row, its weight from
+    :func:`nfg.global_eval`: the loop series that the masked chunk decode
+    of :func:`lct.loop_series` replaces, kept as its oracle."""
     g = lr.transformed
     floor = 1e-12 * abs(lr.g0)
     out = []
@@ -31,12 +32,10 @@ def oracle_loop_series(lr):
         for row in np.nonzero(np.abs(vals) > floor)[0]:
             if not digits[row].any():
                 continue
-            cfg = {}
-            for k, e in enumerate(g.edges):
-                v = int(digits[row, k])
-                cfg[e.eid] = (v if g.kind == nfg.STANDARD
-                              else (v // e.alphabet, v % e.alphabet))
+            cfg = tuple(int(v) for v in digits[row])
             out.append((cfg, complex(vals[row] / lr.g0)))
+            assert nfg.global_eval(g, cfg) == pytest.approx(vals[row],
+                                                            rel=1e-14)
     return out
 
 
@@ -229,7 +228,7 @@ class TestTransform:
     def test_inapplicable_propagates(self):
         g = power_trap_graph()
         with pytest.raises(LctInapplicableError):
-            lct.transform(g, power_trap_fixed_point())
+            lct.transform(g, power_trap_fixed_point(g))
 
     def test_induced_fixed_point_sweep(self):
         for seed in range(15):
@@ -268,7 +267,7 @@ class TestLoopSeries:
         terms = lct.loop_series(lr)
         assert terms
         for cfg, _w in terms:
-            assert all(v != 0 for v in cfg.values())
+            assert len(cfg) == g.n_edges and all(v != 0 for v in cfg)
 
     def test_correction_sum_identity(self):
         g = fig3_psd(11)
@@ -303,11 +302,7 @@ class TestLoopSeries:
             assert terms and terms == oracle_loop_series(lr)
             for cfg, w in terms:
                 assert type(w) is complex
-                value = cfg[g.edges[0].eid]
-                if g.kind == nfg.STANDARD:
-                    assert type(value) is int
-                else:
-                    assert [type(v) for v in value] == [int, int]
+                assert [type(v) for v in cfg] == [int] * g.n_edges
 
 
 class TestPartitionSplit:

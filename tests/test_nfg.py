@@ -158,23 +158,27 @@ class TestValidate:
 class TestGlobalEval:
     def test_all_ones(self):
         g = build_fig3()
-        for cfg in ({"e1": 0, "e2": 0, "e3": 0, "e4": 0, "e5": 0},
-                    {"e1": 1, "e2": 0, "e3": 1, "e4": 0, "e5": 1}):
+        for cfg in ((0, 0, 0, 0, 0), (1, 0, 1, 0, 1)):
             assert nfg.global_eval(g, cfg) == 1.0
 
     def test_power_trap_off_support(self):
         g = power_trap_graph()
-        assert nfg.global_eval(g, {"e1": 1, "e2": 0}) == 0.0
-        assert nfg.global_eval(g, {"e1": 0, "e2": 0}) == 1.0
+        assert nfg.global_eval(g, (1, 0)) == 0.0
+        assert nfg.global_eval(g, (0, 0)) == 1.0
 
     def test_double_edge_matches_lookup_oracle(self):
         g = fig3_psd(12)
-        cfg = {e.eid: (0, 0) for e in g.edges}
-        value = nfg.global_eval(g, cfg)
+        value = nfg.global_eval(g, (0,) * g.n_edges)
         oracle = 1.0 + 0.0j
         for k in range(g.n_nodes):
             oracle *= g.tensors[k][(0,) * g.tensors[k].ndim]
         assert value == pytest.approx(oracle)
+
+    def test_configuration_outside_the_axes_refused(self):
+        g = power_trap_graph()
+        for cfg in ((0,), (0, 0, 0), (2, 0), (0, -1)):
+            with pytest.raises(StructuralError, match="axis sizes"):
+                nfg.global_eval(g, cfg)
 
 
 class TestPartitionExact:

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from bethecover import config, nfg, spa
-from bethecover.errors import DegenerateBeliefError, ValidationError
+from bethecover.errors import (DegenerateBeliefError, StructuralError,
+                               ValidationError)
 from bethecover.generators import GeneratorSpec, gen
 from bethecover.tensor import choi_from_paired
 
@@ -147,7 +148,7 @@ class TestBatchedSweep:
 
     def test_reinitialization_matches_oracle(self):
         g = power_trap_graph()
-        m = power_trap_fixed_point()
+        m = power_trap_fixed_point(g)
         new, info = spa.spa_step(g, m, rng=np.random.default_rng(5))
         want, residual, degenerate = oracle_step(
             g, m, rng=np.random.default_rng(5))
@@ -165,7 +166,7 @@ class TestBatchedSweep:
             [("e1", ("a", "b"), 2), ("e2", ("b", "c"), 2)],
             {"a": np.ones(2), "b": np.array([[1.0, 1.0], [1.0, -3.0]]),
              "c": np.ones(2)}, weak_sense=True)
-        m = spa.MessageVector({
+        m = spa.messages(g, {
             ("e1", 0): np.array([0.5, 0.5]), ("e1", 1): np.array([0.8, 0.2]),
             ("e2", 1): np.array([0.8, 0.2]), ("e2", 2): np.array([0.5, 0.5])})
         new, info = spa.spa_step(g, m, rng=np.random.default_rng(2))
@@ -185,22 +186,31 @@ class TestBatchedSweep:
                 assert kappa[r] == pytest.approx(want_kappa[key], rel=1e-14)
 
     def test_message_vector_from_dict(self):
-        # a dict in any key order gives the same sweep as the plan's layout
+        # a dict in any key order is laid out in the plan's key order
         g = power_trap_graph()
-        m = power_trap_fixed_point()
-        assert list(m) != g.directed_keys()
-        laid_out = spa.MessageVector({k: m[k] for k in g.directed_keys()})
+        m = power_trap_fixed_point(g)
+        shuffled = {k: m[k] for k in reversed(g.directed_keys())}
+        laid_out = spa.messages(g, shuffled)
+        assert list(m) == list(laid_out) == g.directed_keys()
         assert spa.fixed_point_residual(g, m) == \
             spa.fixed_point_residual(g, laid_out) == 0.0
         assert spa.residual(m, laid_out) == 0.0
-        scaled = m.scaled(("e1", 0), 2.0)
-        assert scaled[("e1", 0)].tolist() == [0, 2]
         assert m[("e1", 0)].tolist() == [0, 1]
         with pytest.raises(ValueError):
             m[("e1", 0)][0] = 1.0
-        with pytest.raises(TypeError):
-            m.data[("e1", 0)] = np.ones(2)
-        assert m.copy() is m
+        with pytest.raises(ValueError):
+            m.rows[0, 0] = 1.0
+        # a missing key, an extra key or a wrong length is refused
+        with pytest.raises(StructuralError, match="missing"):
+            spa.messages(g, {k: m[k] for k in g.directed_keys()[1:]})
+        with pytest.raises(StructuralError, match="extra"):
+            spa.messages(g, {**shuffled, ("e1", 5): np.ones(2)})
+        with pytest.raises(StructuralError, match="shape"):
+            spa.messages(g, {**shuffled, ("e1", 0): np.ones(3)})
+        # a vector of another layout is refused, not relaid
+        other = spa.uniform_messages(build_fig3())
+        with pytest.raises(StructuralError, match="directed keys"):
+            spa.node_normalizers(g, other)
 
     def test_graph_without_edges(self):
         g = nfg.make_graph("double-edge", [("a", []), ("b", [])], [],
@@ -221,7 +231,7 @@ class TestStep:
 
     def test_power_trap_known_fixed_point(self):
         g = power_trap_graph()
-        m = power_trap_fixed_point()
+        m = power_trap_fixed_point(g)
         assert spa.fixed_point_residual(g, m) == 0.0
         z_e = spa.edge_normalizers(g, m)
         assert z_e["e1"] == 0.0 and z_e["e2"] == 0.0
@@ -230,7 +240,7 @@ class TestStep:
         # the update map contracts only algebraically here, so check the
         # trend rather than a tight tolerance
         g = power_trap_graph()
-        target = power_trap_fixed_point()
+        target = power_trap_fixed_point(g)
         m = spa.uniform_messages(g)
         distances = []
         for it in range(3000):
@@ -245,15 +255,15 @@ class TestStep:
         # (overlap kappa_e = 0) must trigger the randomized restart of all
         # messages incident to the edge's endpoints
         g = power_trap_graph()
-        m = power_trap_fixed_point()
+        m = power_trap_fixed_point(g)
         rng = np.random.default_rng(5)
         new, info = spa.spa_step(g, m, rng=rng)
         assert set(info.degenerate_edges) == {"e1", "e2"}
-        for key, vec in new.data.items():
+        for key in new:
+            vec = new[key]
             assert np.sum(vec) == pytest.approx(1.0)
             assert np.all(vec.real >= 0.0)
-            assert spa.residual(spa.MessageVector({key: vec}),
-                                spa.MessageVector({key: m[key]})) > 0.01
+            assert np.max(np.abs(vec - m[key])) > 0.01
 
     def test_unitary_chain_bethe_equals_partition(self):
         g = gen(GeneratorSpec(topology="unitary-chain", seed=2))
@@ -267,9 +277,9 @@ class TestStep:
         m = spa.uniform_messages(g)
         for it in range(30):
             m, _ = spa.spa_step(g, m)
-            for (eid, _node), vec in m.data.items():
+            for eid, node in m:
                 base = g.edge(eid).alphabet
-                assert min_choi_eigenvalue(vec, base) >= -1e-9
+                assert min_choi_eigenvalue(m[(eid, node)], base) >= -1e-9
             if it % 10 == 0:
                 b = spa.beliefs_at(g, m)
                 for eid, vec in b.edge.items():
@@ -334,7 +344,9 @@ class TestRun:
         g = fig3_psd(9)
         rep = spa.spa_run(g, restarts=1)
         key = ("e2", g.edge("e2").head)
-        scaled = rep.messages.scaled(key, 0.37 - 1.9j)
+        scaled = spa.messages(g, {
+            k: rep.messages[k] * (0.37 - 1.9j if k == key else 1.0)
+            for k in rep.messages})
         z_f = spa.node_normalizers(g, scaled)
         z_e = spa.edge_normalizers(g, scaled)
         zb = spa.bethe_partition_value(z_f, z_e)
@@ -380,6 +392,10 @@ class TestRun:
             switched += damping[-1] > damping[0]
         assert switched >= 1
         assert rep.iterations in [len(run) for run in runs.values()]
+
+    def test_unknown_init_refused(self):
+        with pytest.raises(StructuralError, match="init"):
+            spa.spa_run(build_fig3(), init="Uniform")
 
     def test_non_convergence_reported_not_raised(self):
         g = fig3_psd(3)
@@ -436,7 +452,7 @@ class TestBeliefs:
     def test_degenerate_normalizer_raises(self):
         g = power_trap_graph()
         with pytest.raises(DegenerateBeliefError, match="e1"):
-            spa.beliefs_at(g, power_trap_fixed_point())
+            spa.beliefs_at(g, power_trap_fixed_point(g))
 
 
 class TestBetheFreeEnergy:
@@ -448,8 +464,7 @@ class TestBetheFreeEnergy:
         for _ in range(10):
             p = rng.uniform(0.05, 0.95)
             b = spa.beliefs_from_configuration_weights(
-                g, {(("e1", 0), ("e2", 0)): p,
-                    (("e1", 1), ("e2", 1)): 1.0 - p})
+                g, {(0, 0): p, (1, 1): 1.0 - p})
             f = spa.bethe_free_energy(g, b)
             assert abs(f) <= 1e-9
             assert np.exp(-f) == pytest.approx(1.0)
@@ -476,8 +491,7 @@ class TestBetheFreeEnergy:
     def test_divergence_guard(self):
         g = power_trap_graph()
         # mass on the zero of f1 at (1, 0)
-        b = spa.beliefs_from_configuration_weights(
-            g, {(("e1", 1), ("e2", 0)): 1.0})
+        b = spa.beliefs_from_configuration_weights(g, {(1, 0): 1.0})
         assert spa.bethe_free_energy(g, b) == float("inf")
 
     def test_double_edge_rejected(self):
@@ -500,9 +514,9 @@ def test_beliefs_from_weights_are_consistent():
     rng = np.random.default_rng(1)
     weights = {}
     for _ in range(6):
-        cfg = tuple((e.eid, (int(rng.integers(0, 2)),
-                             int(rng.integers(0, 2))))
-                    for e in g.edges)
+        # the pair (x, x') of a binary double edge has axis index 2x + x'
+        cfg = tuple(2 * int(rng.integers(0, 2)) + int(rng.integers(0, 2))
+                    for _ in g.edges)
         weights[cfg] = float(rng.uniform(0.1, 1.0))
     b = spa.beliefs_from_configuration_weights(g, weights)
     assert spa.consistency_defect(g, b) <= 1e-12
