@@ -119,11 +119,6 @@ def type_of(vector, alphabet_size):
     return tuple(counts)
 
 
-def num_types(alphabet_size, degree):
-    """Number of possible types of length-``degree`` vectors."""
-    return math.comb(alphabet_size + degree - 1, degree)
-
-
 def class_size(counts):
     """Number of vectors sharing a type (multinomial coefficient)."""
     degree = sum(counts)
@@ -227,31 +222,36 @@ def zbm_montecarlo(g, degree, samples, seed=0):
                    samples=samples)
 
 
-def _types(alphabet_size, degree):
-    """All types of length-``degree`` vectors, in the fixed order the type
-    tensors index them by."""
-    return [type_of(v, alphabet_size) for v in
-            itertools.combinations_with_replacement(range(alphabet_size),
-                                                    degree)]
+def _type_tables(alphabet_size, degree):
+    """Gather tables of the type recursion for levels 1..``degree``, and
+    the types of length-``degree`` vectors.
 
-
-def _predecessors(alphabet_size, level):
-    """Gather table of the type recursion at ``level`` >= 1.
-
-    Row k, column c holds the index at ``level - 1`` of type k with one c
-    removed, or the zero slot ``n_{level-1}`` when type k holds no c.  An
-    extra last row, the zero slot of ``level``, maps every c to the zero
+    The types of a level are listed in the fixed order the type tensors
+    index them by: count tuples sorted in reverse, which is the order of
+    ``itertools.combinations_with_replacement``.  Each level's types are
+    the previous level's with one symbol added.  In the table of level j,
+    row k, column c holds the index at level j - 1 of type k with one c
+    removed, or the zero slot ``n_{j-1}`` when type k holds no c; an
+    extra last row, the zero slot of level j, maps every c to the zero
     slot.
     """
-    below = {t: k for k, t in enumerate(_types(alphabet_size, level - 1))}
-    here = _types(alphabet_size, level)
-    table = np.full((len(here) + 1, alphabet_size), len(below),
-                    dtype=np.intp)
-    for k, t in enumerate(here):
-        for c in range(alphabet_size):
-            if t[c]:
-                table[k, c] = below[t[:c] + (t[c] - 1,) + t[c + 1:]]
-    return table
+    below = [(0,) * alphabet_size]
+    tables = []
+    for _ in range(degree):
+        # type -> {symbol c: index below of the type with one c removed}
+        grown = {}
+        for i, t in enumerate(below):
+            for c in range(alphabet_size):
+                grown.setdefault(t[:c] + (t[c] + 1,) + t[c + 1:], {})[c] = i
+        here = sorted(grown, reverse=True)
+        table = np.full((len(here) + 1, alphabet_size), len(below),
+                        dtype=np.intp)
+        for k, t in enumerate(here):
+            for c, i in grown[t].items():
+                table[k, c] = i
+        tables.append(table)
+        below = here
+    return tables, below
 
 
 def _type_tensor_peak(sizes, degree):
@@ -277,7 +277,7 @@ def _type_tensor(t, tables, degree):
     leg-a symbols have type ``u_a``, i.e. the coefficients of the M-th
     power of the node's multilinear form.
 
-    ``tables[a][j]`` is leg a's :func:`_predecessors` table for level
+    ``tables[a][j]`` is leg a's :func:`_type_tables` table for level
     j + 1.  Level j + 1 is gathered from level j one leg at a time; every
     axis carries one trailing zero slot, which invalid predecessors read.
     """
@@ -325,10 +325,10 @@ def zbm_typeformula(g, degree):
     for e in g.edges:
         s = g.axis_size(e.eid)
         if s not in tables:
-            tables[s] = [_predecessors(s, j) for j in range(1, M + 1)]
+            tables[s], types = _type_tables(s, M)
             # integer true division is correctly rounded, and a count
             # beyond the float range gives 0.0, not an OverflowError
-            weights[s] = np.array([1 / class_size(u) for u in _types(s, M)])
+            weights[s] = np.array([1 / class_size(u) for u in types])
     tensors = []
     # an entry that overflows is refused by contract_network
     with np.errstate(over="ignore", invalid="ignore"):

@@ -16,9 +16,9 @@ import numpy as np
 from . import config
 from .errors import (DegenerateParameterError, InternalConsistencyError,
                      LctInapplicableError, ValidationError)
-from .nfg import configurations, serialize as serialize_graph
+from .nfg import complex_pairs, configurations, serialize as serialize_graph
 from .spa import (MessageVector, SpaReport, bethe_partition_value,
-                  edge_normalizers, messages, node_normalizers, raw_updates)
+                  edge_normalizers, node_normalizers)
 
 _REAL_TOL = 1e-9       # relative imaginary part allowed in a real value
 _WEIGHT_FLOOR = 1e-12  # loop-series terms below this share of g0 are dropped
@@ -287,31 +287,6 @@ def loop_series(lr):
     return out
 
 
-def nonzero_edge_subgraph_degrees(g, cfg):
-    """Node degrees of the subgraph of the edges whose axis index in the
-    configuration ``cfg`` is nonzero."""
-    deg = [0] * g.n_nodes
-    for e, v in zip(g.edges, cfg):
-        if v != 0:
-            deg[e.head] += 1
-            deg[e.tail] += 1
-    return deg
-
-
-def induced_fixed_point_check(lr):
-    """Residual of the all-zero indicator messages under one plain
-    sum-product update on the transformed graph, after per-message
-    rescaling."""
-    g = lr.transformed
-    raw, _kappa = raw_updates(g, messages(g, {
-        key: np.eye(1, g.axis_size(key[0]), dtype=np.complex128)[0]
-        for key in g.directed_keys()}))
-    lead = raw.rows[:, :1]
-    # a message whose lead entry vanishes is measured unscaled
-    ratios = raw.rows[:, 1:] / np.where(lead == 0.0, 1.0, lead)
-    return float(np.max(np.abs(ratios), initial=0.0))
-
-
 @dataclass
 class ConditionReport:
     """Outcome of the checkable dominance condition.
@@ -352,10 +327,6 @@ def check_condition(lr):
 # audit serialization                                                 #
 # ------------------------------------------------------------------ #
 
-def _matrix_pairs(mat):
-    return [[float(z.real), float(z.imag)] for z in np.asarray(mat).ravel()]
-
-
 def serialize_result(lr):
     """Transform result as a JSON document (same format family as the
     graph files; matrices as row-major complex pairs)."""
@@ -369,8 +340,8 @@ def serialize_result(lr):
                            ("z_e", "b0", "zeta_i", "zeta_j", "chi_i",
                             "chi_j", "delta_i", "delta_j", "eps_i",
                             "eps_j", "branch_one", "fragile")},
-                "m_i": _matrix_pairs(lr.m_matrices[eid][0]),
-                "m_j": _matrix_pairs(lr.m_matrices[eid][1]),
+                "m_i": complex_pairs(lr.m_matrices[eid][0]),
+                "m_j": complex_pairs(lr.m_matrices[eid][1]),
             }
             for eid, p in sorted(lr.params.items())
         },

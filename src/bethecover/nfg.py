@@ -20,8 +20,7 @@ from . import config
 from ._kernels import enum_configs
 from .errors import (DimensionError, ParseError, StructuralError,
                      ValidationError)
-from .tensor import (ComplexTensor, choi_from_paired, contract,
-                     paired_from_choi, stored_array)
+from .tensor import ComplexTensor, choi_from_paired, contract, stored_array
 
 STANDARD = "standard"
 DOUBLE = "double-edge"
@@ -35,10 +34,6 @@ class Edge:
     head: int       # smaller node index
     tail: int       # larger node index
     alphabet: int   # |X_e|, the base alphabet size
-
-    @property
-    def endpoints(self):
-        return (self.head, self.tail)
 
 
 class FactorGraph:
@@ -108,22 +103,6 @@ class FactorGraph:
                   in zip(self.node_names, tensors, self.tensors)]
         return FactorGraph(self.kind, self.node_names, self.incidences,
                            self.edges, arrays, weak)
-
-    def is_forest(self):
-        parent = list(range(self.n_nodes))
-
-        def root(a):
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        for e in self.edges:
-            ra, rb = root(e.head), root(e.tail)
-            if ra == rb:
-                return False
-            parent[ra] = rb
-        return True
 
 
 def make_graph(kind, nodes, edges, tensors, weak_sense=False):
@@ -461,7 +440,8 @@ def partition_contract(g):
 # text serialization                                                  #
 # ------------------------------------------------------------------ #
 
-def _complex_pairs(arr):
+def complex_pairs(arr):
+    """Entries of ``arr`` in row-major order as ``[re, im]`` pairs."""
     flat = np.asarray(arr, dtype=np.complex128).reshape(-1)
     return [[float(z.real), float(z.imag)] for z in flat]
 
@@ -479,14 +459,33 @@ def serialize(g):
                    "alphabet": e.alphabet}
                   for e in g.edges],
         "tensors": {name: {"axes": list(g.incidences[k]),
-                           "data": _complex_pairs(g.tensors[k])}
+                           "data": complex_pairs(g.tensors[k])}
                     for k, name in enumerate(g.node_names)},
     }
     return json.dumps(doc, indent=1)
 
 
+_JSON_TYPES = {dict: "an object", list: "a list", str: "a string",
+               int: "an integer", bool: "true or false"}
+
+
+def _field(value, kind, location):
+    """``value`` if its JSON type is ``kind`` (a bool is not an integer),
+    else ``ParseError`` at ``location``."""
+    if not isinstance(value, kind) or (kind is int
+                                       and isinstance(value, bool)):
+        raise ParseError(f"expected {_JSON_TYPES[kind]}, got "
+                         f"{json.dumps(value)[:40]}", location=location)
+    return value
+
+
 def parse(text):
-    """Parse a serialized graph document; inverse of :func:`serialize`."""
+    """Parse a serialized graph document; inverse of :func:`serialize`.
+
+    Every field is checked for its JSON type where it is read; a document
+    that does not describe a graph raises ``ParseError``, never another
+    exception.
+    """
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -504,29 +503,47 @@ def parse(text):
     if kind not in (STANDARD, DOUBLE):
         raise ParseError(f"unknown kind {kind!r}", location="kind")
     mult = 1 if kind == STANDARD else 2
+    weak_sense = _field(doc.get("weak_sense", False), bool, "weak_sense")
 
     nodes, edges, tensors = [], [], {}
-    for k, nd in enumerate(doc["nodes"]):
+    for k, nd in enumerate(_field(doc["nodes"], list, "nodes")):
+        where = f"nodes[{k}]"
+        _field(nd, dict, where)
         if "name" not in nd or "edges" not in nd:
-            raise ParseError("node needs 'name' and 'edges'",
-                             location=f"nodes[{k}]")
-        nodes.append((nd["name"], list(nd["edges"])))
-    for k, ed in enumerate(doc["edges"]):
+            raise ParseError("node needs 'name' and 'edges'", location=where)
+        incident = _field(nd["edges"], list, f"{where}.edges")
+        for a, eid in enumerate(incident):
+            _field(eid, str, f"{where}.edges[{a}]")
+        nodes.append((_field(nd["name"], str, f"{where}.name"), incident))
+    for k, ed in enumerate(_field(doc["edges"], list, "edges")):
+        where = f"edges[{k}]"
+        _field(ed, dict, where)
         for key in ("id", "endpoints", "alphabet"):
             if key not in ed:
-                raise ParseError(f"edge needs {key!r}",
-                                 location=f"edges[{k}]")
-        if len(ed["endpoints"]) != 2:
+                raise ParseError(f"edge needs {key!r}", location=where)
+        ends = _field(ed["endpoints"], list, f"{where}.endpoints")
+        if len(ends) != 2:
             raise ParseError("edge needs exactly two endpoints",
-                             location=f"edges[{k}]")
-        edges.append((ed["id"], tuple(ed["endpoints"]), int(ed["alphabet"])))
+                             location=where)
+        for a, name in enumerate(ends):
+            _field(name, str, f"{where}.endpoints[{a}]")
+        # checked here, not only by make_graph: the tensor shapes below
+        # are built from it
+        alphabet = _field(ed["alphabet"], int, f"{where}.alphabet")
+        if alphabet < 1:
+            raise ParseError(f"alphabet must be positive, got {alphabet}",
+                             location=f"{where}.alphabet")
+        edges.append((_field(ed["id"], str, f"{where}.id"), tuple(ends),
+                      alphabet))
     alpha = {eid: a for eid, _, a in edges}
+    tensor_docs = _field(doc["tensors"], dict, "tensors")
     for name, incident in nodes:
-        td = doc["tensors"].get(name)
+        td = tensor_docs.get(name)
         if td is None:
             raise ParseError(f"missing tensor for node {name!r}",
                              location="tensors")
-        if list(td.get("axes", [])) != list(incident):
+        _field(td, dict, f"tensors[{name!r}]")
+        if td.get("axes", []) != incident:
             raise ParseError(
                 f"axis order {td.get('axes')} does not match the node's "
                 f"incident edges {list(incident)}",
@@ -554,8 +571,7 @@ def parse(text):
         shape = tuple(alpha[eid] ** mult for eid in incident)
         tensors[name] = flat.reshape(shape)
     try:
-        return make_graph(kind, nodes, edges, tensors,
-                          weak_sense=bool(doc.get("weak_sense", False)))
+        return make_graph(kind, nodes, edges, tensors, weak_sense=weak_sense)
     except StructuralError as exc:
         raise ParseError(str(exc)) from exc
 
@@ -569,24 +585,3 @@ def save(g, path):
 def load(path):
     with open(path, "r", encoding="utf-8") as fh:
         return parse(fh.read())
-
-
-# ------------------------------------------------------------------ #
-# standard -> double-edge embedding                                   #
-# ------------------------------------------------------------------ #
-
-def as_double_edge(g):
-    """Embed a standard graph as a double-edge graph with diagonal
-    matrices: the pair variable must agree with its primed copy."""
-    if g.kind != STANDARD:
-        raise StructuralError("graph is already double-edge")
-    tensors = {}
-    for k, name in enumerate(g.node_names):
-        flat = g.tensors[k].reshape(-1)
-        bases = [g.edge(eid).alphabet for eid in g.incidences[k]]
-        tensors[name] = paired_from_choi(np.diag(flat), bases)
-    nodes = [(name, list(g.incidences[k]))
-             for k, name in enumerate(g.node_names)]
-    edges = [(e.eid, (g.node_names[e.head], g.node_names[e.tail]),
-              e.alphabet) for e in g.edges]
-    return make_graph(DOUBLE, nodes, edges, tensors)

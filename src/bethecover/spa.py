@@ -71,15 +71,6 @@ def messages(g, mapping):
     return MessageVector(plan, rows)
 
 
-def _max_abs(arr):
-    return float(np.max(np.abs(arr), initial=0.0))
-
-
-def residual(a, b):
-    """Largest componentwise change between two message vectors."""
-    return _max_abs(a.rows - a.plan.rows_of(b))
-
-
 def uniform_messages(g):
     plan = _plan(g)
     rows = np.zeros((len(plan.keys), plan.width), dtype=np.complex128)
@@ -251,14 +242,6 @@ def raw_updates(g, m):
     return MessageVector(plan, raw), kappa
 
 
-def fixed_point_residual(g, m):
-    """Residual of the plain update map at ``m`` (no reinitialization)."""
-    _, rows, raw, kappa = _raw(g, m)
-    if np.any(kappa == 0.0):
-        return float("inf")
-    return _max_abs(raw / kappa[:, None] - rows)
-
-
 @dataclass
 class StepInfo:
     degenerate_edges: list
@@ -286,7 +269,7 @@ def spa_step(g, m, rng=None, damping=0.0):
     live = np.abs(kappa) > tol_zero
     new = np.where(live[:, None],
                    raw / np.where(live, kappa, 1.0)[:, None], rows)
-    map_residual = _max_abs(new - rows)
+    map_residual = float(np.max(np.abs(new - rows), initial=0.0))
 
     kappa_node = plan.node_sums(new)
     # an overflowing product comes out inf or NaN; neither passes the zero
@@ -507,30 +490,6 @@ def consistency_defect(g, b):
     return worst
 
 
-def beliefs_from_configuration_weights(g, weights):
-    """Consistent beliefs induced by a distribution over configurations.
-
-    ``weights`` maps configurations to nonnegative numbers; they are
-    normalized internally.  A configuration is a tuple of axis indices,
-    one per edge in ``g.edges`` order, as :func:`bethecover.nfg.global_eval`
-    takes it.  The resulting beliefs satisfy the local consistency
-    constraints exactly.
-    """
-    total = float(sum(weights.values()))
-    edge = {e.eid: np.zeros(g.axis_size(e.eid), dtype=np.complex128)
-            for e in g.edges}
-    node = {name: np.zeros(g.tensors[k].shape, dtype=np.complex128)
-            for k, name in enumerate(g.node_names)}
-    legs = [g.edge_positions(k) for k in range(g.n_nodes)]
-    for cfg, w in weights.items():
-        p = w / total
-        for e, x in zip(g.edges, cfg):
-            edge[e.eid][x] += p
-        for name, pos in zip(g.node_names, legs):
-            node[name][tuple(cfg[i] for i in pos)] += p
-    return Beliefs(edge, node)
-
-
 def _entropy(p):
     p = np.real(p).reshape(-1)
     mask = p > 0.0
@@ -547,18 +506,13 @@ def bethe_free_energy(g, b):
     if g.kind != STANDARD:
         raise ValidationError(
             "the Bethe free energy is only evaluated on standard graphs")
-    for name, t in b.node.items():
-        ti = np.asarray(t)
-        if (float(np.max(np.abs(ti.imag))) > _BELIEF_TOL
-                or float(np.min(ti.real)) < -_BELIEF_TOL
-                or abs(float(np.sum(ti.real)) - 1.0) > _BELIEF_TOL):
-            raise ValidationError(f"node belief {name!r} is not a pmf")
-    for eid, v in b.edge.items():
-        vi = np.asarray(v)
-        if (float(np.max(np.abs(vi.imag))) > _BELIEF_TOL
-                or float(np.min(vi.real)) < -_BELIEF_TOL
-                or abs(float(np.sum(vi.real)) - 1.0) > _BELIEF_TOL):
-            raise ValidationError(f"edge belief {eid!r} is not a pmf")
+    for what, beliefs in (("node", b.node), ("edge", b.edge)):
+        for key, p in beliefs.items():
+            p = np.asarray(p)
+            if (float(np.max(np.abs(p.imag))) > _BELIEF_TOL
+                    or float(np.min(p.real)) < -_BELIEF_TOL
+                    or abs(float(np.sum(p.real)) - 1.0) > _BELIEF_TOL):
+                raise ValidationError(f"{what} belief {key!r} is not a pmf")
     defect = consistency_defect(g, b)
     if defect > _BELIEF_TOL:
         raise ValidationError(

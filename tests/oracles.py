@@ -1,0 +1,155 @@
+"""Reference routes that only the tests use.
+
+Each one states a result of the package a second way, or builds an input
+that no command needs; none of them has a caller in the package.  Tests
+import this module as they import ``conftest``.
+"""
+
+import itertools
+
+import numpy as np
+
+from bethecover import nfg, spa
+from bethecover.cover import type_of
+from bethecover.errors import StructuralError
+from bethecover.tensor import paired_from_choi
+
+
+def _max_abs(arr):
+    return float(np.max(np.abs(arr), initial=0.0))
+
+
+# ------------------------------------------------------------------ #
+# graphs                                                              #
+# ------------------------------------------------------------------ #
+
+def as_double_edge(g):
+    """Embed a standard graph as a double-edge graph with diagonal
+    matrices: the pair variable must agree with its primed copy."""
+    if g.kind != nfg.STANDARD:
+        raise StructuralError("graph is already double-edge")
+    tensors = {}
+    for k, name in enumerate(g.node_names):
+        flat = g.tensors[k].reshape(-1)
+        bases = [g.edge(eid).alphabet for eid in g.incidences[k]]
+        tensors[name] = paired_from_choi(np.diag(flat), bases)
+    nodes = [(name, list(g.incidences[k]))
+             for k, name in enumerate(g.node_names)]
+    edges = [(e.eid, (g.node_names[e.head], g.node_names[e.tail]),
+              e.alphabet) for e in g.edges]
+    return nfg.make_graph(nfg.DOUBLE, nodes, edges, tensors)
+
+
+def is_forest(g):
+    """Whether ``g`` has no cycle (parallel edges make one)."""
+    parent = list(range(g.n_nodes))
+
+    def root(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for e in g.edges:
+        ra, rb = root(e.head), root(e.tail)
+        if ra == rb:
+            return False
+        parent[ra] = rb
+    return True
+
+
+# ------------------------------------------------------------------ #
+# messages and beliefs                                                #
+# ------------------------------------------------------------------ #
+
+def residual(a, b):
+    """Largest componentwise change between two message vectors."""
+    return _max_abs(a.rows - a.plan.rows_of(b))
+
+
+def fixed_point_residual(g, m):
+    """Residual of the plain update map at ``m`` (no reinitialization)."""
+    raw, kappa = spa.raw_updates(g, m)
+    if np.any(kappa == 0.0):
+        return float("inf")
+    return _max_abs(raw.rows / kappa[:, None] - m.rows)
+
+
+def beliefs_from_configuration_weights(g, weights):
+    """Consistent beliefs induced by a distribution over configurations.
+
+    ``weights`` maps configurations to nonnegative numbers; they are
+    normalized internally.  A configuration is a tuple of axis indices,
+    one per edge in ``g.edges`` order, as :func:`bethecover.nfg.global_eval`
+    takes it.  The resulting beliefs satisfy the local consistency
+    constraints exactly.
+    """
+    total = float(sum(weights.values()))
+    edge = {e.eid: np.zeros(g.axis_size(e.eid), dtype=np.complex128)
+            for e in g.edges}
+    node = {name: np.zeros(g.tensors[k].shape, dtype=np.complex128)
+            for k, name in enumerate(g.node_names)}
+    legs = [g.edge_positions(k) for k in range(g.n_nodes)]
+    for cfg, w in weights.items():
+        p = w / total
+        for e, x in zip(g.edges, cfg):
+            edge[e.eid][x] += p
+        for name, pos in zip(g.node_names, legs):
+            node[name][tuple(cfg[i] for i in pos)] += p
+    return spa.Beliefs(edge, node)
+
+
+# ------------------------------------------------------------------ #
+# the loop-calculus transform                                         #
+# ------------------------------------------------------------------ #
+
+def nonzero_edge_subgraph_degrees(g, cfg):
+    """Node degrees of the subgraph of the edges whose axis index in the
+    configuration ``cfg`` is nonzero."""
+    deg = [0] * g.n_nodes
+    for e, v in zip(g.edges, cfg):
+        if v != 0:
+            deg[e.head] += 1
+            deg[e.tail] += 1
+    return deg
+
+
+def induced_fixed_point_check(lr):
+    """Residual of the all-zero indicator messages under one plain
+    sum-product update on the transformed graph, after per-message
+    rescaling."""
+    g = lr.transformed
+    raw, _kappa = spa.raw_updates(g, spa.messages(g, {
+        key: np.eye(1, g.axis_size(key[0]), dtype=np.complex128)[0]
+        for key in g.directed_keys()}))
+    lead = raw.rows[:, :1]
+    # a message whose lead entry vanishes is measured unscaled
+    ratios = raw.rows[:, 1:] / np.where(lead == 0.0, 1.0, lead)
+    return float(np.max(np.abs(ratios), initial=0.0))
+
+
+# ------------------------------------------------------------------ #
+# type tables                                                         #
+# ------------------------------------------------------------------ #
+
+def types(alphabet_size, degree):
+    """All types of length-``degree`` vectors, each recounted from a
+    sorted vector, in the order the type tensors index them by."""
+    return [type_of(v, alphabet_size) for v in
+            itertools.combinations_with_replacement(range(alphabet_size),
+                                                    degree)]
+
+
+def predecessors(alphabet_size, level):
+    """Gather table of the type recursion at ``level`` >= 1, from the
+    recounted types of ``level`` and ``level - 1``: the table
+    :func:`bethecover.cover._type_tables` derives level by level."""
+    below = {t: k for k, t in enumerate(types(alphabet_size, level - 1))}
+    here = types(alphabet_size, level)
+    table = np.full((len(here) + 1, alphabet_size), len(below),
+                    dtype=np.intp)
+    for k, t in enumerate(here):
+        for c in range(alphabet_size):
+            if t[c]:
+                table[k, c] = below[t[:c] + (t[c] - 1,) + t[c + 1:]]
+    return table

@@ -23,10 +23,13 @@ def graph_file(tmp_path, capsys):
     return str(path)
 
 
-def test_gen_validate_exact(graph_file, capsys):
-    assert main(["validate", graph_file]) == 0
+def test_gen_validate_exact(graph_file, tmp_path, capsys):
+    path = tmp_path / "v.json"
+    assert main(["validate", graph_file, "--json", str(path)]) == 0
     out = capsys.readouterr().out
-    assert "strict-sense" in out
+    assert "classification: strict-sense\n" in out
+    assert json.load(open(path)) == {
+        "valid": True, "classification": "strict-sense", "problems": []}
     assert main(["exact", graph_file]) == 0
     out = capsys.readouterr().out
     assert out.startswith("Z = ")
@@ -128,10 +131,16 @@ def test_validation_exit_code(tmp_path, capsys):
     g = graph_with_choi(
         [("f1", ["e1", "e2"]), ("f2", ["e1", "e2"])],
         [("e1", ("f1", "f2"), 2), ("e2", ("f1", "f2"), 2)], choi)
-    path = tmp_path / "weak.nfg.json"
+    path, jpath = tmp_path / "weak.nfg.json", tmp_path / "v.json"
     nfg.save(g, path)
-    assert main(["validate", str(path)]) == 2
-    capsys.readouterr()
+    assert main(["validate", str(path), "--json", str(jpath)]) == 2
+    problems = [line[len("problem: "):] for line
+                in capsys.readouterr().out.splitlines()
+                if line.startswith("problem: ")]
+    doc = json.load(open(jpath))
+    assert doc == {"valid": False, "classification": "weak-sense",
+                   "problems": problems}
+    assert len(problems) == 1 and "f1" in problems[0]
 
 
 def test_parse_error_exit_code(tmp_path, capsys):
@@ -359,3 +368,186 @@ def test_every_declared_flag_is_read(graph_file, capsys):
         assert not unread, f"{name} declares {sorted(unread)} but never " \
                            "reads them"
     capsys.readouterr()
+
+
+def _set(*path_and_value):
+    """Mutation of a graph document: set the entry at a key path."""
+    *path, value = path_and_value
+
+    def mutate(doc):
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        return doc
+    return mutate
+
+
+def _drop(*path):
+    """Mutation of a graph document: delete the entry at a key path."""
+    def mutate(doc):
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        del node[path[-1]]
+        return doc
+    return mutate
+
+
+def _unknown_axis(doc):
+    doc["nodes"][0]["edges"][2] = "e9"
+    doc["tensors"]["f1"]["axes"][2] = "e9"
+    return doc
+
+
+def _negative_alphabets(doc):
+    # two parallel edges of alphabet -1: each node's data would be
+    # reshaped to (-1, -1)
+    return {"schema": "nfg-1", "kind": "standard",
+            "nodes": [{"name": "a", "edges": ["x", "y"]},
+                      {"name": "b", "edges": ["x", "y"]}],
+            "edges": [{"id": e, "endpoints": ["a", "b"], "alphabet": -1}
+                      for e in ("x", "y")],
+            "tensors": {n: {"axes": ["x", "y"], "data": [[1.0, 0.0]]}
+                        for n in ("a", "b")}}
+
+
+MALFORMED = {
+    # a field of the wrong JSON type
+    "nodes-not-a-list": _set("nodes", 5),
+    "edges-not-a-list": _set("edges", None),
+    "node-not-an-object": _set("nodes", 0, "f1"),
+    "node-edges-not-a-list": _set("nodes", 0, "edges", 7),
+    "node-edge-entry-a-list": _set("nodes", 0, "edges", 0, ["e1"]),
+    "node-name-a-list": _set("nodes", 0, "name", ["f1"]),
+    "edge-not-an-object": _set("edges", 0, ["e1"]),
+    "edge-id-a-list": _set("edges", 0, "id", ["e1"]),
+    "endpoints-not-a-list": _set("edges", 0, "endpoints", 12),
+    "endpoint-a-list": _set("edges", 0, "endpoints", 0, ["f1"]),
+    "alphabet-a-string": _set("edges", 0, "alphabet", "abc"),
+    "alphabet-null": _set("edges", 0, "alphabet", None),
+    "alphabet-a-float": _set("edges", 0, "alphabet", 2.5),
+    "alphabet-a-bool": _set("edges", 0, "alphabet", True),
+    "alphabet-negative": _negative_alphabets,
+    "tensors-not-an-object": _set("tensors", []),
+    "tensor-not-an-object": _set("tensors", "f1", [1, 2]),
+    "axes-not-a-list": _set("tensors", "f1", "axes", 3),
+    "weak-sense-a-string": _set("weak_sense", "no"),
+    # the remaining ParseError branches
+    "top-level-a-list": lambda doc: [doc],
+    "unsupported-schema": _set("schema", "nfg-0"),
+    "unknown-kind": _set("kind", "triple-edge"),
+    "node-without-name": _drop("nodes", 0, "name"),
+    "edge-without-alphabet": _drop("edges", 0, "alphabet"),
+    "one-endpoint": _set("edges", 0, "endpoints", ["f1"]),
+    "missing-tensor": _drop("tensors", "f1"),
+    "axis-of-unknown-edge": _unknown_axis,
+    "short-data": _set("tensors", "f1", "data", [[1.0, 0.0]]),
+    "entry-not-a-pair": _set("tensors", "f1", "data", 0, [1.0]),
+    "self-loop": _set("edges", 0, "endpoints", ["f1", "f1"]),
+}
+
+
+@pytest.mark.parametrize("mutate", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_document_exits_2(graph_file, mutate, capsys):
+    doc = mutate(json.load(open(graph_file)))
+    with open(graph_file, "w") as fh:
+        json.dump(doc, fh)
+    assert main(["exact", graph_file]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error:")
+
+
+def test_malformed_field_names_its_location(graph_file, capsys):
+    doc = json.load(open(graph_file))
+    doc["edges"][3]["alphabet"] = 2.5
+    with open(graph_file, "w") as fh:
+        json.dump(doc, fh)
+    assert main(["exact", graph_file]) == 2
+    assert "(at edges[3].alphabet)" in capsys.readouterr().err
+
+
+def _stdout_fields(text):
+    """Each stdout line split at its first `` = ``, else at its first
+    ``: ``, as label -> value."""
+    out = {}
+    for line in text.splitlines():
+        for sep in (" = ", ": "):
+            key, found, value = line.partition(sep)
+            if found:
+                out[key] = value
+                break
+    return out
+
+
+def _complex(text):
+    re, im = text.split(" + ")
+    return [float(re), float(im.rstrip("j"))]
+
+
+def test_spa_json_matches_stdout(graph_file, tmp_path, capsys):
+    path = tmp_path / "spa.json"
+    assert main(["spa", graph_file, "--restarts", "2",
+                 "--json", str(path)]) == 0
+    out = _stdout_fields(capsys.readouterr().out)
+    doc = json.load(open(path))
+    assert doc["converged"] is True
+    assert f"after {doc['iterations']} iterations" in out["converged"]
+    assert doc["zb"] == _complex(out["Z_B"])
+    assert doc["z_f"] == {k: _complex(out[f"Z_f[{k}]"]) for k in doc["z_f"]}
+    assert doc["z_e"] == {k: _complex(out[f"Z_e[{k}]"]) for k in doc["z_e"]}
+    assert sorted(doc["z_f"]) == ["f1", "f2", "f3", "f4"]
+    assert sorted(doc["z_e"]) == ["e1", "e2", "e3", "e4", "e5"]
+
+
+def test_check_condition_json_matches_stdout(graph_file, tmp_path, capsys):
+    path = tmp_path / "c.json"
+    assert main(["check-condition", graph_file, "--restarts", "1",
+                 "--json", str(path)]) == 0
+    out = _stdout_fields(capsys.readouterr().out)
+    doc = json.load(open(path))
+    assert doc["z_star"] == float(out["Z*"])
+    assert doc["mass"] == float(out["absolute mass"])
+    assert doc["alpha"] == float(out["alpha"].split(" ")[0])
+    assert str(doc["condition"]) == out["condition Z* > (2/3) * mass"]
+
+
+def test_bounds_json_matches_stdout(tmp_path, capsys):
+    path = tmp_path / "b.json"
+    assert main(["bounds", "--topology", "fig3", "--ensemble",
+                 "psd-near-identity", "--seed", "1", "--restarts", "1",
+                 "--mmax", "2", "--json", str(path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    doc = json.load(open(path))
+    alpha, z_star = lines[0].split("  (")[0].split("  Z* = ")
+    assert doc["alpha"] == float(alpha[len("alpha = "):])
+    assert doc["z_star"] == float(z_star)
+    assert [ent["M"] for ent in doc["entries"]] == [1, 2]
+    for ent, line in zip(doc["entries"], lines[1:]):
+        lower, ratio, upper = line.split(": ")[1].split("  [")[0] \
+            .split(" <= ")
+        assert line.startswith(f"M={ent['M']}: ")
+        assert [ent["lower"], ent["ratio"], ent["upper"]] == \
+            [float(lower), float(ratio), float(upper)]
+        assert ent["ok"] == line.endswith("[ok]")
+
+
+def test_cover_identity_sigma(graph_file, tmp_path, capsys):
+    # the identity permutations give M disjoint copies: Z(cover) = Z**M
+    zpath, jpath = tmp_path / "z.json", tmp_path / "cover.nfg.json"
+    assert main(["exact", graph_file, "--json", str(zpath)]) == 0
+    z = json.load(open(zpath))["z"][0]
+    assert main(["cover", graph_file, "--m", "3", "--identity-sigma",
+                 "--json", str(jpath)]) == 0
+    out = _stdout_fields(capsys.readouterr().out)
+    assert _complex(out["Z(cover)"])[0] == pytest.approx(z ** 3, rel=1e-9)
+    cov = nfg.load(jpath)
+    assert cov.n_nodes == 12 and cov.n_edges == 15
+    g = nfg.load(graph_file)
+    for e in cov.edges:
+        # copy m of an edge joins copy m of both its endpoints
+        base = g.edge(e.eid.split(".")[0])
+        copy = e.eid.split(".")[1]
+        assert (cov.node_names[e.head], cov.node_names[e.tail]) == (
+            f"{g.node_names[base.head]}.{copy}",
+            f"{g.node_names[base.tail]}.{copy}")

@@ -1,6 +1,7 @@
 """Covers, the three degree-M estimators, type utilities, bounds."""
 
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -14,6 +15,7 @@ from bethecover.tensor import ComplexTensor
 
 from conftest import build_fig3, fig3_near_identity, fig3_psd, \
     random_tree_de, two_cycle
+from oracles import is_forest, predecessors, types as oracle_types
 
 
 class TestBuildCover:
@@ -40,7 +42,7 @@ class TestBuildCover:
         cov = cover.build_cover(g, spec)
         assert cov.n_nodes == 8
         assert cov.n_edges == 10
-        assert not cov.is_forest()
+        assert not is_forest(cov)
         z_enum = nfg.partition_exact(cov)
         z_con = nfg.partition_contract(cov)
         assert z_con == pytest.approx(z_enum, rel=1e-9)
@@ -184,7 +186,7 @@ class TestCoverNetwork:
 
 class TestTypeUtilities:
     def test_binary_degree_two(self):
-        assert cover.num_types(2, 2) == 3
+        assert math.comb(2 + 2 - 1, 2) == 3
         assert [cover.class_size(t) for t in ((2, 0), (1, 1), (0, 2))] \
             == [1, 2, 1]
 
@@ -195,7 +197,7 @@ class TestTypeUtilities:
 
     def test_enumeration_identity(self):
         # |X| = 4, M = 3: 20 types whose class sizes add up to 4**3
-        assert cover.num_types(4, 3) == 20
+        assert math.comb(4 + 3 - 1, 3) == 20
         total = 0
         seen = set()
         for v in itertools.product(range(4), repeat=3):
@@ -204,6 +206,17 @@ class TestTypeUtilities:
         for t in seen:
             total += cover.class_size(t)
         assert total == 4 ** 3
+
+    @pytest.mark.parametrize("alphabet", range(1, 6))
+    def test_tables_match_the_recount(self, alphabet):
+        for degree in range(1, 7):
+            tables, types = cover._type_tables(alphabet, degree)
+            assert len(tables) == degree
+            for level, table in enumerate(tables, 1):
+                assert np.array_equal(table,
+                                      predecessors(alphabet, level))
+            assert types == oracle_types(alphabet, degree)
+            assert len(types) == math.comb(alphabet + degree - 1, degree)
 
 
 class TestSocketProjector:

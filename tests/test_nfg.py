@@ -20,6 +20,7 @@ from bethecover.tensor import ComplexTensor, contract, paired_from_choi
 from conftest import (FIG3_EDGES, FIG3_NODES, build_fig3, fig3_psd,
                       graph_with_choi, power_trap_graph, random_tree_de,
                       two_cycle)
+from oracles import as_double_edge, is_forest
 
 
 def brute_force_partition(g):
@@ -51,6 +52,24 @@ class TestConstruction:
                            edges=[("e1", ("f1", "f2"), 2),
                                   ("e2", ("f1", "f2"), 2)],
                            tensors={"f1": np.ones(2), "f2": np.ones(2)})
+
+    @pytest.mark.parametrize("change, message", [
+        (dict(kind="triple-edge"), "unknown graph kind"),
+        (dict(nodes=[("f1", ["e1"]), ("f1", ["e1"])]), "not distinct"),
+        (dict(edges=[("e1", ("f1", "f2"), 2), ("e1", ("f1", "f2"), 2)]),
+         "duplicate edge id 'e1'"),
+        (dict(edges=[("e1", ("f1", "f9"), 2)]), "unknown node"),
+        (dict(edges=[("e1", ("f1", "f2"), 0)]), "empty alphabet"),
+        (dict(nodes=[("f1", ["e1"]), ("f2", ["e1", "e9"])]),
+         "unknown edge 'e9'"),
+        (dict(tensors={"f1": np.ones(2)}), "missing tensor for node 'f2'"),
+    ])
+    def test_make_graph_refusals(self, change, message):
+        args = dict(kind="standard", nodes=[("f1", ["e1"]), ("f2", ["e1"])],
+                    edges=[("e1", ("f1", "f2"), 2)],
+                    tensors={"f1": np.ones(2), "f2": np.ones(2)})
+        with pytest.raises(StructuralError, match=message):
+            nfg.make_graph(**{**args, **change})
 
     def test_axis_mismatch_rejected(self):
         with pytest.raises(StructuralError, match="shape"):
@@ -132,7 +151,7 @@ class TestValidate:
         assert report.valid
         assert report.classification == "strict-sense"
         assert g.node_names == ("rho", "U", "B", "I")
-        assert g.is_forest()
+        assert is_forest(g)
 
     def test_standard_negative_entry_flagged(self):
         g = two_cycle(np.array([[1.0, -0.5], [0.0, 1.0]]), np.eye(2))
@@ -486,7 +505,7 @@ class TestEmbedding:
         for seed in range(5):
             g = gen(GeneratorSpec(topology="fig3", kind="standard",
                                   ensemble="positive-s-nfg", seed=seed))
-            ge = nfg.as_double_edge(g)
+            ge = as_double_edge(g)
             assert nfg.validate(ge).classification == "strict-sense"
             assert nfg.partition_exact(ge) == pytest.approx(
                 nfg.partition_exact(g), rel=1e-12)

@@ -14,6 +14,8 @@ from bethecover.tensor import choi_from_paired
 from conftest import (build_fig3, fig3_psd, graph_with_choi,
                       power_trap_fixed_point, power_trap_graph, random_choi,
                       random_tree_de, two_cycle)
+from oracles import (beliefs_from_configuration_weights, fixed_point_residual,
+                     residual)
 
 
 def min_choi_eigenvalue(vec, base):
@@ -66,8 +68,8 @@ def oracle_step(g, m, rng=None, damping=0.0):
                 * kappa_node[e.head] * kappa_node[e.tail])
         if abs(prod) <= tol_zero:
             degenerate.append(e.eid)
-    reinit = sorted({(other, node) for eid in degenerate
-                     for node in g.edge(eid).endpoints
+    reinit = sorted({(other, node) for e in map(g.edge, degenerate)
+                     for node in (e.head, e.tail)
                      for other in g.incidences[node]})
     for key in reinit:
         new[key] = spa.random_message(g, key[0], rng)
@@ -192,9 +194,9 @@ class TestBatchedSweep:
         shuffled = {k: m[k] for k in reversed(g.directed_keys())}
         laid_out = spa.messages(g, shuffled)
         assert list(m) == list(laid_out) == g.directed_keys()
-        assert spa.fixed_point_residual(g, m) == \
-            spa.fixed_point_residual(g, laid_out) == 0.0
-        assert spa.residual(m, laid_out) == 0.0
+        assert fixed_point_residual(g, m) == \
+            fixed_point_residual(g, laid_out) == 0.0
+        assert residual(m, laid_out) == 0.0
         assert m[("e1", 0)].tolist() == [0, 1]
         with pytest.raises(ValueError):
             m[("e1", 0)][0] = 1.0
@@ -227,12 +229,12 @@ class TestStep:
         m = spa.uniform_messages(g)
         new, info = spa.spa_step(g, m)
         assert not info.degenerate_edges
-        assert spa.residual(new, m) == 0.0
+        assert residual(new, m) == 0.0
 
     def test_power_trap_known_fixed_point(self):
         g = power_trap_graph()
         m = power_trap_fixed_point(g)
-        assert spa.fixed_point_residual(g, m) == 0.0
+        assert fixed_point_residual(g, m) == 0.0
         z_e = spa.edge_normalizers(g, m)
         assert z_e["e1"] == 0.0 and z_e["e2"] == 0.0
 
@@ -246,7 +248,7 @@ class TestStep:
         for it in range(3000):
             m, _ = spa.spa_step(g, m)
             if it % 1000 == 999:
-                distances.append(spa.residual(m, target))
+                distances.append(residual(m, target))
         assert distances[-1] < 2e-3
         assert distances[0] > distances[1] > distances[2]
 
@@ -338,7 +340,7 @@ class TestRun:
         rep = spa.spa_run(g, restarts=1, tol_fp=1e-11)
         assert rep.converged
         assert rep.residual <= 1e-11
-        assert spa.fixed_point_residual(g, rep.messages) <= 1e-9
+        assert fixed_point_residual(g, rep.messages) <= 1e-9
 
     def test_scaling_invariance(self):
         g = fig3_psd(9)
@@ -463,7 +465,7 @@ class TestBetheFreeEnergy:
         rng = np.random.default_rng(0)
         for _ in range(10):
             p = rng.uniform(0.05, 0.95)
-            b = spa.beliefs_from_configuration_weights(
+            b = beliefs_from_configuration_weights(
                 g, {(0, 0): p, (1, 1): 1.0 - p})
             f = spa.bethe_free_energy(g, b)
             assert abs(f) <= 1e-9
@@ -491,7 +493,7 @@ class TestBetheFreeEnergy:
     def test_divergence_guard(self):
         g = power_trap_graph()
         # mass on the zero of f1 at (1, 0)
-        b = spa.beliefs_from_configuration_weights(g, {(1, 0): 1.0})
+        b = beliefs_from_configuration_weights(g, {(1, 0): 1.0})
         assert spa.bethe_free_energy(g, b) == float("inf")
 
     def test_double_edge_rejected(self):
@@ -499,6 +501,20 @@ class TestBetheFreeEnergy:
         m = spa.uniform_messages(g)
         b = spa.beliefs_at(g, m)
         with pytest.raises(ValidationError):
+            spa.bethe_free_energy(g, b)
+
+    @pytest.mark.parametrize("part, key, what", [
+        ("node", "f2", "node belief 'f2'"), ("edge", "e3", "edge belief 'e3'")])
+    @pytest.mark.parametrize("entry", [0.5 + 0.1j, -0.2, 0.7])
+    def test_non_pmf_beliefs_rejected(self, part, key, what, entry):
+        # an imaginary part, a negative entry or a total other than one
+        g = build_fig3()
+        b = spa.beliefs_at(g, spa.uniform_messages(g))
+        beliefs = getattr(b, part)
+        p = beliefs[key].copy()
+        p.reshape(-1)[0] = entry
+        beliefs[key] = p
+        with pytest.raises(ValidationError, match=f"{what} is not a pmf"):
             spa.bethe_free_energy(g, b)
 
     def test_inconsistent_beliefs_rejected(self):
@@ -518,7 +534,7 @@ def test_beliefs_from_weights_are_consistent():
         cfg = tuple(2 * int(rng.integers(0, 2)) + int(rng.integers(0, 2))
                     for _ in g.edges)
         weights[cfg] = float(rng.uniform(0.1, 1.0))
-    b = spa.beliefs_from_configuration_weights(g, weights)
+    b = beliefs_from_configuration_weights(g, weights)
     assert spa.consistency_defect(g, b) <= 1e-12
     for vec in b.edge.values():
         assert np.sum(vec).real == pytest.approx(1.0)

@@ -1,0 +1,98 @@
+"""The package surface: every public function of ``src/bethecover`` has a
+consumer in ``src/`` or ``bench/``, or a stated reason to stay.
+
+A route that only the tests need belongs in ``tests/oracles.py``.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "bethecover"
+CONSUMERS = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
+
+# public names with no consumer in src/ or bench/, each with its reason
+KEEP = {
+    "global_eval": "documented library API: the product one configuration "
+                   "selects",
+    "save": "documented library API: the writer that load() reads back",
+    "beliefs_at": "documented library API: the beliefs of a message vector",
+    "bethe_free_energy": "documented library API: the variational Bethe "
+                         "value of a set of beliefs",
+    "raw_updates": "the sum-product map that tests/oracles.py builds on, so "
+                   "tests need no private name",
+}
+
+
+def _public(node):
+    return not node.name.startswith("_")
+
+
+def definitions(trees):
+    """``(name, is_method, node)`` for every public module-level function
+    and every public method of a public class of the package."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in trees[path].body:
+            if isinstance(node, ast.FunctionDef) and _public(node):
+                yield node.name, False, node
+            elif isinstance(node, ast.ClassDef) and _public(node):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and _public(item):
+                        yield item.name, True, item
+
+
+def references(node, owners=frozenset()):
+    """``(form, name, owners)`` for every reference under ``node``.
+
+    ``form`` is ``"name"`` for a bare name, ``"module"`` for
+    ``<module>.name`` or a ``("<module>", "<name>")`` pair of strings (how
+    ``bench/tracing.py`` lists the functions it wraps), and ``"attr"``
+    for any ``.name``; ``owners`` holds the ids of the function
+    definitions the reference sits in.
+    """
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        owners = owners | {id(node)}
+    if isinstance(node, ast.Name):
+        yield "name", node.id, owners
+    elif isinstance(node, ast.Attribute):
+        yield "attr", node.attr, owners
+        if isinstance(node.value, ast.Name):
+            yield "module", node.attr, owners
+    elif isinstance(node, ast.Tuple) and len(node.elts) == 2 and all(
+            isinstance(e, ast.Constant) and isinstance(e.value, str)
+            for e in node.elts):
+        yield "module", node.elts[1].value, owners
+    for child in ast.iter_child_nodes(node):
+        yield from references(child, owners)
+
+
+def unreferenced():
+    """Public names that nothing in src/ or bench/ references outside
+    their own definition: a function by its bare name or ``<module>.name``,
+    a method by any ``.name``."""
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"))
+             for path in CONSUMERS}
+    refs = {}
+    for tree in trees.values():
+        for form, name, owners in references(tree):
+            refs.setdefault((form, name), []).append(owners)
+    out = set()
+    for name, is_method, node in definitions(trees):
+        forms = ("attr",) if is_method else ("name", "module")
+        if not any(id(node) not in owners for form in forms
+                   for owners in refs.get((form, name), ())):
+            out.add(name)
+    return out
+
+
+def test_every_public_name_has_a_consumer():
+    unused = sorted(unreferenced() - KEEP.keys())
+    assert not unused, (
+        f"src/ and bench/ never use {unused}: move a route that only the "
+        "tests need to tests/oracles.py, or give it a consumer")
+
+
+def test_every_kept_name_still_lacks_a_consumer():
+    assert unreferenced() >= KEEP.keys(), (
+        f"{sorted(KEEP.keys() - unreferenced())} now have a consumer; "
+        "drop them from KEEP")
