@@ -5,10 +5,6 @@ class BetheCoverError(Exception):
     """Base class for all package errors."""
 
 
-class DimensionError(BetheCoverError):
-    """Axis labels or sizes of tensors do not line up."""
-
-
 class StructuralError(BetheCoverError):
     """A factor graph is malformed (dangling edge, axis mismatch, ...)."""
 

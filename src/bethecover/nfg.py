@@ -18,8 +18,7 @@ import numpy as np
 
 from . import config
 from ._kernels import enum_configs
-from .errors import (DimensionError, ParseError, StructuralError,
-                     ValidationError)
+from .errors import ParseError, StructuralError, ValidationError
 from .tensor import ComplexTensor, choi_from_paired, contract, stored_array
 
 STANDARD = "standard"
@@ -336,9 +335,11 @@ def plan_contraction(shapes):
     """Plan the greedy elimination of a network given as
     ``(labels, sizes)`` pairs, one per tensor, from labels and sizes alone.
 
-    Every label must occur on exactly two tensors, with one size.  At
-    each step the cluster whose merge with all its neighbours leaves the
-    smallest open size is eliminated, ties going to the earliest created
+    The network is checked here and nowhere else: a tensor whose labels
+    do not name each of its axes once, and a label that is not on exactly
+    two tensors or has two sizes, raise ``StructuralError`` before
+    anything is planned.  At each step the cluster whose merge with all
+    its neighbours leaves the smallest open size is eliminated, ties going to the earliest created
     cluster (inputs in list order, then merged clusters); the neighbours
     are merged into it one by one in creation order, and the merged
     cluster is created last.  A merge changes the cost of the new cluster
@@ -349,12 +350,15 @@ def plan_contraction(shapes):
     # nbr[slot]: label -> the slot holding its other end, in axis order
     nbr, size, ends = [], {}, {}
     for slot, (labels, sizes) in enumerate(shapes):
+        nbr.append(dict.fromkeys(labels))
+        if not len(nbr[slot]) == len(labels) == len(sizes):
+            raise StructuralError(f"tensor {slot}: labels {tuple(labels)} do "
+                                  f"not name its {len(sizes)} axes once each")
         for lab, s in zip(labels, sizes):
             if size.setdefault(lab, s) != s:
-                raise DimensionError(
+                raise StructuralError(
                     f"label {lab!r}: size {size[lab]} vs {s}")
             ends.setdefault(lab, []).append(slot)
-        nbr.append(dict.fromkeys(labels))
     bad = [lab for lab, holders in ends.items() if len(holders) != 2]
     if bad:
         raise StructuralError(f"labels not paired: {sorted(bad)[:5]}")
@@ -560,10 +564,16 @@ def parse(text):
                 f"tensor data for {name!r} must list {want} complex pairs",
                 location=f"tensors[{name!r}].data")
         try:
-            flat = np.array([complex(re, im) for re, im in data],
-                            dtype=np.complex128)
-        except (TypeError, ValueError) as exc:
-            raise ParseError(f"complex entries must be [re, im] pairs: {exc}",
+            pairs = [(re, im) for re, im in data]
+            bad = [x for p in pairs for x in p if type(x) not in (int, float)]
+            if bad:
+                raise TypeError(f"{json.dumps(bad[0])[:40]} is not a number")
+            # OverflowError on an integer beyond the float range; viewing
+            # the (re, im) rows keeps every part as it was read
+            flat = np.array(pairs, dtype=np.float64).view(np.complex128)[:, 0]
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ParseError(f"complex entries must be [re, im] pairs of "
+                             f"numbers: {exc}",
                              location=f"tensors[{name!r}].data") from exc
         if not np.isfinite(flat).all():
             raise ParseError(f"tensor data for {name!r} is not finite",

@@ -151,6 +151,12 @@ class _SweepPlan:
         self.tail_rows = self.head_rows + 1
         self.heads = np.array([e.head for e in g.edges], dtype=np.int64)
         self.tails = np.array([e.tail for e in g.edges], dtype=np.int64)
+        # max|t_f| per node (1 for an all-zero function), and per row that
+        # of the node sending the message, whose function produces it
+        mag = np.array([np.max(np.abs(t), initial=0.0) for t in g.tensors])
+        self.node_mag = np.where(mag > 0.0, mag, 1.0)
+        self.row_mag = self.node_mag[[g.other_endpoint(eid, k)
+                                      for eid, k in self.keys]]
         by_shape = {}
         for k in range(g.n_nodes):
             by_shape.setdefault(g.tensors[k].shape, []).append(k)
@@ -253,7 +259,9 @@ def spa_step(g, m, rng=None, damping=0.0):
 
     The degeneracy test multiplies the two message normalizers of an edge
     with the edge- and endpoint-belief normalizers of the freshly updated
-    messages; when the product is (numerically) zero, every message
+    messages, each node's normalizers divided by the magnitude of its local
+    function so that no overall factor on a function moves the test; when
+    the product is (numerically) zero, every message
     incident to either endpoint is redrawn from ``rng`` (PSD-projected on
     double-edge graphs).  Beliefs are not stored between sweeps, so their
     reinitialization happens implicitly at the next read.
@@ -266,18 +274,19 @@ def spa_step(g, m, rng=None, damping=0.0):
 
     # a message whose normalizer vanishes keeps its old value until the
     # reinitialization below replaces it
-    live = np.abs(kappa) > tol_zero
+    rel = kappa / plan.row_mag
+    live = np.abs(rel) > tol_zero
     new = np.where(live[:, None],
                    raw / np.where(live, kappa, 1.0)[:, None], rows)
     map_residual = float(np.max(np.abs(new - rows), initial=0.0))
 
-    kappa_node = plan.node_sums(new)
+    rel_node = plan.node_sums(new) / plan.node_mag
     # an overflowing product comes out inf or NaN; neither passes the zero
     # test, and a product that large is not degenerate
     with np.errstate(over="ignore", invalid="ignore"):
-        prod = (kappa[plan.head_rows] * kappa[plan.tail_rows]
+        prod = (rel[plan.head_rows] * rel[plan.tail_rows]
                 * plan.edge_sums(new)
-                * kappa_node[plan.heads] * kappa_node[plan.tails])
+                * rel_node[plan.heads] * rel_node[plan.tails])
     degenerate = [g.edges[i].eid
                   for i in np.nonzero(np.abs(prod) <= tol_zero)[0]]
 

@@ -1,50 +1,33 @@
 """Dense complex tensors with labeled axes, plus the pair-axis reshuffles
 between a double-edge tensor and its matrix representation.
 
-Tensors are immutable value objects: the underlying array is stored
-read-only by :func:`stored_array`, so instances can be shared freely.
+A labeled tensor is a plain ``(labels, array)`` pair; the network it
+belongs to is checked once, by :func:`nfg.plan_contraction`.
 """
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
-
-from .errors import DimensionError
 
 
 def stored_array(arr):
     """``arr`` as a read-only C-contiguous complex array: ``arr`` itself
-    if it is one and owns its data or views a read-only array that does,
-    else a copy, so a caller's writable array stays writable and its later
-    writes never reach the copy."""
+    if it is one and owns its data, else a copy, so a caller's writable
+    array stays writable and its later writes never reach the copy."""
     arr = np.asarray(arr, dtype=np.complex128)
-    owner = arr if arr.base is None else arr.base
     if (arr.flags.writeable or not arr.flags.c_contiguous
-            or not isinstance(owner, np.ndarray)
-            or owner.flags.writeable or not owner.flags.owndata):
+            or not arr.flags.owndata):
         # note: ascontiguousarray would promote 0-d scalars to shape (1,)
         arr = arr.copy(order="C")
         arr.flags.writeable = False
     return arr
 
 
-@dataclass(frozen=True)
-class ComplexTensor:
-    """A dense complex array whose axes carry distinct labels."""
+class ComplexTensor(NamedTuple):
+    """A dense array whose k-th axis carries ``labels[k]``."""
 
     labels: tuple
-    array: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        labels = tuple(self.labels)
-        arr = stored_array(self.array)
-        if len(labels) != arr.ndim:
-            raise DimensionError(
-                f"{len(labels)} labels for an array of rank {arr.ndim}")
-        if len(set(labels)) != len(labels):
-            raise DimensionError(f"axis labels not distinct: {labels}")
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "array", arr)
+    array: np.ndarray
 
     @property
     def sizes(self):
@@ -57,15 +40,10 @@ def contract(a, b, axes):
     b's, with their labels.  The caller pairs axes of one size and leaves
     distinct free labels, as :func:`nfg.plan_contraction` does."""
     ax_a, ax_b = axes
-    out = np.tensordot(a.array, b.array, axes=axes)
-    # tensordot returns a reshaped view of its dot product; nothing else
-    # holds either array, so freezing both lets the result store the view
-    if out.base is not None:
-        out.base.flags.writeable = False
-    out.flags.writeable = False
     labels = ([lab for k, lab in enumerate(a.labels) if k not in ax_a]
               + [lab for k, lab in enumerate(b.labels) if k not in ax_b])
-    return ComplexTensor(tuple(labels), out)
+    return ComplexTensor(tuple(labels),
+                         np.tensordot(a.array, b.array, axes=axes))
 
 
 # ------------------------------------------------------------------ #

@@ -201,6 +201,19 @@ def test_malformed_limits_exit_code(graph_file, monkeypatch, capsys):
     assert "BETHE_COVER_LIMITS" in capsys.readouterr().err
 
 
+def test_unknown_limits_key_exit_code(graph_file, monkeypatch, capsys):
+    monkeypatch.setenv("BETHE_COVER_LIMITS", "enum=16,depth=3")
+    assert main(["exact", graph_file]) == 2
+    assert "unknown BETHE_COVER_LIMITS key: 'depth'" in \
+        capsys.readouterr().err
+
+
+@pytest.mark.parametrize("topology", ["cycle", "tree"])
+def test_one_node_topology_exits_2(topology, capsys):
+    assert main(["gen", "--topology", topology, "--nodes", "1"]) == 2
+    assert "at least two nodes" in capsys.readouterr().err
+
+
 def test_montecarlo_zero_samples_exit_code(graph_file, capsys):
     code = main(["zbm", graph_file, "--m", "2", "--method", "montecarlo",
                  "--samples", "0"])
@@ -329,6 +342,12 @@ def test_large_finite_scale_still_computes(capsys):
     assert f"Z = {z.real!r}" in out
 
 
+def test_small_scale_converges(capsys):
+    # the SPA judges its normalizers relative to the local functions
+    assert main(["spa", "--scale", "1e-3"]) == 0
+    assert "converged: True after 18 iterations" in capsys.readouterr().out
+
+
 class ReadRecorder(argparse.Namespace):
     """Namespace that records the attributes a handler reads."""
 
@@ -400,6 +419,15 @@ def _unknown_axis(doc):
     return doc
 
 
+def _first_entry_part(part, value):
+    """Mutation of a graph document: set one part of node f2's first
+    entry, a diagonal entry of its matrix, whose imaginary part is 0."""
+    def mutate(doc):
+        doc["tensors"]["f2"]["data"][0][part] = value
+        return doc
+    return mutate
+
+
 def _negative_alphabets(doc):
     # two parallel edges of alphabet -1: each node's data would be
     # reshaped to (-1, -1)
@@ -444,6 +472,11 @@ MALFORMED = {
     "axis-of-unknown-edge": _unknown_axis,
     "short-data": _set("tensors", "f1", "data", [[1.0, 0.0]]),
     "entry-not-a-pair": _set("tensors", "f1", "data", 0, [1.0]),
+    # read as a number, false would leave the entry's value unchanged
+    "entry-part-a-bool": _first_entry_part(1, False),
+    "entry-a-bool-pair": _set("tensors", "f2", "data", 0, [True, False]),
+    "real-part-beyond-float": _first_entry_part(0, 10**400),
+    "imag-part-beyond-float": _first_entry_part(1, 10**400),
     "self-loop": _set("edges", 0, "endpoints", ["f1", "f1"]),
 }
 

@@ -173,6 +173,14 @@ class TestCoverNetwork:
             assert est.stderr == float(np.std(values.real, ddof=1)
                                        / np.sqrt(5))
 
+    def test_montecarlo_single_sample_has_zero_stderr(self):
+        g = fig3_psd(1)
+        est = cover.zbm_montecarlo(g, 3, 1, seed=2)
+        spec = cover.random_cover(g, 3, np.random.default_rng([2, 0]))
+        assert est.power_value == nfg.contract_network(
+            cover.cover_network(g, spec)).real
+        assert est.stderr == 0.0 and est.samples == 1
+
     def test_estimators_build_no_graph(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("make_graph called")

@@ -49,6 +49,21 @@ def test_degree_four_routes_to_montecarlo():
     assert est.stderr is not None
 
 
+def test_capped_type_formula_falls_back_to_montecarlo(monkeypatch):
+    from bethecover.cover import zbm_montecarlo
+    from bethecover.experiment import zbm_estimate
+    from bethecover.generators import gen
+
+    # the degree-3 type tensors hold 924 entries; the covers' networks and
+    # the 20-sample buffer fit under the cap
+    monkeypatch.setenv("BETHE_COVER_LIMITS", "contract=100")
+    g = gen(GeneratorSpec(topology="cycle", n=2, kind="double-edge",
+                          ensemble="psd-random", seed=4))
+    est = zbm_estimate(g, 3, samples=20, seed=1)
+    assert est.method == "montecarlo"
+    assert est == zbm_montecarlo(g, 3, samples=20, seed=1)
+
+
 def test_summary_block_shape():
     spec = GeneratorSpec(topology="fig3", kind="double-edge",
                          ensemble="psd-near-identity", eta=0.02)

@@ -12,8 +12,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from bethecover import nfg
 from bethecover.cover import build_cover, random_cover
-from bethecover.errors import (CapacityError, DimensionError, ParseError,
-                               StructuralError, ValidationError)
+from bethecover.errors import (CapacityError, ParseError, StructuralError,
+                               ValidationError)
 from bethecover.generators import GeneratorSpec, gen
 from bethecover.tensor import ComplexTensor, contract, paired_from_choi
 
@@ -157,6 +157,14 @@ class TestValidate:
         g = two_cycle(np.array([[1.0, -0.5], [0.0, 1.0]]), np.eye(2))
         report = nfg.validate(g)
         assert not report.valid
+
+    def test_standard_complex_entry_flagged(self):
+        g = two_cycle(np.array([[1.0, 0.5j], [0.0, 1.0]]), np.eye(2))
+        report = nfg.validate(g)
+        assert not report.valid
+        assert report.problems == [
+            "node 'f1': complex entries (|Im| max 5.000e-01)"]
+        assert report.node_status["f1"].hermitian_defect == 0.5
 
     @pytest.mark.parametrize("kind", ["standard", "double-edge"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -463,7 +471,24 @@ class TestPlanner:
         merges = record_merges(monkeypatch)
         tensors = [ComplexTensor(("a", "b"), np.ones((2, 3))),
                    ComplexTensor(("a", "b"), np.ones((2, 2)))]
-        with pytest.raises(DimensionError, match="'b'"):
+        with pytest.raises(StructuralError, match="'b'"):
+            nfg.contract_network(tensors)
+        assert merges == []
+
+    @pytest.mark.parametrize("labels,shapes,message", [
+        ([("a",), ("a", "b"), ("b",)], [(2, 2), (2, 3), (3,)],
+         r"tensor 0: labels \('a',\) do not name its 2 axes once each"),
+        ([("a", "a"), ("b",), ("b",)], [(2, 2), (3,), (3,)],
+         r"tensor 0: labels \('a', 'a'\) do not name its 2 axes"),
+        ([("a", "b"), ("a",)], [(2, 3), (2,)], r"not paired: \['b'\]"),
+    ], ids=["label-count-not-rank", "label-twice-on-one-tensor",
+            "label-not-paired"])
+    def test_malformed_network_refused_by_the_plan(self, monkeypatch, labels,
+                                                   shapes, message):
+        merges = record_merges(monkeypatch)
+        tensors = [ComplexTensor(lab, np.ones(shape))
+                   for lab, shape in zip(labels, shapes)]
+        with pytest.raises(StructuralError, match=message):
             nfg.contract_network(tensors)
         assert merges == []
 

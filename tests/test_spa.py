@@ -354,6 +354,21 @@ class TestRun:
         zb = spa.bethe_partition_value(z_f, z_e)
         assert abs(zb - rep.zb_spa) / abs(rep.zb_spa) < 1e-10
 
+    def test_factors_on_the_local_functions_change_no_decision(self):
+        # judged in absolute terms, the degeneracy product of the edges at
+        # the 1e-6 node would fall below the zero tolerance
+        g = fig3_psd(0)
+        factors = [1e-3, 1.0, 1e-6, 1e2]
+        scaled = g.with_tensors([c * t for c, t in zip(factors, g.tensors)])
+        rep = spa.spa_run(g, restarts=1)
+        rep_scaled = spa.spa_run(scaled, restarts=1)
+        assert rep_scaled.converged and rep_scaled.degenerate_events == 0
+        assert rep_scaled.iterations == rep.iterations
+        assert np.max(np.abs(rep_scaled.messages.rows
+                             - rep.messages.rows)) < 1e-12
+        assert rep_scaled.zb_spa == pytest.approx(
+            rep.zb_spa * np.prod(factors), rel=1e-12)
+
     def test_oscillation_fallback_damping(self):
         # a swap function makes the undamped parallel update oscillate
         # with period two from a generic start
