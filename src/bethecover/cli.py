@@ -7,8 +7,8 @@ prints a human summary to stdout and optionally writes machine output
 via ``--json`` or ``--csv``.  A subcommand declares only the flags it
 reads.
 
-Exit codes: 0 success, 2 validation failure, 3 capacity error, 4
-non-convergence.
+Exit codes: 0 success, 2 validation failure (also a path that cannot be
+read or written), 3 capacity error, 4 non-convergence.
 """
 
 import argparse
@@ -21,7 +21,8 @@ from . import cover as cover_mod
 from . import experiment as exp_mod
 from . import lct as lct_mod
 from . import nfg
-from .errors import BetheCoverError, CapacityError, NonConvergenceError
+from .errors import (BetheCoverError, CapacityError, NonConvergenceError,
+                     StructuralError, ValidationError)
 from .generators import ENSEMBLES, TOPOLOGIES, GeneratorSpec, gen
 from .spa import spa_run
 
@@ -84,10 +85,12 @@ def _spa_of(args, g):
 
 
 def _write(path, text):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
-        if not text.endswith("\n"):
-            fh.write("\n")
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text if text.endswith("\n") else text + "\n")
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path}: "
+                              f"{exc.strerror or exc}") from exc
 
 
 def _instance_id(args):
@@ -266,6 +269,8 @@ def cmd_check_condition(args):
 
 
 def cmd_bounds(args):
+    if args.mmax < 1:
+        raise StructuralError(f"mmax must be positive, got {args.mmax}")
     g = _graph_of(args)
     rep = _spa_of(args, g)
     lr = lct_mod.transform(g, rep)

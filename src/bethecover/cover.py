@@ -33,29 +33,28 @@ _BOUND_SLACK = 1e-6   # margin a sandwich bound may miss by and still hold
 
 @dataclass(frozen=True)
 class CoverSpec:
-    """Degree M plus one permutation of range(M) per base edge."""
+    """Degree M plus a tuple of permutations of range(M), one per edge."""
 
     degree: int
-    sigma: dict
+    sigma: tuple
 
     def __post_init__(self):
         if self.degree < 1:
             raise StructuralError("cover degree must be positive")
-        for eid, perm in self.sigma.items():
+        for i, perm in enumerate(self.sigma):
             if sorted(perm) != list(range(self.degree)):
                 raise StructuralError(
-                    f"edge {eid!r}: {perm!r} is not a permutation of "
+                    f"edge {i}: {perm!r} is not a permutation of "
                     f"range({self.degree})")
 
 
 def identity_cover(g, degree):
-    return CoverSpec(degree, {e.eid: tuple(range(degree)) for e in g.edges})
+    return CoverSpec(degree, (tuple(range(degree)),) * g.n_edges)
 
 
 def random_cover(g, degree, rng):
-    return CoverSpec(degree, {e.eid: tuple(int(x) for x in
-                                           rng.permutation(degree))
-                              for e in g.edges})
+    return CoverSpec(degree, tuple(tuple(rng.permutation(degree).tolist())
+                                   for _ in g.edges))
 
 
 def cover_network(g, spec):
@@ -64,23 +63,20 @@ def cover_network(g, spec):
     ``k*M + m``, with f_k's legs and f_k's read-only array itself: the one
     statement of the wiring.  Copy m of the i-th base edge e (a double
     edge moves as a unit) is the label ``i*M + m`` at ``(head, m)`` and
-    ``(tail, sigma_e(m))``.  For a valid ``g`` and a spec naming exactly
-    its edges, no :func:`make_graph` check can fail: names are distinct;
-    head != tail, so no self-loop; sigma_e is a permutation, so each label
-    is on exactly two legs; shapes and alphabets are the base graph's.
+    ``(tail, sigma_i(m))``.  For a valid ``g``, no :func:`make_graph`
+    check can fail: names are distinct; head != tail, so no self-loop;
+    sigma_i is a permutation, so each label is on exactly two legs; shapes
+    and alphabets are the base graph's.
     """
-    pos = {e.eid: i for i, e in enumerate(g.edges)}
-    if spec.sigma.keys() != pos.keys():
-        missing = [eid for eid in pos if eid not in spec.sigma]
-        extra = [eid for eid in spec.sigma if eid not in pos]
-        raise StructuralError(f"cover spec does not match the graph's "
-                              f"edges: missing {missing}, extra {extra}")
+    if len(spec.sigma) != g.n_edges:
+        raise StructuralError(f"cover spec has {len(spec.sigma)} "
+                              f"permutations for {g.n_edges} edges")
     M = spec.degree
     legs = [[None] * len(inc) for inc in g.incidences for _ in range(M)]
-    for k, inc in enumerate(g.incidences):
-        for a, eid in enumerate(inc):
-            held = range(M) if g.edge(eid).head == k else spec.sigma[eid]
-            for lab, c in enumerate(held, pos[eid] * M):
+    for k in range(g.n_nodes):
+        for a, i in enumerate(g.edge_positions(k)):
+            held = range(M) if g.edges[i].head == k else spec.sigma[i]
+            for lab, c in enumerate(held, i * M):
                 legs[k * M + c][a] = lab    # lab = i*M + m, on (f_k, c)
     return [ComplexTensor(labels, g.tensors[n // M])
             for n, labels in enumerate(legs)]
@@ -190,15 +186,11 @@ def zbm_exhaustive(g, degree):
     else:
         n_covers = math.factorial(degree) ** g.n_edges
     config.check_capacity("covers", n_covers, "labeled covers")
-    eids = [e.eid for e in g.edges]
     total = 0.0 + 0.0j
-    count = 0
-    for perms in itertools.product(
-            itertools.permutations(range(degree)), repeat=len(eids)):
-        spec = CoverSpec(degree, dict(zip(eids, perms)))
-        total += contract_network(cover_network(g, spec))
-        count += 1
-    return _finish("exhaustive", degree, total / count, covers=count)
+    for sigma in itertools.product(
+            itertools.permutations(range(degree)), repeat=g.n_edges):
+        total += contract_network(cover_network(g, CoverSpec(degree, sigma)))
+    return _finish("exhaustive", degree, total / n_covers, covers=n_covers)
 
 
 def zbm_montecarlo(g, degree, samples, seed=0):
@@ -256,19 +248,15 @@ def _type_tables(alphabet_size, degree):
 
 def _type_tensor_peak(sizes, degree):
     """Entries of the largest array :func:`_type_tensor` allocates for a
-    node with leg sizes ``sizes``.  Sizes grow with the level, so the
-    last step (level M-1 to M) holds the peak."""
+    node with leg sizes ``sizes``: the last level's first gather or first
+    tensordot output, since sizes grow with the level and each later leg
+    step trades a factor ``s*(n_{M-1}+1)`` for ``n_M+1``, never larger."""
     if not sizes:
         return 1
     below = [math.comb(s + degree - 2, degree - 1) + 1 for s in sizes]
-    here = [math.comb(s + degree - 1, degree) + 1 for s in sizes]
-    gathered = here[0] * sizes[0] * math.prod(below[1:])
-    legs = [here[0]] + [n * s for n, s in zip(below[1:], sizes[1:])]
-    peak = max(gathered, math.prod(legs))
-    for a in range(1, len(sizes)):
-        legs[a] = here[a]
-        peak = max(peak, math.prod(legs))
-    return peak
+    here = math.comb(sizes[0] + degree - 1, degree) + 1
+    return here * max(sizes[0] * math.prod(below[1:]),
+                      math.prod(n * s for n, s in zip(below[1:], sizes[1:])))
 
 
 def _type_tensor(t, tables, degree):
@@ -334,11 +322,10 @@ def zbm_typeformula(g, degree):
     with np.errstate(over="ignore", invalid="ignore"):
         for k, t in enumerate(g.tensors):
             u = _type_tensor(t, [tables[s] for s in t.shape], M)
-            for a, eid in enumerate(g.incidences[k]):
-                if g.edge(eid).head == k:
-                    shape = [1] * t.ndim
-                    shape[a] = -1
-                    u = u * weights[t.shape[a]].reshape(shape)
+            for a, i in enumerate(g.edge_positions(k)):
+                if g.edges[i].head == k:
+                    u = u * weights[t.shape[a]].reshape(
+                        [-1 if b == a else 1 for b in range(t.ndim)])
             tensors.append(ComplexTensor(g.incidences[k], u))
     mean = contract_network(tensors)
     return _finish("typeformula", degree, mean)

@@ -9,7 +9,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .cover import zbm_exhaustive, zbm_montecarlo, zbm_typeformula
-from .errors import BetheCoverError, CapacityError, LctInapplicableError
+from .errors import (BetheCoverError, CapacityError, LctInapplicableError,
+                     StructuralError)
 from .generators import gen
 from .lct import check_condition, transform
 from .nfg import partition_exact
@@ -91,6 +92,9 @@ def run_experiment(base_spec, instances, m_max, samples=2000,
                    master_seed=None, spa_options=None):
     """One row per instance plus summary statistics of the relative
     deviation (Z_{B,M} - Z*) / Z* over the converged rows."""
+    for name, count in (("instances", instances), ("m_max", m_max)):
+        if count < 1:
+            raise StructuralError(f"{name} must be positive, got {count}")
     if master_seed is None:
         master_seed = base_spec.seed if isinstance(base_spec.seed, int) else 0
     rows = [run_instance(base_spec, i, master_seed, m_max, samples,

@@ -113,8 +113,8 @@ def make_graph(kind, nodes, edges, tensors, weak_sense=False):
                    axis k belonging to the k-th incident edge (paired axis
                    of size ``alphabet**2`` for double-edge graphs)
 
-    Arrays are stored by :func:`tensor.stored_array`: copied unless
-    read-only, C-contiguous and owning their data.
+    Each array is stored as its own read-only complex copy, by
+    :func:`tensor.stored_array`.
     """
     if kind not in (STANDARD, DOUBLE):
         raise StructuralError(f"unknown graph kind {kind!r}")
@@ -593,5 +593,11 @@ def save(g, path):
 
 
 def load(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse(fh.read())
+    """:func:`parse` of the UTF-8 file at ``path``, else ``ParseError``."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"cannot read {path}: "
+                         f"{getattr(exc, 'strerror', exc)}") from exc
+    return parse(text)

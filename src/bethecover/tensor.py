@@ -11,15 +11,11 @@ import numpy as np
 
 
 def stored_array(arr):
-    """``arr`` as a read-only C-contiguous complex array: ``arr`` itself
-    if it is one and owns its data, else a copy, so a caller's writable
-    array stays writable and its later writes never reach the copy."""
-    arr = np.asarray(arr, dtype=np.complex128)
-    if (arr.flags.writeable or not arr.flags.c_contiguous
-            or not arr.flags.owndata):
-        # note: ascontiguousarray would promote 0-d scalars to shape (1,)
-        arr = arr.copy(order="C")
-        arr.flags.writeable = False
+    """A read-only C-contiguous complex copy of ``arr``, made in one
+    allocation, so a caller's writable array stays writable and its later
+    writes never reach the copy."""
+    arr = np.array(arr, dtype=np.complex128, order="C")
+    arr.flags.writeable = False
     return arr
 
 

@@ -150,6 +150,38 @@ def test_parse_error_exit_code(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv", [
+    ["exact", "DIR/missing.nfg.json"],
+    ["exact", "DIR"],
+    ["exact", "DIR/utf16.nfg.json"],
+    ["gen", "--json", "DIR/missing/x.json"],
+    ["experiment", "--instances", "1", "--mmax", "1", "--restarts", "1",
+     "--csv", "DIR/missing/x.csv"],
+], ids=["missing", "directory", "not-utf8", "gen-json", "experiment-csv"])
+def test_unusable_path_exits_2(argv, tmp_path, capsys):
+    (tmp_path / "utf16.nfg.json").write_bytes(b"\xff\xfe{\x00}\x00")
+    argv = [arg.replace("DIR", str(tmp_path)) for arg in argv]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and str(tmp_path) in err
+
+
+@pytest.mark.parametrize("argv,name", [
+    (["experiment", "--instances", "0"], "instances"),
+    (["experiment", "--instances", "-1"], "instances"),
+    (["experiment", "--mmax", "0"], "m_max"),
+    (["experiment", "--mmax", "-1"], "m_max"),
+    (["bounds", "--mmax", "0"], "mmax"),
+], ids=["instances-0", "instances-negative", "experiment-mmax-0",
+        "experiment-mmax-negative", "bounds-mmax-0"])
+def test_count_below_one_exits_2_at_once(argv, name, capsys):
+    start = time.monotonic()
+    assert main(argv) == 2
+    assert time.monotonic() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and f"{name} must be positive" in err
+
+
 def test_capacity_exit_code(capsys):
     code = main(["exact", "--topology", "cycle", "--nodes", "30",
                  "--kind", "double-edge", "--ensemble", "psd-random",

@@ -115,12 +115,6 @@ class TestConstruction:
         with pytest.raises(StructuralError, match="1 tensors"):
             g.with_tensors([np.ones(2)])
 
-    def test_graph_tensors_shared_by_covers(self):
-        g = fig3_psd(0)
-        cov = build_cover(g, random_cover(g, 2, np.random.default_rng(0)))
-        assert all(cov.tensors[2 * k + m] is g.tensors[k]
-                   for k in range(g.n_nodes) for m in range(2))
-
 
 class TestValidate:
     def test_identity_choi_fig3_is_strict(self):
@@ -251,8 +245,7 @@ class TestPartitionContract:
         from bethecover.cover import CoverSpec, build_cover
 
         g = fig3_psd(7)
-        spec = CoverSpec(2, {"e1": (1, 0), "e2": (0, 1), "e3": (0, 1),
-                             "e4": (1, 0), "e5": (0, 1)})
+        spec = CoverSpec(2, ((1, 0), (0, 1), (0, 1), (1, 0), (0, 1)))
         cov = build_cover(g, spec)
         ze = nfg.partition_exact(cov)
         zc = nfg.partition_contract(cov)

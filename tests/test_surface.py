@@ -19,6 +19,8 @@ KEEP = {
     "beliefs_at": "documented library API: the beliefs of a message vector",
     "bethe_free_energy": "documented library API: the variational Bethe "
                          "value of a set of beliefs",
+    "messages": "documented library API: lays caller-supplied messages "
+                "out for beliefs_at and transform",
     "raw_updates": "the sum-product map that tests/oracles.py builds on, so "
                    "tests need no private name",
 }
@@ -41,29 +43,41 @@ def definitions(trees):
                         yield item.name, True, item
 
 
-def references(node, owners=frozenset()):
+def package_aliases(tree):
+    """Names under which ``tree`` imports modules of the package: ``from
+    . import x [as y]`` and ``from bethecover import x [as y]``."""
+    modules = {path.stem for path in PACKAGE.glob("*.py")}
+    return {alias.asname or alias.name for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            and (node.module == "bethecover"
+                 or (node.level == 1 and node.module is None))
+            for alias in node.names if alias.name in modules}
+
+
+def references(node, aliases, owners=frozenset()):
     """``(form, name, owners)`` for every reference under ``node``.
 
-    ``form`` is ``"name"`` for a bare name, ``"module"`` for
-    ``<module>.name`` or a ``("<module>", "<name>")`` pair of strings (how
-    ``bench/tracing.py`` lists the functions it wraps), and ``"attr"``
-    for any ``.name``; ``owners`` holds the ids of the function
-    definitions the reference sits in.
+    ``form`` is ``"name"`` for a bare name that is read, ``"module"`` for
+    ``<module>.name`` with ``<module>`` one of ``aliases`` (the package
+    modules as the file imports them) or a ``("<module>", "<name>")`` pair
+    of strings (how ``bench/tracing.py`` lists the functions it wraps),
+    and ``"attr"`` for any ``.name``; ``owners`` holds the ids of the
+    function definitions the reference sits in.
     """
     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
         owners = owners | {id(node)}
-    if isinstance(node, ast.Name):
+    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
         yield "name", node.id, owners
     elif isinstance(node, ast.Attribute):
         yield "attr", node.attr, owners
-        if isinstance(node.value, ast.Name):
+        if isinstance(node.value, ast.Name) and node.value.id in aliases:
             yield "module", node.attr, owners
     elif isinstance(node, ast.Tuple) and len(node.elts) == 2 and all(
             isinstance(e, ast.Constant) and isinstance(e.value, str)
             for e in node.elts):
         yield "module", node.elts[1].value, owners
     for child in ast.iter_child_nodes(node):
-        yield from references(child, owners)
+        yield from references(child, aliases, owners)
 
 
 def unreferenced():
@@ -74,7 +88,7 @@ def unreferenced():
              for path in CONSUMERS}
     refs = {}
     for tree in trees.values():
-        for form, name, owners in references(tree):
+        for form, name, owners in references(tree, package_aliases(tree)):
             refs.setdefault((form, name), []).append(owners)
     out = set()
     for name, is_method, node in definitions(trees):

@@ -2,6 +2,7 @@
 and the Hermitian/PSD check of node validation."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -115,24 +116,41 @@ class TestContract:
             nfg.contract_network(tensors)
 
 
+def read_only(a):
+    a.flags.writeable = False
+    return a
+
+
 class TestStorage:
     @pytest.mark.parametrize("make", [
         lambda: np.array([1.0, 2.0], dtype=np.complex128),
         lambda: np.array([1.0, 2.0]),
         lambda: np.array([[1.0, 0.0], [2.0, 0.0]])[:, 0],
-    ], ids=["complex-owned", "real", "strided-view"])
+        lambda: read_only(np.array([1.0, 2.0], dtype=np.complex128)),
+    ], ids=["complex-owned", "real", "strided-view", "read-only-owned"])
     def test_caller_array_stays_writable_and_unshared(self, make):
         a = make()
+        writable = a.flags.writeable
         stored = stored_array(a)
+        assert a.flags.writeable == writable
+        a.flags.writeable = True
         a[0] = 5.0
         assert a[0] == 5.0
         assert stored.tolist() == [1, 2]
-        assert not stored.flags.writeable
+        assert not stored.flags.writeable and stored.flags.c_contiguous
 
-    def test_read_only_owned_array_is_shared(self):
-        a = np.array([1.0, 2.0], dtype=np.complex128)
-        a.flags.writeable = False
-        assert stored_array(a) is a
+    def test_real_input_is_copied_in_one_allocation(self):
+        # 512 x 512 float64 -> a 4 MiB complex result, with no complex
+        # intermediate before the copy
+        a = np.ones((512, 512))
+        tracemalloc.start()
+        try:
+            stored = stored_array(a)
+            _, peak_bytes = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert stored.nbytes == 4 * 2**20
+        assert peak_bytes <= 1.1 * stored.nbytes
 
 
 def char_poly_eigvals(h):
