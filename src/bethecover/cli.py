@@ -8,11 +8,13 @@ via ``--json`` or ``--csv``.  A subcommand declares only the flags it
 reads.
 
 Exit codes: 0 success, 2 validation failure (also a path that cannot be
-read or written), 3 capacity error, 4 non-convergence.
+read or written), 3 capacity error, 4 non-convergence, 141 stdout closed
+by its reader.
 """
 
 import argparse
 import json
+import os
 import sys
 
 import numpy as np
@@ -84,10 +86,11 @@ def _spa_of(args, g):
     return rep
 
 
-def _write(path, text):
+def _write(path, text, mode="w"):
     try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+        with open(path, mode, encoding="utf-8") as fh:
+            fh.write(text if not text or text.endswith("\n")
+                     else text + "\n")
     except OSError as exc:
         raise ValidationError(f"cannot write {path}: "
                               f"{exc.strerror or exc}") from exc
@@ -349,7 +352,18 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # claimed before the work, so an unwritable path is refused at once;
+        # appending nothing keeps an existing file until the final write
+        for path in (getattr(args, "json", None), getattr(args, "csv", None)):
+            if path:
+                _write(path, "", mode="a")
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout; devnull keeps the exit flush quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except CapacityError as exc:
         print(f"capacity error: {exc}", file=sys.stderr)
         return 3

@@ -74,7 +74,7 @@ def cover_network(g, spec):
     M = spec.degree
     legs = [[None] * len(inc) for inc in g.incidences for _ in range(M)]
     for k in range(g.n_nodes):
-        for a, i in enumerate(g.edge_positions(k)):
+        for a, i in enumerate(g.incidences[k]):
             held = range(M) if g.edges[i].head == k else spec.sigma[i]
             for lab, c in enumerate(held, i * M):
                 legs[k * M + c][a] = lab    # lab = i*M + m, on (f_k, c)
@@ -310,8 +310,8 @@ def zbm_typeformula(g, degree):
         config.check_capacity("contract", _type_tensor_peak(t.shape, M),
                               f"type tensor of node {name!r}")
     tables, weights = {}, {}
-    for e in g.edges:
-        s = g.axis_size(e.eid)
+    for i in range(g.n_edges):
+        s = g.axis_size(i)
         if s not in tables:
             tables[s], types = _type_tables(s, M)
             # integer true division is correctly rounded, and a count
@@ -322,7 +322,7 @@ def zbm_typeformula(g, degree):
     with np.errstate(over="ignore", invalid="ignore"):
         for k, t in enumerate(g.tensors):
             u = _type_tensor(t, [tables[s] for s in t.shape], M)
-            for a, i in enumerate(g.edge_positions(k)):
+            for a, i in enumerate(g.incidences[k]):
                 if g.edges[i].head == k:
                     u = u * weights[t.shape[a]].reshape(
                         [-1 if b == a else 1 for b in range(t.ndim)])

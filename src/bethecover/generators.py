@@ -136,6 +136,10 @@ def gen(spec):
                               f"give local functions non-finite entries")
     rng = np.random.default_rng(spec.seed)
     if spec.topology == "unitary-chain":
+        if spec.kind != DOUBLE or spec.ensemble == "positive-s-nfg":
+            raise ValidationError(
+                f"the unitary chain is a double-edge graph with its own "
+                f"functions, not a {spec.kind} {spec.ensemble} graph")
         config.check_capacity("contract", spec.alphabet ** 4,
                               "unitary-chain local function")
         g = _unitary_chain(spec, rng)

@@ -226,9 +226,9 @@ def transform(g, fixed_point, param_overrides=None):
 
     overrides = param_overrides or {}
     params, mats = {}, {}
-    for e in g.edges:
-        mu_i = m[(e.eid, e.head)]
-        mu_j = m[(e.eid, e.tail)]
+    for i, e in enumerate(g.edges):
+        mu_i = m[(i, e.head)]
+        mu_j = m[(i, e.tail)]
         p = resolve_params(mu_i, mu_j, eid=e.eid,
                            **overrides.get(e.eid, {}))
         params[e.eid] = p
@@ -237,9 +237,9 @@ def transform(g, fixed_point, param_overrides=None):
     new_tensors = []
     for k in range(g.n_nodes):
         t = np.asarray(g.tensors[k])
-        for a, eid in enumerate(g.incidences[k]):
-            e = g.edge(eid)
-            mat = mats[eid][0] if k == e.head else mats[eid][1]
+        for a, i in enumerate(g.incidences[k]):
+            e = g.edges[i]
+            mat = mats[e.eid][0] if k == e.head else mats[e.eid][1]
             t = np.moveaxis(np.tensordot(t, mat, axes=([a], [0])), -1, a)
         new_tensors.append(t)
     transformed = g.with_tensors(new_tensors, weak_sense=True)

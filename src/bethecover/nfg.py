@@ -36,7 +36,9 @@ class Edge:
 
 
 class FactorGraph:
-    """Immutable graph; build instances through :func:`make_graph`."""
+    """Immutable graph; build instances through :func:`make_graph`.
+    ``incidences[k]`` lists node k's edges in axis order, as positions in
+    ``edges``; an edge id is only a name, for files and output."""
 
     def __init__(self, kind, node_names, incidences, edges, tensors,
                  weak_sense=False):
@@ -46,7 +48,6 @@ class FactorGraph:
         self.edges = tuple(edges)
         self.tensors = tuple(tensors)
         self.weak_sense_flag = bool(weak_sense)
-        self._edge_pos = {e.eid: k for k, e in enumerate(self.edges)}
 
     # -- lookups ---------------------------------------------------- #
 
@@ -58,36 +59,16 @@ class FactorGraph:
     def n_edges(self):
         return len(self.edges)
 
-    def edge(self, eid):
-        return self.edges[self._edge_pos[eid]]
-
-    def axis_size(self, eid):
-        n = self.edge(eid).alphabet
+    def axis_size(self, i):
+        n = self.edges[i].alphabet
         return n if self.kind == STANDARD else n * n
 
     def degree(self, node):
         return len(self.incidences[node])
 
-    def directed_keys(self):
-        """All (edge id, endpoint node index) pairs, in edge order."""
-        keys = []
-        for e in self.edges:
-            keys.append((e.eid, e.head))
-            keys.append((e.eid, e.tail))
-        return keys
-
-    def edge_positions(self, node):
-        """Positions in ``edges`` of the node's incident edges, in axis
-        order."""
-        return [self._edge_pos[eid] for eid in self.incidences[node]]
-
-    def other_endpoint(self, eid, node):
-        e = self.edge(eid)
-        return e.tail if node == e.head else e.head
-
     def node_choi(self, node):
         """Matrix representation of a double-edge node's local function."""
-        bases = [self.edge(eid).alphabet for eid in self.incidences[node]]
+        bases = [self.edges[i].alphabet for i in self.incidences[node]]
         return choi_from_paired(self.tensors[node], bases)
 
     def with_tensors(self, tensors, weak_sense=None):
@@ -113,6 +94,7 @@ def make_graph(kind, nodes, edges, tensors, weak_sense=False):
                    axis k belonging to the k-th incident edge (paired axis
                    of size ``alphabet**2`` for double-edge graphs)
 
+    Each node's edge ids are mapped here, once, to positions in ``edges``.
     Each array is stored as its own read-only complex copy, by
     :func:`tensor.stored_array`.
     """
@@ -122,12 +104,10 @@ def make_graph(kind, nodes, edges, tensors, weak_sense=False):
     if len(set(names)) != len(names):
         raise StructuralError("node names not distinct")
     pos = {n: k for k, n in enumerate(names)}
-    edge_objs = []
-    seen = set()
+    edge_objs, edge_pos = [], {}
     for eid, (na, nb), alphabet in edges:
-        if eid in seen:
+        if eid in edge_pos:
             raise StructuralError(f"duplicate edge id {eid!r}")
-        seen.add(eid)
         if na not in pos or nb not in pos:
             raise StructuralError(f"edge {eid!r} references unknown node")
         a, b = pos[na], pos[nb]
@@ -137,34 +117,34 @@ def make_graph(kind, nodes, edges, tensors, weak_sense=False):
             a, b = b, a
         if alphabet < 1:
             raise StructuralError(f"edge {eid!r} has empty alphabet")
+        edge_pos[eid] = len(edge_objs)
         edge_objs.append(Edge(eid, a, b, int(alphabet)))
-    by_id = {e.eid: e for e in edge_objs}
 
     incidences = []
     for name, incident in nodes:
         for eid in incident:
-            if eid not in by_id:
+            if eid not in edge_pos:
                 raise StructuralError(
                     f"node {name!r} lists unknown edge {eid!r}")
-        incidences.append(tuple(incident))
+        incidences.append(tuple(edge_pos[eid] for eid in incident))
 
     # every edge must appear exactly once at each endpoint
-    holders = {e.eid: [] for e in edge_objs}
+    holders = [[] for _ in edge_objs]
     for k, incident in enumerate(incidences):
-        for eid in incident:
-            holders[eid].append(k)
-    for e in edge_objs:
-        if sorted(holders[e.eid]) != sorted([e.head, e.tail]):
+        for i in incident:
+            holders[i].append(k)
+    for e, held in zip(edge_objs, holders):
+        if sorted(held) != [e.head, e.tail]:
             raise StructuralError(
-                f"edge {e.eid!r} endpoints {sorted([e.head, e.tail])} do not "
-                f"match incidence lists {sorted(holders[e.eid])}")
+                f"edge {e.eid!r} endpoints {[e.head, e.tail]} do not "
+                f"match incidence lists {sorted(held)}")
 
     mult = 1 if kind == STANDARD else 2
     arrays = []
     for k, name in enumerate(names):
         if name not in tensors:
             raise StructuralError(f"missing tensor for node {name!r}")
-        want = tuple(by_id[eid].alphabet ** mult for eid in incidences[k])
+        want = tuple(edge_objs[i].alphabet ** mult for i in incidences[k])
         arrays.append(_stored_tensor(name, tensors[name], want))
     return FactorGraph(kind, names, incidences, edge_objs, arrays, weak_sense)
 
@@ -277,14 +257,14 @@ def global_eval(g, configuration):
     ``g.edges`` order: a digit row of :func:`configurations`.  On a
     double-edge graph the pair ``(x, x')`` has axis index ``x*|X| + x'``.
     """
-    sizes = [g.axis_size(e.eid) for e in g.edges]
+    sizes = [g.axis_size(i) for i in range(g.n_edges)]
     if len(configuration) != len(sizes) or not all(
             0 <= x < n for x, n in zip(configuration, sizes)):
         raise StructuralError(f"configuration {configuration!r} does not "
                               f"fit the edges' axis sizes {sizes}")
     out = 1.0 + 0.0j
     for k, t in enumerate(g.tensors):
-        out *= t[tuple(configuration[i] for i in g.edge_positions(k))]
+        out *= t[tuple(configuration[i] for i in g.incidences[k])]
     return out
 
 
@@ -292,11 +272,11 @@ def configurations(g):
     """The ``(digits, values)`` chunks of :func:`_kernels.enum_configs`
     over every configuration of ``g``, after the ``enum`` cap check; a
     chunk with a product that overflows raises ``ValidationError``."""
-    sizes = [g.axis_size(e.eid) for e in g.edges]
+    sizes = [g.axis_size(i) for i in range(g.n_edges)]
     config.check_capacity("enum", math.prod(sizes), "configurations")
-    node_edges = [g.edge_positions(k) for k in range(g.n_nodes)]
     return ((digits, finite(values, "a configuration's product"))
-            for digits, values in enum_configs(g.tensors, node_edges, sizes))
+            for digits, values in enum_configs(g.tensors, g.incidences,
+                                               sizes))
 
 
 def partition_exact(g):
@@ -452,17 +432,18 @@ def complex_pairs(arr):
 
 def serialize(g):
     """Graph as a deterministic JSON document (extension ``.nfg.json``)."""
+    ids = [[g.edges[i].eid for i in inc] for inc in g.incidences]
     doc = {
         "schema": SCHEMA,
         "kind": g.kind,
         "weak_sense": g.weak_sense_flag,
-        "nodes": [{"name": name, "edges": list(g.incidences[k])}
+        "nodes": [{"name": name, "edges": ids[k]}
                   for k, name in enumerate(g.node_names)],
         "edges": [{"id": e.eid,
                    "endpoints": [g.node_names[e.head], g.node_names[e.tail]],
                    "alphabet": e.alphabet}
                   for e in g.edges],
-        "tensors": {name: {"axes": list(g.incidences[k]),
+        "tensors": {name: {"axes": ids[k],
                            "data": complex_pairs(g.tensors[k])}
                     for k, name in enumerate(g.node_names)},
     }

@@ -2,16 +2,17 @@
 beliefs and the message-based Bethe partition function.
 
 Messages are kept normalized to component sum one.  A directed message is
-keyed by ``(edge id, receiving node index)``; the update for the message
-into node ``f_j`` along edge ``e`` is computed at the opposite endpoint
-``f_i`` from its local function and the messages entering ``f_i`` on the
-remaining edges.
+keyed by ``(edge position, receiving node index)``; the update for the
+message into node ``f_j`` along edge ``e`` is computed at the opposite
+endpoint ``f_i`` from its local function and the messages entering ``f_i``
+on the remaining edges.
 
 A message vector lives in one complex array with a zero-padded row per
-directed key.  A sweep works on that array through a plan built once per
-graph: nodes whose local functions have the same shape form a group whose
-tensors are stacked, so each group needs one batched einsum per leg for
-its outgoing messages and one for its node sums, whatever its size.
+directed key: rows 2i and 2i + 1 are the messages into the head and into
+the tail of edge i.  A sweep works on that array through a plan built once
+per graph: nodes whose local functions have the same shape form a group
+whose tensors are stacked, so each group needs one batched einsum per leg
+for its outgoing messages and one for its node sums, whatever its size.
 """
 
 import string
@@ -30,8 +31,8 @@ _BELIEF_TOL = 1e-6   # slack of the pmf and local-consistency checks
 
 
 class MessageVector:
-    """Normalized directed messages of one graph, keyed by (edge id, node
-    index).
+    """Normalized directed messages of one graph, keyed by (edge position,
+    node index).
 
     ``rows`` is one read-only complex array with a zero-padded row per key
     of ``plan``, the graph's sweep plan, in the order of its keys; ``m[key]``
@@ -93,9 +94,9 @@ def _psd_project(vec, base):
     return flat / s
 
 
-def random_message(g, eid, rng):
-    """One random normalized message (PSD-projected for double edges)."""
-    n = g.edge(eid).alphabet
+def random_message(g, i, rng):
+    """One random normalized message on edge i (PSD-projected if double)."""
+    n = g.edges[i].alphabet
     if g.kind == STANDARD:
         return rng.dirichlet(np.ones(n)).astype(np.complex128)
     for _ in range(64):
@@ -111,8 +112,8 @@ def random_message(g, eid, rng):
 def random_messages(g, rng):
     plan = _plan(g)
     rows = np.zeros((len(plan.keys), plan.width), dtype=np.complex128)
-    for r, (eid, _node) in enumerate(plan.keys):
-        rows[r, :plan.sizes[r]] = random_message(g, eid, rng)
+    for r, (i, _node) in enumerate(plan.keys):
+        rows[r, :plan.sizes[r]] = random_message(g, i, rng)
     return MessageVector(plan, rows)
 
 
@@ -141,22 +142,24 @@ class _SweepPlan:
     of one sweep on a graph."""
 
     def __init__(self, g):
-        self.keys = tuple(g.directed_keys())
+        # the head key, then the tail key, of each edge: rows 2i and 2i + 1
+        self.keys = tuple((i, k) for i, e in enumerate(g.edges)
+                          for k in (e.head, e.tail))
         self.index = {key: r for r, key in enumerate(self.keys)}
-        self.sizes = tuple(g.axis_size(eid) for eid, _node in self.keys)
+        self.sizes = tuple(g.axis_size(i) for i, _node in self.keys)
         self.width = max(self.sizes, default=0)
         self.n_nodes = g.n_nodes
-        # directed_keys lists the head key, then the tail key, of each edge
         self.head_rows = np.arange(0, len(self.keys), 2)
         self.tail_rows = self.head_rows + 1
         self.heads = np.array([e.head for e in g.edges], dtype=np.int64)
         self.tails = np.array([e.tail for e in g.edges], dtype=np.int64)
         # max|t_f| per node (1 for an all-zero function), and per row that
-        # of the node sending the message, whose function produces it
+        # of the node sending the message, whose function produces it: the
+        # tail for row 2i, the head for row 2i + 1
         mag = np.array([np.max(np.abs(t), initial=0.0) for t in g.tensors])
         self.node_mag = np.where(mag > 0.0, mag, 1.0)
-        self.row_mag = self.node_mag[[g.other_endpoint(eid, k)
-                                      for eid, k in self.keys]]
+        self.row_mag = self.node_mag[
+            np.column_stack((self.tails, self.heads)).reshape(-1)]
         by_shape = {}
         for k in range(g.n_nodes):
             by_shape.setdefault(g.tensors[k].shape, []).append(k)
@@ -166,14 +169,8 @@ class _SweepPlan:
     def _group(self, g, nodes):
         d = g.degree(nodes[0])
         subs = _LETTERS[:d]
-        in_rows, out_rows = [], []
-        for a in range(d):
-            in_rows.append(np.array(
-                [self.index[(g.incidences[k][a], k)] for k in nodes]))
-            out_rows.append(np.array(
-                [self.index[(g.incidences[k][a],
-                             g.other_endpoint(g.incidences[k][a], k))]
-                 for k in nodes]))
+        in_rows = [np.array([self.index[(g.incidences[k][a], k)]
+                             for k in nodes]) for a in range(d)]
         leave_one_out = [
             "Z" + subs + "".join(",Z" + subs[b] for b in range(d) if b != a)
             + "->Z" + subs[a] for a in range(d)]
@@ -182,7 +179,9 @@ class _SweepPlan:
             nodes=np.array(nodes),
             tensors=np.stack([g.tensors[k] for k in nodes]),
             sizes=g.tensors[nodes[0]].shape, in_rows=in_rows,
-            out_rows=out_rows, leave_one_out=leave_one_out, full=full)
+            # the same edge's other key: row 2i <-> row 2i + 1
+            out_rows=[r ^ 1 for r in in_rows],
+            leave_one_out=leave_one_out, full=full)
 
     def rows_of(self, m):
         """The message array of ``m``, which must be laid out in this
@@ -250,7 +249,7 @@ def raw_updates(g, m):
 
 @dataclass
 class StepInfo:
-    degenerate_edges: list
+    degenerate_edges: list    # edge positions
     map_residual: float = float("inf")
 
 
@@ -287,15 +286,11 @@ def spa_step(g, m, rng=None, damping=0.0):
         prod = (rel[plan.head_rows] * rel[plan.tail_rows]
                 * plan.edge_sums(new)
                 * rel_node[plan.heads] * rel_node[plan.tails])
-    degenerate = [g.edges[i].eid
-                  for i in np.nonzero(np.abs(prod) <= tol_zero)[0]]
+    degenerate = np.flatnonzero(np.abs(prod) <= tol_zero).tolist()
 
-    reinit_keys = set()
-    for eid in degenerate:
-        e = g.edge(eid)
-        for node in (e.head, e.tail):
-            for other_eid in g.incidences[node]:
-                reinit_keys.add((other_eid, node))
+    reinit_keys = {(j, node) for i in degenerate
+                   for node in (g.edges[i].head, g.edges[i].tail)
+                   for j in g.incidences[node]}
     reinit = np.zeros(len(plan.keys), dtype=bool)
     if reinit_keys:
         if rng is None:
@@ -358,7 +353,7 @@ class SpaReport:
     z_f: dict = None
     z_e: dict = None
     zb_spa: complex = None
-    degenerate_log: list = None    # (restart, iteration, edge id) triples
+    degenerate_log: list = None    # (restart, iteration, edge position)
     damping_used: float = 0.0
 
     @property
@@ -377,7 +372,7 @@ def _single_run(g, m, max_iter, tol_fp, damping, rng, restart):
     res = float("inf")
     for it in range(1, max_iter + 1):
         new, info = spa_step(g, m, rng=rng, damping=damping_now)
-        events.extend((restart, it, eid) for eid in info.degenerate_edges)
+        events.extend((restart, it, i) for i in info.degenerate_edges)
         res = info.map_residual
         history.append(res)
         m = new
@@ -492,10 +487,11 @@ def consistency_defect(g, b):
     for idx, name in enumerate(g.node_names):
         t = b.node[name]
         incident = g.incidences[idx]
-        for a, eid in enumerate(incident):
+        for a, i in enumerate(incident):
             axes = tuple(x for x in range(len(incident)) if x != a)
             marg = t.sum(axis=axes) if axes else t
-            worst = max(worst, float(np.max(np.abs(marg - b.edge[eid]))))
+            worst = max(worst, float(np.max(np.abs(
+                marg - b.edge[g.edges[i].eid]))))
     return worst
 
 

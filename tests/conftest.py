@@ -42,10 +42,10 @@ def power_trap_fixed_point(g):
     """The fixed point of :func:`power_trap_graph` ``g`` whose edge
     overlaps vanish."""
     return messages(g, {
-        ("e1", 0): np.array([0, 1], dtype=np.complex128),
-        ("e2", 0): np.array([1, 0], dtype=np.complex128),
-        ("e1", 1): np.array([1, 0], dtype=np.complex128),
-        ("e2", 1): np.array([0, 1], dtype=np.complex128)})
+        (0, 0): np.array([0, 1], dtype=np.complex128),
+        (1, 0): np.array([1, 0], dtype=np.complex128),
+        (0, 1): np.array([1, 0], dtype=np.complex128),
+        (1, 1): np.array([0, 1], dtype=np.complex128)})
 
 
 def random_choi(side, rng, trace_to=None):

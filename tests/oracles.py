@@ -31,9 +31,9 @@ def as_double_edge(g):
     tensors = {}
     for k, name in enumerate(g.node_names):
         flat = g.tensors[k].reshape(-1)
-        bases = [g.edge(eid).alphabet for eid in g.incidences[k]]
+        bases = [g.edges[i].alphabet for i in g.incidences[k]]
         tensors[name] = paired_from_choi(np.diag(flat), bases)
-    nodes = [(name, list(g.incidences[k]))
+    nodes = [(name, [g.edges[i].eid for i in g.incidences[k]])
              for k, name in enumerate(g.node_names)]
     edges = [(e.eid, (g.node_names[e.head], g.node_names[e.tail]),
               e.alphabet) for e in g.edges]
@@ -62,6 +62,12 @@ def is_forest(g):
 # messages and beliefs                                                #
 # ------------------------------------------------------------------ #
 
+def message_keys(g):
+    """Every directed key ``(edge position, receiving node)``: the head
+    key, then the tail key, of each edge in ``g.edges`` order."""
+    return [(i, k) for i, e in enumerate(g.edges) for k in (e.head, e.tail)]
+
+
 def residual(a, b):
     """Largest componentwise change between two message vectors."""
     return _max_abs(a.rows - a.plan.rows_of(b))
@@ -85,16 +91,15 @@ def beliefs_from_configuration_weights(g, weights):
     constraints exactly.
     """
     total = float(sum(weights.values()))
-    edge = {e.eid: np.zeros(g.axis_size(e.eid), dtype=np.complex128)
-            for e in g.edges}
+    edge = {e.eid: np.zeros(g.axis_size(i), dtype=np.complex128)
+            for i, e in enumerate(g.edges)}
     node = {name: np.zeros(g.tensors[k].shape, dtype=np.complex128)
             for k, name in enumerate(g.node_names)}
-    legs = [g.edge_positions(k) for k in range(g.n_nodes)]
     for cfg, w in weights.items():
         p = w / total
         for e, x in zip(g.edges, cfg):
             edge[e.eid][x] += p
-        for name, pos in zip(g.node_names, legs):
+        for name, pos in zip(g.node_names, g.incidences):
             node[name][tuple(cfg[i] for i in pos)] += p
     return spa.Beliefs(edge, node)
 
@@ -121,7 +126,7 @@ def induced_fixed_point_check(lr):
     g = lr.transformed
     raw, _kappa = spa.raw_updates(g, spa.messages(g, {
         key: np.eye(1, g.axis_size(key[0]), dtype=np.complex128)[0]
-        for key in g.directed_keys()}))
+        for key in message_keys(g)}))
     lead = raw.rows[:, :1]
     # a message whose lead entry vanishes is measured unscaled
     ratios = raw.rows[:, 1:] / np.where(lead == 0.0, 1.0, lead)

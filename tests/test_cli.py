@@ -2,7 +2,11 @@
 
 import argparse
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -157,13 +161,64 @@ def test_parse_error_exit_code(tmp_path, capsys):
     ["gen", "--json", "DIR/missing/x.json"],
     ["experiment", "--instances", "1", "--mmax", "1", "--restarts", "1",
      "--csv", "DIR/missing/x.csv"],
-], ids=["missing", "directory", "not-utf8", "gen-json", "experiment-csv"])
+    # each of these two works for seconds before it writes its output
+    ["zbm", "--m", "3", "--method", "exhaustive", "--json",
+     "DIR/missing/x.json"],
+    ["experiment", "--instances", "20", "--csv", "DIR/missing/x.csv"],
+], ids=["missing", "directory", "not-utf8", "gen-json", "experiment-csv",
+        "zbm-json-before-the-work", "experiment-csv-before-the-work"])
 def test_unusable_path_exits_2(argv, tmp_path, capsys):
     (tmp_path / "utf16.nfg.json").write_bytes(b"\xff\xfe{\x00}\x00")
     argv = [arg.replace("DIR", str(tmp_path)) for arg in argv]
+    start = time.monotonic()
     assert main(argv) == 2
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1 and str(tmp_path) in err
+    assert time.monotonic() - start < 1.0
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert str(tmp_path) in err
+
+
+def test_failed_command_leaves_an_existing_output_as_it_was(tmp_path,
+                                                            capsys):
+    path = tmp_path / "z.json"
+    path.write_text("kept\n")
+    # the output path is opened first; the overflow is found afterwards
+    assert main(["exact", "--scale", "1e150", "--json", str(path)]) == 2
+    assert "overflows a float" in capsys.readouterr().err
+    assert path.read_text() == "kept\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["--kind", "standard", "--ensemble", "positive-s-nfg"],
+    ["--kind", "standard", "--ensemble", "psd-random"],
+    ["--kind", "double-edge", "--ensemble", "positive-s-nfg"],
+], ids=["standard-positive", "standard-psd", "double-edge-positive"])
+def test_unitary_chain_refuses_what_it_cannot_build(argv, capsys):
+    assert main(["exact", "--topology", "unitary-chain", *argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [["gen"], ["exact"]], ids=["gen", "exact"])
+def test_closed_stdout_ends_quietly(argv):
+    # the reading end is closed before the command starts, so its first
+    # write to stdout fails, whether while printing (gen's long document)
+    # or at the final flush (exact's one line)
+    src = Path(nfg.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "bethecover.cli", *argv],
+                              stdout=write_end, stderr=subprocess.PIPE,
+                              env=env, timeout=120)
+    finally:
+        os.close(write_end)
+    assert proc.stderr == b""
+    assert proc.returncode == 141
 
 
 @pytest.mark.parametrize("argv,name", [
@@ -609,9 +664,10 @@ def test_cover_identity_sigma(graph_file, tmp_path, capsys):
     cov = nfg.load(jpath)
     assert cov.n_nodes == 12 and cov.n_edges == 15
     g = nfg.load(graph_file)
+    by_id = {e.eid: e for e in g.edges}
     for e in cov.edges:
         # copy m of an edge joins copy m of both its endpoints
-        base = g.edge(e.eid.split(".")[0])
+        base = by_id[e.eid.split(".")[0]]
         copy = e.eid.split(".")[1]
         assert (cov.node_names[e.head], cov.node_names[e.tail]) == (
             f"{g.node_names[base.head]}.{copy}",

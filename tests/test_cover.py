@@ -84,28 +84,28 @@ def oracle_build_cover(g, spec):
     ``(f_j, sigma_e(m))``, the tail's incidences found through the inverse
     permutation; ``sigma_e`` is the spec's permutation at e's position in
     ``g.edges``."""
-    sigma = {e.eid: perm for e, perm in zip(g.edges, spec.sigma,
-                                            strict=True)}
+    sigma = spec.sigma
+    assert len(sigma) == g.n_edges
     M = spec.degree
     names = [f"{name}.{m}" for name in g.node_names for m in range(M)]
     incidences = []
     for k in range(g.n_nodes):
         for m in range(M):
             inc = []
-            for eid in g.incidences[k]:
-                e = g.edge(eid)
+            for i in g.incidences[k]:
+                e = g.edges[i]
                 if k == e.head:
                     copy = m
                 else:
-                    copy = sigma[eid].index(m)
-                inc.append(f"{eid}.{copy}")
+                    copy = sigma[i].index(m)
+                inc.append(f"{e.eid}.{copy}")
             incidences.append(tuple(inc))
     edges = []
-    for e in g.edges:
+    for i, e in enumerate(g.edges):
         for m in range(M):
             edges.append((f"{e.eid}.{m}",
                           (names[e.head * M + m],
-                           names[e.tail * M + sigma[e.eid][m]]),
+                           names[e.tail * M + sigma[i][m]]),
                           e.alphabet))
     tensors = {}
     for k in range(g.n_nodes):
@@ -261,23 +261,17 @@ def socket_sum_oracle(g, degree):
     """Literal enumeration of the average-cover sum: one socket vector
     per (edge, endpoint), matched through the type-class weights."""
     m_range = range(degree)
-    sizes = {e.eid: g.axis_size(e.eid) for e in g.edges}
-    socket_vals = {}
-    for e in g.edges:
-        vecs = list(itertools.product(range(sizes[e.eid]), repeat=degree))
-        socket_vals[e.eid] = vecs
+    sizes = [g.axis_size(i) for i in range(g.n_edges)]
+    socket_vals = [list(itertools.product(range(s), repeat=degree))
+                   for s in sizes]
     total = 0.0 + 0.0j
-    edge_list = [e.eid for e in g.edges]
-    for head_choice in itertools.product(*[socket_vals[eid]
-                                           for eid in edge_list]):
-        head = dict(zip(edge_list, head_choice))
-        for tail_choice in itertools.product(*[socket_vals[eid]
-                                               for eid in edge_list]):
-            tail = dict(zip(edge_list, tail_choice))
+    # head[i], tail[i]: the socket vectors at edge i's two endpoints
+    for head in itertools.product(*socket_vals):
+        for tail in itertools.product(*socket_vals):
             weight = 1.0
-            for e in g.edges:
-                ti = cover.type_of(head[e.eid], sizes[e.eid])
-                tj = cover.type_of(tail[e.eid], sizes[e.eid])
+            for i, s in enumerate(sizes):
+                ti = cover.type_of(head[i], s)
+                tj = cover.type_of(tail[i], s)
                 if ti != tj:
                     weight = 0.0
                     break
@@ -288,9 +282,8 @@ def socket_sum_oracle(g, degree):
             for m in m_range:
                 for k in range(g.n_nodes):
                     sel = []
-                    for eid in g.incidences[k]:
-                        e = g.edge(eid)
-                        vec = head[eid] if k == e.head else tail[eid]
+                    for i in g.incidences[k]:
+                        vec = head[i] if k == g.edges[i].head else tail[i]
                         sel.append(vec[m])
                     term *= g.tensors[k][tuple(sel)]
             total += term
@@ -304,8 +297,8 @@ def dense_projector_network(g, degree, cap):
     contraction intermediate larger than ``cap`` entries."""
     tensors = []
     for k in range(g.n_nodes):
-        t = g.tensors[k].reshape([g.axis_size(eid)
-                                  for eid in g.incidences[k]])
+        t = g.tensors[k].reshape([g.axis_size(i)
+                                  for i in g.incidences[k]])
         if t.size ** degree > cap:
             raise CapacityError("stacked node tensor over the cap")
         stacked = np.ones(())
@@ -315,11 +308,11 @@ def dense_projector_network(g, degree, cap):
         order = [m * d + a for a in range(d) for m in range(degree)]
         stacked = stacked.transpose(order).reshape(
             [s ** degree for s in t.shape])
-        labels = [f"{eid}|{'i' if g.edge(eid).head == k else 'j'}"
-                  for eid in g.incidences[k]]
+        labels = [f"{g.edges[i].eid}|{'i' if g.edges[i].head == k else 'j'}"
+                  for i in g.incidences[k]]
         tensors.append(ComplexTensor(tuple(labels), stacked))
-    for e in g.edges:
-        s = g.axis_size(e.eid)
+    for i, e in enumerate(g.edges):
+        s = g.axis_size(i)
         if s ** (2 * degree) > cap:
             raise CapacityError("socket projector over the cap")
         tensors.append(ComplexTensor((f"{e.eid}|i", f"{e.eid}|j"),
@@ -332,7 +325,7 @@ def dense_projector_network(g, degree, cap):
 
 def with_isolated_node(g, value=1.3):
     """``g`` plus a node ``iso`` with no edges and local value ``value``."""
-    nodes = [(name, list(g.incidences[k]))
+    nodes = [(name, [g.edges[i].eid for i in g.incidences[k]])
              for k, name in enumerate(g.node_names)] + [("iso", [])]
     edges = [(e.eid, (g.node_names[e.head], g.node_names[e.tail]),
               e.alphabet) for e in g.edges]
@@ -407,7 +400,7 @@ def cycle_h_m(g, degree):
     a = np.eye(g.tensors[0].shape[0])
     for k, t in enumerate(g.tensors):
         # node k holds edges k-1 and k; the transfer runs from k-1 to k
-        a = a @ (t if g.incidences[k][0] == g.edges[k - 1].eid else t.T)
+        a = a @ (t if g.incidences[k][0] == (k - 1) % g.n_edges else t.T)
     power, p = np.eye(len(a)), []
     for _ in range(degree):
         power = power @ a
@@ -443,6 +436,18 @@ class TestCycleOracle:
         for route, degree in routes:
             assert route(g, degree).power_value == pytest.approx(
                 cycle_h_m(g, degree), rel=1e-12)
+
+    @pytest.mark.parametrize("kind,ensemble,alphabet", [
+        ("standard", "positive-s-nfg", 2), ("standard", "positive-s-nfg", 3),
+        ("double-edge", "psd-random", 2)])
+    @pytest.mark.parametrize("degree", [8, 20])
+    def test_montecarlo_within_three_stderr_of_h_m(self, kind, ensemble,
+                                                   alphabet, degree):
+        g = gen(GeneratorSpec(topology="cycle", kind=kind, ensemble=ensemble,
+                              alphabet=alphabet, n=3, seed=1))
+        est = cover.zbm_montecarlo(g, degree, samples=100)
+        assert est.stderr > 0.0
+        assert abs(est.power_value - cycle_h_m(g, degree)) <= 3 * est.stderr
 
 
 class TestIsolatedNode:

@@ -155,9 +155,9 @@ class TestEdgeMatrices:
         for seed in (0, 5):
             g = fig3_psd(seed)
             lr = converged_transform(g)
-            for eid, pair in lr.m_matrices.items():
-                n = g.edge(eid).alphabet
-                for mat in pair:
+            for e in g.edges:
+                n = e.alphabet
+                for mat in lr.m_matrices[e.eid]:
                     t = mat.reshape(n, n, n, n)
                     defect = np.max(np.abs(
                         t - t.transpose(1, 0, 3, 2).conj()))
@@ -314,7 +314,7 @@ class TestPartitionSplit:
                                   ensemble=ens, seed=1))
             lr = converged_transform(g)
             tg = lr.transformed
-            sizes = [tg.axis_size(e.eid) for e in tg.edges]
+            sizes = [tg.axis_size(i) for i in range(tg.n_edges)]
             low_weight_sum = 0.0 + 0.0j
             full_sum = 0.0 + 0.0j
             # independent values at both endpoints of every edge
@@ -324,9 +324,8 @@ class TestPartitionSplit:
                     val = 1.0 + 0.0j
                     for k in range(tg.n_nodes):
                         sel = []
-                        for eid in tg.incidences[k]:
-                            pos = [e.eid for e in tg.edges].index(eid)
-                            e = tg.edge(eid)
+                        for pos in tg.incidences[k]:
+                            e = tg.edges[pos]
                             sel.append(head_vals[pos] if k == e.head
                                        else tail_vals[pos])
                         val *= tg.tensors[k][tuple(sel)]

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import math
 import os
 import time
 import tracemalloc
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from bethecover import nfg
+from bethecover import cover, lct, nfg, spa
 from bethecover.cover import build_cover, random_cover
 from bethecover.errors import (CapacityError, ParseError, StructuralError,
                                ValidationError)
@@ -26,12 +27,11 @@ from oracles import as_double_edge, is_forest
 def brute_force_partition(g):
     """Independent pure-python enumeration oracle."""
     total = 0.0 + 0.0j
-    sizes = [g.axis_size(e.eid) for e in g.edges]
+    sizes = [g.axis_size(i) for i in range(g.n_edges)]
     for values in itertools.product(*[range(s) for s in sizes]):
-        axis = dict(zip([e.eid for e in g.edges], values))
         term = 1.0 + 0.0j
         for k in range(g.n_nodes):
-            sel = tuple(axis[eid] for eid in g.incidences[k])
+            sel = tuple(values[i] for i in g.incidences[k])
             term *= g.tensors[k][sel]
         total += term
     return total
@@ -80,7 +80,7 @@ class TestConstruction:
                            nodes=[("f1", ["e1"]), ("f2", ["e1"])],
                            edges=[("e1", ("f2", "f1"), 2)],
                            tensors={"f1": np.ones(2), "f2": np.ones(2)})
-        e = g.edge("e1")
+        e = g.edges[0]
         assert e.head < e.tail
 
     def test_caller_arrays_not_aliased(self):
@@ -573,6 +573,57 @@ class TestSerialization:
         nfg.save(g, path)
         g2 = nfg.load(path)
         assert nfg.serialize(g2) == nfg.serialize(g)
+
+
+def with_reversed_ids(text):
+    """The serialized graph ``text`` with every edge renamed, so that the
+    ids sort in reverse edge order."""
+    doc = json.loads(text)
+    n = len(doc["edges"])
+    new = {ed["id"]: f"r{n - i:02d}" for i, ed in enumerate(doc["edges"])}
+    for ed in doc["edges"]:
+        ed["id"] = new[ed["id"]]
+    for nd in doc["nodes"]:
+        nd["edges"] = [new[eid] for eid in nd["edges"]]
+    for td in doc["tensors"].values():
+        td["axes"] = [new[eid] for eid in td["axes"]]
+    return json.dumps(doc, indent=1)
+
+
+def id_free_values(g):
+    """Z, Z_B, the message rows, g0 and Z_{B,2} of ``g``.  Z is also
+    enumerated where that takes at most 2**12 configurations; the exhaustive
+    mean over the 2**|E| covers runs up to |E| = 6, and 20 sampled covers
+    stand in beyond."""
+    rep = spa.spa_run(g)
+    out = [nfg.partition_contract(g), rep.zb_spa, rep.messages.rows.tolist(),
+           lct.transform(g, rep).g0, cover.zbm_typeformula(g, 2).power_value]
+    if math.prod(g.axis_size(i) for i in range(g.n_edges)) <= 2**12:
+        out.append(nfg.partition_exact(g))
+    if g.n_edges <= 6:
+        out.append(cover.zbm_exhaustive(g, 2).power_value)
+    else:
+        out.append(cover.zbm_montecarlo(g, 2, samples=20).power_value)
+    return out
+
+
+class TestEdgeIdsAreNames:
+    """Edge ids name the edges in files and output; nothing computed
+    depends on them."""
+
+    @pytest.mark.parametrize("topology,n", [("fig3", 4), ("cycle", 12)])
+    @pytest.mark.parametrize("kind,ensemble", [
+        ("double-edge", "psd-random"), ("standard", "positive-s-nfg")])
+    def test_reversed_ids_change_no_value(self, topology, n, kind, ensemble):
+        g = gen(GeneratorSpec(topology=topology, kind=kind,
+                              ensemble=ensemble, n=n, seed=1))
+        text = with_reversed_ids(nfg.serialize(g))
+        renamed = nfg.parse(text)
+        ids = [e.eid for e in renamed.edges]
+        assert sorted(ids) == ids[::-1]
+        assert nfg.serialize(renamed) == text
+        assert renamed.incidences == g.incidences
+        assert id_free_values(renamed) == id_free_values(g)
 
 
 class TestLimitsEnv:
