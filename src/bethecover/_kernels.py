@@ -3,7 +3,10 @@
 ``enum_configs`` is the one enumeration routine of the package: the
 partition-function oracle ``nfg.partition_exact`` and the loop series both
 walk configurations through it, by way of ``nfg.configurations``, which
-checks the ``enum`` cap first.  ``jacobi_eigh`` is the one eigensolver.
+checks the ``enum`` cap first.  ``jacobi_eigh`` decomposes a Hermitian
+matrix; its only caller is the PSD projection of the sum-product
+algorithm's random messages (``nfg.validate`` calls ``np.linalg.eigvalsh``
+itself).
 """
 
 import numpy as np

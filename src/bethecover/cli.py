@@ -19,6 +19,7 @@ import sys
 
 import numpy as np
 
+from . import config
 from . import cover as cover_mod
 from . import experiment as exp_mod
 from . import lct as lct_mod
@@ -33,22 +34,23 @@ def _add_graph_args(p, from_file):
     if from_file:
         p.add_argument("graph", nargs="?", default=None,
                        help="path to a .nfg.json file (omit to generate)")
-    p.add_argument("--topology", default="fig3", choices=TOPOLOGIES)
-    p.add_argument("--kind", default="double-edge",
+    spec = GeneratorSpec()
+    p.add_argument("--topology", default=spec.topology, choices=TOPOLOGIES)
+    p.add_argument("--kind", default=spec.kind,
                    choices=[nfg.STANDARD, nfg.DOUBLE])
-    p.add_argument("--alphabet", type=int, default=2)
-    p.add_argument("--ensemble", default="psd-random", choices=ENSEMBLES)
-    p.add_argument("--eta", type=float, default=0.02)
-    p.add_argument("--scale", type=float, default=1.0)
-    p.add_argument("--nodes", type=int, default=4,
+    p.add_argument("--alphabet", type=int, default=spec.alphabet)
+    p.add_argument("--ensemble", default=spec.ensemble, choices=ENSEMBLES)
+    p.add_argument("--eta", type=float, default=spec.eta)
+    p.add_argument("--scale", type=float, default=spec.scale)
+    p.add_argument("--nodes", type=int, default=spec.n,
                    help="node count for cycle/tree topologies")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=spec.seed)
 
 
 _FLAGS = {
     "--json": dict(metavar="PATH", default=None),
     "--csv": dict(metavar="PATH", default=None),
-    "--tol": dict(type=float, default=1e-9),
+    "--tol": dict(type=float, default=config.TOLS.fixed_point),
     "--max-iter": dict(type=int, default=10000),
     "--restarts": dict(type=int, default=8),
     "--damping": dict(type=float, default=0.0),

@@ -168,8 +168,7 @@ def _finish(method, degree, mean, **extra):
     value = mean.real
     if value < 0.0:
         raise SignedRootError(
-            f"cover mean {value!r} is negative; no real degree-root",
-            raw_value=value)
+            f"cover mean {value!r} is negative; no real degree-root")
     root = value ** (1.0 / degree)
     return ZbmEstimate(method=method, degree=degree, power_value=value,
                        root=root, **extra)

@@ -29,15 +29,10 @@ class ParseError(BetheCoverError):
         if location is not None:
             message = f"{message} (at {location})"
         super().__init__(message)
-        self.location = location
 
 
 class LctInapplicableError(BetheCoverError):
     """The loop-calculus transform is undefined for an edge (Z_e ~ 0)."""
-
-    def __init__(self, message, edge=None):
-        super().__init__(message)
-        self.edge = edge
 
 
 class DegenerateParameterError(BetheCoverError):
@@ -47,10 +42,6 @@ class DegenerateParameterError(BetheCoverError):
 class InternalConsistencyError(BetheCoverError):
     """A computed object violates one of its own invariants."""
 
-    def __init__(self, message, residual=None):
-        super().__init__(message)
-        self.residual = residual
-
 
 class DegenerateBeliefError(BetheCoverError):
     """A belief normalizer vanished at the given edge or node."""
@@ -58,10 +49,6 @@ class DegenerateBeliefError(BetheCoverError):
 
 class SignedRootError(BetheCoverError):
     """The M-th root of a negative mean was requested."""
-
-    def __init__(self, message, raw_value=None):
-        super().__init__(message)
-        self.raw_value = raw_value
 
 
 class NonConvergenceError(BetheCoverError):

@@ -9,8 +9,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .cover import zbm_exhaustive, zbm_montecarlo, zbm_typeformula
-from .errors import (BetheCoverError, CapacityError, LctInapplicableError,
-                     StructuralError)
+from .errors import BetheCoverError, CapacityError, StructuralError
 from .generators import gen
 from .lct import check_condition, transform
 from .nfg import partition_exact
@@ -77,7 +76,7 @@ def run_instance(base_spec, index, master_seed, m_max, samples,
             row.lct_applicable = True
             row.condition = cond.condition
             row.alpha = cond.alpha
-        except (LctInapplicableError, BetheCoverError):
+        except BetheCoverError:
             row.lct_applicable = False
     for degree in range(1, m_max + 1):
         est = zbm_estimate(g, degree, samples=samples,

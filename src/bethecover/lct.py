@@ -17,8 +17,7 @@ from . import config
 from .errors import (DegenerateParameterError, InternalConsistencyError,
                      LctInapplicableError, ValidationError)
 from .nfg import complex_pairs, configurations, serialize as serialize_graph
-from .spa import (MessageVector, SpaReport, bethe_partition_value,
-                  edge_normalizers, node_normalizers)
+from .spa import MessageVector, SpaReport, bethe_value
 
 _REAL_TOL = 1e-9       # relative imaginary part allowed in a real value
 _WEIGHT_FLOOR = 1e-12  # loop-series terms below this share of g0 are dropped
@@ -74,7 +73,7 @@ def resolve_params(mu_i, mu_j, eid="e", zeta_i=None, chi_i=None,
     z_e = _real_scalar(np.sum(mu_i * mu_j), f"edge {eid!r}: Z_e")
     if z_e <= tols.z_edge:
         raise LctInapplicableError(
-            f"edge {eid!r}: Z_e = {z_e:.3e} is not positive", edge=eid)
+            f"edge {eid!r}: Z_e = {z_e:.3e} is not positive")
     mu_i0 = _real_scalar(mu_i[0], f"edge {eid!r}: message value at 0")
     mu_j0 = _real_scalar(mu_j[0], f"edge {eid!r}: message value at 0")
     b0 = mu_i0 * mu_j0 / z_e
@@ -128,8 +127,7 @@ def resolve_params(mu_i, mu_j, eid="e", zeta_i=None, chi_i=None,
            if v > 1e-12 * max(1.0, z_e)}
     if bad:
         raise InternalConsistencyError(
-            f"edge {eid!r}: parameter constraints violated: {bad}",
-            residual=max(bad.values()))
+            f"edge {eid!r}: parameter constraints violated: {bad}")
     return params
 
 
@@ -177,18 +175,15 @@ def build_m_matrices(mu_i, mu_j, params):
     res = float(np.max(np.abs(gram - np.eye(n))))
     if res > config.TOLS.biorth:
         raise InternalConsistencyError(
-            f"edge {p.eid!r}: biorthogonality residual {res:.3e}",
-            residual=res)
+            f"edge {p.eid!r}: biorthogonality residual {res:.3e}")
     return m_i, m_j
 
 
 @dataclass
 class LctResult:
-    base: object                       # the original graph
     transformed: object                # same topology, transformed functions
     m_matrices: dict                   # eid -> (m_i, m_j)
     params: dict                       # eid -> EdgeParams
-    messages: MessageVector
     g0: complex                        # transformed global value at all-zero
     zb_spa: complex                    # Bethe value of the fixed point
     diagnostics: dict = field(default_factory=dict)
@@ -213,13 +208,11 @@ def transform(g, fixed_point, param_overrides=None):
     valid parameter choices).
     """
     m = _messages_of(fixed_point)
-    z_f = node_normalizers(g, m)
-    z_e = edge_normalizers(g, m)
-    zb = bethe_partition_value(z_f, z_e)
+    _z_f, z_e, zb = bethe_value(g, m)
     if zb is None:
         worst = min(z_e, key=lambda k: abs(z_e[k]))
         raise LctInapplicableError(
-            f"edge {worst!r}: Z_e = {z_e[worst]!r} vanishes", edge=worst)
+            f"edge {worst!r}: Z_e = {z_e[worst]!r} vanishes")
     if zb.real <= 0.0:
         raise ValidationError(
             f"the Bethe value at this fixed point is not positive: {zb!r}")
@@ -259,8 +252,8 @@ def transform(g, fixed_point, param_overrides=None):
         "fragile_edges": [eid for eid, p in params.items() if p.fragile],
         "g0_vs_bethe_rel": abs(g0 - zb) / abs(zb),
     }
-    return LctResult(base=g, transformed=transformed, m_matrices=mats,
-                     params=params, messages=m, g0=g0, zb_spa=zb,
+    return LctResult(transformed=transformed, m_matrices=mats,
+                     params=params, g0=g0, zb_spa=zb,
                      diagnostics=diagnostics)
 
 

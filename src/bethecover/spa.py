@@ -52,6 +52,16 @@ class MessageVector:
         return iter(self.plan.keys)
 
 
+def _filled(g, row):
+    """The message vector of ``g`` whose row for each directed key, in the
+    plan's order, holds ``row(key, n)``, ``n`` being the key's axis size."""
+    plan = _plan(g)
+    rows = np.zeros((len(plan.keys), plan.width), dtype=np.complex128)
+    for r, (key, n) in enumerate(zip(plan.keys, plan.sizes)):
+        rows[r, :n] = row(key, n)
+    return MessageVector(plan, rows)
+
+
 def messages(g, mapping):
     """The message vector of ``g`` holding ``mapping[key]`` at every
     directed key; ``StructuralError`` on a missing key, an extra key or a
@@ -62,29 +72,24 @@ def messages(g, mapping):
     if missing or extra:
         raise StructuralError(f"messages do not match the graph's directed "
                               f"keys: missing {missing}, extra {extra}")
-    rows = np.zeros((len(plan.keys), plan.width), dtype=np.complex128)
-    for r, (key, n) in enumerate(zip(plan.keys, plan.sizes)):
+
+    def row(key, n):
         vec = np.asarray(mapping[key], dtype=np.complex128)
         if vec.shape != (n,):
             raise StructuralError(f"message {key!r} has shape {vec.shape}; "
                                   f"its edge needs ({n},)")
-        rows[r, :n] = vec
-    return MessageVector(plan, rows)
+        return vec
+
+    return _filled(g, row)
 
 
 def uniform_messages(g):
-    plan = _plan(g)
-    rows = np.zeros((len(plan.keys), plan.width), dtype=np.complex128)
-    for r, n in enumerate(plan.sizes):
-        rows[r, :n] = 1.0 / n
-    return MessageVector(plan, rows)
+    return _filled(g, lambda key, n: 1.0 / n)
 
 
 def _psd_project(vec, base):
     """Project a double-edge message onto the PSD cone and renormalize."""
-    c = vec.reshape(base, base)
-    c = (c + c.conj().T) / 2.0
-    vals, vecs = jacobi_eigh(c)
+    vals, vecs = jacobi_eigh(vec.reshape(base, base))
     vals = np.clip(vals, 0.0, None)
     c = (vecs * vals) @ vecs.conj().T
     flat = c.reshape(-1)
@@ -110,11 +115,7 @@ def random_message(g, i, rng):
 
 
 def random_messages(g, rng):
-    plan = _plan(g)
-    rows = np.zeros((len(plan.keys), plan.width), dtype=np.complex128)
-    for r, (i, _node) in enumerate(plan.keys):
-        rows[r, :plan.sizes[r]] = random_message(g, i, rng)
-    return MessageVector(plan, rows)
+    return _filled(g, lambda key, n: random_message(g, key[0], rng))
 
 
 # ------------------------------------------------------------------ #
@@ -149,8 +150,6 @@ class _SweepPlan:
         self.sizes = tuple(g.axis_size(i) for i, _node in self.keys)
         self.width = max(self.sizes, default=0)
         self.n_nodes = g.n_nodes
-        self.head_rows = np.arange(0, len(self.keys), 2)
-        self.tail_rows = self.head_rows + 1
         self.heads = np.array([e.head for e in g.edges], dtype=np.int64)
         self.tails = np.array([e.tail for e in g.edges], dtype=np.int64)
         # max|t_f| per node (1 for an all-zero function), and per row that
@@ -213,7 +212,7 @@ class _SweepPlan:
 
     def edge_sums(self, rows):
         """Per-edge overlap of the two opposing messages."""
-        return np.sum(rows[self.head_rows] * rows[self.tail_rows], axis=1)
+        return np.sum(rows[0::2] * rows[1::2], axis=1)
 
 
 _PLANS = weakref.WeakKeyDictionary()
@@ -283,7 +282,7 @@ def spa_step(g, m, rng=None, damping=0.0):
     # an overflowing product comes out inf or NaN; neither passes the zero
     # test, and a product that large is not degenerate
     with np.errstate(over="ignore", invalid="ignore"):
-        prod = (rel[plan.head_rows] * rel[plan.tail_rows]
+        prod = (rel[0::2] * rel[1::2]
                 * plan.edge_sums(new)
                 * rel_node[plan.heads] * rel_node[plan.tails])
     degenerate = np.flatnonzero(np.abs(prod) <= tol_zero).tolist()
@@ -311,31 +310,23 @@ def spa_step(g, m, rng=None, damping=0.0):
 # partition-function pieces                                           #
 # ------------------------------------------------------------------ #
 
-def node_normalizers(g, m):
-    """Per-node sums Z_f of the local function against its messages."""
-    plan = _plan(g)
-    return dict(zip(g.node_names,
-                    plan.node_sums(plan.rows_of(m)).tolist()))
-
-
-def edge_normalizers(g, m):
-    """Per-edge overlaps Z_e of the two opposing messages."""
-    plan = _plan(g)
-    return dict(zip((e.eid for e in g.edges),
-                    plan.edge_sums(plan.rows_of(m)).tolist()))
-
-
-def bethe_partition_value(z_f, z_e):
-    """Message-based Bethe partition value prod Z_f / prod Z_e, or None
+def bethe_value(g, m):
+    """The per-node sums Z_f of each local function against its messages,
+    the per-edge overlaps Z_e of the two opposing messages, and the
+    message-based Bethe partition value prod Z_f / prod Z_e, which is None
     when some edge overlap vanishes; ``ValidationError`` if it overflows."""
-    out = 1.0 + 0.0j
+    plan = _plan(g)
+    rows = plan.rows_of(m)
+    z_f = dict(zip(g.node_names, plan.node_sums(rows).tolist()))
+    z_e = dict(zip((e.eid for e in g.edges), plan.edge_sums(rows).tolist()))
+    zb = 1.0 + 0.0j
     for v in z_f.values():
-        out *= v
+        zb *= v
     for v in z_e.values():
         if abs(v) <= config.TOLS.z_edge:
-            return None
-        out /= v
-    return finite(out, "the Bethe value")
+            return z_f, z_e, None
+        zb /= v
+    return z_f, z_e, finite(zb, "the Bethe value")
 
 
 # ------------------------------------------------------------------ #
@@ -366,23 +357,28 @@ class SpaReport:
 
 
 def _single_run(g, m, max_iter, tol_fp, damping, rng, restart):
+    """The report of one restart from ``m``, with the Bethe pieces only if
+    it converged."""
     events = []
     damping_now = damping
     history = []
-    res = float("inf")
     for it in range(1, max_iter + 1):
-        new, info = spa_step(g, m, rng=rng, damping=damping_now)
+        m, info = spa_step(g, m, rng=rng, damping=damping_now)
         events.extend((restart, it, i) for i in info.degenerate_edges)
-        res = info.map_residual
-        history.append(res)
-        m = new
-        if res <= tol_fp:
-            return m, True, it, res, events, damping_now
+        history.append(info.map_residual)
+        if info.map_residual <= tol_fp:
+            break
         # oscillation fallback: residual not shrinking over a window
         if (damping_now == 0.0 and it >= 60 and
                 history[-1] > 0.9 * history[-40]):
             damping_now = 0.5
-    return m, False, max_iter, res, events, damping_now
+    converged = history[-1] <= tol_fp
+    z_f, z_e, zb = bethe_value(g, m) if converged else (None, None, None)
+    return SpaReport(
+        converged=converged, iterations=it, residual=history[-1],
+        restarts_used=1, restarts_converged=int(converged), messages=m,
+        z_f=z_f, z_e=z_e, zb_spa=zb, degenerate_log=events,
+        damping_used=damping_now)
 
 
 def spa_run(g, init="uniform", max_iter=10000, tol_fp=None, damping=0.0,
@@ -391,9 +387,10 @@ def spa_run(g, init="uniform", max_iter=10000, tol_fp=None, damping=0.0,
     converged fixed point with the largest Re of the Bethe value.
 
     ``init`` picks the first start (``uniform`` or ``seeded-random``);
-    every further restart uses fresh random messages.  A non-convergent
-    run is reported, not raised; out-of-range settings are refused before
-    any sweep.
+    every further restart uses fresh random messages.  Ties go to the
+    earliest restart, and restart 0 is reported when none converged.  A
+    non-convergent run is reported, not raised; out-of-range settings are
+    refused before any sweep.
     """
     if init not in ("uniform", "seeded-random"):
         raise StructuralError(f"init must be 'uniform' or 'seeded-random', "
@@ -407,37 +404,19 @@ def spa_run(g, init="uniform", max_iter=10000, tol_fp=None, damping=0.0,
         raise StructuralError(f"damping must lie in [0, 1), got {damping}")
     if not tol_fp >= 0.0:
         raise StructuralError(f"tol_fp must be nonnegative, got {tol_fp}")
-    best = None
-    best_score = None
-    n_converged = 0
-    event_log = []
+    reports = []
     for r in range(restarts):
         rng = np.random.default_rng([seed, r])
         if r == 0 and init == "uniform":
             m0 = uniform_messages(g)
         else:
             m0 = random_messages(g, rng)
-        m, conv, its, res, events, damp = _single_run(
-            g, m0, max_iter, tol_fp, damping, rng, r)
-        event_log.extend(events)
-        z_f = node_normalizers(g, m)
-        z_e = edge_normalizers(g, m)
-        zb = bethe_partition_value(z_f, z_e) if conv else None
-        if conv:
-            n_converged += 1
-        score = zb.real if zb is not None else -np.inf
-        candidate = SpaReport(
-            converged=conv, iterations=its, residual=res,
-            restarts_used=restarts, restarts_converged=0,
-            messages=m, z_f=z_f if conv else None,
-            z_e=z_e if conv else None, zb_spa=zb, damping_used=damp)
-        if conv and (best is None or not best.converged
-                     or score > best_score):
-            best, best_score = candidate, score
-        elif best is None:
-            best, best_score = candidate, score
-    best.restarts_converged = n_converged
-    best.degenerate_log = event_log
+        reports.append(_single_run(g, m0, max_iter, tol_fp, damping, rng, r))
+    best = max(reports, key=lambda rep: (
+        rep.converged, rep.zb_spa.real if rep.zb_defined else -np.inf))
+    best.restarts_used = restarts
+    best.restarts_converged = sum(rep.converged for rep in reports)
+    best.degenerate_log = [ev for rep in reports for ev in rep.degenerate_log]
     return best
 
 
@@ -456,7 +435,7 @@ def beliefs_at(g, m):
     plan = _plan(g)
     rows = plan.rows_of(m)
     kappa_node = plan.node_sums(rows)
-    pair = rows[plan.head_rows] * rows[plan.tail_rows]
+    pair = rows[0::2] * rows[1::2]
     kappa_edge = pair.sum(axis=1)
     bad = np.flatnonzero(kappa_edge == 0.0)
     if bad.size:

@@ -76,7 +76,7 @@ def test_criterion_3_degenerate_two_cycle():
         walk, _ = spa.spa_step(g, walk)
     assert residual(walk, m) < 5e-3
     # both edge normalizers vanish and the transform refuses the edge
-    z_e = spa.edge_normalizers(g, m)
+    _z_f, z_e, _zb = spa.bethe_value(g, m)
     assert z_e["e1"] == 0.0 and z_e["e2"] == 0.0
     with pytest.raises(LctInapplicableError):
         lct.transform(g, m)

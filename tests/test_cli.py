@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from bethecover import nfg
-from bethecover.cli import build_parser, main
+from bethecover.cli import _spec_of, build_parser, main
 from bethecover.generators import GeneratorSpec, gen
 
 from conftest import graph_with_choi
@@ -25,6 +25,10 @@ def graph_file(tmp_path, capsys):
                  "--json", str(path)]) == 0
     capsys.readouterr()
     return str(path)
+
+
+def test_generator_flags_default_to_the_spec_defaults():
+    assert _spec_of(build_parser().parse_args(["gen"])) == GeneratorSpec()
 
 
 def test_gen_validate_exact(graph_file, tmp_path, capsys):

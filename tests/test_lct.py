@@ -249,12 +249,13 @@ class TestTransform:
             assert got == pytest.approx(want, rel=1e-12)
 
     def test_serialize_result_round_trip(self):
-        lr = converged_transform(fig3_psd(3))
+        g = fig3_psd(3)
+        lr = converged_transform(g)
         import json
 
         doc = json.loads(lct.serialize_result(lr))
         assert doc["schema"] == "lct-1"
-        assert set(doc["edges"]) == {e.eid for e in lr.base.edges}
+        assert set(doc["edges"]) == {e.eid for e in g.edges}
         rebuilt = nfg.parse(json.dumps(doc["transformed"]))
         for a, b in zip(rebuilt.tensors, lr.transformed.tensors):
             assert np.array_equal(a, b)

@@ -214,7 +214,7 @@ class TestBatchedSweep:
         # a vector of another layout is refused, not relaid
         other = spa.uniform_messages(build_fig3())
         with pytest.raises(StructuralError, match="directed keys"):
-            spa.node_normalizers(g, other)
+            spa.bethe_value(g, other)
 
     def test_graph_without_edges(self):
         g = nfg.make_graph("double-edge", [("a", []), ("b", [])], [],
@@ -237,7 +237,7 @@ class TestStep:
         g = power_trap_graph()
         m = power_trap_fixed_point(g)
         assert fixed_point_residual(g, m) == 0.0
-        z_e = spa.edge_normalizers(g, m)
+        _z_f, z_e, _zb = spa.bethe_value(g, m)
         assert z_e["e1"] == 0.0 and z_e["e2"] == 0.0
 
     def test_power_trap_convergence_from_uniform(self):
@@ -351,9 +351,7 @@ class TestRun:
         scaled = spa.messages(g, {
             k: rep.messages[k] * (0.37 - 1.9j if k == key else 1.0)
             for k in rep.messages})
-        z_f = spa.node_normalizers(g, scaled)
-        z_e = spa.edge_normalizers(g, scaled)
-        zb = spa.bethe_partition_value(z_f, z_e)
+        _z_f, _z_e, zb = spa.bethe_value(g, scaled)
         assert abs(zb - rep.zb_spa) / abs(rep.zb_spa) < 1e-10
 
     def test_factors_on_the_local_functions_change_no_decision(self):
@@ -428,6 +426,35 @@ class TestRun:
         rep = spa.spa_run(g, restarts=3)
         assert rep.restarts_used == 3
         assert rep.restarts_converged == 3
+
+    @pytest.mark.parametrize("outcomes, winner", [
+        # (converged, zb_spa) per restart
+        ([(False, None), (True, 2.0), (True, 5.0 + 1j), (True, 3.0)], 2),
+        ([(False, None), (True, 4.0), (True, 4.0 - 2j), (True, 1.0)], 1),
+        ([(False, None), (True, None), (False, None)], 1),
+        ([(True, None), (True, -0.5)], 1),
+        ([(False, None), (False, None), (False, None)], 0),
+    ], ids=["converged-beats-earlier", "tie-goes-to-earliest",
+            "converged-without-value", "value-beats-none", "none-converged"])
+    def test_restart_choice(self, monkeypatch, outcomes, winner):
+        made = []
+
+        def single_run(g, m, max_iter, tol_fp, damping, rng, restart):
+            conv, zb = outcomes[restart]
+            made.append(spa.SpaReport(
+                converged=conv, iterations=restart + 1, residual=0.0,
+                restarts_used=1, restarts_converged=int(conv), messages=m,
+                zb_spa=None if zb is None else complex(zb),
+                degenerate_log=[(restart, 1, 0), (restart, 2, 1)]))
+            return made[-1]
+
+        monkeypatch.setattr(spa, "_single_run", single_run)
+        rep = spa.spa_run(build_fig3(), restarts=len(outcomes))
+        assert rep is made[winner]
+        assert rep.restarts_used == len(outcomes)
+        assert rep.restarts_converged == sum(c for c, _ in outcomes)
+        assert rep.degenerate_log == [(r, it, i) for r in range(len(outcomes))
+                                      for it, i in ((1, 0), (2, 1))]
 
     def test_degenerate_events_are_logged(self):
         # the zero row / zero column pair drives both edge overlaps to
