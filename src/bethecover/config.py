@@ -2,10 +2,10 @@
 
 Capacity limits can be overridden only through the environment variable
 ``BETHE_COVER_LIMITS``, which every capped call reads afresh: a
-comma-separated list of ``key=value`` pairs with
-keys ``enum`` (configurations enumerated), ``contract`` (complex entries
-of any one array sized by the input) and ``covers`` (covers visited by the
-exhaustive mean).  A malformed value raises
+comma-separated list of ``key=value`` pairs with keys ``enum``
+(configurations enumerated), ``contract`` (complex entries of any one
+array sized by the input) and ``covers`` (the ``(M!)**(|E|-|V|+c)``
+covers the exhaustive mean visits).  A malformed value raises
 :class:`~bethecover.errors.ValidationError`.  Every capped route asks
 :func:`check_capacity` before it allocates anything sized by the request.
 """
@@ -35,7 +35,7 @@ TOLS = Tolerances()
 class Limits:
     enum: int = 2**24        # configurations partition_exact will visit
     contract: int = 2**26    # complex entries of one contraction intermediate
-    covers: int = 10**5      # covers averaged by the exhaustive estimator
+    covers: int = 10**5      # gauge-fixed covers the exhaustive mean visits
 
 
 def limits():

@@ -4,10 +4,12 @@ Covers", IEEE Trans. IT 59(9), 2013).
 
 :func:`cover_network` states the cover wiring once, as an integer-labeled
 network that the exhaustive and Monte-Carlo means contract directly;
-:func:`build_cover` names it as a graph.  The third estimator contracts
-the average-cover network, whose edges carry the symmetric-subspace
-projector, in the type basis: one tensor per node over the types of
-length-M socket vectors, one weight ``1/multinomial(type)`` per edge.
+:func:`build_cover` names it as a graph.  Relabeling a node's M copies
+keeps Z, so the exhaustive mean fixes a spanning forest to the identity.
+The third estimator contracts the average-cover network, whose edges
+carry the symmetric-subspace projector, in the type basis: one tensor per
+node over the types of length-M socket vectors, one weight
+``1/multinomial(type)`` per edge.
 :func:`socket_projector` keeps the socket-basis projector as ground truth.
 """
 
@@ -156,7 +158,7 @@ class ZbmEstimate:
     power_value: float        # (Z_{B,M})**M
     root: float               # Z_{B,M}
     stderr: float = None      # Monte-Carlo only, on the power value
-    covers: int = None        # exhaustive only
+    covers: int = None        # exhaustive only: (M!)**|E| labeled covers
     samples: int = None       # Monte-Carlo only
 
 
@@ -175,21 +177,32 @@ def _finish(method, degree, mean, **extra):
 
 
 def zbm_exhaustive(g, degree):
-    """Arithmetic mean of the partition function over all labeled covers."""
+    """Mean of Z over the ``(M!)**|E|`` labeled covers (``covers``), from
+    the ``(M!)**(|E|-|V|+c)`` with the identity on a spanning forest: the
+    relabeling ``sigma_e -> pi_tail o sigma_e o pi_head^-1`` keeps Z and
+    takes each labeled cover there in exactly ``(M!)**c`` ways."""
     if degree < 1:
         raise StructuralError("cover degree must be positive")
-    # (M!)**|E| covers; where lgamma puts that over 2**65, the lower bound
-    # 2**64 stands in, so a huge degree is refused without computing M!
-    if g.n_edges * math.lgamma(degree + 1) > 65 * math.log(2):
+    comp, free = list(range(g.n_nodes)), []
+    for e in g.edges:   # union-find: a forest edge joins two components
+        a, b = comp[e.head], comp[e.tail]
+        comp = [a if c == b else c for c in comp]
+        free.append(a == b)
+    # (M!)**sum(free) covers; where lgamma puts that over 2**65, the lower
+    # bound 2**64 stands in, so a huge degree is refused without computing M!
+    if sum(free) * math.lgamma(degree + 1) > 65 * math.log(2):
         n_covers = 2**64
     else:
-        n_covers = math.factorial(degree) ** g.n_edges
-    config.check_capacity("covers", n_covers, "labeled covers")
+        n_covers = math.factorial(degree) ** sum(free)
+    config.check_capacity("covers", n_covers, "gauge-fixed covers")
+    identity = tuple(range(degree))
     total = 0.0 + 0.0j
-    for sigma in itertools.product(
-            itertools.permutations(range(degree)), repeat=g.n_edges):
+    for sigma in itertools.product(*(
+            itertools.permutations(identity) if f else (identity,)
+            for f in free)):
         total += contract_network(cover_network(g, CoverSpec(degree, sigma)))
-    return _finish("exhaustive", degree, total / n_covers, covers=n_covers)
+    return _finish("exhaustive", degree, total / n_covers,
+                   covers=math.factorial(degree) ** g.n_edges)
 
 
 def zbm_montecarlo(g, degree, samples, seed=0):

@@ -10,7 +10,7 @@ import itertools
 import numpy as np
 
 from bethecover import nfg, spa
-from bethecover.cover import type_of
+from bethecover.cover import CoverSpec, cover_network, type_of
 from bethecover.errors import StructuralError
 from bethecover.tensor import paired_from_choi
 
@@ -131,6 +131,22 @@ def induced_fixed_point_check(lr):
     # a message whose lead entry vanishes is measured unscaled
     ratios = raw.rows[:, 1:] / np.where(lead == 0.0, 1.0, lead)
     return float(np.max(np.abs(ratios), initial=0.0))
+
+
+# ------------------------------------------------------------------ #
+# covers                                                              #
+# ------------------------------------------------------------------ #
+
+def labeled_cover_mean(g, degree):
+    """Mean of Z over every one of the ``(M!)**|E|`` labeled degree-M
+    covers, each contracted: the exhaustive mean without the gauge."""
+    total, count = 0.0 + 0.0j, 0
+    for sigma in itertools.product(
+            itertools.permutations(range(degree)), repeat=g.n_edges):
+        total += nfg.contract_network(cover_network(g, CoverSpec(degree,
+                                                                 sigma)))
+        count += 1
+    return total / count
 
 
 # ------------------------------------------------------------------ #

@@ -66,7 +66,7 @@ def _socket():
 ROUTES = {
     "partition_exact": (_exact, "enum", 16, False),
     "loop_series": (_loop_series, "enum", 16, False),
-    "zbm_exhaustive": (_exhaustive(2, 2 ** 5), "covers", 16, False),
+    "zbm_exhaustive": (_exhaustive(3, 6 ** 2), "covers", 16, False),
     "zbm_exhaustive_huge": (_exhaustive(300000, 2 ** 63), "covers", 16,
                             True),
     "partition_contract": (_contract, "contract", 4, False),
@@ -120,8 +120,8 @@ def test_default_caps_refuse_the_huge_requests():
 
 
 def test_cover_count_exact_below_two_to_the_63(monkeypatch):
-    # 20! ** 5 is over 2**63 and reported as the lower bound 2**63;
-    # 5! ** 5 is reported exactly
+    # fig3 has 2 edges outside its spanning tree: 20! ** 2 is over 2**63
+    # and reported as the lower bound 2**63; 5! ** 2 is reported exactly
     g = fig3_psd(0)
     monkeypatch.setenv("BETHE_COVER_LIMITS", "covers=1")
     with pytest.raises(CapacityError, match="at least 2\\*\\*63") as info:
@@ -129,7 +129,7 @@ def test_cover_count_exact_below_two_to_the_63(monkeypatch):
     assert info.value.requested == 2 ** 63
     with pytest.raises(CapacityError) as info:
         cover.zbm_exhaustive(g, 5)
-    assert info.value.requested == 120 ** 5
+    assert info.value.requested == 120 ** 2
 
 
 @pytest.mark.parametrize("argv", [

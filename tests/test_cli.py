@@ -165,8 +165,9 @@ def test_parse_error_exit_code(tmp_path, capsys):
     ["gen", "--json", "DIR/missing/x.json"],
     ["experiment", "--instances", "1", "--mmax", "1", "--restarts", "1",
      "--csv", "DIR/missing/x.csv"],
-    # each of these two works for seconds before it writes its output
-    ["zbm", "--m", "3", "--method", "exhaustive", "--json",
+    # each of these two works for seconds before it writes its output:
+    # 5! ** 2 = 14 400 covers of fig3 take well over 10 s
+    ["zbm", "--m", "5", "--method", "exhaustive", "--json",
      "DIR/missing/x.json"],
     ["experiment", "--instances", "20", "--csv", "DIR/missing/x.csv"],
 ], ids=["missing", "directory", "not-utf8", "gen-json", "experiment-csv",

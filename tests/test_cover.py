@@ -1,6 +1,7 @@
 """Covers, the three degree-M estimators, type utilities, bounds."""
 
 import itertools
+import json
 import math
 import tracemalloc
 
@@ -15,7 +16,8 @@ from bethecover.tensor import ComplexTensor
 
 from conftest import build_fig3, fig3_near_identity, fig3_psd, \
     random_tree_de, two_cycle
-from oracles import is_forest, predecessors, types as oracle_types
+from oracles import is_forest, labeled_cover_mean, predecessors, \
+    types as oracle_types
 
 
 class TestBuildCover:
@@ -422,16 +424,16 @@ class TestCycleOracle:
         assert est.power_value == pytest.approx(cycle_h_m(g, degree),
                                                 rel=1e-12)
 
-    # double-edge cycles at alphabet 3 are left out: their exhaustive mean
-    # at M = 3 takes about 14 s
     @pytest.mark.parametrize("kind,ensemble,alphabet", [
         ("standard", "positive-s-nfg", 2), ("standard", "positive-s-nfg", 3),
-        ("double-edge", "psd-random", 2)])
+        ("double-edge", "psd-random", 2), ("double-edge", "psd-random", 3)])
     def test_estimators_match_h_m_on_three_node_cycles(self, kind, ensemble,
                                                        alphabet):
         g = gen(GeneratorSpec(topology="cycle", kind=kind, ensemble=ensemble,
                               alphabet=alphabet, n=3, seed=1))
-        routes = [(cover.zbm_typeformula, m) for m in range(1, 7)]
+        # at leg size 9 the type formula takes 1 s at M = 5 and 10 s at 6
+        top = 4 if g.axis_size(0) > 4 else 6
+        routes = [(cover.zbm_typeformula, m) for m in range(1, top + 1)]
         routes += [(cover.zbm_exhaustive, m) for m in (2, 3)]
         for route, degree in routes:
             assert route(g, degree).power_value == pytest.approx(
@@ -448,6 +450,73 @@ class TestCycleOracle:
         est = cover.zbm_montecarlo(g, degree, samples=100)
         assert est.stderr > 0.0
         assert abs(est.power_value - cycle_h_m(g, degree)) <= 3 * est.stderr
+
+
+def two_components(rng):
+    """A triangle and a 2-cycle, their edges interleaved in ``g.edges``."""
+    nodes = [("a", ["e1", "e3"]), ("b", ["e1", "e5"]), ("c", ["e3", "e5"]),
+             ("d", ["e2", "e4"]), ("e", ["e2", "e4"])]
+    edges = [("e1", ("a", "b"), 2), ("e2", ("d", "e"), 2),
+             ("e3", ("a", "c"), 2), ("e4", ("d", "e"), 2),
+             ("e5", ("b", "c"), 2)]
+    tensors = {name: rng.random((2, 2)) + 0.1 for name, _ in nodes}
+    return nfg.make_graph(nfg.STANDARD, nodes, edges, tensors)
+
+
+def reversed_edge_list(g):
+    """``g`` with the edge list of its serialized document reversed: the
+    same graph with another spanning forest in edge order."""
+    doc = json.loads(nfg.serialize(g))
+    doc["edges"].reverse()
+    rev = nfg.parse(json.dumps(doc))
+    assert [e.eid for e in rev.edges] == [e.eid for e in g.edges][::-1]
+    return rev
+
+
+# case: (builder of the graph from an rng, degree)
+GAUGE_CASES = {
+    **{f"fig3-{seed}": (lambda rng, seed=seed: fig3_psd(seed), 2)
+       for seed in range(4)},
+    "two-cycle": (lambda rng: two_cycle(rng.random((3, 3)),
+                                        rng.random((3, 3)), alphabet=3), 3),
+    "two-components": (two_components, 2),
+    "fig3-reversed": (lambda rng: reversed_edge_list(fig3_psd(1)), 2),
+}
+
+
+class TestGauge:
+    """The exhaustive mean contracts only the covers whose spanning-forest
+    edges carry the identity; the mean over every labeled cover is the
+    ground truth."""
+
+    @pytest.mark.parametrize("case", list(GAUGE_CASES))
+    def test_matches_the_labeled_cover_mean(self, case, rng):
+        build, degree = GAUGE_CASES[case]
+        g = build(rng)
+        est = cover.zbm_exhaustive(g, degree)
+        assert est.covers == math.factorial(degree) ** g.n_edges
+        assert est.power_value == pytest.approx(
+            labeled_cover_mean(g, degree), rel=1e-12)
+
+    @pytest.mark.parametrize("seed,n", [(0, 4), (1, 5), (2, 6)])
+    def test_a_tree_contracts_one_cover(self, seed, n, monkeypatch):
+        g = random_tree_de(seed, n)
+        z = nfg.partition_contract(g).real
+        for degree in range(2, 7):
+            monkeypatch.setenv("BETHE_COVER_LIMITS", "covers=0")
+            with pytest.raises(CapacityError) as info:
+                cover.zbm_exhaustive(g, degree)
+            assert info.value.requested == 1
+            monkeypatch.delenv("BETHE_COVER_LIMITS")
+            est = cover.zbm_exhaustive(g, degree)
+            assert est.root == pytest.approx(z, rel=1e-12)
+
+    @pytest.mark.parametrize("degree", [3, 4])
+    def test_fig3_matches_the_type_formula(self, degree):
+        # 3! ** 2 = 36 and 4! ** 2 = 576 covers; M = 4 takes about 1 s
+        g = fig3_psd(0)
+        assert cover.zbm_exhaustive(g, degree).power_value == pytest.approx(
+            cover.zbm_typeformula(g, degree).power_value, rel=1e-11)
 
 
 class TestIsolatedNode:
@@ -539,10 +608,12 @@ class TestEstimators:
         assert abs(mc.power_value - typ.power_value) <= tol
 
     def test_exhaustive_capacity(self, monkeypatch):
+        # 4! ** 2 = 576 gauge-fixed covers fit under the cap, 5! ** 2 do not
         g = fig3_psd(0)
         monkeypatch.setenv("BETHE_COVER_LIMITS", "covers=1000")
-        with pytest.raises(CapacityError, match="covers"):
-            cover.zbm_exhaustive(g, 4)
+        with pytest.raises(CapacityError, match="covers") as info:
+            cover.zbm_exhaustive(g, 5)
+        assert info.value.requested == 120 ** 2
 
     def test_typeformula_capacity(self, monkeypatch):
         # the peak is the degree-3 node's first gather step at the last
