@@ -4,7 +4,11 @@ Covers", IEEE Trans. IT 59(9), 2013).
 
 :func:`cover_network` states the cover wiring once, as an integer-labeled
 network that the exhaustive and Monte-Carlo means contract directly;
-:func:`build_cover` names it as a graph.  Relabeling a node's M copies
+:func:`build_cover` names it as a graph.  Both means first absorb every
+leaf and every node of degree 2 between two distinct neighbours into a
+neighbour: each copy of such a node in a cover meets one copy of each
+neighbour, so contracting it there, and composing the permutations of
+its two edges, keeps every cover's Z.  Relabeling a node's M copies
 keeps Z, so the exhaustive mean fixes a spanning forest to the identity.
 The third estimator contracts the average-cover network, whose edges
 carry the symmetric-subspace projector, in the type basis: one tensor per
@@ -22,7 +26,7 @@ import numpy as np
 from . import config
 from .errors import (InternalConsistencyError, SignedRootError,
                      StructuralError)
-from .nfg import contract_network, finite, make_graph
+from .nfg import Edge, FactorGraph, contract_network, finite, make_graph
 from .tensor import ComplexTensor
 
 _IMAG_TOL = 1e-9      # relative imaginary part allowed in a cover mean
@@ -82,6 +86,99 @@ def cover_network(g, spec):
                 legs[k * M + c][a] = lab    # lab = i*M + m, on (f_k, c)
     return [ComplexTensor(labels, g.tensors[n // M])
             for n, labels in enumerate(legs)]
+
+
+def _absorb(g):
+    """``g`` with its degree-1 nodes and its degree-2 nodes between two
+    distinct neighbours contracted away, node by node in position order
+    until none is left, plus the chain of each surviving edge: the
+    ``(base edge position, forward)`` steps it stands for, read from its
+    head to its tail (``forward`` when the step runs from that base edge's
+    head to its tail).
+
+    In every M-cover, each copy of a leaf hangs off one copy of its
+    neighbour, and each copy of a series node sits between one copy of
+    each neighbour; contracting each copy into its neighbour's copy, and
+    composing the permutations along the chain, gives the cover of the
+    reduced graph that :func:`_lift` names, with the same Z.  A node whose
+    two edges reach one node is kept: absorbing it would make a self-loop.
+
+    A series node goes into the neighbour across its larger axis, and the
+    surviving edge is the far one, with its alphabet; so a merge never
+    grows the neighbour's tensor (a leaf merge shrinks it), and nothing
+    here needs a capacity check beyond the one each node tensor passed.
+    Overflow is carried as inf into the contraction, which refuses it.
+    """
+    tensors = list(g.tensors)
+    inc = [list(p) for p in g.incidences]   # None once absorbed
+    ends = [[e.head, e.tail] for e in g.edges]   # None once absorbed
+    chains = [[(i, True)] for i in range(g.n_edges)]
+
+    def walk(i, x):
+        """Edge i's far end from node x, and its chain read from x."""
+        if ends[i][0] == x:
+            return ends[i][1], chains[i]
+        return ends[i][0], [(p, not fwd) for p, fwd in reversed(chains[i])]
+
+    changed = True
+    with np.errstate(over="ignore", invalid="ignore"):
+        while changed:
+            changed = False
+            for v, edges in enumerate(inc):
+                if edges is None or not 1 <= len(edges) <= 2:
+                    continue
+                if len(edges) == 2 and g.axis_size(edges[1]) > \
+                        g.axis_size(edges[0]):
+                    edges = edges[::-1]
+                i, *far = edges
+                a = walk(i, v)[0]
+                if far and walk(far[0], v)[0] == a:
+                    continue
+                ax = inc[a].index(i)
+                merged = np.tensordot(tensors[a], tensors[v],
+                                      axes=([ax], [inc[v].index(i)]))
+                if far:
+                    (j,) = far
+                    b, rest = walk(j, v)
+                    tensors[a] = np.moveaxis(merged, -1, ax)
+                    inc[a][ax] = j
+                    ends[j], chains[j] = [a, b], walk(i, a)[1] + rest
+                else:
+                    tensors[a] = merged
+                    del inc[a][ax]
+                ends[i] = inc[v] = None
+                changed = True
+    nodes = [k for k, edges in enumerate(inc) if edges is not None]
+    kept = [i for i, e in enumerate(ends) if e is not None]
+    node_pos = {k: n for n, k in enumerate(nodes)}
+    edge_pos = {i: n for n, i in enumerate(kept)}
+    edges, lifted = [], []
+    for i in kept:
+        head, tail = sorted(ends[i])
+        edges.append(Edge(g.edges[i].eid, node_pos[head], node_pos[tail],
+                          g.edges[i].alphabet))
+        lifted.append(walk(i, head)[1])
+    h = FactorGraph(g.kind, [g.node_names[k] for k in nodes],
+                    [[edge_pos[i] for i in inc[k]] for k in nodes], edges,
+                    [tensors[k] for k in nodes], g.weak_sense_flag)
+    return h, lifted
+
+
+def _lift(chains, spec):
+    """The cover of :func:`_absorb`'s reduced graph that a cover ``spec``
+    of the base graph becomes: each chain's permutations composed from
+    the reduced edge's head, a step that runs tail to head inverted."""
+    M = spec.degree
+    sigma = []
+    for chain in chains:
+        perm = range(M)
+        for i, forward in chain:
+            step = spec.sigma[i]
+            if not forward:     # a permutation's argsort is its inverse
+                step = sorted(range(M), key=step.__getitem__)
+            perm = [step[c] for c in perm]
+        sigma.append(tuple(perm))
+    return CoverSpec(M, tuple(sigma))
 
 
 def build_cover(g, spec):
@@ -180,11 +277,18 @@ def zbm_exhaustive(g, degree):
     """Mean of Z over the ``(M!)**|E|`` labeled covers (``covers``), from
     the ``(M!)**(|E|-|V|+c)`` with the identity on a spanning forest: the
     relabeling ``sigma_e -> pi_tail o sigma_e o pi_head^-1`` keeps Z and
-    takes each labeled cover there in exactly ``(M!)**c`` ways."""
+    takes each labeled cover there in exactly ``(M!)**c`` ways.
+
+    The covers are those of :func:`_absorb`'s graph, whose every cover is
+    a base cover with its leaves and series nodes contracted, with that
+    cover's Z.  Each absorption removes one node and one edge and keeps
+    the components, so ``|E|-|V|+c``, and the count, is the base graph's.
+    """
     if degree < 1:
         raise StructuralError("cover degree must be positive")
-    comp, free = list(range(g.n_nodes)), []
-    for e in g.edges:   # union-find: a forest edge joins two components
+    h, _ = _absorb(g)
+    comp, free = list(range(h.n_nodes)), []
+    for e in h.edges:   # union-find: a forest edge joins two components
         a, b = comp[e.head], comp[e.tail]
         comp = [a if c == b else c for c in comp]
         free.append(a == b)
@@ -200,21 +304,26 @@ def zbm_exhaustive(g, degree):
     for sigma in itertools.product(*(
             itertools.permutations(identity) if f else (identity,)
             for f in free)):
-        total += contract_network(cover_network(g, CoverSpec(degree, sigma)))
+        total += contract_network(cover_network(h, CoverSpec(degree, sigma)))
     return _finish("exhaustive", degree, total / n_covers,
                    covers=math.factorial(degree) ** g.n_edges)
 
 
 def zbm_montecarlo(g, degree, samples, seed=0):
     """Unbiased sample mean over uniformly drawn covers; deterministic
-    for a given seed (one independent permutation per edge per sample)."""
+    for a given seed (one independent permutation per edge per sample).
+
+    Each drawn cover of ``g`` is contracted as its :func:`_lift` to
+    :func:`_absorb`'s graph, which has the same Z with the leaves and
+    series nodes of every copy contracted into their neighbours."""
     if samples < 1:
         raise StructuralError(f"samples must be positive, got {samples}")
     config.check_capacity("contract", samples, "Monte-Carlo value buffer")
     values = np.empty(samples, dtype=np.complex128)
+    h, chains = _absorb(g)
     for s in range(samples):
         spec = random_cover(g, degree, np.random.default_rng([seed, s]))
-        values[s] = contract_network(cover_network(g, spec))
+        values[s] = contract_network(cover_network(h, _lift(chains, spec)))
     # a sum that overflows is refused by _finish
     with np.errstate(over="ignore", invalid="ignore"):
         mean = values.sum() / samples

@@ -591,19 +591,16 @@ def with_reversed_ids(text):
 
 
 def id_free_values(g):
-    """Z, Z_B, the message rows, g0 and Z_{B,2} of ``g``.  Z is also
-    enumerated where that takes at most 2**12 configurations; the exhaustive
-    mean over the 2**|E| covers runs up to |E| = 6, and 20 sampled covers
-    stand in beyond."""
+    """Z, Z_B, the message rows, g0 and Z_{B,2} of ``g``, the last by the
+    type formula and by the exhaustive mean, which contracts the
+    ``2**(|E|-|V|+1)`` gauge-fixed covers (2 on a cycle).  Z is also
+    enumerated where that takes at most 2**12 configurations."""
     rep = spa.spa_run(g)
     out = [nfg.partition_contract(g), rep.zb_spa, rep.messages.rows.tolist(),
-           lct.transform(g, rep).g0, cover.zbm_typeformula(g, 2).power_value]
+           lct.transform(g, rep).g0, cover.zbm_typeformula(g, 2).power_value,
+           cover.zbm_exhaustive(g, 2).power_value]
     if math.prod(g.axis_size(i) for i in range(g.n_edges)) <= 2**12:
         out.append(nfg.partition_exact(g))
-    if g.n_edges <= 6:
-        out.append(cover.zbm_exhaustive(g, 2).power_value)
-    else:
-        out.append(cover.zbm_montecarlo(g, 2, samples=20).power_value)
     return out
 
 
