@@ -19,7 +19,8 @@ import numpy as np
 from . import config
 from ._kernels import enum_configs
 from .errors import ParseError, StructuralError, ValidationError
-from .tensor import ComplexTensor, choi_from_paired, contract, stored_array
+from .tensor import (ComplexTensor, Merge, choi_from_paired, contract,
+                     stored_array)
 
 STANDARD = "standard"
 DOUBLE = "double-edge"
@@ -298,12 +299,13 @@ class ContractionPlan:
     """Pairwise merges that contract a closed network to a scalar.
 
     Slots ``0..n-1`` are the input tensors and step j writes slot
-    ``n + j``.  ``steps`` holds ``(left slot, right slot, (left axes,
-    right axes))``, the axes paired in order; the slot a step writes holds
-    the left operand's free axes, then the right's, each in its operand's
-    order.  ``scalars`` lists the slots whose values multiply into the
-    result, in that order; ``peak`` is the entry count of the largest
-    intermediate (0 when nothing is merged).
+    ``n + j``.  ``steps`` holds ``(left slot, right slot, merge)``, where
+    ``merge`` is the :class:`tensor.Merge` that :func:`tensor.contract`
+    runs as one matrix product; the slot a step writes holds the left
+    operand's free axes, then the right's, each in its operand's order.
+    ``scalars`` lists the slots whose values multiply into the result, in
+    that order; ``peak`` is the entry count of the largest intermediate
+    (0 when nothing is merged).
     """
 
     steps: tuple
@@ -316,24 +318,34 @@ def plan_contraction(shapes):
     ``(labels, sizes)`` pairs, one per tensor, from labels and sizes alone.
 
     The network is checked here and nowhere else: a tensor whose labels
-    do not name each of its axes once, and a label that is not on exactly
-    two tensors or has two sizes, raise ``StructuralError`` before
-    anything is planned.  At each step the cluster whose merge with all
-    its neighbours leaves the smallest open size is eliminated, ties going to the earliest created
-    cluster (inputs in list order, then merged clusters); the neighbours
-    are merged into it one by one in creation order, and the merged
-    cluster is created last.  A merge changes the cost of the new cluster
-    and of its neighbours only, so just those are re-costed; the rest of
-    the costs wait in a heap of ``(cost, slot)`` whose stale entries are
-    skipped (greedy paths as in Smith & Gray, "opt_einsum", JOSS 2018).
+    do not name each of its axes once, a label that is not on exactly
+    two tensors or has two sizes, and a label of size 0 raise
+    ``StructuralError`` before anything is planned.  At each step the
+    cluster whose merge with all its neighbours leaves the smallest open
+    size is eliminated, ties going to the earliest created cluster
+    (inputs in list order, then merged clusters); the neighbours are
+    merged into it one by one in creation order, and the merged cluster
+    is created last (greedy paths as in Smith & Gray, "opt_einsum",
+    JOSS 2018).
+
+    Sizes are exact integers kept per cluster: ``entries[k]``, the entry
+    count of cluster k, and ``bond[k][p]``, that of the labels k shares
+    with p.  The open size of k with its neighbours is their entries
+    divided by every bond inside the group, each counted from both of its
+    ends.  A merge changes the sizes of the new cluster and of its
+    neighbours only, so just those are re-costed; the rest of the costs
+    wait in a heap of ``(cost, slot)`` whose stale entries are skipped.
+    Each merge is recorded with the axis orders and 2-D shapes of its
+    matrix product, read off the operands' label orders here once.
     """
     # nbr[slot]: label -> the slot holding its other end, in axis order
-    nbr, size, ends = [], {}, {}
+    nbr, entries, size, ends = [], [], {}, {}
     for slot, (labels, sizes) in enumerate(shapes):
         nbr.append(dict.fromkeys(labels))
         if not len(nbr[slot]) == len(labels) == len(sizes):
             raise StructuralError(f"tensor {slot}: labels {tuple(labels)} do "
                                   f"not name its {len(sizes)} axes once each")
+        entries.append(math.prod(sizes))
         for lab, s in zip(labels, sizes):
             if size.setdefault(lab, s) != s:
                 raise StructuralError(
@@ -342,13 +354,25 @@ def plan_contraction(shapes):
     bad = [lab for lab, holders in ends.items() if len(holders) != 2]
     if bad:
         raise StructuralError(f"labels not paired: {sorted(bad)[:5]}")
+    empty = [lab for lab, s in size.items() if s < 1]
+    if empty:
+        raise StructuralError(f"labels of size 0: {sorted(empty)[:5]}")
+    bond = [{} for _ in nbr]
     for lab, (a, b) in ends.items():
         nbr[a][lab], nbr[b][lab] = b, a
+        bond[a][b] = bond[b][a] = bond[a].get(b, 1) * size[lab]
 
     def cost(k):
-        group = {k, *nbr[k].values()}
-        return math.prod(size[lab] for m in group
-                         for lab, p in nbr[m].items() if p not in group)
+        """Entry count left open if k merged with all its neighbours."""
+        near = bond[k]
+        total, inner = entries[k], 1
+        for p, s in near.items():
+            total *= entries[p]
+            inner *= s * s
+            for q, t in bond[p].items():
+                if q in near:
+                    inner *= t
+        return total // inner
 
     current = {k: cost(k) for k, labs in enumerate(nbr) if labs}
     heap = [(c, k) for k, c in current.items()]
@@ -360,31 +384,57 @@ def plan_contraction(shapes):
         if current.get(k) != c:
             continue
         new, merged, out = k, {k}, nbr[k]
-        for i in sorted(set(out.values())):
-            axis = {lab: a for a, lab in enumerate(nbr[i])}
-            pairs = [(a, axis[lab]) for a, (lab, p) in enumerate(out.items())
-                     if p == i]
-            # the result's axes: the left's free ones, then the right's
-            out = {lab: p for lab, p in out.items() if p != i}
-            out.update((lab, p) for lab, p in nbr[i].items()
-                       if p not in merged)
+        n_out, out_bond = entries[k], dict(bond[k])
+        for i in sorted(bond[k]):
+            # the left's axes free then paired, the right's paired (in the
+            # left's order) then free; the result keeps both free runs
+            right = nbr[i]
+            order = list(right)
+            left_axes, pair_axes, right_axes, res = [], [], [], {}
+            for a, (lab, p) in enumerate(out.items()):
+                if p == i:
+                    pair_axes.append(a)
+                    right_axes.append(order.index(lab))
+                else:
+                    left_axes.append(a)
+                    res[lab] = p
+            left_axes += pair_axes
+            for a, (lab, p) in enumerate(right.items()):
+                if p not in merged:
+                    right_axes.append(a)
+                    res[lab] = p
+            out = res
+            s = out_bond.pop(i)
+            for p, t in bond[i].items():
+                if p not in merged:
+                    out_bond[p] = out_bond.get(p, 1) * t
             merged.add(i)
-            peak = max(peak, math.prod(size[lab] for lab in out))
-            steps.append((new, i, tuple(zip(*pairs))))
+            n_left, n_out = n_out, n_out * entries[i] // (s * s)
+            peak = max(peak, n_out)
+            steps.append((new, i, Merge(
+                tuple(left_axes), (n_left // s, s), tuple(right_axes),
+                (s, entries[i] // s), tuple(map(size.__getitem__, out)),
+                tuple(out))))
             new = len(nbr)
             nbr.append(None)
-        nbr[new] = out
+            entries.append(None)
+            bond.append(None)
+        nbr[new], entries[new], bond[new] = out, n_out, out_bond
         for m in merged:
-            nbr[m] = None
             current.pop(m)
         if not out:
             scalars.append(new)
             continue
         for lab, p in out.items():
             nbr[p][lab] = new
-        for m in {new, *out.values()}:
-            current[m] = cost(m)
-            heapq.heappush(heap, (current[m], m))
+        for p, s in out_bond.items():
+            near = bond[p]
+            for m in merged & near.keys():
+                del near[m]
+            near[new] = s
+        for m in (new, *out_bond):
+            current[m] = c = cost(m)
+            heapq.heappush(heap, (c, m))
     return ContractionPlan(tuple(steps), tuple(scalars), peak)
 
 
@@ -392,20 +442,22 @@ def contract_network(tensors):
     """Contract a closed network of labeled tensors down to a scalar.
 
     Plan, check, execute.  :func:`plan_contraction` fixes every pairwise
-    merge and the largest intermediate from labels and sizes alone; that
-    intermediate is checked against the ``contract`` cap (``CapacityError``
-    with ``requested`` set to its entry count) before any contraction
-    runs; the plan's merges then run through :func:`tensor.contract`.
-    An intermediate that overflows carries inf or NaN into the result,
-    which then raises ``ValidationError``.
+    merge, down to the axis orders and shapes of its matrix product, and
+    the largest intermediate from labels and sizes alone; that
+    intermediate is checked against the ``contract`` cap
+    (``CapacityError`` with ``requested`` set to its entry count) before
+    any contraction runs; the plan's merges then run through
+    :func:`tensor.contract`, one call per step.  An intermediate that
+    overflows carries inf or NaN into the result, which then raises
+    ``ValidationError``.
     """
     plan = plan_contraction([(t.labels, t.sizes) for t in tensors])
     config.check_capacity("contract", plan.peak,
                           "largest contraction intermediate")
     slots = list(tensors)
     with np.errstate(over="ignore", invalid="ignore"):
-        for a, b, axes in plan.steps:
-            slots.append(contract(slots[a], slots[b], axes))
+        for a, b, merge in plan.steps:
+            slots.append(contract(slots[a], slots[b], merge))
             slots[a] = slots[b] = None
     result = 1.0 + 0.0j
     for k in plan.scalars:

@@ -2,7 +2,9 @@
 between a double-edge tensor and its matrix representation.
 
 A labeled tensor is a plain ``(labels, array)`` pair; the network it
-belongs to is checked once, by :func:`nfg.plan_contraction`.
+belongs to is checked once, by :func:`nfg.plan_contraction`, which also
+records each pairwise merge as a :class:`Merge`, so that
+:func:`contract` runs it as one matrix product.
 """
 
 from typing import NamedTuple
@@ -30,16 +32,32 @@ class ComplexTensor(NamedTuple):
         return self.array.shape
 
 
-def contract(a, b, axes):
-    """One ``np.tensordot`` of ``a`` and ``b`` over the axis pairs
-    ``axes = (a's axes, b's axes)``; the result keeps a's free axes, then
-    b's, with their labels.  The caller pairs axes of one size and leaves
-    distinct free labels, as :func:`nfg.plan_contraction` does."""
-    ax_a, ax_b = axes
-    labels = ([lab for k, lab in enumerate(a.labels) if k not in ax_a]
-              + [lab for k, lab in enumerate(b.labels) if k not in ax_b])
-    return ComplexTensor(tuple(labels),
-                         np.tensordot(a.array, b.array, axes=axes))
+class Merge(NamedTuple):
+    """One pairwise merge as one matrix product.  The left operand's axes
+    go in the order ``left_axes`` (its free axes, then its paired ones)
+    and are viewed as ``left_shape``, (free entries, paired entries); the
+    right's go in the order ``right_axes`` (its paired axes, matching the
+    left's, then its free ones) and are viewed as ``right_shape``.  The
+    product is viewed as ``shape`` and carries ``labels``."""
+
+    left_axes: tuple
+    left_shape: tuple
+    right_axes: tuple
+    right_shape: tuple
+    shape: tuple
+    labels: tuple
+
+
+def contract(a, b, merge):
+    """The merge of ``a`` and ``b`` that ``merge`` describes: the
+    transposes and the single ``np.dot`` that ``np.tensordot`` performs
+    over the same axis pairs, so its values are bit-identical; the result
+    keeps a's free axes, then b's.  :func:`nfg.plan_contraction` records
+    the merges of a checked network."""
+    pa, sa, pb, sb, shape, labels = merge
+    product = np.dot(a.array.transpose(pa).reshape(sa),
+                     b.array.transpose(pb).reshape(sb))
+    return ComplexTensor(labels, product.reshape(shape))
 
 
 # ------------------------------------------------------------------ #

@@ -6,13 +6,14 @@ import this module as they import ``conftest``.
 """
 
 import itertools
+import math
 
 import numpy as np
 
 from bethecover import nfg, spa
 from bethecover.cover import CoverSpec, cover_network, type_of
 from bethecover.errors import StructuralError
-from bethecover.tensor import paired_from_choi
+from bethecover.tensor import Merge, paired_from_choi
 
 
 def _max_abs(arr):
@@ -56,6 +57,28 @@ def is_forest(g):
             return False
         parent[ra] = rb
     return True
+
+
+# ------------------------------------------------------------------ #
+# pairwise merges                                                     #
+# ------------------------------------------------------------------ #
+
+def merge_of(a, b, axes):
+    """The :class:`Merge` of labeled tensors ``a`` and ``b`` over the axis
+    pairs ``axes = (a's axes, b's axes)``, laid out as ``np.tensordot``
+    lays out its matrix product, without the planner."""
+    ax_a, ax_b = (list(ax) for ax in axes)
+    free_a = [k for k in range(len(a.labels)) if k not in ax_a]
+    free_b = [k for k in range(len(b.labels)) if k not in ax_b]
+    paired = math.prod(a.sizes[k] for k in ax_a)
+    return Merge(tuple(free_a + ax_a),
+                 (math.prod(a.sizes[k] for k in free_a), paired),
+                 tuple(ax_b + free_b),
+                 (paired, math.prod(b.sizes[k] for k in free_b)),
+                 tuple([a.sizes[k] for k in free_a]
+                       + [b.sizes[k] for k in free_b]),
+                 tuple([a.labels[k] for k in free_a]
+                       + [b.labels[k] for k in free_b]))
 
 
 # ------------------------------------------------------------------ #

@@ -16,12 +16,13 @@ from bethecover.cover import build_cover, random_cover
 from bethecover.errors import (CapacityError, ParseError, StructuralError,
                                ValidationError)
 from bethecover.generators import GeneratorSpec, gen
-from bethecover.tensor import ComplexTensor, contract, paired_from_choi
+from bethecover.tensor import (ComplexTensor, Merge, contract,
+                               paired_from_choi)
 
 from conftest import (FIG3_EDGES, FIG3_NODES, build_fig3, fig3_psd,
                       graph_with_choi, power_trap_graph, random_tree_de,
                       two_cycle)
-from oracles import as_double_edge, is_forest
+from oracles import as_double_edge, is_forest, merge_of
 
 
 def brute_force_partition(g):
@@ -308,8 +309,9 @@ class TestPartitionContract:
         assert elapsed < 1.0
 
     def test_merge_allocates_its_result_once(self):
-        # a (x, s) with b (s, y) needs no transpose, so the merge's only
-        # large allocation is its N = 2**16-entry result, stored uncopied
+        # a (x, s) with b (s, y) is already a (x, s) @ (s, y) matrix
+        # product, so the merge's only large allocation is its
+        # N = 2**16-entry result, stored uncopied
         rng = np.random.default_rng(0)
         x, s, y = 256, 2, 256
         n_entries = x * y
@@ -317,7 +319,8 @@ class TestPartitionContract:
                    ComplexTensor(("s", "y"), rng.standard_normal((s, y))),
                    ComplexTensor(("x", "y"), rng.standard_normal((x, y)))]
         plan = nfg.plan_contraction([(t.labels, t.sizes) for t in tensors])
-        assert plan.steps[0] == (0, 1, ((1,), (0,)))
+        assert plan.steps[0] == (0, 1, Merge((0, 1), (x, s), (0, 1), (s, y),
+                                             (x, y), ("x", "y")))
         assert plan.peak == n_entries
         tracemalloc.start()
         try:
@@ -346,13 +349,16 @@ def network_of(g):
 def record_merges(monkeypatch):
     """Make ``nfg.contract`` log every pairwise merge as ``(operand
     labels, result sizes, shared labels)``, the shared labels read off
-    the left operand's paired axes; returns the log."""
+    the left operand's paired axes, the last ones of its axis order;
+    returns the log."""
     merges = []
 
-    def logged(a, b, axes):
-        out = contract(a, b, axes)
+    def logged(a, b, merge):
+        out = contract(a, b, merge)
+        n_pairs = (len(a.labels) + len(b.labels) - len(out.labels)) // 2
+        paired = merge.left_axes[len(merge.left_axes) - n_pairs:]
         merges.append((a.labels + b.labels, out.sizes,
-                       tuple(a.labels[k] for k in axes[0])))
+                       tuple(a.labels[k] for k in paired)))
         return out
 
     monkeypatch.setattr(nfg, "contract", logged)
@@ -403,7 +409,8 @@ def greedy_oracle(tensors):
                       if lab in clusters[i].labels]
             axes = ([merged.labels.index(lab) for lab in shared],
                     [clusters[i].labels.index(lab) for lab in shared])
-            out = contract(merged, clusters[i], axes)
+            out = contract(merged, clusters[i],
+                           merge_of(merged, clusters[i], axes))
             merges.append((merged.labels + clusters[i].labels, out.sizes,
                            tuple(shared)))
             merged = out
@@ -474,8 +481,10 @@ class TestPlanner:
         ([("a", "a"), ("b",), ("b",)], [(2, 2), (3,), (3,)],
          r"tensor 0: labels \('a', 'a'\) do not name its 2 axes"),
         ([("a", "b"), ("a",)], [(2, 3), (2,)], r"not paired: \['b'\]"),
+        ([("a", "b"), ("a", "b")], [(2, 0), (2, 0)],
+         r"labels of size 0: \['b'\]"),
     ], ids=["label-count-not-rank", "label-twice-on-one-tensor",
-            "label-not-paired"])
+            "label-not-paired", "label-of-size-0"])
     def test_malformed_network_refused_by_the_plan(self, monkeypatch, labels,
                                                    shapes, message):
         merges = record_merges(monkeypatch)
@@ -494,9 +503,11 @@ class TestPlanner:
     @example(n=5, edges=[(0, 1, 2), (1, 0, 3), (0, 1, 1), (2, 3, 2),
                          (3, 2, 2)], seed=0)
     def test_axes_of_random_networks(self, n, edges, seed):
-        """The axes the plan computes, on closed networks of 2-6 tensors
-        whose labels (sizes 1-3) are shuffled per tensor: the contraction
-        equals one einsum of the whole network."""
+        """The merges the plan computes, on closed networks of 2-6 tensors
+        whose labels (sizes 1-3) are shuffled per tensor: each step's
+        shapes are its operands' and its result's, the peak is the
+        largest intermediate, and the contraction equals one einsum of the
+        whole network."""
         rng = np.random.default_rng(seed)
         legs = [[] for _ in range(n)]
         size = []
@@ -516,6 +527,22 @@ class TestPlanner:
                            for x in (t.array, list(t.labels))], [])
         assert nfg.contract_network(tensors) == pytest.approx(
             complex(want), rel=1e-12)
+        plan = nfg.plan_contraction([(t.labels, t.sizes) for t in tensors])
+        slots, measured = list(tensors), [0]
+        for a, b, merge in plan.steps:
+            x, y = slots[a], slots[b]
+            size = dict(zip(x.labels + y.labels, x.sizes + y.sizes))
+            free = [lab for lab in x.labels + y.labels
+                    if (lab in x.labels) != (lab in y.labels)]
+            paired = math.prod(size[lab] for lab in x.labels
+                               if lab in y.labels)
+            assert merge.labels == tuple(free)
+            assert merge.shape == tuple(size[lab] for lab in free)
+            assert merge.left_shape == (x.array.size // paired, paired)
+            assert merge.right_shape == (paired, y.array.size // paired)
+            slots.append(contract(x, y, merge))
+            measured.append(slots[-1].array.size)
+        assert plan.peak == max(measured)
 
 
 class TestEmbedding:

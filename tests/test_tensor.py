@@ -14,6 +14,7 @@ from bethecover.tensor import (ComplexTensor, choi_from_paired, contract,
                                paired_from_choi, stored_array)
 
 from conftest import graph_with_choi
+from oracles import merge_of
 
 
 def loop_contract(a, b, axes):
@@ -43,11 +44,17 @@ def loop_contract(a, b, axes):
     return ComplexTensor(tuple(out_labels), out)
 
 
+def contract_axes(a, b, axes):
+    """:func:`contract` over the axis pairs ``axes``, with the merge laid
+    out by the test oracle rather than the planner."""
+    return contract(a, b, merge_of(a, b, axes))
+
+
 class TestContract:
     def test_identity_times_vector(self):
         eye = ComplexTensor(("x", "y"), np.eye(2))
         vec = ComplexTensor(("y",), np.array([3.0, 4.0]))
-        out = contract(eye, vec, ((1,), (0,)))
+        out = contract_axes(eye, vec, ((1,), (0,)))
         assert out.labels == ("x",)
         assert np.allclose(out.array, [3.0, 4.0])
 
@@ -55,7 +62,7 @@ class TestContract:
         # the two local functions of the degenerate 2-cycle example
         a = ComplexTensor(("x", "y"), np.array([[1.0, 1.0], [0.0, 1.0]]))
         b = ComplexTensor(("y", "z"), np.eye(2))
-        out = contract(a, b, ((1,), (0,)))
+        out = contract_axes(a, b, ((1,), (0,)))
         assert np.allclose(out.array, [[1.0, 1.0], [0.0, 1.0]])
 
     def test_random_rank3_against_loop_oracle(self, rng):
@@ -65,7 +72,7 @@ class TestContract:
         b = ComplexTensor(("r", "s", "t"),
                           rng.standard_normal((2, 2, 2))
                           + 1j * rng.standard_normal((2, 2, 2)))
-        out = contract(a, b, ((2,), (0,)))
+        out = contract_axes(a, b, ((2,), (0,)))
         ref = loop_contract(a, b, ((2,), (0,)))
         assert out.labels == ref.labels
         assert np.allclose(out.array, ref.array, atol=1e-13)
@@ -90,9 +97,18 @@ class TestContract:
                           + 1j * rng.standard_normal(shape_b))
         assert a.array.size <= 4096 and b.array.size <= 4096
         axes = (tuple(range(len(shared))),) * 2
-        out = contract(a, b, axes)
+        out = contract_axes(a, b, axes)
         ref = loop_contract(a, b, axes)
+        assert out.labels == ref.labels
         assert np.allclose(out.array, ref.array, atol=1e-12)
+        assert np.array_equal(out.array,
+                              np.tensordot(a.array, b.array, axes))
+        # a's axes reversed: the paired ones trail and leave in a new order
+        flip = ComplexTensor(a.labels[::-1], a.array.transpose())
+        back = tuple(len(shape_a) - 1 - k for k in axes[0])
+        out = contract_axes(flip, b, (back, axes[1]))
+        assert np.array_equal(
+            out.array, np.tensordot(flip.array, b.array, (back, axes[1])))
 
     def test_bilinear(self, rng):
         def mk(labels):
@@ -101,11 +117,11 @@ class TestContract:
 
         a1, a2 = mk(("u", "v")), mk(("u", "v"))
         b = mk(("v", "w"))
-        lhs = contract(ComplexTensor(("u", "v"),
-                                     2.0 * a1.array + 3.0 * a2.array),
-                       b, ((1,), (0,)))
-        rhs = (2.0 * contract(a1, b, ((1,), (0,))).array
-               + 3.0 * contract(a2, b, ((1,), (0,))).array)
+        lhs = contract_axes(ComplexTensor(("u", "v"),
+                                          2.0 * a1.array + 3.0 * a2.array),
+                            b, ((1,), (0,)))
+        rhs = (2.0 * contract_axes(a1, b, ((1,), (0,))).array
+               + 3.0 * contract_axes(a2, b, ((1,), (0,))).array)
         assert np.allclose(lhs.array, rhs, atol=1e-12)
 
     def test_duplicate_labels_rejected(self):
