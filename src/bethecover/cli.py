@@ -157,6 +157,9 @@ def cmd_spa(args):
           f"(residual {rep.residual:.3e}, "
           f"{rep.restarts_converged}/{rep.restarts_used} restarts, "
           f"damping {rep.damping_used})")
+    print(f"reported restart: {rep.restart}")
+    print("damping switch: " + ("none" if rep.damping_switched_at is None
+                                else f"iteration {rep.damping_switched_at}"))
     if rep.converged:
         for name, v in rep.z_f.items():
             print(f"Z_f[{name}] = {v.real!r} + {v.imag!r}j")
@@ -170,6 +173,8 @@ def cmd_spa(args):
         _write(args.json, json.dumps({
             "converged": rep.converged,
             "iterations": rep.iterations,
+            "restart": rep.restart,
+            "damping_switched_at": rep.damping_switched_at,
             "zb": ([rep.zb_spa.real, rep.zb_spa.imag]
                    if rep.zb_defined else None),
             "z_f": {k: [v.real, v.imag] for k, v in rep.z_f.items()},

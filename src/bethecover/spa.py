@@ -13,6 +13,9 @@ the tail of edge i.  A sweep works on that array through a plan built once
 per graph: nodes whose local functions have the same shape form a group
 whose tensors are stacked, so each group needs one batched einsum per leg
 for its outgoing messages and one for its node sums, whatever its size.
+The plan takes any leading axes on the array: :func:`spa_run` stacks the
+message arrays of all its restarts, and one sweep updates every restart
+that is still live with those same einsums.
 """
 
 import string
@@ -131,16 +134,17 @@ class _NodeGroup:
     sizes: tuple           # axis size of each leg
     in_rows: list          # per leg: rows of the messages entering
     out_rows: list         # per leg: rows of the messages leaving
-    leave_one_out: list    # per leg: "Zabc,Zb,Zc->Za"
-    full: str              # "Zabc,Za,Zb,Zc->Z"
+    leave_one_out: list    # per leg: "Zabc,...Zb,...Zc->...Za"
+    full: str              # "Zabc,...Za,...Zb,...Zc->...Z"
 
     def incoming(self, rows):
-        return [rows[r, :n] for r, n in zip(self.in_rows, self.sizes)]
+        return [rows[..., r, :n] for r, n in zip(self.in_rows, self.sizes)]
 
 
 class _SweepPlan:
     """Row layout of a message array and the batched node contractions
-    of one sweep on a graph."""
+    of one sweep on a graph.  The contractions take message arrays with
+    any leading axes, ``(..., rows, width)``."""
 
     def __init__(self, g):
         # the head key, then the tail key, of each edge: rows 2i and 2i + 1
@@ -171,9 +175,10 @@ class _SweepPlan:
         in_rows = [np.array([self.index[(g.incidences[k][a], k)]
                              for k in nodes]) for a in range(d)]
         leave_one_out = [
-            "Z" + subs + "".join(",Z" + subs[b] for b in range(d) if b != a)
-            + "->Z" + subs[a] for a in range(d)]
-        full = "Z" + subs + "".join(",Z" + c for c in subs) + "->Z"
+            "Z" + subs + "".join(",...Z" + subs[b] for b in range(d)
+                                 if b != a)
+            + "->...Z" + subs[a] for a in range(d)]
+        full = "Z" + subs + "".join(",...Z" + c for c in subs) + "->...Z"
         return _NodeGroup(
             nodes=np.array(nodes),
             tensors=np.stack([g.tensors[k] for k in nodes]),
@@ -198,21 +203,22 @@ class _SweepPlan:
         for grp in self.groups:
             msgs = grp.incoming(rows)
             for a, expr in enumerate(grp.leave_one_out):
-                out[grp.out_rows[a], :grp.sizes[a]] = np.einsum(
+                out[..., grp.out_rows[a], :grp.sizes[a]] = np.einsum(
                     expr, grp.tensors, *msgs[:a], *msgs[a + 1:])
         return out
 
     def node_sums(self, rows):
         """Per-node contraction of the local function with its messages."""
-        out = np.empty(self.n_nodes, dtype=np.complex128)
+        out = np.empty(rows.shape[:-2] + (self.n_nodes,),
+                       dtype=np.complex128)
         for grp in self.groups:
-            out[grp.nodes] = np.einsum(grp.full, grp.tensors,
+            out[..., grp.nodes] = np.einsum(grp.full, grp.tensors,
                                        *grp.incoming(rows))
         return out
 
     def edge_sums(self, rows):
         """Per-edge overlap of the two opposing messages."""
-        return np.sum(rows[0::2] * rows[1::2], axis=1)
+        return np.sum(rows[..., 0::2, :] * rows[..., 1::2, :], axis=-1)
 
 
 _PLANS = weakref.WeakKeyDictionary()
@@ -230,26 +236,70 @@ def _plan(g):
 # one synchronous update                                              #
 # ------------------------------------------------------------------ #
 
-def _raw(g, m):
-    """The plan of ``g``, the message array of ``m``, the raw updates and
-    their sums."""
-    plan = _plan(g)
-    rows = plan.rows_of(m)
-    raw = plan.raw(rows)
-    return plan, rows, raw, raw.sum(axis=1)
-
-
 def raw_updates(g, m):
     """Unnormalized outgoing messages, as a message vector, and their
     scaling factors (component sums), one per row of it."""
-    plan, _rows, raw, kappa = _raw(g, m)
-    return MessageVector(plan, raw), kappa
+    plan = _plan(g)
+    raw = plan.raw(plan.rows_of(m))
+    return MessageVector(plan, raw), raw.sum(axis=1)
 
 
 @dataclass
 class StepInfo:
     degenerate_edges: list    # edge positions
     map_residual: float = float("inf")
+
+
+def _sweep(g, plan, rows, rngs, damping):
+    """One synchronous sweep of a stack of message arrays, ``rows`` of
+    shape ``(restarts, rows, width)``, each restart with its own ``rng``
+    (None: a fresh ``default_rng(0)`` when a redraw needs one) and its own
+    ``damping``.  Returns the new stack, each restart's map residual and
+    each restart's list of degenerate edges, as :func:`spa_step` states
+    them for one."""
+    tol_zero = config.TOLS.zero
+    raw = plan.raw(rows)
+    kappa = raw.sum(axis=-1)
+
+    # a message whose normalizer vanishes keeps its old value until the
+    # reinitialization below replaces it
+    rel = kappa / plan.row_mag
+    live = np.abs(rel) > tol_zero
+    new = np.where(live[..., None],
+                   raw / np.where(live, kappa, 1.0)[..., None], rows)
+    map_residual = np.max(np.abs(new - rows), axis=(1, 2), initial=0.0)
+
+    rel_node = plan.node_sums(new) / plan.node_mag
+    # an overflowing product comes out inf or NaN; neither passes the zero
+    # test, and a product that large is not degenerate
+    with np.errstate(over="ignore", invalid="ignore"):
+        prod = (rel[:, 0::2] * rel[:, 1::2]
+                * plan.edge_sums(new)
+                * rel_node[:, plan.heads] * rel_node[:, plan.tails])
+    bad = np.abs(prod) <= tol_zero
+    degenerate = ([np.flatnonzero(row).tolist() for row in bad] if bad.any()
+                  else [[] for _ in bad])
+
+    reinit = np.zeros(rows.shape[:2], dtype=bool)
+    for b, edges in enumerate(degenerate):
+        if not edges:
+            continue
+        rng = rngs[b] if rngs[b] is not None else np.random.default_rng(0)
+        reinit_keys = {(j, node) for i in edges
+                       for node in (g.edges[i].head, g.edges[i].tail)
+                       for j in g.incidences[node]}
+        for key in sorted(reinit_keys):
+            r = plan.index[key]
+            new[b, r, :plan.sizes[r]] = random_message(g, key[0], rng)
+            reinit[b, r] = True
+        map_residual[b] = np.inf
+
+    damping = np.asarray(damping, dtype=np.float64)
+    if damping.any():
+        keep = (damping != 0.0)[:, None] & ~reinit
+        d = np.broadcast_to(damping[:, None], keep.shape)[keep][:, None]
+        new[keep] = (1.0 - d) * new[keep] + d * rows[keep]
+    return new, map_residual.tolist(), degenerate
 
 
 def spa_step(g, m, rng=None, damping=0.0):
@@ -267,43 +317,11 @@ def spa_step(g, m, rng=None, damping=0.0):
     ``info.map_residual`` is the change produced by the plain update,
     before damping, and is what convergence is judged on.
     """
-    tol_zero = config.TOLS.zero
-    plan, rows, raw, kappa = _raw(g, m)
-
-    # a message whose normalizer vanishes keeps its old value until the
-    # reinitialization below replaces it
-    rel = kappa / plan.row_mag
-    live = np.abs(rel) > tol_zero
-    new = np.where(live[:, None],
-                   raw / np.where(live, kappa, 1.0)[:, None], rows)
-    map_residual = float(np.max(np.abs(new - rows), initial=0.0))
-
-    rel_node = plan.node_sums(new) / plan.node_mag
-    # an overflowing product comes out inf or NaN; neither passes the zero
-    # test, and a product that large is not degenerate
-    with np.errstate(over="ignore", invalid="ignore"):
-        prod = (rel[0::2] * rel[1::2]
-                * plan.edge_sums(new)
-                * rel_node[plan.heads] * rel_node[plan.tails])
-    degenerate = np.flatnonzero(np.abs(prod) <= tol_zero).tolist()
-
-    reinit_keys = {(j, node) for i in degenerate
-                   for node in (g.edges[i].head, g.edges[i].tail)
-                   for j in g.incidences[node]}
-    reinit = np.zeros(len(plan.keys), dtype=bool)
-    if reinit_keys:
-        if rng is None:
-            rng = np.random.default_rng(0)
-        for key in sorted(reinit_keys):
-            r = plan.index[key]
-            new[r, :plan.sizes[r]] = random_message(g, key[0], rng)
-            reinit[r] = True
-        map_residual = float("inf")
-
-    if damping:
-        keep = ~reinit
-        new[keep] = (1.0 - damping) * new[keep] + damping * rows[keep]
-    return MessageVector(plan, new), StepInfo(degenerate, map_residual)
+    plan = _plan(g)
+    new, map_residual, degenerate = _sweep(
+        g, plan, plan.rows_of(m)[None], [rng], [damping])
+    return (MessageVector(plan, new[0]),
+            StepInfo(degenerate[0], map_residual[0]))
 
 
 # ------------------------------------------------------------------ #
@@ -346,6 +364,8 @@ class SpaReport:
     zb_spa: complex = None
     degenerate_log: list = None    # (restart, iteration, edge position)
     damping_used: float = 0.0
+    restart: int = 0               # the index of the reported restart
+    damping_switched_at: int = None   # the iteration damping switched on
 
     @property
     def zb_defined(self):
@@ -356,29 +376,53 @@ class SpaReport:
         return len(self.degenerate_log or [])
 
 
-def _single_run(g, m, max_iter, tol_fp, damping, rng, restart):
-    """The report of one restart from ``m``, with the Bethe pieces only if
-    it converged."""
-    events = []
-    damping_now = damping
-    history = []
+def _restarts(g, starts, rngs, max_iter, tol_fp, damping):
+    """One report per start, restart r sweeping from ``starts[r]`` with
+    ``rngs[r]``; the Bethe pieces only of the restarts that converged.
+
+    Every sweep covers all restarts still live, stacked in one array.  A
+    restart leaves the stack at its first converged sweep or after
+    ``max_iter`` sweeps, and switches from no damping to 0.5 when its
+    residual stops shrinking over a window."""
+    plan = _plan(g)
+    rows = np.stack([plan.rows_of(m) for m in starts])
+    damping_now = [damping] * len(starts)
+    switched_at = [None] * len(starts)
+    history = [[] for _ in starts]
+    events = [[] for _ in starts]
+    live = list(range(len(starts)))
     for it in range(1, max_iter + 1):
-        m, info = spa_step(g, m, rng=rng, damping=damping_now)
-        events.extend((restart, it, i) for i in info.degenerate_edges)
-        history.append(info.map_residual)
-        if info.map_residual <= tol_fp:
+        new, residuals, degenerate = _sweep(
+            g, plan, rows[live], [rngs[r] for r in live],
+            [damping_now[r] for r in live])
+        rows[live] = new
+        still = []
+        for r, res, edges in zip(live, residuals, degenerate):
+            events[r].extend((r, it, i) for i in edges)
+            h = history[r]
+            h.append(res)
+            if res <= tol_fp:
+                continue
+            # oscillation fallback: residual not shrinking over a window
+            if (damping_now[r] == 0.0 and it >= 60
+                    and h[-1] > 0.9 * h[-40]):
+                damping_now[r], switched_at[r] = 0.5, it
+            still.append(r)
+        live = still
+        if not live:
             break
-        # oscillation fallback: residual not shrinking over a window
-        if (damping_now == 0.0 and it >= 60 and
-                history[-1] > 0.9 * history[-40]):
-            damping_now = 0.5
-    converged = history[-1] <= tol_fp
-    z_f, z_e, zb = bethe_value(g, m) if converged else (None, None, None)
-    return SpaReport(
-        converged=converged, iterations=it, residual=history[-1],
-        restarts_used=1, restarts_converged=int(converged), messages=m,
-        z_f=z_f, z_e=z_e, zb_spa=zb, degenerate_log=events,
-        damping_used=damping_now)
+    reports = []
+    for r, h in enumerate(history):
+        converged = h[-1] <= tol_fp
+        m = MessageVector(plan, rows[r])
+        z_f, z_e, zb = bethe_value(g, m) if converged else (None, None, None)
+        reports.append(SpaReport(
+            converged=converged, iterations=len(h), residual=h[-1],
+            restarts_used=1, restarts_converged=int(converged), messages=m,
+            z_f=z_f, z_e=z_e, zb_spa=zb, degenerate_log=events[r],
+            damping_used=damping_now[r], restart=r,
+            damping_switched_at=switched_at[r]))
+    return reports
 
 
 def spa_run(g, init="uniform", max_iter=10000, tol_fp=None, damping=0.0,
@@ -387,10 +431,12 @@ def spa_run(g, init="uniform", max_iter=10000, tol_fp=None, damping=0.0,
     converged fixed point with the largest Re of the Bethe value.
 
     ``init`` picks the first start (``uniform`` or ``seeded-random``);
-    every further restart uses fresh random messages.  Ties go to the
-    earliest restart, and restart 0 is reported when none converged.  A
-    non-convergent run is reported, not raised; out-of-range settings are
-    refused before any sweep.
+    every further restart uses fresh random messages, restart r drawing
+    from ``default_rng([seed, r])``.  One sweep updates every restart
+    still live, their message arrays stacked in one array whose size the
+    ``contract`` cap bounds.  Ties go to the earliest restart, and restart
+    0 is reported when none converged.  A non-convergent run is reported,
+    not raised; out-of-range settings are refused before any sweep.
     """
     if init not in ("uniform", "seeded-random"):
         raise StructuralError(f"init must be 'uniform' or 'seeded-random', "
@@ -404,14 +450,13 @@ def spa_run(g, init="uniform", max_iter=10000, tol_fp=None, damping=0.0,
         raise StructuralError(f"damping must lie in [0, 1), got {damping}")
     if not tol_fp >= 0.0:
         raise StructuralError(f"tol_fp must be nonnegative, got {tol_fp}")
-    reports = []
-    for r in range(restarts):
-        rng = np.random.default_rng([seed, r])
-        if r == 0 and init == "uniform":
-            m0 = uniform_messages(g)
-        else:
-            m0 = random_messages(g, rng)
-        reports.append(_single_run(g, m0, max_iter, tol_fp, damping, rng, r))
+    plan = _plan(g)
+    config.check_capacity("contract", restarts * len(plan.keys) * plan.width,
+                          "SPA restart batch")
+    rngs = [np.random.default_rng([seed, r]) for r in range(restarts)]
+    starts = [uniform_messages(g) if r == 0 and init == "uniform"
+              else random_messages(g, rng) for r, rng in enumerate(rngs)]
+    reports = _restarts(g, starts, rngs, max_iter, tol_fp, damping)
     best = max(reports, key=lambda rep: (
         rep.converged, rep.zb_spa.real if rep.zb_defined else -np.inf))
     best.restarts_used = restarts

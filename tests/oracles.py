@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from bethecover import nfg, spa
+from bethecover import config, nfg, spa
 from bethecover.cover import CoverSpec, cover_network, type_of
 from bethecover.errors import StructuralError
 from bethecover.tensor import Merge, paired_from_choi
@@ -125,6 +125,58 @@ def beliefs_from_configuration_weights(g, weights):
         for name, pos in zip(g.node_names, g.incidences):
             node[name][tuple(cfg[i] for i in pos)] += p
     return spa.Beliefs(edge, node)
+
+
+def _sequential_restart(g, m, max_iter, tol_fp, damping, rng, restart):
+    """The report of one restart from ``m``, one :func:`spa.spa_step` call
+    per sweep, with the Bethe pieces only if it converged."""
+    events = []
+    damping_now = damping
+    switched_at = None
+    history = []
+    for it in range(1, max_iter + 1):
+        m, info = spa.spa_step(g, m, rng=rng, damping=damping_now)
+        events.extend((restart, it, i) for i in info.degenerate_edges)
+        history.append(info.map_residual)
+        if info.map_residual <= tol_fp:
+            break
+        # oscillation fallback: residual not shrinking over a window
+        if (damping_now == 0.0 and it >= 60 and
+                history[-1] > 0.9 * history[-40]):
+            damping_now, switched_at = 0.5, it
+    converged = history[-1] <= tol_fp
+    z_f, z_e, zb = spa.bethe_value(g, m) if converged else (None, None,
+                                                             None)
+    return spa.SpaReport(
+        converged=converged, iterations=it, residual=history[-1],
+        restarts_used=1, restarts_converged=int(converged), messages=m,
+        z_f=z_f, z_e=z_e, zb_spa=zb, degenerate_log=events,
+        damping_used=damping_now, restart=restart,
+        damping_switched_at=switched_at)
+
+
+def sequential_spa_run(g, init="uniform", max_iter=10000, tol_fp=None,
+                       damping=0.0, restarts=8, seed=0):
+    """:func:`spa.spa_run` with its restarts run one after another, each
+    to the end before the next is drawn: the same starts, the same sweeps
+    and the same choice of the best report.  Returns the best report and
+    the list of every restart's report."""
+    tol_fp = config.TOLS.fixed_point if tol_fp is None else tol_fp
+    reports = []
+    for r in range(restarts):
+        rng = np.random.default_rng([seed, r])
+        if r == 0 and init == "uniform":
+            m0 = spa.uniform_messages(g)
+        else:
+            m0 = spa.random_messages(g, rng)
+        reports.append(_sequential_restart(g, m0, max_iter, tol_fp, damping,
+                                           rng, r))
+    best = max(reports, key=lambda rep: (
+        rep.converged, rep.zb_spa.real if rep.zb_defined else -np.inf))
+    best.restarts_used = restarts
+    best.restarts_converged = sum(rep.converged for rep in reports)
+    best.degenerate_log = [ev for rep in reports for ev in rep.degenerate_log]
+    return best, reports
 
 
 # ------------------------------------------------------------------ #

@@ -62,6 +62,12 @@ def _socket():
     return lambda: cover.socket_projector(2, 3), 2 ** 6
 
 
+def _spa_batch():
+    # 3 restarts of 10 directed messages, each a row of 4 entries
+    g = fig3_psd(0)
+    return lambda: spa.spa_run(g, restarts=3), 3 * 10 * 4
+
+
 # route: (builder of (refused call, requested), cap key, cap, new check)
 ROUTES = {
     "partition_exact": (_exact, "enum", 16, False),
@@ -74,6 +80,7 @@ ROUTES = {
     "gen": (_gen, "contract", 16, True),
     "zbm_montecarlo": (_montecarlo, "contract", 100, True),
     "socket_projector": (_socket, "contract", 16, True),
+    "spa_run": (_spa_batch, "contract", 100, True),
 }
 
 
@@ -101,6 +108,18 @@ def test_every_route_refuses_through_the_gate(route, monkeypatch):
     if new:
         assert peak_bytes < 64 * 1024
         assert elapsed < 1.0
+
+
+def test_spa_restart_batch_refused_before_any_draw_or_sweep(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a start was drawn or a sweep ran")
+
+    monkeypatch.setattr(spa, "random_messages", refuse)
+    monkeypatch.setattr(spa, "_sweep", refuse)
+    monkeypatch.setenv("BETHE_COVER_LIMITS", "contract=1000")
+    with pytest.raises(CapacityError, match="SPA restart batch") as info:
+        spa.spa_run(fig3_psd(1), restarts=26)
+    assert info.value.requested == 26 * 10 * 4
 
 
 def test_default_caps_refuse_the_huge_requests():
@@ -138,6 +157,7 @@ def test_cover_count_exact_below_two_to_the_63(monkeypatch):
      "--samples", "1000000000000"],
     ["zbm", "--m", "1000", "--method", "exhaustive"],
     ["zbm", "--m", "300000", "--method", "exhaustive"],
+    ["spa", "--restarts", "1000000000"],
 ])
 def test_cli_capacity_exit(argv, capsys):
     start = time.perf_counter()

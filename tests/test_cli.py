@@ -618,11 +618,32 @@ def test_spa_json_matches_stdout(graph_file, tmp_path, capsys):
     doc = json.load(open(path))
     assert doc["converged"] is True
     assert f"after {doc['iterations']} iterations" in out["converged"]
+    assert doc["restart"] == int(out["reported restart"])
+    assert doc["damping_switched_at"] is None
+    assert out["damping switch"] == "none"
     assert doc["zb"] == _complex(out["Z_B"])
     assert doc["z_f"] == {k: _complex(out[f"Z_f[{k}]"]) for k in doc["z_f"]}
     assert doc["z_e"] == {k: _complex(out[f"Z_e[{k}]"]) for k in doc["z_e"]}
     assert sorted(doc["z_f"]) == ["f1", "f2", "f3", "f4"]
     assert sorted(doc["z_e"]) == ["e1", "e2", "e3", "e4", "e5"]
+
+
+def test_spa_reports_the_restart_and_its_damping_switch(tmp_path, capsys):
+    # from seed 0, restart 2 of the swap graph wins after damping switched
+    # on at iteration 60
+    g = nfg.make_graph(
+        "standard", [("f1", ["e1", "e2"]), ("f2", ["e1", "e2"])],
+        [("e1", ("f1", "f2"), 2), ("e2", ("f1", "f2"), 2)],
+        {"f1": np.array([[0.0, 1.0], [1.0, 0.0]]), "f2": np.diag([1.0, 2.0])})
+    graph, path = tmp_path / "swap.nfg.json", tmp_path / "spa.json"
+    graph.write_text(nfg.serialize(g))
+    assert main(["spa", str(graph), "--restarts", "3",
+                 "--json", str(path)]) == 0
+    out = _stdout_fields(capsys.readouterr().out)
+    doc = json.load(open(path))
+    assert doc["restart"] == 2 and out["reported restart"] == "2"
+    assert doc["damping_switched_at"] == 60
+    assert out["damping switch"] == "iteration 60"
 
 
 def test_check_condition_json_matches_stdout(graph_file, tmp_path, capsys):

@@ -15,7 +15,7 @@ from conftest import (build_fig3, fig3_psd, graph_with_choi,
                       power_trap_fixed_point, power_trap_graph, random_choi,
                       random_tree_de, two_cycle)
 from oracles import (beliefs_from_configuration_weights, fixed_point_residual,
-                     message_keys, residual)
+                     message_keys, residual, sequential_spa_run)
 
 
 def min_choi_eigenvalue(vec, base):
@@ -297,6 +297,46 @@ class TestStep:
                     assert vals[0] >= -1e-9
 
 
+def assert_same_report(got, want):
+    """Every field of two SPA reports equal, the messages bit for bit."""
+    for field in ("converged", "iterations", "residual", "restarts_used",
+                  "restarts_converged", "z_f", "z_e", "zb_spa",
+                  "degenerate_log", "damping_used", "restart",
+                  "damping_switched_at"):
+        assert getattr(got, field) == getattr(want, field), field
+    assert got.messages.rows.tobytes() == want.messages.rows.tobytes()
+
+
+def _zero_row_graph():
+    return two_cycle(np.array([[0.0, 0.0], [1.0, 1.0]]),
+                     np.array([[1.0, 0.0], [0.0, 0.0]]))
+
+
+def _fig_b_psd(seed):
+    return lambda: gen(GeneratorSpec(topology="fig-b", kind="double-edge",
+                                     ensemble="psd-random", seed=seed))
+
+
+# case: (graph builder, spa_run keywords)
+ORACLE_RUNS = {
+    **{f"fig3-psd-{seed}": ((lambda seed=seed: fig3_psd(seed)), {})
+       for seed in range(4)},
+    "fig3-psd-tight": (lambda: fig3_psd(5), dict(restarts=3, tol_fp=1e-12)),
+    **{f"fig-b-psd-restarts-{n}": (_fig_b_psd(n), dict(restarts=n, seed=n))
+       for n in (1, 2, 8)},
+    "fig3-standard": (lambda: gen(GeneratorSpec(
+        topology="fig3", kind="standard", ensemble="positive-s-nfg",
+        seed=2)), dict(restarts=4, init="seeded-random")),
+    "swap-damping": (lambda: two_cycle(np.array([[0.0, 1.0], [1.0, 0.0]]),
+                                       np.eye(2)),
+                     dict(init="seeded-random", restarts=3, seed=3)),
+    "zero-row": (_zero_row_graph, dict(restarts=1, max_iter=40)),
+    "zero-row-restarts": (_zero_row_graph, dict(restarts=3, max_iter=40)),
+    "user-damping": (lambda: fig3_psd(1), dict(restarts=3, damping=0.3)),
+    "max-iter-2": (lambda: fig3_psd(3), dict(restarts=2, max_iter=2)),
+}
+
+
 class TestRun:
     def test_all_ones_fig3_closed_form(self):
         # with uniform messages every node sum is 1 and every edge
@@ -377,38 +417,72 @@ class TestRun:
         assert rep.converged
         assert rep.damping_used == 0.5
 
-    def test_one_keyword_step_call_per_iteration(self, monkeypatch):
-        # a tracer that wraps spa.spa_step counts sweeps and reads the
-        # damping switch off the rng= and damping= keywords of each call
+    def test_restarts_match_the_sequential_oracle_sweep_by_sweep(
+            self, monkeypatch):
+        # the swap graph switches damping on; every restart of the batch
+        # must stop at its first converged sweep and switch where the
+        # sequential run, one spa_step call per sweep, switches
+        g = two_cycle(np.array([[0.0, 1.0], [1.0, 0.0]]), np.eye(2))
+        batches = []
+        run_restarts = spa._restarts
+
+        def recorded(*args):
+            batches.append(run_restarts(*args))
+            return batches[-1]
+
+        monkeypatch.setattr(spa, "_restarts", recorded)
+        rep = spa.spa_run(g, init="seeded-random", restarts=3, seed=3)
         calls = []
         step = spa.spa_step
 
         def wrapper(*args, **kwargs):
             new, info = step(*args, **kwargs)
-            calls.append((len(args), sorted(kwargs), kwargs["rng"],
-                          kwargs["damping"], info.map_residual))
+            calls.append((kwargs["rng"], kwargs["damping"],
+                          info.map_residual))
             return new, info
 
         monkeypatch.setattr(spa, "spa_step", wrapper)
-        g = two_cycle(np.array([[0.0, 1.0], [1.0, 0.0]]), np.eye(2))
-        rep = spa.spa_run(g, init="seeded-random", restarts=3, seed=3)
+        best, reports = sequential_spa_run(g, init="seeded-random",
+                                           restarts=3, seed=3)
+        assert_same_report(rep, best)
         assert rep.restarts_converged == 3 and rep.damping_used == 0.5
-        assert all(c[:2] == (2, ["damping", "rng"]) for c in calls)
+        [batch] = batches
         runs = {}
         for call in calls:
-            runs.setdefault(id(call[2]), []).append(call)
-        assert len(runs) == 3
+            runs.setdefault(id(call[0]), []).append(call)
+        assert len(batch) == len(reports) == len(runs) == 3
         tol = config.TOLS.fixed_point
         switched = 0
-        for run in runs.values():
-            # a run stops at its first converged sweep
-            assert [c[4] <= tol for c in run] == [False] * (len(run) - 1) \
+        for r, (got, want, run) in enumerate(zip(batch, reports,
+                                                  runs.values())):
+            assert_same_report(got, want)
+            assert got.restart == r and got.iterations == len(run)
+            assert [c[2] <= tol for c in run] == [False] * (len(run) - 1) \
                 + [True]
-            damping = [c[3] for c in run]
+            damping = [c[1] for c in run]
             assert damping == sorted(damping)
-            switched += damping[-1] > damping[0]
+            if damping[-1] > damping[0]:
+                switched += 1
+                assert damping.index(0.5) == got.damping_switched_at
+            else:
+                assert got.damping_switched_at is None
         assert switched >= 1
-        assert rep.iterations in [len(run) for run in runs.values()]
+        assert rep is batch[rep.restart]
+
+    @pytest.mark.parametrize("case", sorted(ORACLE_RUNS))
+    def test_bit_identical_to_sequential_restarts(self, case):
+        build, kwargs = ORACLE_RUNS[case]
+        g = build()
+        assert_same_report(spa.spa_run(g, **kwargs),
+                           sequential_spa_run(g, **kwargs)[0])
+
+    def test_report_names_the_winning_restart(self):
+        g = two_cycle(np.array([[0.0, 1.0], [1.0, 0.0]]), np.eye(2))
+        rep = spa.spa_run(g, init="seeded-random", restarts=1, seed=3)
+        assert rep.restart == 0 and rep.damping_used == 0.5
+        assert 60 <= rep.damping_switched_at < rep.iterations
+        rep = spa.spa_run(fig3_psd(0), restarts=3)
+        assert rep.damping_switched_at is None and rep.damping_used == 0.0
 
     def test_unknown_init_refused(self):
         with pytest.raises(StructuralError, match="init"):
@@ -439,18 +513,19 @@ class TestRun:
     def test_restart_choice(self, monkeypatch, outcomes, winner):
         made = []
 
-        def single_run(g, m, max_iter, tol_fp, damping, rng, restart):
-            conv, zb = outcomes[restart]
-            made.append(spa.SpaReport(
-                converged=conv, iterations=restart + 1, residual=0.0,
-                restarts_used=1, restarts_converged=int(conv), messages=m,
-                zb_spa=None if zb is None else complex(zb),
-                degenerate_log=[(restart, 1, 0), (restart, 2, 1)]))
-            return made[-1]
+        def restarts(g, starts, rngs, max_iter, tol_fp, damping):
+            for restart, (m, (conv, zb)) in enumerate(zip(starts, outcomes)):
+                made.append(spa.SpaReport(
+                    converged=conv, iterations=restart + 1, residual=0.0,
+                    restarts_used=1, restarts_converged=int(conv),
+                    messages=m, zb_spa=None if zb is None else complex(zb),
+                    degenerate_log=[(restart, 1, 0), (restart, 2, 1)],
+                    restart=restart))
+            return made
 
-        monkeypatch.setattr(spa, "_single_run", single_run)
+        monkeypatch.setattr(spa, "_restarts", restarts)
         rep = spa.spa_run(build_fig3(), restarts=len(outcomes))
-        assert rep is made[winner]
+        assert rep is made[winner] and rep.restart == winner
         assert rep.restarts_used == len(outcomes)
         assert rep.restarts_converged == sum(c for c, _ in outcomes)
         assert rep.degenerate_log == [(r, it, i) for r in range(len(outcomes))
@@ -459,8 +534,7 @@ class TestRun:
     def test_degenerate_events_are_logged(self):
         # the zero row / zero column pair drives both edge overlaps to
         # exact zero after one sweep, forcing repeated reinitialization
-        g = two_cycle(np.array([[0.0, 0.0], [1.0, 1.0]]),
-                      np.array([[1.0, 0.0], [0.0, 0.0]]))
+        g = _zero_row_graph()
         rep = spa.spa_run(g, restarts=1, max_iter=40)
         assert rep.degenerate_events > 0
         restart, iteration, i = rep.degenerate_log[0]
