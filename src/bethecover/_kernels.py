@@ -3,10 +3,10 @@
 ``enum_configs`` is the one enumeration routine of the package: the
 partition-function oracle ``nfg.partition_exact`` and the loop series both
 walk configurations through it, by way of ``nfg.configurations``, which
-checks the ``enum`` cap first.  ``jacobi_eigh`` decomposes a Hermitian
-matrix; its only caller is the PSD projection of the sum-product
-algorithm's random messages (``nfg.validate`` calls ``np.linalg.eigvalsh``
-itself).
+checks the ``enum`` cap first.  ``jacobi_eigh`` decomposes a stack of
+Hermitian matrices; the sum-product algorithm projects every attempt of
+its random messages onto the PSD cone with one call per draw round
+(``nfg.validate`` calls ``np.linalg.eigvalsh`` itself).
 """
 
 import numpy as np
@@ -51,13 +51,15 @@ def _place_values(sizes):
 
 def jacobi_eigh(matrix):
     """Eigenvalues (descending) and orthonormal eigenvectors of a
-    Hermitian matrix, by LAPACK through ``np.linalg.eigh``.
+    Hermitian matrix, or of each matrix of a stack ``(..., n, n)``, by
+    LAPACK through ``np.linalg.eigh``.
 
     The name does not describe the algorithm; it is kept because
-    ``bench/tracing.py`` and ``bench/selftest.py`` look the function up by
-    it.  The caller is responsible for the Hermitian check; the matrix is
-    replaced by its Hermitian part ``(A + A^H) / 2`` before decomposing.
+    ``bench/tracing.py`` wraps the function by it.  The caller is
+    responsible for the Hermitian check; each matrix is replaced by its
+    Hermitian part ``(A + A^H) / 2`` before decomposing.  A stack gives
+    every matrix the bits one call on that matrix gives.
     """
     A = np.asarray(matrix, dtype=np.complex128)
-    vals, vecs = np.linalg.eigh((A + A.conj().T) / 2.0)
-    return vals[::-1], vecs[:, ::-1]
+    vals, vecs = np.linalg.eigh((A + np.swapaxes(A, -1, -2).conj()) / 2.0)
+    return vals[..., ::-1], vecs[..., ::-1]

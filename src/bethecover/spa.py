@@ -15,9 +15,12 @@ whose tensors are stacked, so each group needs one batched einsum per leg
 for its outgoing messages and one for its node sums, whatever its size.
 The plan takes any leading axes on the array: :func:`spa_run` stacks the
 message arrays of all its restarts, and one sweep updates every restart
-that is still live with those same einsums.
+that is still live with those same einsums.  Random messages, for the
+starts and for the redraws after a degenerate edge, come from one routine
+that draws for all restarts at once the bits each would draw alone.
 """
 
+import itertools
 import string
 import weakref
 from dataclasses import dataclass
@@ -90,35 +93,103 @@ def uniform_messages(g):
     return _filled(g, lambda key, n: 1.0 / n)
 
 
-def _psd_project(vec, base):
-    """Project a double-edge message onto the PSD cone and renormalize."""
-    vals, vecs = jacobi_eigh(vec.reshape(base, base))
+_SPARE = 4        # attempts drawn past a run's length, against refusals
+_ATTEMPTS = 64    # refused attempts in a row before a draw gives up
+
+
+def _draw(g, plan, keys, rngs):
+    """Random normalized messages at ``keys`` from each of ``rngs``: an
+    array ``(len(rngs), len(keys), plan.width)`` of zero-padded rows.
+
+    Each rng draws its messages one after another in key order.  On a
+    standard graph a message is one Dirichlet(1, ..., 1) draw.  On a
+    double-edge graph it is the first attempt that projects to a
+    normalizable PSD matrix (:func:`_psd_project`), an attempt being ``n*n``
+    radius uniforms then ``n*n`` angle uniforms in ``[0, 2 pi)``;
+    ``RuntimeError`` after 64 refusals in a row.  A run of keys with one
+    alphabet is drawn for all rngs at once, and every rng ends where those
+    one-at-a-time draws leave it.
+    """
+    out = np.zeros((len(rngs), len(keys), plan.width), dtype=np.complex128)
+    if not rngs:
+        return out
+    stop = 0
+    for n, run in itertools.groupby(g.edges[i].alphabet for i, _k in keys):
+        start, stop = stop, stop + len(list(run))
+        if g.kind == STANDARD:
+            for b, rng in enumerate(rngs):
+                out[b, start:stop, :n] = rng.dirichlet(np.ones(n),
+                                                       size=stop - start)
+        else:
+            out[:, start:stop, :n * n] = _psd_draws(rngs, stop - start, n)
+    return out
+
+
+def _psd_draws(rngs, count, n):
+    """``count`` PSD messages of alphabet ``n`` from each rng, shape
+    ``(len(rngs), count, n*n)``.
+
+    An attempt takes ``2 n^2`` doubles of its rng (a uniform draw is
+    ``low + (high - low) * rng.random()``), and whether it is refused
+    depends on those doubles alone.  So each rng's stream is cut into
+    attempts, drawn ``count + _SPARE`` at a time and projected in one
+    stack, and its message j is its j-th accepted attempt.  The rngs that
+    fall short draw more; at the end each rng is reset and advanced by
+    exactly the attempts its messages used.
+    """
+    size = 2 * n * n
+    states = [rng.bit_generator.state for rng in rngs]
+    flat = np.empty((len(rngs), 0, n * n), dtype=np.complex128)
+    ok = np.empty((len(rngs), 0), dtype=bool)
+    short, more = np.arange(len(rngs)), count + _SPARE
+    while short.size:
+        config.check_capacity("contract", short.size * more * size,
+                              "SPA start draws")
+        attempts = np.empty((short.size, more, size))
+        for row, b in zip(attempts, short):
+            rngs[b].random(out=row)
+        # the rngs that are not short get refused padding, which lies
+        # past their last message
+        grown = np.zeros((len(rngs), more), dtype=bool)
+        grown_flat = np.zeros((len(rngs), more, n * n), dtype=np.complex128)
+        projected, accepts = _psd_project(attempts.reshape(-1, size), n)
+        grown_flat[short] = projected.reshape(short.size, more, n * n)
+        grown[short] = accepts.reshape(short.size, more)
+        flat = np.concatenate((flat, grown_flat), axis=1)
+        ok = np.concatenate((ok, grown), axis=1)
+        # an attempt is made when fewer than ``count`` accepted ones came
+        # before it
+        accepted = np.cumsum(ok, axis=1)
+        made = accepted - ok < count
+        pos = np.arange(ok.shape[1])
+        refused_run = pos - np.maximum.accumulate(np.where(ok, pos, -1),
+                                                  axis=1)
+        if (made & (refused_run >= _ATTEMPTS)).any():
+            raise RuntimeError("could not draw a normalizable random message")
+        short = np.flatnonzero(accepted[:, -1] < count)
+        more = count - accepted[short, -1].min(initial=count) + _SPARE
+    used = np.argmax(accepted >= count, axis=1) + 1
+    for rng, state, k in zip(rngs, states, used):
+        rng.bit_generator.state = state
+        rng.random(k * size)
+    return flat[ok & made].reshape(len(rngs), count, n * n)
+
+
+def _psd_project(attempts, n):
+    """Each row of ``attempts`` (``n*n`` radius doubles, then ``n*n``
+    angle doubles) as a complex vector projected onto the PSD cone and
+    renormalized, and whether that is possible (component sum at least
+    1e-12 in modulus): ``(messages, accepted)``."""
+    radius = np.sqrt(attempts[:, :n * n])
+    angle = 2.0 * np.pi * attempts[:, n * n:]
+    vec = radius * np.exp(1j * angle)
+    vals, vecs = jacobi_eigh(vec.reshape(-1, n, n))
     vals = np.clip(vals, 0.0, None)
-    c = (vecs * vals) @ vecs.conj().T
-    flat = c.reshape(-1)
-    s = flat.sum()
-    if abs(s) < 1e-12:
-        return None
-    return flat / s
-
-
-def random_message(g, i, rng):
-    """One random normalized message on edge i (PSD-projected if double)."""
-    n = g.edges[i].alphabet
-    if g.kind == STANDARD:
-        return rng.dirichlet(np.ones(n)).astype(np.complex128)
-    for _ in range(64):
-        radius = np.sqrt(rng.uniform(size=n * n))
-        angle = rng.uniform(0.0, 2.0 * np.pi, size=n * n)
-        vec = radius * np.exp(1j * angle)
-        out = _psd_project(vec, n)
-        if out is not None:
-            return out
-    raise RuntimeError("could not draw a normalizable random message")
-
-
-def random_messages(g, rng):
-    return _filled(g, lambda key, n: random_message(g, key[0], rng))
+    c = (vecs * vals[:, None, :]) @ np.swapaxes(vecs, -1, -2).conj()
+    flat = c.reshape(len(attempts), n * n)
+    s = flat.sum(axis=-1)
+    ok = np.abs(s) >= 1e-12
+    return flat / np.where(ok, s, 1.0)[:, None], ok
 
 
 # ------------------------------------------------------------------ #
@@ -285,13 +356,12 @@ def _sweep(g, plan, rows, rngs, damping):
         if not edges:
             continue
         rng = rngs[b] if rngs[b] is not None else np.random.default_rng(0)
-        reinit_keys = {(j, node) for i in edges
+        keys = sorted({(j, node) for i in edges
                        for node in (g.edges[i].head, g.edges[i].tail)
-                       for j in g.incidences[node]}
-        for key in sorted(reinit_keys):
-            r = plan.index[key]
-            new[b, r, :plan.sizes[r]] = random_message(g, key[0], rng)
-            reinit[b, r] = True
+                       for j in g.incidences[node]})
+        redrawn = [plan.index[key] for key in keys]
+        new[b, redrawn] = _draw(g, plan, keys, [rng])[0]
+        reinit[b, redrawn] = True
         map_residual[b] = np.inf
 
     damping = np.asarray(damping, dtype=np.float64)
@@ -376,21 +446,21 @@ class SpaReport:
         return len(self.degenerate_log or [])
 
 
-def _restarts(g, starts, rngs, max_iter, tol_fp, damping):
-    """One report per start, restart r sweeping from ``starts[r]`` with
-    ``rngs[r]``; the Bethe pieces only of the restarts that converged.
+def _restarts(g, rows, rngs, max_iter, tol_fp, damping):
+    """One report per start, restart r sweeping from the message array
+    ``rows[r]`` with ``rngs[r]``; the Bethe pieces only of the restarts
+    that converged.
 
     Every sweep covers all restarts still live, stacked in one array.  A
     restart leaves the stack at its first converged sweep or after
     ``max_iter`` sweeps, and switches from no damping to 0.5 when its
     residual stops shrinking over a window."""
     plan = _plan(g)
-    rows = np.stack([plan.rows_of(m) for m in starts])
-    damping_now = [damping] * len(starts)
-    switched_at = [None] * len(starts)
-    history = [[] for _ in starts]
-    events = [[] for _ in starts]
-    live = list(range(len(starts)))
+    damping_now = [damping] * len(rows)
+    switched_at = [None] * len(rows)
+    history = [[] for _ in rows]
+    events = [[] for _ in rows]
+    live = list(range(len(rows)))
     for it in range(1, max_iter + 1):
         new, residuals, degenerate = _sweep(
             g, plan, rows[live], [rngs[r] for r in live],
@@ -454,8 +524,12 @@ def spa_run(g, init="uniform", max_iter=10000, tol_fp=None, damping=0.0,
     config.check_capacity("contract", restarts * len(plan.keys) * plan.width,
                           "SPA restart batch")
     rngs = [np.random.default_rng([seed, r]) for r in range(restarts)]
-    starts = [uniform_messages(g) if r == 0 and init == "uniform"
-              else random_messages(g, rng) for r, rng in enumerate(rngs)]
+    first = int(init == "uniform")
+    starts = np.empty((restarts, len(plan.keys), plan.width),
+                      dtype=np.complex128)
+    if first:
+        starts[0] = uniform_messages(g).rows
+    starts[first:] = _draw(g, plan, plan.keys, rngs[first:])
     reports = _restarts(g, starts, rngs, max_iter, tol_fp, damping)
     best = max(reports, key=lambda rep: (
         rep.converged, rep.zb_spa.real if rep.zb_defined else -np.inf))

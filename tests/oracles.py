@@ -11,6 +11,7 @@ import math
 import numpy as np
 
 from bethecover import config, nfg, spa
+from bethecover._kernels import jacobi_eigh
 from bethecover.cover import CoverSpec, cover_network, type_of
 from bethecover.errors import StructuralError
 from bethecover.tensor import Merge, paired_from_choi
@@ -91,6 +92,43 @@ def message_keys(g):
     return [(i, k) for i, e in enumerate(g.edges) for k in (e.head, e.tail)]
 
 
+def psd_project(vec, base):
+    """Project one double-edge message onto the PSD cone and renormalize;
+    None when its component sum vanishes."""
+    vals, vecs = jacobi_eigh(vec.reshape(base, base))
+    vals = np.clip(vals, 0.0, None)
+    c = (vecs * vals) @ vecs.conj().T
+    flat = c.reshape(-1)
+    s = flat.sum()
+    if abs(s) < 1e-12:
+        return None
+    return flat / s
+
+
+def random_message(g, i, rng):
+    """One random normalized message on edge i (PSD-projected if double),
+    drawn on its own: the sequential draw that the SPA's stacked draws
+    reproduce."""
+    n = g.edges[i].alphabet
+    if g.kind == nfg.STANDARD:
+        return rng.dirichlet(np.ones(n)).astype(np.complex128)
+    for _ in range(64):
+        radius = np.sqrt(rng.uniform(size=n * n))
+        angle = rng.uniform(0.0, 2.0 * np.pi, size=n * n)
+        vec = radius * np.exp(1j * angle)
+        out = psd_project(vec, n)
+        if out is not None:
+            return out
+    raise RuntimeError("could not draw a normalizable random message")
+
+
+def random_messages(g, rng):
+    """Random messages at every directed key, one after another in key
+    order."""
+    return spa.messages(g, {key: random_message(g, key[0], rng)
+                            for key in message_keys(g)})
+
+
 def residual(a, b):
     """Largest componentwise change between two message vectors."""
     return _max_abs(a.rows - a.plan.rows_of(b))
@@ -168,7 +206,7 @@ def sequential_spa_run(g, init="uniform", max_iter=10000, tol_fp=None,
         if r == 0 and init == "uniform":
             m0 = spa.uniform_messages(g)
         else:
-            m0 = spa.random_messages(g, rng)
+            m0 = random_messages(g, rng)
         reports.append(_sequential_restart(g, m0, max_iter, tol_fp, damping,
                                            rng, r))
     best = max(reports, key=lambda rep: (

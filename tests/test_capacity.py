@@ -7,6 +7,7 @@ import re
 import time
 import tracemalloc
 
+import numpy as np
 import pytest
 
 import bethecover
@@ -114,12 +115,33 @@ def test_spa_restart_batch_refused_before_any_draw_or_sweep(monkeypatch):
     def refuse(*args):
         raise AssertionError("a start was drawn or a sweep ran")
 
-    monkeypatch.setattr(spa, "random_messages", refuse)
+    monkeypatch.setattr(spa, "_draw", refuse)
     monkeypatch.setattr(spa, "_sweep", refuse)
     monkeypatch.setenv("BETHE_COVER_LIMITS", "contract=1000")
     with pytest.raises(CapacityError, match="SPA restart batch") as info:
         spa.spa_run(fig3_psd(1), restarts=26)
     assert info.value.requested == 26 * 10 * 4
+
+
+def test_spa_start_draws_refused_before_any_draw_or_sweep(monkeypatch):
+    # 9 random starts of 10 double-edge messages at alphabet 2 pass the
+    # restart batch (400 entries) but not their draw buffer: 2 * 2**2
+    # doubles for each of the 10 + _SPARE attempts of each start
+    def refuse(*args):
+        raise AssertionError("a sweep ran")
+
+    g = fig3_psd(1)
+    plan = spa._plan(g)
+    rngs = [np.random.default_rng([0, r]) for r in range(1, 10)]
+    states = [rng.bit_generator.state for rng in rngs]
+    monkeypatch.setattr(spa, "_sweep", refuse)
+    monkeypatch.setenv("BETHE_COVER_LIMITS", "contract=1000")
+    with pytest.raises(CapacityError, match="SPA start draws") as info:
+        spa._draw(g, plan, plan.keys, rngs)
+    assert info.value.requested == 9 * (10 + spa._SPARE) * 8 > 1000
+    assert [rng.bit_generator.state for rng in rngs] == states
+    with pytest.raises(CapacityError, match="SPA start draws"):
+        spa.spa_run(g, restarts=10)
 
 
 def test_default_caps_refuse_the_huge_requests():

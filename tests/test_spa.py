@@ -14,8 +14,10 @@ from bethecover.tensor import choi_from_paired
 from conftest import (build_fig3, fig3_psd, graph_with_choi,
                       power_trap_fixed_point, power_trap_graph, random_choi,
                       random_tree_de, two_cycle)
-from oracles import (beliefs_from_configuration_weights, fixed_point_residual,
-                     message_keys, residual, sequential_spa_run)
+import oracles
+from oracles import (as_double_edge, beliefs_from_configuration_weights,
+                     fixed_point_residual, message_keys, random_message,
+                     random_messages, residual, sequential_spa_run)
 
 
 def min_choi_eigenvalue(vec, base):
@@ -73,7 +75,7 @@ def oracle_step(g, m, rng=None, damping=0.0):
                      for node in (g.edges[i].head, g.edges[i].tail)
                      for other in g.incidences[node]})
     for key in reinit:
-        new[key] = spa.random_message(g, key[0], rng)
+        new[key] = random_message(g, key[0], rng)
     if reinit:
         map_residual = float("inf")
     if damping:
@@ -129,11 +131,132 @@ def oracle_graphs():
     return out
 
 
+class _Stream:
+    """A stand-in for ``np.random.Generator`` that hands out a fixed list
+    of doubles in order, as ``random`` and ``uniform`` do one per entry;
+    its ``bit_generator.state`` is the position in the list."""
+
+    def __init__(self, doubles):
+        self.doubles = np.asarray(doubles, dtype=np.float64)
+        self.bit_generator = self
+        self.state = 0
+
+    def random(self, size=None, out=None):
+        shape = out.shape if out is not None else size
+        count = int(np.prod(shape))
+        doubles = self.doubles[self.state:self.state + count]
+        assert doubles.size == count, "the stream ran out"
+        self.state += count
+        if out is None:
+            return doubles.reshape(shape)
+        out[...] = doubles.reshape(shape)
+        return out
+
+    def uniform(self, low=0.0, high=1.0, size=None):
+        return low + (high - low) * self.random(size)
+
+
+def draw_graphs():
+    """Graphs for the start draws: fig3, fig-b and a 4-cycle at
+    alphabets 2-4 in both kinds, and the mixed-alphabet triangles."""
+    out = [mixed_alphabet_graph(kind, 3) for kind in ("standard",
+                                                      "double-edge")]
+    for kind, ens in (("standard", "positive-s-nfg"),
+                      ("double-edge", "psd-random")):
+        for topo in ("fig3", "fig-b", "cycle"):
+            for alphabet in (2, 3, 4):
+                out.append(gen(GeneratorSpec(
+                    topology=topo, kind=kind, ensemble=ens, n=4,
+                    alphabet=alphabet, seed=alphabet)))
+    return out
+
+
+def assert_draws_match_oracle(g, seed, restarts=5):
+    """The stacked draw at every key equals one oracle draw per message,
+    bit for bit, and leaves every rng where the oracle leaves it."""
+    plan = spa._plan(g)
+    rngs = [np.random.default_rng([seed, r]) for r in range(restarts)]
+    got = spa._draw(g, plan, plan.keys, rngs)
+    for r, rng in enumerate(rngs):
+        oracle_rng = np.random.default_rng([seed, r])
+        want = random_messages(g, oracle_rng).rows
+        assert got[r].tobytes() == want.tobytes(), r
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
+def count_refusals(monkeypatch):
+    """A list that gains one entry per attempt the oracle refuses."""
+    refused = []
+    project = oracles.psd_project
+
+    def counted(vec, base):
+        out = project(vec, base)
+        if out is None:
+            refused.append(base)
+        return out
+
+    monkeypatch.setattr(oracles, "psd_project", counted)
+    return refused
+
+
+class TestStartDraws:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_bit_identical_to_one_draw_per_message(self, seed):
+        for g in draw_graphs():
+            assert_draws_match_oracle(g, seed)
+
+    def test_refused_attempts_are_skipped_as_one_at_a_time(self,
+                                                           monkeypatch):
+        refused = count_refusals(monkeypatch)
+        assert_draws_match_oracle(fig3_psd(1), 0, restarts=8)
+        assert refused
+
+    def test_a_start_that_falls_short_draws_more(self, monkeypatch):
+        # with no spare attempts, every start with a refusal comes up
+        # short after the first round and draws again
+        refused = count_refusals(monkeypatch)
+        monkeypatch.setattr(spa, "_SPARE", 0)
+        rounds = []
+        project = spa._psd_project
+
+        def counted(attempts, n):
+            rounds.append(len(attempts))
+            return project(attempts, n)
+
+        monkeypatch.setattr(spa, "_psd_project", counted)
+        assert_draws_match_oracle(fig3_psd(1), 0, restarts=8)
+        assert refused and len(rounds) > 1 and rounds[0] == 8 * 10
+
+    @pytest.mark.parametrize("refusals, fails", [(63, False), (64, True)])
+    def test_sixty_four_refusals_in_a_row_give_up(self, refusals, fails):
+        # a zero attempt projects to the zero matrix, which is refused;
+        # the third message of a fig3 start meets ``refusals`` of them,
+        # between attempts that are all accepted
+        g = fig3_psd(1)
+        plan = spa._plan(g)
+        live = np.random.default_rng(4).random((40, 8))
+        live = live[spa._psd_project(live, 2)[1]].reshape(-1)
+        doubles = np.concatenate((live[:2 * 8], np.zeros(refusals * 8),
+                                  live[2 * 8:]))
+        stream, oracle_stream = _Stream(doubles), _Stream(doubles)
+        if fails:
+            for draw in (lambda: spa._draw(g, plan, plan.keys, [stream]),
+                         lambda: random_messages(g, oracle_stream)):
+                with pytest.raises(RuntimeError, match="^could not draw a "
+                                   "normalizable random message$"):
+                    draw()
+            return
+        got = spa._draw(g, plan, plan.keys, [stream])[0]
+        assert got.tobytes() == random_messages(g, oracle_stream).rows \
+            .tobytes()
+        assert stream.state == oracle_stream.state > refusals * 8
+
+
 class TestBatchedSweep:
     @pytest.mark.parametrize("damping", [0.0, 0.5])
     def test_step_matches_per_message_oracle(self, damping):
         for g, equal_sizes in oracle_graphs():
-            m = spa.random_messages(g, np.random.default_rng(7))
+            m = random_messages(g, np.random.default_rng(7))
             new, info = spa.spa_step(g, m, damping=damping)
             want, residual, degenerate = oracle_step(g, m, damping=damping)
             assert info.degenerate_edges == degenerate == []
@@ -153,13 +276,20 @@ class TestBatchedSweep:
     def test_reinitialization_matches_oracle(self):
         g = power_trap_graph()
         m = power_trap_fixed_point(g)
-        new, info = spa.spa_step(g, m, rng=np.random.default_rng(5))
-        want, residual, degenerate = oracle_step(
-            g, m, rng=np.random.default_rng(5))
-        assert info.degenerate_edges == degenerate == [0, 1]
-        assert info.map_residual == residual == float("inf")
-        for key in want:
-            assert np.array_equal(new[key], want[key]), key
+        # the same trap with diagonal matrices: the overlaps vanish too
+        de = as_double_edge(g)
+        traps = [(g, m), (de, spa.messages(de, {
+            key: np.diag(m[key]).reshape(-1) for key in m}))]
+        for g, m in traps:
+            rng, oracle_rng = (np.random.default_rng(5),
+                               np.random.default_rng(5))
+            new, info = spa.spa_step(g, m, rng=rng)
+            want, residual, degenerate = oracle_step(g, m, rng=oracle_rng)
+            assert info.degenerate_edges == degenerate == [0, 1]
+            assert info.map_residual == residual == float("inf")
+            for key in want:
+                assert np.array_equal(new[key], want[key]), key
+            assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
     def test_node_sum_degeneracy_matches_oracle(self):
         # a path a - b - c whose middle node sums to zero against the
@@ -182,7 +312,7 @@ class TestBatchedSweep:
 
     def test_raw_updates_match_oracle(self):
         for g, _equal in oracle_graphs():
-            m = spa.random_messages(g, np.random.default_rng(3))
+            m = random_messages(g, np.random.default_rng(3))
             raw, kappa = spa.raw_updates(g, m)
             want, want_kappa = oracle_raw_updates(g, m)
             for r, key in enumerate(raw):

@@ -238,6 +238,18 @@ class TestEigendecompose:
         assert np.max(np.abs(gram - np.eye(side))) < 1e-10
         assert np.all(np.diff(vals) <= 1e-12)
 
+    @pytest.mark.parametrize("side", [2, 3, 4])
+    def test_stack_gives_every_matrix_its_own_bits(self, side):
+        rng = np.random.default_rng(side)
+        a = (rng.standard_normal((500, side, side))
+             + 1j * rng.standard_normal((500, side, side)))
+        vals, vecs = jacobi_eigh(a)
+        assert vals.shape == (500, side) and vecs.shape == a.shape
+        for k in range(500):
+            one_vals, one_vecs = jacobi_eigh(a[k])
+            assert vals[k].tobytes() == one_vals.tobytes(), k
+            assert vecs[k].tobytes() == one_vecs.tobytes(), k
+
     def test_non_hermitian_rejected(self):
         # validation reports the defect and takes no eigenvalue
         st = node_status(np.array([[0.0, 1.0], [0.0, 0.0]]))
