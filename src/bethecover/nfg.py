@@ -291,7 +291,8 @@ def partition_exact(g):
 
 
 # ------------------------------------------------------------------ #
-# greedy contraction                                                  #
+# greedy contraction: merge the connected pair that frees the most   #
+# entries, ties to the smaller result (Smith & Gray, JOSS 2018)      #
 # ------------------------------------------------------------------ #
 
 @dataclass(frozen=True)
@@ -314,29 +315,28 @@ class ContractionPlan:
 
 
 def plan_contraction(shapes):
-    """Plan the greedy elimination of a network given as
+    """Plan the pairwise greedy contraction of a network given as
     ``(labels, sizes)`` pairs, one per tensor, from labels and sizes alone.
 
     The network is checked here and nowhere else: a tensor whose labels
     do not name each of its axes once, a label that is not on exactly
     two tensors or has two sizes, and a label of size 0 raise
     ``StructuralError`` before anything is planned.  At each step the
-    cluster whose merge with all its neighbours leaves the smallest open
-    size is eliminated, ties going to the earliest created cluster
-    (inputs in list order, then merged clusters); the neighbours are
-    merged into it one by one in creation order, and the merged cluster
-    is created last (greedy paths as in Smith & Gray, "opt_einsum",
-    JOSS 2018).
+    live pair of clusters ``a < b`` that share a label and minimize
+    ``entries(out) - entries(a) - entries(b)`` is merged, a the left
+    operand: the merge that frees the most entries, or adds the fewest
+    (the "memory removed" greedy of Smith & Gray, "opt_einsum", JOSS
+    2018).  Ties go to the smaller ``entries(out)``, then to the lowest
+    ``(a, b)``.  A cluster left with no labels is a scalar.
 
     Sizes are exact integers kept per cluster: ``entries[k]``, the entry
     count of cluster k, and ``bond[k][p]``, that of the labels k shares
-    with p.  The open size of k with its neighbours is their entries
-    divided by every bond inside the group, each counted from both of its
-    ends.  A merge changes the sizes of the new cluster and of its
-    neighbours only, so just those are re-costed; the rest of the costs
-    wait in a heap of ``(cost, slot)`` whose stale entries are skipped.
-    Each merge is recorded with the axis orders and 2-D shapes of its
-    matrix product, read off the operands' label orders here once.
+    with p, so a pair's result has ``entries[a] * entries[b] //
+    bond[a][b]**2`` entries.  A merge changes no other pair's score, so
+    only the new cluster's pairs are scored; the rest wait in a heap of
+    ``(score, entries(out), a, b)`` whose entries naming a merged cluster
+    are skipped.  Each merge is recorded with the axis orders and 2-D
+    shapes of its matrix product, read off the operands' label orders.
     """
     # nbr[slot]: label -> the slot holding its other end, in axis order
     nbr, entries, size, ends = [], [], {}, {}
@@ -362,79 +362,58 @@ def plan_contraction(shapes):
         nbr[a][lab], nbr[b][lab] = b, a
         bond[a][b] = bond[b][a] = bond[a].get(b, 1) * size[lab]
 
-    def cost(k):
-        """Entry count left open if k merged with all its neighbours."""
-        near = bond[k]
-        total, inner = entries[k], 1
-        for p, s in near.items():
-            total *= entries[p]
-            inner *= s * s
-            for q, t in bond[p].items():
-                if q in near:
-                    inner *= t
-        return total // inner
+    def score(a, b):
+        n_out = entries[a] * entries[b] // bond[a][b] ** 2
+        return n_out - entries[a] - entries[b], n_out, a, b
 
-    current = {k: cost(k) for k, labs in enumerate(nbr) if labs}
-    heap = [(c, k) for k, c in current.items()]
+    heap = [score(a, b) for a, near in enumerate(bond) for b in near if a < b]
     heapq.heapify(heap)
     scalars = [k for k, labs in enumerate(nbr) if not labs]
     steps, peak = [], 0
     while heap:
-        c, k = heapq.heappop(heap)
-        if current.get(k) != c:
+        _, n_out, a, b = heapq.heappop(heap)
+        if nbr[a] is None or nbr[b] is None:
             continue
-        new, merged, out = k, {k}, nbr[k]
-        n_out, out_bond = entries[k], dict(bond[k])
-        for i in sorted(bond[k]):
-            # the left's axes free then paired, the right's paired (in the
-            # left's order) then free; the result keeps both free runs
-            right = nbr[i]
-            order = list(right)
-            left_axes, pair_axes, right_axes, res = [], [], [], {}
-            for a, (lab, p) in enumerate(out.items()):
-                if p == i:
-                    pair_axes.append(a)
-                    right_axes.append(order.index(lab))
-                else:
-                    left_axes.append(a)
-                    res[lab] = p
-            left_axes += pair_axes
-            for a, (lab, p) in enumerate(right.items()):
-                if p not in merged:
-                    right_axes.append(a)
-                    res[lab] = p
-            out = res
-            s = out_bond.pop(i)
-            for p, t in bond[i].items():
-                if p not in merged:
+        # a's axes free then paired, b's paired (in a's order) then free;
+        # the result keeps both free runs
+        right = {lab: ax for ax, lab in enumerate(nbr[b])}
+        left_axes, pair_axes, right_axes, out = [], [], [], {}
+        for ax, (lab, p) in enumerate(nbr[a].items()):
+            if p == b:
+                pair_axes.append(ax)
+                right_axes.append(right[lab])
+            else:
+                left_axes.append(ax)
+                out[lab] = p
+        for lab, p in nbr[b].items():
+            if p != a:
+                right_axes.append(right[lab])
+                out[lab] = p
+        s = bond[a][b]
+        peak = max(peak, n_out)
+        steps.append((a, b, Merge(
+            tuple(left_axes + pair_axes), (entries[a] // s, s),
+            tuple(right_axes), (s, entries[b] // s),
+            tuple(map(size.__getitem__, out)), tuple(out))))
+        new = len(nbr)
+        out_bond = {}
+        for k, other in ((a, b), (b, a)):
+            for p, t in bond[k].items():
+                if p != other:
+                    del bond[p][k]
                     out_bond[p] = out_bond.get(p, 1) * t
-            merged.add(i)
-            n_left, n_out = n_out, n_out * entries[i] // (s * s)
-            peak = max(peak, n_out)
-            steps.append((new, i, Merge(
-                tuple(left_axes), (n_left // s, s), tuple(right_axes),
-                (s, entries[i] // s), tuple(map(size.__getitem__, out)),
-                tuple(out))))
-            new = len(nbr)
-            nbr.append(None)
-            entries.append(None)
-            bond.append(None)
-        nbr[new], entries[new], bond[new] = out, n_out, out_bond
-        for m in merged:
-            current.pop(m)
+            nbr[k] = bond[k] = None
+        nbr.append(out)
+        entries.append(n_out)
+        bond.append(out_bond)
         if not out:
             scalars.append(new)
             continue
         for lab, p in out.items():
             nbr[p][lab] = new
-        for p, s in out_bond.items():
-            near = bond[p]
-            for m in merged & near.keys():
-                del near[m]
-            near[new] = s
-        for m in (new, *out_bond):
-            current[m] = c = cost(m)
-            heapq.heappush(heap, (c, m))
+        for p, t in out_bond.items():
+            bond[p][new] = t
+            heapq.heappush(heap, score(p, new))
     return ContractionPlan(tuple(steps), tuple(scalars), peak)
 
 
@@ -466,7 +445,8 @@ def contract_network(tensors):
 
 
 def partition_contract(g):
-    """Partition function by greedy sequential node elimination."""
+    """Partition function by the pairwise greedy contraction of the
+    graph's tensors (:func:`plan_contraction`)."""
     tensors = [ComplexTensor(g.incidences[k], g.tensors[k])
                for k in range(g.n_nodes)]
     return contract_network(tensors)

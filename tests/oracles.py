@@ -14,7 +14,7 @@ from bethecover import config, nfg, spa
 from bethecover._kernels import jacobi_eigh
 from bethecover.cover import CoverSpec, cover_network, type_of
 from bethecover.errors import StructuralError
-from bethecover.tensor import Merge, paired_from_choi
+from bethecover.tensor import Merge, contract, paired_from_choi
 
 
 def _max_abs(arr):
@@ -80,6 +80,48 @@ def merge_of(a, b, axes):
                        + [b.sizes[k] for k in free_b]),
                  tuple([a.labels[k] for k in free_a]
                        + [b.labels[k] for k in free_b]))
+
+
+def pairwise_greedy(tensors):
+    """The planner's rule run on the tensors themselves, every connected
+    pair of live clusters re-scored at every step (O(n^3)): merge the pair
+    ``a < b`` that minimizes ``entries(out) - entries(a) - entries(b)``,
+    ties to the smaller ``entries(out)``, then to the lowest ``(a, b)``;
+    a cluster left with no labels multiplies into the value, in the order
+    the clusters were made.  Returns the value and the steps, numbered as
+    :class:`nfg.ContractionPlan` numbers them."""
+    live = {k: t for k, t in enumerate(tensors) if t.labels}
+    scalars = [t for t in tensors if not t.labels]
+    steps = []
+    while True:
+        best = None
+        for a, b in itertools.combinations(sorted(live), 2):
+            x, y = live[a], live[b]
+            shared = [lab for lab in x.labels if lab in y.labels]
+            if not shared:
+                continue
+            out = math.prod(n for lab, n in zip(x.labels + y.labels,
+                                                x.sizes + y.sizes)
+                            if lab not in shared)
+            key = (out - x.array.size - y.array.size, out, a, b)
+            if best is None or key < best[0]:
+                best = key, shared
+        if best is None:
+            break
+        (_, _, a, b), shared = best
+        x, y = live.pop(a), live.pop(b)
+        merge = merge_of(x, y, ([x.labels.index(lab) for lab in shared],
+                                [y.labels.index(lab) for lab in shared]))
+        out = contract(x, y, merge)
+        steps.append((a, b, merge))
+        if out.labels:
+            live[len(tensors) + len(steps) - 1] = out
+        else:
+            scalars.append(out)
+    value = 1.0 + 0.0j
+    for t in scalars:
+        value *= complex(t.array)
+    return value, steps
 
 
 # ------------------------------------------------------------------ #

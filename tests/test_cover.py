@@ -542,6 +542,14 @@ def graph_of(names, edges, rng):
                            for eid, (a, b, s) in zip(eids, edges)], tensors)
 
 
+def k44(rng):
+    """The complete bipartite graph K_{4,4}: rows r0..r3, then columns
+    c0..c3, binary edges in row-major order."""
+    rows, cols = [f"r{i}" for i in range(4)], [f"c{j}" for j in range(4)]
+    return graph_of(rows + cols, [(r, c, 2) for r in rows for c in cols],
+                    rng)
+
+
 def theta(rng):
     """Three paths of two interior nodes between n2 and n6; node positions
     interleave, so the absorbed edges run both ways along each path."""
@@ -621,6 +629,41 @@ class TestAbsorb:
                 h, cover._lift(chains, cover.random_cover(g, degree, rng)))
             assert len(network) == components * degree
             assert all(not t.labels and t.array.ndim == 0 for t in network)
+
+
+class TestReach:
+    """Networks whose contraction order decides whether they fit: the
+    K_{4,4} type network and fig3 Monte-Carlo covers at M = 12."""
+
+    @pytest.mark.parametrize("degree", range(2, 7))
+    def test_k44_type_network_peak(self, degree, rng):
+        # binary edges carry C(2+M-1, M) = M + 1 types
+        g = k44(rng)
+        plan = nfg.plan_contraction([(inc, (degree + 1,) * 4)
+                                     for inc in g.incidences])
+        assert plan.peak == (degree + 1) ** 8
+
+    def test_k44_type_formula_matches_exhaustive(self, rng):
+        # 2 ** (16 - 8 + 1) = 512 gauge-fixed covers
+        g = k44(rng)
+        assert cover.zbm_typeformula(g, 2).power_value == pytest.approx(
+            cover.zbm_exhaustive(g, 2).power_value, rel=1e-12)
+
+    def test_k44_type_formula_fits_at_degree_four(self, rng):
+        # 5 ** 8 entries at most, where a 5 ** 12 plan is over the cap
+        est = cover.zbm_typeformula(k44(rng), 4)
+        assert est.root > 0.0
+
+    def test_fig3_montecarlo_covers_at_degree_12(self):
+        # the covers zbm_montecarlo(g, 12, 6, seed=i) draws, i < 16
+        g = fig3_psd(0)
+        h, chains = cover._absorb(g)
+        peaks = [nfg.plan_contraction([
+            (t.labels, t.sizes) for t in cover.cover_network(
+                h, cover._lift(chains, cover.random_cover(
+                    g, 12, np.random.default_rng([i, s]))))]).peak
+            for i in range(16) for s in range(6)]
+        assert max(peaks) <= 4 ** 7
 
 
 class TestIsolatedNode:

@@ -22,7 +22,7 @@ from bethecover.tensor import (ComplexTensor, Merge, contract,
 from conftest import (FIG3_EDGES, FIG3_NODES, build_fig3, fig3_psd,
                       graph_with_choi, power_trap_graph, random_tree_de,
                       two_cycle)
-from oracles import as_double_edge, is_forest, merge_of
+from oracles import as_double_edge, is_forest, merge_of, pairwise_greedy
 
 
 def brute_force_partition(g):
@@ -318,17 +318,27 @@ class TestPartitionContract:
         tensors = [ComplexTensor(("x", "s"), rng.standard_normal((x, s))),
                    ComplexTensor(("s", "y"), rng.standard_normal((s, y))),
                    ComplexTensor(("x", "y"), rng.standard_normal((x, y)))]
+        a, b, _ = tensors
+        merge = merge_of(a, b, ([1], [0]))
+        assert merge == Merge((0, 1), (x, s), (0, 1), (s, y), (x, y),
+                              ("x", "y"))
+        tracemalloc.start()
+        try:
+            contract(a, b, merge)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 16 * n_entries
+        # the plan never forms that product: it merges a with c first
         plan = nfg.plan_contraction([(t.labels, t.sizes) for t in tensors])
-        assert plan.steps[0] == (0, 1, Merge((0, 1), (x, s), (0, 1), (s, y),
-                                             (x, y), ("x", "y")))
-        assert plan.peak == n_entries
+        assert plan.peak == s * y
         tracemalloc.start()
         try:
             nfg.contract_network(tensors)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.5 * 16 * n_entries
+        assert peak < 1.5 * 16 * plan.peak
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_intermediate_raises(self):
@@ -365,59 +375,16 @@ def record_merges(monkeypatch):
     return merges
 
 
-def greedy_oracle(tensors):
-    """The elimination rule as first written, every cluster re-costed
-    against every other at every step (O(n^3)).  Returns the value and
-    the pairwise merges, logged as :func:`record_merges` does."""
-    clusters = list(tensors)
-    merges = []
-    result = 1.0 + 0.0j
-    while clusters:
-        scalars = [t for t in clusters if not t.labels]
-        for t in scalars:
-            result *= complex(t.array)
-        clusters = [t for t in clusters if t.labels]
-        if not clusters:
-            break
-
-        # merged size if cluster k were eliminated with its neighborhood
-        def merged_cost(k):
-            group = {k}
-            labs = set(clusters[k].labels)
-            for i, t in enumerate(clusters):
-                if i != k and labs & set(t.labels):
-                    group.add(i)
-            open_sizes = 1
-            for i in group:
-                for lab in clusters[i].labels:
-                    holders = sum(
-                        1 for j in group if lab in clusters[j].labels)
-                    if holders == 1:
-                        t = clusters[i]
-                        open_sizes *= t.sizes[t.labels.index(lab)]
-            return open_sizes, group
-
-        best_k, best_cost, best_group = None, None, None
-        for k in range(len(clusters)):
-            cost, group = merged_cost(k)
-            if best_cost is None or cost < best_cost:
-                best_k, best_cost, best_group = k, cost, group
-
-        merged = clusters[best_k]
-        for i in sorted(best_group - {best_k}):
-            shared = [lab for lab in merged.labels
-                      if lab in clusters[i].labels]
-            axes = ([merged.labels.index(lab) for lab in shared],
-                    [clusters[i].labels.index(lab) for lab in shared])
-            out = contract(merged, clusters[i],
-                           merge_of(merged, clusters[i], axes))
-            merges.append((merged.labels + clusters[i].labels, out.sizes,
-                           tuple(shared)))
-            merged = out
-        clusters = [t for i, t in enumerate(clusters)
-                    if i not in best_group]
-        clusters.append(merged)
-    return result, merges
+def assert_plan_is_the_oracles(tensors, name=None):
+    """The plan of ``tensors`` makes the merges of
+    :func:`oracles.pairwise_greedy`, and the contraction its value, both
+    exactly."""
+    plan = nfg.plan_contraction([(t.labels, t.sizes) for t in tensors])
+    want, steps = pairwise_greedy(tensors)
+    assert list(plan.steps) == steps, name
+    assert plan.peak == max((math.prod(m.shape) for _, _, m in steps),
+                            default=0), name
+    assert nfg.contract_network(tensors) == want, name
 
 
 def oracle_networks():
@@ -456,16 +423,11 @@ def oracle_networks():
 
 
 class TestPlanner:
-    def test_same_merges_as_the_old_rule(self, monkeypatch):
+    def test_same_merges_as_the_oracle(self):
         nets = oracle_networks()
         assert len(nets) >= 50
-        merges = record_merges(monkeypatch)
         for name, tensors in nets:
-            merges.clear()
-            value = nfg.contract_network(tensors)
-            want, want_merges = greedy_oracle(tensors)
-            assert merges == want_merges, name
-            assert value == want, name
+            assert_plan_is_the_oracles(tensors, name)
 
     def test_label_size_mismatch_refused_by_the_plan(self, monkeypatch):
         merges = record_merges(monkeypatch)
@@ -506,8 +468,8 @@ class TestPlanner:
         """The merges the plan computes, on closed networks of 2-6 tensors
         whose labels (sizes 1-3) are shuffled per tensor: each step's
         shapes are its operands' and its result's, the peak is the
-        largest intermediate, and the contraction equals one einsum of the
-        whole network."""
+        largest intermediate, the contraction equals one einsum of the
+        whole network, and plan and value are the oracle's."""
         rng = np.random.default_rng(seed)
         legs = [[] for _ in range(n)]
         size = []
@@ -543,6 +505,7 @@ class TestPlanner:
             slots.append(contract(x, y, merge))
             measured.append(slots[-1].array.size)
         assert plan.peak == max(measured)
+        assert_plan_is_the_oracles(tensors)
 
 
 class TestEmbedding:
