@@ -13,13 +13,13 @@ by its reader.
 """
 
 import argparse
+import inspect
 import json
 import os
 import sys
 
 import numpy as np
 
-from . import config
 from . import cover as cover_mod
 from . import experiment as exp_mod
 from . import lct as lct_mod
@@ -47,22 +47,27 @@ def _add_graph_args(p, from_file):
     p.add_argument("--seed", type=int, default=spec.seed)
 
 
+# SPA flag -> the spa_run keyword it sets, which is also its dest; the
+# flag's type and default are those of the keyword's default
+_SPA = {"--tol": "tol_fp", "--max-iter": "max_iter",
+        "--restarts": "restarts", "--damping": "damping"}
+_SPA_DEFAULTS = {name: p.default for name, p
+                 in inspect.signature(spa_run).parameters.items()}
+
 _FLAGS = {
     "--json": dict(metavar="PATH", default=None),
     "--csv": dict(metavar="PATH", default=None),
-    "--tol": dict(type=float, default=config.TOLS.fixed_point),
-    "--max-iter": dict(type=int, default=10000),
-    "--restarts": dict(type=int, default=8),
-    "--damping": dict(type=float, default=0.0),
+    **{flag: dict(dest=key, type=type(_SPA_DEFAULTS[key]),
+                  default=_SPA_DEFAULTS[key])
+       for flag, key in _SPA.items()},
     "--m": dict(type=int, default=1),
     "--mmax": dict(type=int, default=3),
-    "--samples": dict(type=int, default=2000),
+    "--samples": dict(type=int, default=exp_mod.SAMPLES),
     "--method": dict(default="auto", choices=["auto", "exhaustive",
                                               "montecarlo", "typeformula"]),
     "--identity-sigma": dict(action="store_true"),
     "--instances": dict(type=int, default=100),
 }
-_SPA = ("--tol", "--max-iter", "--restarts", "--damping")
 
 
 def _spec_of(args):
@@ -76,10 +81,13 @@ def _graph_of(args):
     return nfg.load(args.graph) if args.graph else gen(_spec_of(args))
 
 
+def _spa_options(args):
+    """The spa_run keywords the SPA flags set."""
+    return {key: getattr(args, key) for key in _SPA.values()}
+
+
 def _spa_of(args, g):
-    rep = spa_run(g, max_iter=args.max_iter, tol_fp=args.tol,
-                  damping=args.damping, restarts=args.restarts,
-                  seed=args.seed)
+    rep = spa_run(g, seed=args.seed, **_spa_options(args))
     if not rep.converged:
         raise NonConvergenceError(
             f"sum-product did not converge within {args.max_iter} "
@@ -150,9 +158,7 @@ def cmd_exact(args):
 
 def cmd_spa(args):
     g = _graph_of(args)
-    rep = spa_run(g, max_iter=args.max_iter, tol_fp=args.tol,
-                  damping=args.damping, restarts=args.restarts,
-                  seed=args.seed)
+    rep = spa_run(g, seed=args.seed, **_spa_options(args))
     print(f"converged: {rep.converged} after {rep.iterations} iterations "
           f"(residual {rep.residual:.3e}, "
           f"{rep.restarts_converged}/{rep.restarts_used} restarts, "
@@ -305,10 +311,8 @@ def cmd_bounds(args):
 
 def cmd_experiment(args):
     result = exp_mod.run_experiment(
-        _spec_of(args), args.instances, args.mmax, samples=args.samples,
-        master_seed=args.seed,
-        spa_options=dict(max_iter=args.max_iter, tol_fp=args.tol,
-                         damping=args.damping, restarts=args.restarts))
+        _spec_of(args), args.instances, args.mmax, master_seed=args.seed,
+        samples=args.samples, spa_options=_spa_options(args))
     text = exp_mod.result_to_csv(result)
     if args.csv:
         _write(args.csv, text)
@@ -352,6 +356,9 @@ def build_parser():
         _add_graph_args(p, from_file)
         for flag in flags:
             p.add_argument(flag, **_FLAGS[flag])
+    # experiment runs the study's SPA settings by default, as
+    # experiment.run_instance does
+    sub.choices["experiment"].set_defaults(**exp_mod.STUDY_SPA)
     return parser
 
 

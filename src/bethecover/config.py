@@ -1,6 +1,7 @@
-"""Global tolerances and capacity limits.
+"""Capacity limits: the caps every capped route checks, and nothing else
+(each tolerance is a constant of the module that applies it).
 
-Capacity limits can be overridden only through the environment variable
+The caps can be overridden only through the environment variable
 ``BETHE_COVER_LIMITS``, which every capped call reads afresh: a
 comma-separated list of ``key=value`` pairs with keys ``enum``
 (configurations enumerated), ``contract`` (complex entries of any one
@@ -14,21 +15,6 @@ import os
 from dataclasses import dataclass
 
 from .errors import CapacityError, ValidationError
-
-
-@dataclass
-class Tolerances:
-    herm: float = 1e-9          # Hermitian defect allowed in a Choi matrix
-    psd: float = 1e-9           # eigenvalue slack for the PSD test
-    fixed_point: float = 1e-9   # message residual declaring convergence
-    zero: float = 1e-12         # degenerate-edge trigger inside the SPA
-    z_edge: float = 1e-9        # smallest usable edge normalizer Z_e
-    b_one: float = 1e-12        # trigger for the beta_e(0)=1 parameter branch
-    b_fragile: float = 1e-6     # below this |1-beta_e(0)| is flagged fragile
-    biorth: float = 1e-10       # biorthogonality residual of edge matrices
-
-
-TOLS = Tolerances()
 
 
 @dataclass

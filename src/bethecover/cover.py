@@ -26,7 +26,8 @@ import numpy as np
 from . import config
 from .errors import (InternalConsistencyError, SignedRootError,
                      StructuralError)
-from .nfg import Edge, FactorGraph, contract_network, finite, make_graph
+from .nfg import (Edge, FactorGraph, contract_network, finite, make_graph,
+                  plan_contraction, run_plan)
 from .tensor import ComplexTensor
 
 _IMAG_TOL = 1e-9      # relative imaginary part allowed in a cover mean
@@ -419,10 +420,10 @@ def zbm_typeformula(g, degree):
     ``S`` into the M-fold stacked local functions leaves one type tensor
     per node, with leg size ``C(s+M-1, M)`` instead of ``s**M``; each edge
     keeps the diagonal weight ``1/multinomial(type)``, folded into its
-    head endpoint.  The capacity check covers the largest array the type
-    tensors' construction allocates, before any is allocated; the
-    contraction of the type-tensor network checks its plan's largest
-    intermediate before it contracts anything.
+    head endpoint.  Before any type tensor is built, the capacity check
+    covers the largest array their construction allocates, then the
+    largest intermediate of the type-tensor network's contraction plan,
+    made from the leg sizes alone; the built network runs that plan.
     """
     if degree < 1:
         raise StructuralError("cover degree must be positive")
@@ -430,6 +431,11 @@ def zbm_typeformula(g, degree):
     for name, t in zip(g.node_names, g.tensors):
         config.check_capacity("contract", _type_tensor_peak(t.shape, M),
                               f"type tensor of node {name!r}")
+    plan = plan_contraction([
+        (g.incidences[k], [math.comb(s + M - 1, M) for s in t.shape])
+        for k, t in enumerate(g.tensors)])
+    config.check_capacity("contract", plan.peak,
+                          "largest contraction intermediate")
     tables, weights = {}, {}
     for i in range(g.n_edges):
         s = g.axis_size(i)
@@ -439,7 +445,7 @@ def zbm_typeformula(g, degree):
             # beyond the float range gives 0.0, not an OverflowError
             weights[s] = np.array([1 / class_size(u) for u in types])
     tensors = []
-    # an entry that overflows is refused by contract_network
+    # an entry that overflows is refused by run_plan
     with np.errstate(over="ignore", invalid="ignore"):
         for k, t in enumerate(g.tensors):
             u = _type_tensor(t, [tables[s] for s in t.shape], M)
@@ -448,7 +454,7 @@ def zbm_typeformula(g, degree):
                     u = u * weights[t.shape[a]].reshape(
                         [-1 if b == a else 1 for b in range(t.ndim)])
             tensors.append(ComplexTensor(g.incidences[k], u))
-    mean = contract_network(tensors)
+    mean = run_plan(plan, tensors)
     return _finish("typeformula", degree, mean)
 
 

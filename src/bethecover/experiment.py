@@ -18,6 +18,11 @@ from .spa import spa_run
 # exhaustive/typeformula estimates are only attempted up to this degree;
 # above it the Monte-Carlo estimator takes over
 MAX_DIRECT_DEGREE = 3
+# Monte-Carlo covers per estimate when the caller names no count
+SAMPLES = 2000
+# spa_run settings of the study's rows, on top of spa_run's own defaults;
+# the experiment subcommand's defaults too
+STUDY_SPA = dict(restarts=2, tol_fp=1e-12)
 
 
 @dataclass
@@ -43,7 +48,7 @@ class ExperimentResult:
     deciles: dict     # degree -> list of (quantile, value)
 
 
-def zbm_estimate(g, degree, samples=2000, seed=0):
+def zbm_estimate(g, degree, samples=SAMPLES, seed=0):
     """Pick an estimator for one degree: exhaustive for degree one, the
     type formula up to ``MAX_DIRECT_DEGREE`` unless it is refused by the
     contraction cap, Monte-Carlo beyond."""
@@ -64,9 +69,8 @@ def run_instance(base_spec, index, master_seed, m_max, samples,
     row = ExperimentRow(seed=index)
     z = partition_exact(g)
     row.z = z.real
-    opts = dict(restarts=2, tol_fp=1e-12)
-    opts.update(spa_options or {})
-    rep = spa_run(g, seed=int(1 + index), **opts)
+    rep = spa_run(g, seed=int(1 + index),
+                  **{**STUDY_SPA, **(spa_options or {})})
     row.spa_converged = rep.converged and rep.zb_defined
     if row.spa_converged:
         row.z_star = rep.zb_spa.real
@@ -87,15 +91,16 @@ def run_instance(base_spec, index, master_seed, m_max, samples,
     return row
 
 
-def run_experiment(base_spec, instances, m_max, samples=2000,
-                   master_seed=None, spa_options=None):
+def run_experiment(base_spec, instances, m_max, master_seed,
+                   samples=SAMPLES, spa_options=None):
     """One row per instance plus summary statistics of the relative
-    deviation (Z_{B,M} - Z*) / Z* over the converged rows."""
+    deviation (Z_{B,M} - Z*) / Z* over the converged rows.
+
+    Instance i is generated from ``base_spec`` with seed ``[master_seed,
+    i]``; ``spa_options`` override :data:`STUDY_SPA` for every row."""
     for name, count in (("instances", instances), ("m_max", m_max)):
         if count < 1:
             raise StructuralError(f"{name} must be positive, got {count}")
-    if master_seed is None:
-        master_seed = base_spec.seed if isinstance(base_spec.seed, int) else 0
     rows = [run_instance(base_spec, i, master_seed, m_max, samples,
                          spa_options)
             for i in range(instances)]
@@ -171,7 +176,7 @@ def zbm_csv_row(instance_id, est, runtime_ms):
 ZBM_CSV_HEADER = "instance_id,M,method,value,root,stderr,runtime_ms"
 
 
-def timed_zbm(g, degree, method, samples=2000, seed=0):
+def timed_zbm(g, degree, method, samples, seed):
     t0 = time.perf_counter()
     if method == "exhaustive":
         est = zbm_exhaustive(g, degree)

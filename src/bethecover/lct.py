@@ -13,14 +13,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import config
 from .errors import (DegenerateParameterError, InternalConsistencyError,
                      LctInapplicableError, ValidationError)
 from .nfg import complex_pairs, configurations, serialize as serialize_graph
-from .spa import MessageVector, SpaReport, bethe_value
+from .spa import Z_EDGE_TOL, MessageVector, SpaReport, bethe_value
 
 _REAL_TOL = 1e-9       # relative imaginary part allowed in a real value
 _WEIGHT_FLOOR = 1e-12  # loop-series terms below this share of g0 are dropped
+_B_ONE_TOL = 1e-12     # |1 - b0| at or below this takes the b0 = 1 branch
+_B_FRAGILE_TOL = 1e-6  # |1 - b0| below this, off that branch, is fragile
+_BIORTH_TOL = 1e-10    # biorthogonality residual allowed in edge matrices
 
 
 @dataclass
@@ -67,11 +69,10 @@ def resolve_params(mu_i, mu_j, eid="e", zeta_i=None, chi_i=None,
     the b0=1 branch and ``eps_i`` on it.  Partner values follow from the
     constraint system.
     """
-    tols = config.TOLS
     mu_i = np.asarray(mu_i, dtype=np.complex128)
     mu_j = np.asarray(mu_j, dtype=np.complex128)
     z_e = _real_scalar(np.sum(mu_i * mu_j), f"edge {eid!r}: Z_e")
-    if z_e <= tols.z_edge:
+    if z_e <= Z_EDGE_TOL:
         raise LctInapplicableError(
             f"edge {eid!r}: Z_e = {z_e:.3e} is not positive")
     mu_i0 = _real_scalar(mu_i[0], f"edge {eid!r}: message value at 0")
@@ -87,15 +88,15 @@ def resolve_params(mu_i, mu_j, eid="e", zeta_i=None, chi_i=None,
         raise DegenerateParameterError(f"edge {eid!r}: chi must be nonzero")
     chi_j = 1.0 / chi_i
 
-    branch_one = abs(1.0 - b0) <= tols.b_one
-    fragile = tols.b_one < abs(1.0 - b0) < tols.b_fragile
+    branch_one = abs(1.0 - b0) <= _B_ONE_TOL
+    fragile = _B_ONE_TOL < abs(1.0 - b0) < _B_FRAGILE_TOL
     if branch_one:
-        if delta_i is not None and abs(delta_i - mu_j0) > tols.b_one:
+        if delta_i is not None and abs(delta_i - mu_j0) > _B_ONE_TOL:
             raise DegenerateParameterError(
                 f"edge {eid!r}: on the b0=1 branch delta is forced to the "
                 f"opposing message value {mu_j0!r}")
         delta_i, delta_j = mu_j0, mu_i0
-        if abs(delta_i + delta_j) < tols.z_edge:
+        if abs(delta_i + delta_j) < Z_EDGE_TOL:
             raise DegenerateParameterError(
                 f"edge {eid!r}: delta_i + delta_j vanishes; the b0=1 "
                 "closure cannot be solved")
@@ -104,7 +105,7 @@ def resolve_params(mu_i, mu_j, eid="e", zeta_i=None, chi_i=None,
             eps_j = eps_i
         else:
             eps_i = float(eps_i)
-            if abs(delta_i) < tols.z_edge:
+            if abs(delta_i) < Z_EDGE_TOL:
                 raise DegenerateParameterError(
                     f"edge {eid!r}: delta_i vanishes, eps_j undetermined")
             eps_j = -(1.0 + delta_j * eps_i) / delta_i
@@ -173,7 +174,7 @@ def build_m_matrices(mu_i, mu_j, params):
     m_j = one_side(mu_j, mu_i, p.zeta_j, p.chi_j, p.delta_j, p.eps_j)
     gram = m_i @ m_j.T
     res = float(np.max(np.abs(gram - np.eye(n))))
-    if res > config.TOLS.biorth:
+    if res > _BIORTH_TOL:
         raise InternalConsistencyError(
             f"edge {p.eid!r}: biorthogonality residual {res:.3e}")
     return m_i, m_j

@@ -27,6 +27,9 @@ DOUBLE = "double-edge"
 
 SCHEMA = "nfg-1"
 
+_HERM_TOL = 1e-9   # Hermitian defect allowed in a Choi matrix
+_PSD_TOL = 1e-9    # eigenvalue slack of the PSD test
+
 
 @dataclass(frozen=True)
 class Edge:
@@ -72,18 +75,18 @@ class FactorGraph:
         bases = [self.edges[i].alphabet for i in self.incidences[node]]
         return choi_from_paired(self.tensors[node], bases)
 
-    def with_tensors(self, tensors, weak_sense=None):
+    def with_tensors(self, tensors, weak_sense):
         """The same graph with new local functions, one per node in node
-        order, stored and shape-checked as :func:`make_graph` does."""
+        order, stored and shape-checked as :func:`make_graph` does, and
+        the given ``weak_sense`` flag."""
         tensors = list(tensors)
         if len(tensors) != self.n_nodes:
             raise StructuralError(
                 f"{len(tensors)} tensors given for {self.n_nodes} nodes")
-        weak = self.weak_sense_flag if weak_sense is None else weak_sense
         arrays = [_stored_tensor(name, t, old.shape) for name, t, old
                   in zip(self.node_names, tensors, self.tensors)]
         return FactorGraph(self.kind, self.node_names, self.incidences,
-                           self.edges, arrays, weak)
+                           self.edges, arrays, weak_sense)
 
 
 def make_graph(kind, nodes, edges, tensors, weak_sense=False):
@@ -193,7 +196,6 @@ class ValidationReport:
 
 def validate(g):
     """Check structural and local-function invariants of a graph."""
-    tol = config.TOLS
     problems = []
 
     node_status = {}
@@ -208,17 +210,17 @@ def validate(g):
         elif g.kind == STANDARD:
             im = float(np.max(np.abs(t.imag))) if t.size else 0.0
             neg = float(np.min(t.real)) if t.size else 0.0
-            if im > tol.herm:
+            if im > _HERM_TOL:
                 problems.append(
                     f"node {name!r}: complex entries (|Im| max {im:.3e})")
-            if not g.weak_sense_flag and neg < -tol.psd:
+            if not g.weak_sense_flag and neg < -_PSD_TOL:
                 problems.append(
                     f"node {name!r}: negative entries (min {neg:.3e})")
-            node_status[name] = NodeStatus(im, neg, neg >= -tol.psd)
+            node_status[name] = NodeStatus(im, neg, neg >= -_PSD_TOL)
         else:
             c = g.node_choi(k)
             defect = float(np.max(np.abs(c - c.conj().T)))
-            if defect > tol.herm:
+            if defect > _HERM_TOL:
                 problems.append(
                     f"node {name!r}: matrix not Hermitian "
                     f"(defect {defect:.3e})")
@@ -227,7 +229,7 @@ def validate(g):
                 continue
             # halved before adding: c + c^H overflows for entries near 1e308
             lo = float(np.linalg.eigvalsh(c / 2.0 + c.conj().T / 2.0)[0])
-            psd = lo >= -tol.psd
+            psd = lo >= -_PSD_TOL
             node_status[name] = NodeStatus(defect, lo, psd)
             if not psd:
                 strict = False
@@ -433,6 +435,14 @@ def contract_network(tensors):
     plan = plan_contraction([(t.labels, t.sizes) for t in tensors])
     config.check_capacity("contract", plan.peak,
                           "largest contraction intermediate")
+    return run_plan(plan, tensors)
+
+
+def run_plan(plan, tensors):
+    """The execute step of :func:`contract_network`: ``plan``'s merges on
+    ``tensors``, the network it was planned from and checked for, one
+    :func:`tensor.contract` call per step, and the product of the scalars
+    left; ``ValidationError`` if that product is not finite."""
     slots = list(tensors)
     with np.errstate(over="ignore", invalid="ignore"):
         for a, b, merge in plan.steps:

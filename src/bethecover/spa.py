@@ -34,6 +34,9 @@ from .nfg import STANDARD, finite
 
 _LETTERS = string.ascii_letters[:-1]   # "Z" indexes the stacked nodes
 _BELIEF_TOL = 1e-6   # slack of the pmf and local-consistency checks
+ZERO_TOL = 1e-12        # degenerate-edge trigger of a sweep
+FIXED_POINT_TOL = 1e-9  # message residual declaring convergence
+Z_EDGE_TOL = 1e-9       # smallest usable edge normalizer Z_e
 
 
 class MessageVector:
@@ -324,18 +327,16 @@ class StepInfo:
 def _sweep(g, plan, rows, rngs, damping):
     """One synchronous sweep of a stack of message arrays, ``rows`` of
     shape ``(restarts, rows, width)``, each restart with its own ``rng``
-    (None: a fresh ``default_rng(0)`` when a redraw needs one) and its own
-    ``damping``.  Returns the new stack, each restart's map residual and
-    each restart's list of degenerate edges, as :func:`spa_step` states
-    them for one."""
-    tol_zero = config.TOLS.zero
+    and its own ``damping``.  Returns the new stack, each restart's map
+    residual and each restart's list of degenerate edges, as
+    :func:`spa_step` states them for one."""
     raw = plan.raw(rows)
     kappa = raw.sum(axis=-1)
 
     # a message whose normalizer vanishes keeps its old value until the
     # reinitialization below replaces it
     rel = kappa / plan.row_mag
-    live = np.abs(rel) > tol_zero
+    live = np.abs(rel) > ZERO_TOL
     new = np.where(live[..., None],
                    raw / np.where(live, kappa, 1.0)[..., None], rows)
     map_residual = np.max(np.abs(new - rows), axis=(1, 2), initial=0.0)
@@ -347,7 +348,7 @@ def _sweep(g, plan, rows, rngs, damping):
         prod = (rel[:, 0::2] * rel[:, 1::2]
                 * plan.edge_sums(new)
                 * rel_node[:, plan.heads] * rel_node[:, plan.tails])
-    bad = np.abs(prod) <= tol_zero
+    bad = np.abs(prod) <= ZERO_TOL
     degenerate = ([np.flatnonzero(row).tolist() for row in bad] if bad.any()
                   else [[] for _ in bad])
 
@@ -355,12 +356,11 @@ def _sweep(g, plan, rows, rngs, damping):
     for b, edges in enumerate(degenerate):
         if not edges:
             continue
-        rng = rngs[b] if rngs[b] is not None else np.random.default_rng(0)
         keys = sorted({(j, node) for i in edges
                        for node in (g.edges[i].head, g.edges[i].tail)
                        for j in g.incidences[node]})
         redrawn = [plan.index[key] for key in keys]
-        new[b, redrawn] = _draw(g, plan, keys, [rng])[0]
+        new[b, redrawn] = _draw(g, plan, keys, [rngs[b]])[0]
         reinit[b, redrawn] = True
         map_residual[b] = np.inf
 
@@ -381,13 +381,16 @@ def spa_step(g, m, rng=None, damping=0.0):
     function so that no overall factor on a function moves the test; when
     the product is (numerically) zero, every message
     incident to either endpoint is redrawn from ``rng`` (PSD-projected on
-    double-edge graphs).  Beliefs are not stored between sweeps, so their
+    double-edge graphs), or from a fresh ``default_rng(0)`` when ``rng``
+    is None.  Beliefs are not stored between sweeps, so their
     reinitialization happens implicitly at the next read.
 
     ``info.map_residual`` is the change produced by the plain update,
     before damping, and is what convergence is judged on.
     """
     plan = _plan(g)
+    if rng is None:
+        rng = np.random.default_rng(0)
     new, map_residual, degenerate = _sweep(
         g, plan, plan.rows_of(m)[None], [rng], [damping])
     return (MessageVector(plan, new[0]),
@@ -411,7 +414,7 @@ def bethe_value(g, m):
     for v in z_f.values():
         zb *= v
     for v in z_e.values():
-        if abs(v) <= config.TOLS.z_edge:
+        if abs(v) <= Z_EDGE_TOL:
             return z_f, z_e, None
         zb /= v
     return z_f, z_e, finite(zb, "the Bethe value")
@@ -495,25 +498,26 @@ def _restarts(g, rows, rngs, max_iter, tol_fp, damping):
     return reports
 
 
-def spa_run(g, init="uniform", max_iter=10000, tol_fp=None, damping=0.0,
+def spa_run(g, max_iter=10000, tol_fp=FIXED_POINT_TOL, damping=0.0,
             restarts=8, seed=0):
     """Iterate the sum-product update from several starts and keep the
     converged fixed point with the largest Re of the Bethe value.
 
-    ``init`` picks the first start (``uniform`` or ``seeded-random``);
-    every further restart uses fresh random messages, restart r drawing
-    from ``default_rng([seed, r])``.  One sweep updates every restart
+    These defaults are stated here only; the CLI reads its SPA flags'
+    defaults from this signature.  Restart 0 starts from uniform messages
+    and restart r >= 1 from random messages; restart r draws its start and
+    its redraws after a degenerate edge from ``default_rng([seed, r])``.
+    A restart has converged when one sweep moves no message component by
+    more than ``tol_fp``.  Each restart sweeps with ``damping``; one that
+    starts undamped switches to 0.5 when its residual stops shrinking
+    over a window of sweeps.  One sweep updates every restart
     still live, their message arrays stacked in one array whose size the
     ``contract`` cap bounds.  Ties go to the earliest restart, and restart
     0 is reported when none converged.  A non-convergent run is reported,
     not raised; out-of-range settings are refused before any sweep.
     """
-    if init not in ("uniform", "seeded-random"):
-        raise StructuralError(f"init must be 'uniform' or 'seeded-random', "
-                              f"got {init!r}")
     if max_iter < 1:
         raise StructuralError(f"max_iter must be positive, got {max_iter}")
-    tol_fp = config.TOLS.fixed_point if tol_fp is None else tol_fp
     if restarts < 1:
         raise StructuralError(f"restarts must be positive, got {restarts}")
     if not 0.0 <= damping < 1.0:
@@ -524,12 +528,10 @@ def spa_run(g, init="uniform", max_iter=10000, tol_fp=None, damping=0.0,
     config.check_capacity("contract", restarts * len(plan.keys) * plan.width,
                           "SPA restart batch")
     rngs = [np.random.default_rng([seed, r]) for r in range(restarts)]
-    first = int(init == "uniform")
     starts = np.empty((restarts, len(plan.keys), plan.width),
                       dtype=np.complex128)
-    if first:
-        starts[0] = uniform_messages(g).rows
-    starts[first:] = _draw(g, plan, plan.keys, rngs[first:])
+    starts[0] = uniform_messages(g).rows
+    starts[1:] = _draw(g, plan, plan.keys, rngs[1:])
     reports = _restarts(g, starts, rngs, max_iter, tol_fp, damping)
     best = max(reports, key=lambda rep: (
         rep.converged, rep.zb_spa.real if rep.zb_defined else -np.inf))

@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from bethecover import config, nfg, spa
+from bethecover import nfg, spa
 from bethecover._kernels import jacobi_eigh
 from bethecover.cover import CoverSpec, cover_network, type_of
 from bethecover.errors import StructuralError
@@ -235,17 +235,16 @@ def _sequential_restart(g, m, max_iter, tol_fp, damping, rng, restart):
         damping_switched_at=switched_at)
 
 
-def sequential_spa_run(g, init="uniform", max_iter=10000, tol_fp=None,
+def sequential_spa_run(g, max_iter=10000, tol_fp=spa.FIXED_POINT_TOL,
                        damping=0.0, restarts=8, seed=0):
     """:func:`spa.spa_run` with its restarts run one after another, each
     to the end before the next is drawn: the same starts, the same sweeps
     and the same choice of the best report.  Returns the best report and
     the list of every restart's report."""
-    tol_fp = config.TOLS.fixed_point if tol_fp is None else tol_fp
     reports = []
     for r in range(restarts):
         rng = np.random.default_rng([seed, r])
-        if r == 0 and init == "uniform":
+        if r == 0:
             m0 = spa.uniform_messages(g)
         else:
             m0 = random_messages(g, rng)

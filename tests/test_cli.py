@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, exit codes, determinism."""
 
 import argparse
+import inspect
 import json
 import os
 import subprocess
@@ -11,9 +12,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bethecover import nfg
+from bethecover import experiment as exp_mod, nfg
 from bethecover.cli import _spec_of, build_parser, main
 from bethecover.generators import GeneratorSpec, gen
+from bethecover.spa import spa_run
 
 from conftest import graph_with_choi
 
@@ -29,6 +31,13 @@ def graph_file(tmp_path, capsys):
 
 def test_generator_flags_default_to_the_spec_defaults():
     assert _spec_of(build_parser().parse_args(["gen"])) == GeneratorSpec()
+
+
+def test_spa_flags_default_to_the_spa_run_defaults():
+    args = build_parser().parse_args(["spa"])
+    params = inspect.signature(spa_run).parameters
+    for key in ("max_iter", "tol_fp", "damping", "restarts"):
+        assert getattr(args, key) == params[key].default, key
 
 
 def test_gen_validate_exact(graph_file, tmp_path, capsys):
@@ -285,6 +294,21 @@ def test_experiment_row_identity(tmp_path, capsys):
         cells = ln.split(",")
         z, zbm1 = float(cells[1]), float(cells[3])
         assert zbm1 == pytest.approx(z, rel=1e-9)
+
+
+def test_experiment_defaults_are_the_study_settings(tmp_path, capsys):
+    # with no SPA flag, the subcommand runs what run_experiment runs
+    # with no spa_options, which is what the ensemble benchmark measures
+    path = tmp_path / "e.csv"
+    assert main(["experiment", "--topology", "fig3", "--ensemble",
+                 "psd-random", "--seed", "4", "--instances", "3",
+                 "--mmax", "2", "--samples", "50", "--csv",
+                 str(path)]) == 0
+    capsys.readouterr()
+    spec = GeneratorSpec(topology="fig3", ensemble="psd-random", seed=4)
+    want = exp_mod.result_to_csv(exp_mod.run_experiment(
+        spec, 3, 2, master_seed=4, samples=50, spa_options=None))
+    assert path.read_bytes() == want.encode()
 
 
 def test_malformed_limits_exit_code(graph_file, monkeypatch, capsys):

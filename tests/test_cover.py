@@ -779,6 +779,24 @@ class TestEstimators:
         assert info.value.limit == 1000
         assert peak_bytes < 16 * 1000
 
+    def test_typeformula_plans_before_it_builds(self, monkeypatch):
+        # fig-b is K_4 with leg size C(4 + 2, 3) = 20 at degree 3: each
+        # node's construction peaks at 21 * (11 * 4) ** 2 = 40656 entries,
+        # and the network's first merge leaves four legs, 20 ** 4 entries
+        g = gen(GeneratorSpec(topology="fig-b", kind="double-edge",
+                              ensemble="psd-random", seed=3))
+
+        def refused(*args):
+            raise AssertionError("a type tensor was built")
+
+        monkeypatch.setattr(cover, "_type_tensor", refused)
+        monkeypatch.setenv("BETHE_COVER_LIMITS", "contract=100000")
+        with pytest.raises(CapacityError,
+                           match="largest contraction intermediate") as info:
+            cover.zbm_typeformula(g, 3)
+        assert info.value.requested == 20 ** 4
+        assert info.value.limit == 100000
+
     def test_typeformula_degree_zero_refused(self):
         with pytest.raises(StructuralError, match="degree"):
             cover.zbm_typeformula(fig3_psd(0), 0)

@@ -100,7 +100,7 @@ class TestConstruction:
         g = two_cycle(np.ones((2, 2)), np.ones((2, 2)))
         base = np.array([[[1.0, 1.0], [1.0, 1.0]], [[2.0, 0.0], [0.0, 2.0]]],
                         dtype=np.complex128)
-        h = g.with_tensors([base[0], base[1]])
+        h = g.with_tensors([base[0], base[1]], weak_sense=False)
         assert not np.shares_memory(h.tensors[0], base[0])
         base[0] = 7.0
         assert h.tensors[0].tolist() == [[1, 1], [1, 1]]
@@ -112,9 +112,9 @@ class TestConstruction:
                            edges=[("e1", ("f1", "f2"), 2)],
                            tensors={"f1": np.ones(2), "f2": np.ones(2)})
         with pytest.raises(StructuralError, match="shape"):
-            g.with_tensors([np.ones(3), np.ones(3)])
+            g.with_tensors([np.ones(3), np.ones(3)], weak_sense=False)
         with pytest.raises(StructuralError, match="1 tensors"):
-            g.with_tensors([np.ones(2)])
+            g.with_tensors([np.ones(2)], weak_sense=False)
 
 
 class TestValidate:
@@ -168,8 +168,8 @@ class TestValidate:
         g = fig3_psd(0) if kind == "double-edge" else build_fig3()
         t = np.array(g.tensors[2])
         t.flat[1] = bad
-        report = nfg.validate(g.with_tensors([*g.tensors[:2], t,
-                                              *g.tensors[3:]]))
+        report = nfg.validate(g.with_tensors(
+            [*g.tensors[:2], t, *g.tensors[3:]], weak_sense=False))
         assert not report.valid
         assert report.problems == ["node 'f3': non-finite entries"]
         assert not report.node_status["f3"].psd

@@ -5,7 +5,7 @@ import string
 import numpy as np
 import pytest
 
-from bethecover import config, nfg, spa
+from bethecover import nfg, spa
 from bethecover.errors import (DegenerateBeliefError, StructuralError,
                                ValidationError)
 from bethecover.generators import GeneratorSpec, gen
@@ -57,7 +57,7 @@ def oracle_node_sums(g, m):
 def oracle_step(g, m, rng=None, damping=0.0):
     """The per-message :func:`spa.spa_step`: messages (a dict),
     map residual and degenerate edges."""
-    tol_zero = config.TOLS.zero
+    tol_zero = spa.ZERO_TOL
     raw, kappa = oracle_raw_updates(g, m)
     new = {key: (vec / kappa[key] if abs(kappa[key]) > tol_zero
                  else m[key].copy()) for key, vec in raw.items()}
@@ -447,6 +447,22 @@ def _fig_b_psd(seed):
                                      ensemble="psd-random", seed=seed))
 
 
+def restart_reports(monkeypatch, g, **kwargs):
+    """``spa.spa_run(g, **kwargs)`` and the report of each of its
+    restarts, the best one among them."""
+    batches = []
+    run_restarts = spa._restarts
+
+    def recorded(*args):
+        batches.append(run_restarts(*args))
+        return batches[-1]
+
+    monkeypatch.setattr(spa, "_restarts", recorded)
+    rep = spa.spa_run(g, **kwargs)
+    [reports] = batches
+    return rep, reports
+
+
 # case: (graph builder, spa_run keywords)
 ORACLE_RUNS = {
     **{f"fig3-psd-{seed}": ((lambda seed=seed: fig3_psd(seed)), {})
@@ -456,10 +472,10 @@ ORACLE_RUNS = {
        for n in (1, 2, 8)},
     "fig3-standard": (lambda: gen(GeneratorSpec(
         topology="fig3", kind="standard", ensemble="positive-s-nfg",
-        seed=2)), dict(restarts=4, init="seeded-random")),
+        seed=2)), dict(restarts=4)),
     "swap-damping": (lambda: two_cycle(np.array([[0.0, 1.0], [1.0, 0.0]]),
                                        np.eye(2)),
-                     dict(init="seeded-random", restarts=3, seed=3)),
+                     dict(restarts=3, seed=3)),
     "zero-row": (_zero_row_graph, dict(restarts=1, max_iter=40)),
     "zero-row-restarts": (_zero_row_graph, dict(restarts=3, max_iter=40)),
     "user-damping": (lambda: fig3_psd(1), dict(restarts=3, damping=0.3)),
@@ -529,7 +545,8 @@ class TestRun:
         # the 1e-6 node would fall below the zero tolerance
         g = fig3_psd(0)
         factors = [1e-3, 1.0, 1e-6, 1e2]
-        scaled = g.with_tensors([c * t for c, t in zip(factors, g.tensors)])
+        scaled = g.with_tensors([c * t for c, t in zip(factors, g.tensors)],
+                                weak_sense=False)
         rep = spa.spa_run(g, restarts=1)
         rep_scaled = spa.spa_run(scaled, restarts=1)
         assert rep_scaled.converged and rep_scaled.degenerate_events == 0
@@ -539,13 +556,13 @@ class TestRun:
         assert rep_scaled.zb_spa == pytest.approx(
             rep.zb_spa * np.prod(factors), rel=1e-12)
 
-    def test_oscillation_fallback_damping(self):
+    def test_oscillation_fallback_damping(self, monkeypatch):
         # a swap function makes the undamped parallel update oscillate
-        # with period two from a generic start
+        # with period two from a generic start: restart 1's random one
         g = two_cycle(np.array([[0.0, 1.0], [1.0, 0.0]]), np.eye(2))
-        rep = spa.spa_run(g, init="seeded-random", restarts=1, seed=3)
-        assert rep.converged
-        assert rep.damping_used == 0.5
+        _rep, reports = restart_reports(monkeypatch, g, restarts=2, seed=3)
+        assert reports[1].converged
+        assert reports[1].damping_used == 0.5
 
     def test_restarts_match_the_sequential_oracle_sweep_by_sweep(
             self, monkeypatch):
@@ -553,15 +570,7 @@ class TestRun:
         # must stop at its first converged sweep and switch where the
         # sequential run, one spa_step call per sweep, switches
         g = two_cycle(np.array([[0.0, 1.0], [1.0, 0.0]]), np.eye(2))
-        batches = []
-        run_restarts = spa._restarts
-
-        def recorded(*args):
-            batches.append(run_restarts(*args))
-            return batches[-1]
-
-        monkeypatch.setattr(spa, "_restarts", recorded)
-        rep = spa.spa_run(g, init="seeded-random", restarts=3, seed=3)
+        rep, batch = restart_reports(monkeypatch, g, restarts=3, seed=3)
         calls = []
         step = spa.spa_step
 
@@ -572,16 +581,14 @@ class TestRun:
             return new, info
 
         monkeypatch.setattr(spa, "spa_step", wrapper)
-        best, reports = sequential_spa_run(g, init="seeded-random",
-                                           restarts=3, seed=3)
+        best, reports = sequential_spa_run(g, restarts=3, seed=3)
         assert_same_report(rep, best)
-        assert rep.restarts_converged == 3 and rep.damping_used == 0.5
-        [batch] = batches
+        assert rep.restarts_converged == 3
         runs = {}
         for call in calls:
             runs.setdefault(id(call[0]), []).append(call)
         assert len(batch) == len(reports) == len(runs) == 3
-        tol = config.TOLS.fixed_point
+        tol = spa.FIXED_POINT_TOL
         switched = 0
         for r, (got, want, run) in enumerate(zip(batch, reports,
                                                   runs.values())):
@@ -596,7 +603,8 @@ class TestRun:
                 assert damping.index(0.5) == got.damping_switched_at
             else:
                 assert got.damping_switched_at is None
-        assert switched >= 1
+        # the uniform start is a fixed point; both random starts switch
+        assert switched == 2
         assert rep is batch[rep.restart]
 
     @pytest.mark.parametrize("case", sorted(ORACLE_RUNS))
@@ -606,17 +614,16 @@ class TestRun:
         assert_same_report(spa.spa_run(g, **kwargs),
                            sequential_spa_run(g, **kwargs)[0])
 
-    def test_report_names_the_winning_restart(self):
+    def test_report_names_the_winning_restart(self, monkeypatch):
         g = two_cycle(np.array([[0.0, 1.0], [1.0, 0.0]]), np.eye(2))
-        rep = spa.spa_run(g, init="seeded-random", restarts=1, seed=3)
-        assert rep.restart == 0 and rep.damping_used == 0.5
-        assert 60 <= rep.damping_switched_at < rep.iterations
+        rep, reports = restart_reports(monkeypatch, g, restarts=2, seed=3)
+        assert [r.restart for r in reports] == [0, 1]
+        assert rep is reports[0] and rep.damping_used == 0.0
+        drawn = reports[1]   # the random start
+        assert drawn.damping_used == 0.5
+        assert 60 <= drawn.damping_switched_at < drawn.iterations
         rep = spa.spa_run(fig3_psd(0), restarts=3)
         assert rep.damping_switched_at is None and rep.damping_used == 0.0
-
-    def test_unknown_init_refused(self):
-        with pytest.raises(StructuralError, match="init"):
-            spa.spa_run(build_fig3(), init="Uniform")
 
     def test_non_convergence_reported_not_raised(self):
         g = fig3_psd(3)

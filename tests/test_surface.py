@@ -110,3 +110,69 @@ def test_every_kept_name_still_lacks_a_consumer():
     assert unreferenced() >= KEEP.keys(), (
         f"{sorted(KEEP.keys() - unreferenced())} now have a consumer; "
         "drop them from KEEP")
+
+
+# keyword parameters (those with a default) that no call in src/ or bench/
+# passes, each with its reason
+KEEP_KEYWORDS = {
+    ("transform", "param_overrides"): "the LCT's gauge freedom, which "
+                                      "test_lct exercises",
+    ("spa_step", "rng"): "the one-vector sweep that the benchmark traces",
+    ("spa_step", "damping"): "the one-vector sweep that the benchmark "
+                             "traces",
+    ("main", "argv"): "the console script passes none, so argparse reads "
+                      "sys.argv; a caller that embeds the CLI passes its own",
+}
+
+
+def _passes(call, index, name):
+    """Whether ``call`` sets the parameter ``name``, the ``index``-th
+    positional one: by keyword, by position, or through ``*``/``**``."""
+    for k, arg in enumerate(call.args):
+        if isinstance(arg, ast.Starred) or k == index:
+            return True
+    return any(kw.arg in (None, name) for kw in call.keywords)
+
+
+def unpassed_keywords():
+    """``(function, parameter)`` for every keyword parameter of a public
+    function or method that no call in src/ or bench/ sets; a call is
+    matched by its function's bare name or ``.name``."""
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"))
+             for path in CONSUMERS}
+    calls = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = (func.id if isinstance(func, ast.Name) else
+                        func.attr if isinstance(func, ast.Attribute) else None)
+                calls.setdefault(name, []).append(node)
+    out = set()
+    for name, is_method, node in definitions(trees):
+        args = node.args
+        positional = args.posonlyargs + args.args
+        if is_method:
+            positional = positional[1:]   # self
+        optional = positional[len(positional) - len(args.defaults):]
+        optional += [a for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                     if d is not None]
+        for arg in optional:
+            index = positional.index(arg) if arg in positional else None
+            if not any(_passes(call, index, arg.arg)
+                       for call in calls.get(name, ())):
+                out.add((name, arg.arg))
+    return out
+
+
+def test_every_keyword_parameter_is_passed():
+    unpassed = sorted(unpassed_keywords() - KEEP_KEYWORDS.keys())
+    assert not unpassed, (
+        f"src/ and bench/ never set {unpassed}: drop a setting that only "
+        "the tests need, or give it a caller")
+
+
+def test_every_kept_keyword_is_still_unpassed():
+    assert unpassed_keywords() >= KEEP_KEYWORDS.keys(), (
+        f"{sorted(KEEP_KEYWORDS.keys() - unpassed_keywords())} are now "
+        "passed; drop them from KEEP_KEYWORDS")
