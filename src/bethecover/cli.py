@@ -239,12 +239,12 @@ def cmd_cover(args):
     else:
         rng = np.random.default_rng([args.seed, args.m])
         spec = cover_mod.random_cover(g, args.m, rng)
-    cov = cover_mod.build_cover(g, spec)
-    z = nfg.partition_contract(cov)
-    print(f"degree-{args.m} cover: {cov.n_nodes} nodes, {cov.n_edges} edges")
+    z = nfg.contract_network(cover_mod.cover_network(g, spec))
+    print(f"degree-{args.m} cover: {g.n_nodes * args.m} nodes, "
+          f"{g.n_edges * args.m} edges")
     print(f"Z(cover) = {z.real!r} + {z.imag!r}j")
     if args.json:
-        _write(args.json, nfg.serialize(cov))
+        _write(args.json, nfg.serialize(cover_mod.build_cover(g, spec)))
     return 0
 
 

@@ -3,13 +3,17 @@ mean of Z over the labeled M-covers (P. O. Vontobel, "Counting in Graph
 Covers", IEEE Trans. IT 59(9), 2013).
 
 :func:`cover_network` states the cover wiring once, as an integer-labeled
-network that the exhaustive and Monte-Carlo means contract directly;
-:func:`build_cover` names it as a graph.  Both means first absorb every
-leaf and every node of degree 2 between two distinct neighbours into a
-neighbour: each copy of such a node in a cover meets one copy of each
-neighbour, so contracting it there, and composing the permutations of
-its two edges, keeps every cover's Z.  Relabeling a node's M copies
-keeps Z, so the exhaustive mean fixes a spanning forest to the identity.
+network that the exhaustive and Monte-Carlo means contract without
+building a graph; :func:`build_cover` names it as a graph.  Both means
+first absorb every leaf and every node of degree 2 between two distinct
+neighbours into a neighbour: each copy of such a node in a cover meets
+one copy of each neighbour, so contracting it there, and composing the
+permutations of its two edges, keeps every cover's Z.  Then, for each
+pair of nodes that two or more edges join, they merge the two copies
+that the pair's lowest edge joins, with an array built once per call
+for each pattern of shared edges: a fig3 cover is M tensors, not 4M.
+Relabeling a node's M copies keeps Z, so the exhaustive mean fixes a
+spanning forest to the identity.
 The third estimator contracts the average-cover network, whose edges
 carry the symmetric-subspace projector, in the type basis: one tensor per
 node over the types of length-M socket vectors, one weight
@@ -182,6 +186,79 @@ def _lift(chains, spec):
     return CoverSpec(M, tuple(sigma))
 
 
+def _pairs(g):
+    """The node pairs of ``g`` that two or more edges join, taken greedily
+    in edge order with each node in at most one pair: per pair, the
+    positions of its edges, the lowest (its spine) first."""
+    joined = {}
+    for i, e in enumerate(g.edges):
+        joined.setdefault((e.head, e.tail), []).append(i)
+    taken, pairs = set(), []
+    for ends, edges in joined.items():
+        if len(edges) > 1 and not taken.intersection(ends):
+            taken.update(ends)
+            pairs.append(edges)
+    return pairs
+
+
+def _paired(g, degree):
+    """A function from a degree-``degree`` cover spec of ``g`` to its
+    :func:`cover_network` with each copy pair merged: the copies that a
+    pair's spine joins, ``(head, c)`` and ``(tail, sigma_spine(c))``,
+    become one tensor, which contracts the spine and every other edge of
+    the pair whose permutation agrees with the spine's at that copy.  It
+    keeps the head copy's other legs, then the tail copy's, and sits in
+    the head copy's place.
+
+    A merged array depends only on the pair and on which of its edges are
+    shared, so each is built once, by ``np.tensordot`` of the two base
+    tensors, and reused by every cover.  Before any is built, each pair's
+    largest is checked against the ``contract`` cap: the one that shares
+    the spine alone (every edge when M = 1).  A graph without parallel
+    edges has no pairs and gets :func:`cover_network`'s network itself.
+    """
+    pairs = []
+    for edges in _pairs(g):
+        u, v = g.edges[edges[0]].head, g.edges[edges[0]].tail
+        shared = edges if degree == 1 else edges[:1]
+        config.check_capacity(
+            "contract", g.tensors[u].size * g.tensors[v].size
+            // math.prod(g.axis_size(i) for i in shared) ** 2,
+            f"merged copies of {g.node_names[u]!r} and {g.node_names[v]!r}")
+        axes = [(g.incidences[u].index(i), g.incidences[v].index(i))
+                for i in edges]
+        pairs.append((u, v, edges[0], axes, {}))
+
+    def merged(u, v, axes, key):
+        """The merged array of a sharing pattern, with the axes it keeps
+        of the head tensor and of the tail tensor."""
+        ax_u, ax_v = zip(*[xy for xy, s in zip(axes, (True,) + key) if s])
+        # an entry that overflows is refused by the contraction
+        with np.errstate(over="ignore", invalid="ignore"):
+            array = np.tensordot(g.tensors[u], g.tensors[v], (ax_u, ax_v))
+        return (array,
+                [x for x in range(g.tensors[u].ndim) if x not in ax_u],
+                [y for y in range(g.tensors[v].ndim) if y not in ax_v])
+
+    def network(spec):
+        net = cover_network(g, spec)
+        M = spec.degree
+        for u, v, spine, axes, cache in pairs:
+            for c, p in enumerate(spec.sigma[spine]):
+                a, b = net[u * M + c].labels, net[v * M + p].labels
+                key = tuple([a[x] == b[y] for x, y in axes[1:]])
+                hit = cache.get(key)
+                if hit is None:
+                    hit = cache[key] = merged(u, v, axes, key)
+                array, keep_u, keep_v = hit
+                net[u * M + c] = ComplexTensor(
+                    [a[x] for x in keep_u] + [b[y] for y in keep_v], array)
+                net[v * M + p] = None
+        return [t for t in net if t is not None]
+
+    return network
+
+
 def build_cover(g, spec):
     """:func:`cover_network` as a graph: node ``(f, m)`` is ``f.m``; label
     ``i*M + m`` is edge ``e.m`` between the two nodes that hold it."""
@@ -284,6 +361,8 @@ def zbm_exhaustive(g, degree):
     a base cover with its leaves and series nodes contracted, with that
     cover's Z.  Each absorption removes one node and one edge and keeps
     the components, so ``|E|-|V|+c``, and the count, is the base graph's.
+    Each cover is contracted with its copy pairs merged (:func:`_paired`),
+    which keeps its Z.
     """
     if degree < 1:
         raise StructuralError("cover degree must be positive")
@@ -300,12 +379,13 @@ def zbm_exhaustive(g, degree):
     else:
         n_covers = math.factorial(degree) ** sum(free)
     config.check_capacity("covers", n_covers, "gauge-fixed covers")
+    network = _paired(h, degree)
     identity = tuple(range(degree))
     total = 0.0 + 0.0j
     for sigma in itertools.product(*(
             itertools.permutations(identity) if f else (identity,)
             for f in free)):
-        total += contract_network(cover_network(h, CoverSpec(degree, sigma)))
+        total += contract_network(network(CoverSpec(degree, sigma)))
     return _finish("exhaustive", degree, total / n_covers,
                    covers=math.factorial(degree) ** g.n_edges)
 
@@ -316,15 +396,17 @@ def zbm_montecarlo(g, degree, samples, seed=0):
 
     Each drawn cover of ``g`` is contracted as its :func:`_lift` to
     :func:`_absorb`'s graph, which has the same Z with the leaves and
-    series nodes of every copy contracted into their neighbours."""
+    series nodes of every copy contracted into their neighbours, and with
+    its copy pairs merged (:func:`_paired`)."""
     if samples < 1:
         raise StructuralError(f"samples must be positive, got {samples}")
     config.check_capacity("contract", samples, "Monte-Carlo value buffer")
     values = np.empty(samples, dtype=np.complex128)
     h, chains = _absorb(g)
+    network = _paired(h, degree)
     for s in range(samples):
         spec = random_cover(g, degree, np.random.default_rng([seed, s]))
-        values[s] = contract_network(cover_network(h, _lift(chains, spec)))
+        values[s] = contract_network(network(_lift(chains, spec)))
     # a sum that overflows is refused by _finish
     with np.errstate(over="ignore", invalid="ignore"):
         mean = values.sum() / samples

@@ -77,6 +77,9 @@ ROUTES = {
     "zbm_exhaustive_huge": (_exhaustive(300000, 2 ** 63), "covers", 16,
                             True),
     "partition_contract": (_contract, "contract", 4, False),
+    # fig3 absorbs to two 4**3-entry nodes joined by three edges: their
+    # copies merged through the spine alone hold 4**4 entries
+    "zbm_exhaustive_pair": (_exhaustive(2, 4 ** 4), "contract", 100, True),
     "zbm_typeformula": (_typeformula, "contract", 1000, False),
     "gen": (_gen, "contract", 16, True),
     "zbm_montecarlo": (_montecarlo, "contract", 100, True),

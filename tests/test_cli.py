@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bethecover import experiment as exp_mod, nfg
+from bethecover import cover, experiment as exp_mod, nfg
 from bethecover.cli import _spec_of, build_parser, main
 from bethecover.generators import GeneratorSpec, gen
 from bethecover.spa import spa_run
@@ -141,6 +141,30 @@ def test_cover_output(graph_file, tmp_path, capsys):
     cov = nfg.load(jpath)
     assert cov.n_nodes == 8 and cov.n_edges == 10
     capsys.readouterr()
+
+
+def test_cover_builds_a_graph_only_for_json(graph_file, tmp_path, capsys,
+                                            monkeypatch):
+    # the printed Z is the named cover graph's, bit for bit
+    g = nfg.load(graph_file)
+    spec = cover.random_cover(g, 3, np.random.default_rng([5, 3]))
+    cov = cover.build_cover(g, spec)
+    z = nfg.partition_contract(cov)
+    jpath = tmp_path / "cover.nfg.json"
+    assert main(["cover", graph_file, "--m", "3", "--seed", "5",
+                 "--json", str(jpath)]) == 0
+    with_json = capsys.readouterr().out
+    assert with_json == (f"degree-3 cover: {cov.n_nodes} nodes, "
+                         f"{cov.n_edges} edges\n"
+                         f"Z(cover) = {z.real!r} + {z.imag!r}j\n")
+    assert jpath.read_text() == nfg.serialize(cov) + "\n"
+
+    def refuse(*args):
+        raise AssertionError("a cover graph was built")
+
+    monkeypatch.setattr(cover, "build_cover", refuse)
+    assert main(["cover", graph_file, "--m", "3", "--seed", "5"]) == 0
+    assert capsys.readouterr().out == with_json
 
 
 def test_validation_exit_code(tmp_path, capsys):

@@ -175,11 +175,15 @@ class TestCoverNetwork:
         g = fig3_psd(1)
         est = cover.zbm_montecarlo(g, 3, 1, seed=2)
         spec = cover.random_cover(g, 3, np.random.default_rng([2, 0]))
-        # the estimator contracts the cover of the absorbed graph; the full
-        # cover has the same Z up to the order of its sums
+        # the estimator contracts the cover of the absorbed graph with its
+        # copy pairs merged; the unpaired and the full cover have the same
+        # Z up to the order of their sums
         h, chains = cover._absorb(g)
+        lifted = cover._lift(chains, spec)
         assert est.power_value == nfg.contract_network(
-            cover.cover_network(h, cover._lift(chains, spec))).real
+            cover._paired(h, 3)(lifted)).real
+        assert est.power_value == pytest.approx(nfg.contract_network(
+            cover.cover_network(h, lifted)).real, rel=1e-13)
         assert est.power_value == pytest.approx(nfg.contract_network(
             cover.cover_network(g, spec)).real, rel=1e-13)
         assert est.stderr == 0.0 and est.samples == 1
@@ -631,6 +635,117 @@ class TestAbsorb:
             assert all(not t.labels and t.array.ndim == 0 for t in network)
 
 
+@st.composite
+def multigraphs(draw):
+    """A standard graph whose absorbed graph has a pair: nodes u and v
+    joined by 2-4 parallel edges, plus a leaf w on u or v or a series node
+    w between them, and maybe a node x joined to v by two parallel edges;
+    nodes and edges in a drawn order, alphabets 1-3, random positive
+    local functions."""
+    alphabet = st.integers(1, 3)
+    edges = [("u", "v", draw(alphabet))
+             for _ in range(draw(st.integers(2, 4)))]
+    if draw(st.booleans()):
+        edges.append((draw(st.sampled_from("uv")), "w", draw(alphabet)))
+    else:
+        edges += [("u", "w", draw(alphabet)), ("w", "v", draw(alphabet))]
+    if draw(st.booleans()):
+        size = draw(st.integers(1, 2))
+        edges += [("v", "x", size), ("x", "v", size)]
+    names = draw(st.permutations(sorted({n for a, b, _ in edges
+                                         for n in (a, b)})))
+    return graph_of(names, draw(st.permutations(edges)),
+                    np.random.default_rng(draw(st.integers(0, 2**16))))
+
+
+def without_pairing(h, degree):
+    """Stands in for ``cover._paired``: every cover network unpaired."""
+    return lambda spec: cover.cover_network(h, spec)
+
+
+class TestPairs:
+    """The cover estimators merge the copies that a pair's spine joins
+    before planning; each merged array is built once per call."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(g=multigraphs(), degree=st.sampled_from(range(1, 6)),
+           data=st.data())
+    def test_paired_matches_unpaired(self, g, degree, data):
+        # each base edge takes a fresh permutation or one of a pool of at
+        # most two, so the pair's edges often agree with the spine at some
+        # copies and not at others (at every copy when M = 1)
+        perm = st.permutations(range(degree)).map(tuple)
+        pool = data.draw(st.lists(perm, min_size=1, max_size=2))
+        spec = cover.CoverSpec(degree, tuple(
+            data.draw(st.one_of(st.sampled_from(pool), perm))
+            for _ in g.edges))
+        h, chains = cover._absorb(g)
+        pairs = cover._pairs(h)
+        assert len(pairs) == 1 and h.n_nodes in (2, 3)
+        lifted = cover._lift(chains, spec)
+        full = cover.cover_network(h, lifted)
+        paired = cover._paired(h, degree)(lifted)
+        assert len(paired) == len(full) - degree
+        assert nfg.contract_network(paired) == pytest.approx(
+            nfg.contract_network(full), rel=1e-12)
+
+    def test_degree_one_merges_a_theta_into_a_scalar(self):
+        g = fig3_psd(0)
+        h, chains = cover._absorb(g)
+        network = cover._paired(h, 1)(cover.identity_cover(h, 1))
+        assert len(network) == 1
+        assert network[0].labels == [] and network[0].array.ndim == 0
+        assert nfg.contract_network(network) == pytest.approx(
+            nfg.partition_contract(g), rel=1e-12)
+
+    def test_fig3_cover_has_one_tensor_per_copy(self, rng):
+        # the absorbed theta has three parallel edges: at most 2**2
+        # sharing patterns, each merged array built once per call
+        g = fig3_psd(0)
+        h, chains = cover._absorb(g)
+        network = cover._paired(h, 4)
+        nets = [network(cover._lift(chains, cover.random_cover(g, 4, rng)))
+                for _ in range(20)]
+        assert all(len(net) == 4 for net in nets)
+        assert len({id(t.array) for net in nets for t in net}) <= 4
+
+    def test_pairs_are_taken_greedily_in_edge_order(self, rng):
+        # v has two edges to u and two to x: whichever comes first in
+        # edge order is v's pair, and the other node stays unpaired
+        uv, vx = [("u", "v", 2)] * 2, [("v", "x", 2)] * 2
+        g = graph_of(["u", "v", "x"], uv + vx + [("u", "x", 2)], rng)
+        assert cover._pairs(g) == [[0, 1]]
+        g = graph_of(["u", "v", "x"], vx[:1] + uv + vx[1:], rng)
+        assert cover._pairs(g) == [[0, 3]]
+
+    @pytest.mark.parametrize("case", ["fig3", "two-cycle", "theta"])
+    def test_estimators_match_the_unpaired_networks(self, case, rng,
+                                                    monkeypatch):
+        g = ABSORB_CASES[case][0](rng)
+        ests = [cover.zbm_exhaustive(g, 3), cover.zbm_montecarlo(g, 4, 8)]
+        monkeypatch.setattr(cover, "_paired", without_pairing)
+        for est, plain in zip(ests, [cover.zbm_exhaustive(g, 3),
+                                     cover.zbm_montecarlo(g, 4, 8)]):
+            assert est.power_value == pytest.approx(plain.power_value,
+                                                    rel=1e-12)
+
+    @pytest.mark.parametrize("build", [
+        lambda rng: gen(GeneratorSpec(topology="fig-b", kind="double-edge",
+                                      ensemble="psd-random", seed=3)),
+        k44])
+    def test_no_parallel_edges_keep_every_bit(self, build, rng,
+                                              monkeypatch):
+        g = build(rng)
+        h, chains = cover._absorb(g)
+        assert cover._pairs(h) == []
+        spec = cover._lift(chains, cover.random_cover(g, 3, rng))
+        assert cover._paired(h, 3)(spec) == cover.cover_network(h, spec)
+        ests = [cover.zbm_exhaustive(g, 2), cover.zbm_montecarlo(g, 3, 4)]
+        monkeypatch.setattr(cover, "_paired", without_pairing)
+        assert ests == [cover.zbm_exhaustive(g, 2),
+                        cover.zbm_montecarlo(g, 3, 4)]
+
+
 class TestReach:
     """Networks whose contraction order decides whether they fit: the
     K_{4,4} type network and fig3 Monte-Carlo covers at M = 12."""
@@ -664,6 +779,21 @@ class TestReach:
                     g, 12, np.random.default_rng([i, s]))))]).peak
             for i in range(16) for s in range(6)]
         assert max(peaks) <= 4 ** 7
+
+    def test_fig3_paired_covers_at_degree_12(self):
+        # the same draws, as the networks zbm_montecarlo contracts: fig3
+        # absorbs to a theta, so a merged copy pair keeps one leg at each
+        # end of every edge it does not share, and every intermediate has
+        # an even number of legs (4**8 here, 4**7 unpaired)
+        g = fig3_psd(0)
+        h, chains = cover._absorb(g)
+        network = cover._paired(h, 12)
+        peaks = [nfg.plan_contraction([
+            (t.labels, t.sizes) for t in network(cover._lift(
+                chains, cover.random_cover(
+                    g, 12, np.random.default_rng([i, s]))))]).peak
+            for i in range(16) for s in range(6)]
+        assert max(peaks) <= 4 ** 8
 
 
 class TestIsolatedNode:

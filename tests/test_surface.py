@@ -16,6 +16,8 @@ KEEP = {
     "global_eval": "documented library API: the product one configuration "
                    "selects",
     "save": "documented library API: the writer that load() reads back",
+    "partition_contract": "documented library API: Z by contracting the "
+                          "graph's own tensors",
     "beliefs_at": "documented library API: the beliefs of a message vector",
     "bethe_free_energy": "documented library API: the variational Bethe "
                          "value of a set of beliefs",
