@@ -4,16 +4,16 @@ Covers", IEEE Trans. IT 59(9), 2013).
 
 :func:`cover_network` states the cover wiring once, as an integer-labeled
 network that the exhaustive and Monte-Carlo means contract without
-building a graph; :func:`build_cover` names it as a graph.  Both means
-first absorb every leaf and every node of degree 2 between two distinct
-neighbours into a neighbour: each copy of such a node in a cover meets
-one copy of each neighbour, so contracting it there, and composing the
-permutations of its two edges, keeps every cover's Z.  Then, for each
-pair of nodes that two or more edges join, they merge the two copies
-that the pair's lowest edge joins, with an array built once per call
-for each pattern of shared edges: a fig3 cover is M tensors, not 4M.
-Relabeling a node's M copies keeps Z, so the exhaustive mean fixes a
-spanning forest to the identity.
+building a graph; :func:`build_cover` names it as a graph.  Relabeling a
+node's M copies keeps a cover's Z, so any edge's permutation can be taken
+to the identity and the edge contracted in the base graph.  Both means
+first reduce the graph this way (:func:`_absorb`): every leaf and every
+node of degree 2 between two distinct neighbours goes into a neighbour,
+and then each pair of nodes that two or more edges join contracts its
+lowest edge, the pair's other edges becoming loops, so a fig3 cover is M
+tensors, not 4M.  A copy on which a loop's permutation is fixed traces
+that loop, with an array built once per reduced graph.  The exhaustive
+mean fixes a spanning forest to the identity.
 The third estimator contracts the average-cover network, whose edges
 carry the symmetric-subspace projector, in the type basis: one tensor per
 node over the types of length-M socket vectors, one weight
@@ -23,13 +23,14 @@ node over the types of length-M socket vectors, one weight
 
 import itertools
 import math
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import config
 from .errors import (InternalConsistencyError, SignedRootError,
-                     StructuralError)
+                     StructuralError, ValidationError)
 from .nfg import (Edge, FactorGraph, contract_network, finite, make_graph,
                   plan_contraction, run_plan)
 from .tensor import ComplexTensor
@@ -68,50 +69,86 @@ def random_cover(g, degree, rng):
                                    for _ in g.edges))
 
 
+_TRACED = weakref.WeakKeyDictionary()   # graph -> {(node, fixed): array}
+
+
 def cover_network(g, spec):
     """The degree-M cover of ``g`` as a closed network, one
     :class:`ComplexTensor` per cover node ``(f_k, m)`` in the order
     ``k*M + m``, with f_k's legs and f_k's read-only array itself: the one
     statement of the wiring.  Copy m of the i-th base edge e (a double
     edge moves as a unit) is the label ``i*M + m`` at ``(head, m)`` and
-    ``(tail, sigma_i(m))``.  For a valid ``g``, no :func:`make_graph`
-    check can fail: names are distinct; head != tail, so no self-loop;
-    sigma_i is a permutation, so each label is on exactly two legs; shapes
-    and alphabets are the base graph's.
+    ``(tail, sigma_i(m))``.  For a graph that :func:`make_graph` builds,
+    no check of it can fail on the cover: names are distinct; head !=
+    tail, so no self-loop; sigma_i is a permutation, so each label is on
+    exactly two legs; shapes and alphabets are the base graph's.
+
+    A reduced graph of :func:`_absorb` may hold loops: at node k, a loop's
+    first leg is its head.  A copy m with ``sigma_i(m) == m`` holds its
+    label on both legs, so that axis pair is traced out of the array,
+    which is built once per graph, node and set of traced loops.
     """
     if len(spec.sigma) != g.n_edges:
         raise StructuralError(f"cover spec has {len(spec.sigma)} "
                               f"permutations for {g.n_edges} edges")
     M = spec.degree
     legs = [[None] * len(inc) for inc in g.incidences for _ in range(M)]
-    for k in range(g.n_nodes):
-        for a, i in enumerate(g.incidences[k]):
-            held = range(M) if g.edges[i].head == k else spec.sigma[i]
+    loops = [[] for _ in g.incidences]   # per node: (head axis, tail axis, i)
+    for k, inc in enumerate(g.incidences):
+        for a, i in enumerate(inc):
+            x = inc.index(i)
+            if x != a:
+                loops[k].append((x, a, i))
+            held = range(M) if x == a and g.edges[i].head == k \
+                else spec.sigma[i]
             for lab, c in enumerate(held, i * M):
                 legs[k * M + c][a] = lab    # lab = i*M + m, on (f_k, c)
-    return [ComplexTensor(labels, g.tensors[n // M])
-            for n, labels in enumerate(legs)]
+    network = [ComplexTensor(labels, g.tensors[n // M])
+               for n, labels in enumerate(legs)]
+    traced = _TRACED.setdefault(g, {}) if any(loops) else None
+    for k, ends in enumerate(loops):
+        for c in range(M if ends else 0):
+            fixed = tuple((x, y) for x, y, i in ends if spec.sigma[i][c] == c)
+            if fixed:
+                sub = list(range(len(g.incidences[k])))
+                for x, y in fixed:
+                    sub[y] = x
+                keep = [ax for ax in sub if sub.count(ax) == 1]
+                if (k, fixed) not in traced:
+                    # an entry that overflows is refused by the contraction
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        traced[k, fixed] = np.einsum(g.tensors[k], sub, keep)
+                network[k * M + c] = ComplexTensor(
+                    [legs[k * M + c][ax] for ax in keep], traced[k, fixed])
+    return network
 
 
-def _absorb(g):
-    """``g`` with its degree-1 nodes and its degree-2 nodes between two
-    distinct neighbours contracted away, node by node in position order
-    until none is left, plus the chain of each surviving edge: the
-    ``(base edge position, forward)`` steps it stands for, read from its
-    head to its tail (``forward`` when the step runs from that base edge's
-    head to its tail).
+def _absorb(g, degree):
+    """``g`` reduced for its degree-``degree`` covers, plus the chain of
+    each surviving edge: the ``(base edge position, forward)`` steps it
+    stands for, read from its head to its tail (``forward`` when the step
+    runs from that base edge's head to its tail).
 
-    In every M-cover, each copy of a leaf hangs off one copy of its
-    neighbour, and each copy of a series node sits between one copy of
-    each neighbour; contracting each copy into its neighbour's copy, and
-    composing the permutations along the chain, gives the cover of the
-    reduced graph that :func:`_lift` names, with the same Z.  A node whose
-    two edges reach one node is kept: absorbing it would make a self-loop.
+    Each step contracts an edge i between a node v and a node a into a:
+    v's other edges move to a, a's legs then v's, and each moved edge's
+    chain starts with i's steps from a.  In every M-cover, relabeling v's
+    copies takes i's permutation to the identity, so copy c of a meets
+    one copy of v, and the two contract into one; composing the
+    permutations along each chain gives the cover of the reduced graph
+    that :func:`_lift` names, with the same Z.  An edge that ends with
+    both ends at a is a loop: its head leg is a's own, and its chain runs
+    a -> v -> a.
 
-    A series node goes into the neighbour across its larger axis, and the
-    surviving edge is the far one, with its alphabet; so a merge never
-    grows the neighbour's tensor (a leaf merge shrinks it), and nothing
-    here needs a capacity check beyond the one each node tensor passed.
+    Three rules pick the steps.  Until none is left, in position order,
+    a leaf goes into its neighbour, and a node of degree 2 between two
+    distinct neighbours goes into the one across its larger axis, so
+    neither ever grows a tensor.  Then the node pairs that two or more
+    edges join, taken greedily in edge order with each node in at most
+    one pair, contract their lowest edge (the spine) into the pair's
+    lower node: the pair's other edges become loops, and a node with a
+    loop is not merged again.  At M = 1 every loop would be traced, so
+    the spine step contracts all of the pair's edges at once.  Each spine
+    step is checked against the ``contract`` cap before it is built.
     Overflow is carried as inf into the contraction, which refuses it.
     """
     tensors = list(g.tensors)
@@ -119,11 +156,32 @@ def _absorb(g):
     ends = [[e.head, e.tail] for e in g.edges]   # None once absorbed
     chains = [[(i, True)] for i in range(g.n_edges)]
 
+    def flip(chain):
+        return [(p, not fwd) for p, fwd in reversed(chain)]
+
     def walk(i, x):
         """Edge i's far end from node x, and its chain read from x."""
         if ends[i][0] == x:
             return ends[i][1], chains[i]
-        return ends[i][0], [(p, not fwd) for p, fwd in reversed(chains[i])]
+        return ends[i][0], flip(chains[i])
+
+    def contract(joined, v, a):
+        """Contract the edges ``joined`` between v and a into a."""
+        step = walk(joined[0], a)[1]
+        tensors[a] = np.tensordot(
+            tensors[a], tensors[v],
+            ([inc[a].index(i) for i in joined],
+             [inc[v].index(i) for i in joined]))
+        for j in inc[v]:
+            if j not in joined:
+                b, rest = walk(j, v)
+                ends[j], chains[j] = [a, b], step + rest
+                if b == a:      # read the loop from a's own leg
+                    chains[j] = flip(chains[j])
+        inc[a] = [j for j in inc[a] + inc[v] if j not in joined]
+        for i in joined:
+            ends[i] = None
+        inc[v] = None
 
     changed = True
     with np.errstate(over="ignore", invalid="ignore"):
@@ -139,20 +197,24 @@ def _absorb(g):
                 a = walk(i, v)[0]
                 if far and walk(far[0], v)[0] == a:
                     continue
-                ax = inc[a].index(i)
-                merged = np.tensordot(tensors[a], tensors[v],
-                                      axes=([ax], [inc[v].index(i)]))
-                if far:
-                    (j,) = far
-                    b, rest = walk(j, v)
-                    tensors[a] = np.moveaxis(merged, -1, ax)
-                    inc[a][ax] = j
-                    ends[j], chains[j] = [a, b], walk(i, a)[1] + rest
-                else:
-                    tensors[a] = merged
-                    del inc[a][ax]
-                ends[i] = inc[v] = None
+                contract([i], v, a)
                 changed = True
+        joined = {}
+        for i, e in enumerate(ends):
+            if e is not None:
+                joined.setdefault(tuple(sorted(e)), []).append(i)
+        taken = set()
+        for (a, v), edges in joined.items():
+            if len(edges) < 2 or taken.intersection((a, v)):
+                continue
+            taken.update((a, v))
+            spine = edges if degree == 1 else edges[:1]
+            config.check_capacity(
+                "contract", tensors[a].size * tensors[v].size
+                // math.prod(g.axis_size(i) for i in spine) ** 2,
+                f"merged copies of {g.node_names[a]!r} and "
+                f"{g.node_names[v]!r}")
+            contract(spine, v, a)
     nodes = [k for k, edges in enumerate(inc) if edges is not None]
     kept = [i for i, e in enumerate(ends) if e is not None]
     node_pos = {k: n for n, k in enumerate(nodes)}
@@ -186,82 +248,10 @@ def _lift(chains, spec):
     return CoverSpec(M, tuple(sigma))
 
 
-def _pairs(g):
-    """The node pairs of ``g`` that two or more edges join, taken greedily
-    in edge order with each node in at most one pair: per pair, the
-    positions of its edges, the lowest (its spine) first."""
-    joined = {}
-    for i, e in enumerate(g.edges):
-        joined.setdefault((e.head, e.tail), []).append(i)
-    taken, pairs = set(), []
-    for ends, edges in joined.items():
-        if len(edges) > 1 and not taken.intersection(ends):
-            taken.update(ends)
-            pairs.append(edges)
-    return pairs
-
-
-def _paired(g, degree):
-    """A function from a degree-``degree`` cover spec of ``g`` to its
-    :func:`cover_network` with each copy pair merged: the copies that a
-    pair's spine joins, ``(head, c)`` and ``(tail, sigma_spine(c))``,
-    become one tensor, which contracts the spine and every other edge of
-    the pair whose permutation agrees with the spine's at that copy.  It
-    keeps the head copy's other legs, then the tail copy's, and sits in
-    the head copy's place.
-
-    A merged array depends only on the pair and on which of its edges are
-    shared, so each is built once, by ``np.tensordot`` of the two base
-    tensors, and reused by every cover.  Before any is built, each pair's
-    largest is checked against the ``contract`` cap: the one that shares
-    the spine alone (every edge when M = 1).  A graph without parallel
-    edges has no pairs and gets :func:`cover_network`'s network itself.
-    """
-    pairs = []
-    for edges in _pairs(g):
-        u, v = g.edges[edges[0]].head, g.edges[edges[0]].tail
-        shared = edges if degree == 1 else edges[:1]
-        config.check_capacity(
-            "contract", g.tensors[u].size * g.tensors[v].size
-            // math.prod(g.axis_size(i) for i in shared) ** 2,
-            f"merged copies of {g.node_names[u]!r} and {g.node_names[v]!r}")
-        axes = [(g.incidences[u].index(i), g.incidences[v].index(i))
-                for i in edges]
-        pairs.append((u, v, edges[0], axes, {}))
-
-    def merged(u, v, axes, key):
-        """The merged array of a sharing pattern, with the axes it keeps
-        of the head tensor and of the tail tensor."""
-        ax_u, ax_v = zip(*[xy for xy, s in zip(axes, (True,) + key) if s])
-        # an entry that overflows is refused by the contraction
-        with np.errstate(over="ignore", invalid="ignore"):
-            array = np.tensordot(g.tensors[u], g.tensors[v], (ax_u, ax_v))
-        return (array,
-                [x for x in range(g.tensors[u].ndim) if x not in ax_u],
-                [y for y in range(g.tensors[v].ndim) if y not in ax_v])
-
-    def network(spec):
-        net = cover_network(g, spec)
-        M = spec.degree
-        for u, v, spine, axes, cache in pairs:
-            for c, p in enumerate(spec.sigma[spine]):
-                a, b = net[u * M + c].labels, net[v * M + p].labels
-                key = tuple([a[x] == b[y] for x, y in axes[1:]])
-                hit = cache.get(key)
-                if hit is None:
-                    hit = cache[key] = merged(u, v, axes, key)
-                array, keep_u, keep_v = hit
-                net[u * M + c] = ComplexTensor(
-                    [a[x] for x in keep_u] + [b[y] for y in keep_v], array)
-                net[v * M + p] = None
-        return [t for t in net if t is not None]
-
-    return network
-
-
 def build_cover(g, spec):
-    """:func:`cover_network` as a graph: node ``(f, m)`` is ``f.m``; label
-    ``i*M + m`` is edge ``e.m`` between the two nodes that hold it."""
+    """:func:`cover_network` of a graph without loops as a graph: node
+    ``(f, m)`` is ``f.m``; label ``i*M + m`` is edge ``e.m`` between the
+    two nodes that hold it."""
     network = cover_network(g, spec)
     M = spec.degree
     names = [f"{name}.{m}" for name in g.node_names for m in range(M)]
@@ -358,15 +348,15 @@ def zbm_exhaustive(g, degree):
     takes each labeled cover there in exactly ``(M!)**c`` ways.
 
     The covers are those of :func:`_absorb`'s graph, whose every cover is
-    a base cover with its leaves and series nodes contracted, with that
-    cover's Z.  Each absorption removes one node and one edge and keeps
-    the components, so ``|E|-|V|+c``, and the count, is the base graph's.
-    Each cover is contracted with its copy pairs merged (:func:`_paired`),
-    which keeps its Z.
+    a base cover with its absorbed nodes contracted, with that cover's Z.
+    Each step removes one node and one edge and keeps the components (at
+    M = 1 a spine step removes more edges, and every count is 1), so
+    ``|E|-|V|+c``, and the count, is the base graph's; a loop is never a
+    forest edge.
     """
     if degree < 1:
         raise StructuralError("cover degree must be positive")
-    h, _ = _absorb(g)
+    h, _ = _absorb(g, degree)
     comp, free = list(range(h.n_nodes)), []
     for e in h.edges:   # union-find: a forest edge joins two components
         a, b = comp[e.head], comp[e.tail]
@@ -379,13 +369,12 @@ def zbm_exhaustive(g, degree):
     else:
         n_covers = math.factorial(degree) ** sum(free)
     config.check_capacity("covers", n_covers, "gauge-fixed covers")
-    network = _paired(h, degree)
     identity = tuple(range(degree))
     total = 0.0 + 0.0j
     for sigma in itertools.product(*(
             itertools.permutations(identity) if f else (identity,)
             for f in free)):
-        total += contract_network(network(CoverSpec(degree, sigma)))
+        total += contract_network(cover_network(h, CoverSpec(degree, sigma)))
     return _finish("exhaustive", degree, total / n_covers,
                    covers=math.factorial(degree) ** g.n_edges)
 
@@ -395,18 +384,16 @@ def zbm_montecarlo(g, degree, samples, seed=0):
     for a given seed (one independent permutation per edge per sample).
 
     Each drawn cover of ``g`` is contracted as its :func:`_lift` to
-    :func:`_absorb`'s graph, which has the same Z with the leaves and
-    series nodes of every copy contracted into their neighbours, and with
-    its copy pairs merged (:func:`_paired`)."""
+    :func:`_absorb`'s graph, which has the same Z with the absorbed nodes
+    of every copy contracted into their neighbours."""
     if samples < 1:
         raise StructuralError(f"samples must be positive, got {samples}")
     config.check_capacity("contract", samples, "Monte-Carlo value buffer")
     values = np.empty(samples, dtype=np.complex128)
-    h, chains = _absorb(g)
-    network = _paired(h, degree)
+    h, chains = _absorb(g, degree)
     for s in range(samples):
         spec = random_cover(g, degree, np.random.default_rng([seed, s]))
-        values[s] = contract_network(network(_lift(chains, spec)))
+        values[s] = contract_network(cover_network(h, _lift(chains, spec)))
     # a sum that overflows is refused by _finish
     with np.errstate(over="ignore", invalid="ignore"):
         mean = values.sum() / samples
@@ -572,12 +559,17 @@ def bethe_cover_bounds(estimates, z_star, alpha):
     ``estimates`` is an iterable of :class:`ZbmEstimate`.  For a
     dominance parameter ``alpha`` the power ratio must lie between
     ``1 - sum_{j=1..M} alpha**j`` and ``sum_{j=0..M} alpha**j``.
-    Violations are reported, never raised.
+    Violations are reported, never raised; a ``Z* ** M`` that underflows
+    to 0.0 raises ``ValidationError``.
     """
     report = BoundsReport(alpha=alpha, z_star=z_star)
     for est in estimates:
         M = est.degree
-        ratio = est.power_value / z_star ** M
+        scale = z_star ** M
+        if scale == 0.0:
+            raise ValidationError(
+                f"local functions too small: Z*^{M} underflows a float")
+        ratio = est.power_value / scale
         lower = 1.0 - sum(alpha ** j for j in range(1, M + 1))
         upper = sum(alpha ** j for j in range(0, M + 1))
         ml = ratio - lower

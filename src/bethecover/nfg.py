@@ -33,6 +33,11 @@ _PSD_TOL = 1e-9    # eigenvalue slack of the PSD test
 
 @dataclass(frozen=True)
 class Edge:
+    """An edge between nodes ``head`` and ``tail``.  A graph that
+    :func:`make_graph` builds has none with head == tail; a reduced graph
+    of the cover estimators may hold such a loop, which its node lists
+    twice, the head leg first."""
+
     eid: str
     head: int       # smaller node index
     tail: int       # larger node index

@@ -42,8 +42,9 @@ def as_double_edge(g):
     return nfg.make_graph(nfg.DOUBLE, nodes, edges, tensors)
 
 
-def is_forest(g):
-    """Whether ``g`` has no cycle (parallel edges make one)."""
+def forest_edges(g):
+    """Per edge of ``g`` in edge order, whether it joins two components
+    of the edges before it: a spanning forest, taken greedily."""
     parent = list(range(g.n_nodes))
 
     def root(a):
@@ -52,12 +53,17 @@ def is_forest(g):
             a = parent[a]
         return a
 
+    joins = []
     for e in g.edges:
         ra, rb = root(e.head), root(e.tail)
-        if ra == rb:
-            return False
+        joins.append(ra != rb)
         parent[ra] = rb
-    return True
+    return joins
+
+
+def is_forest(g):
+    """Whether ``g`` has no cycle (parallel edges make one)."""
+    return all(forest_edges(g))
 
 
 # ------------------------------------------------------------------ #
@@ -301,6 +307,38 @@ def labeled_cover_mean(g, degree):
                                                                  sigma)))
         count += 1
     return total / count
+
+
+def gauge_fixed_cover_mean(g, degree):
+    """Mean of Z over the covers of ``g`` itself, unreduced, whose
+    :func:`forest_edges` carry the identity: the exhaustive mean on the
+    base graph's own cover networks."""
+    identity = tuple(range(degree))
+    total, count = 0.0 + 0.0j, 0
+    for sigma in itertools.product(*(
+            (identity,) if joins else itertools.permutations(identity)
+            for joins in forest_edges(g))):
+        total += nfg.contract_network(cover_network(g, CoverSpec(degree,
+                                                                 sigma)))
+        count += 1
+    return total / count
+
+
+def loop_cover_z(t, sigma):
+    """Z of the cover with permutation ``sigma`` of a graph with one node
+    and one loop, whose local function is the transfer matrix ``t``: each
+    cycle of sigma closes its copies into a ring, whose Z is the trace of
+    ``t`` to the power of the cycle's length."""
+    z, seen = 1.0 + 0.0j, set()
+    for start in range(len(sigma)):
+        length, c = 0, start
+        while c not in seen:
+            seen.add(c)
+            c = sigma[c]
+            length += 1
+        if length:
+            z *= np.trace(np.linalg.matrix_power(t, length))
+    return z
 
 
 # ------------------------------------------------------------------ #

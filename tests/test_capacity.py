@@ -59,6 +59,11 @@ def _montecarlo():
     return lambda: cover.zbm_montecarlo(g, 2, samples=1000), 1000
 
 
+def _montecarlo_pair():
+    g = fig3_psd(0)
+    return lambda: cover.zbm_montecarlo(g, 2, samples=10), 4 ** 4
+
+
 def _socket():
     return lambda: cover.socket_projector(2, 3), 2 ** 6
 
@@ -83,6 +88,7 @@ ROUTES = {
     "zbm_typeformula": (_typeformula, "contract", 1000, False),
     "gen": (_gen, "contract", 16, True),
     "zbm_montecarlo": (_montecarlo, "contract", 100, True),
+    "zbm_montecarlo_pair": (_montecarlo_pair, "contract", 100, True),
     "socket_projector": (_socket, "contract", 16, True),
     "spa_run": (_spa_batch, "contract", 100, True),
 }
@@ -112,6 +118,17 @@ def test_every_route_refuses_through_the_gate(route, monkeypatch):
     if new:
         assert peak_bytes < 64 * 1024
         assert elapsed < 1.0
+
+
+def test_degree_one_pair_is_contracted_through_every_edge(monkeypatch):
+    # at M = 1 fig3's pair contracts all three of its edges at once, to a
+    # scalar, so a cap under the spine-only 4**4 entries refuses nothing
+    g = fig3_psd(0)
+    z = nfg.partition_contract(g).real
+    monkeypatch.setenv("BETHE_COVER_LIMITS", "contract=100")
+    with pytest.raises(CapacityError):
+        cover.zbm_exhaustive(g, 2)
+    assert cover.zbm_exhaustive(g, 1).root == pytest.approx(z, rel=1e-12)
 
 
 def test_spa_restart_batch_refused_before_any_draw_or_sweep(monkeypatch):

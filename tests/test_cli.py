@@ -461,6 +461,15 @@ def test_overflowing_functions_exit_2(argv, message, graph_file, capsys):
     assert "nan" not in captured.out
 
 
+@pytest.mark.parametrize("argv", [["--scale", "1e-60", "--mmax", "2"],
+                                  ["--scale", "1e-40", "--mmax", "3"]])
+def test_underflowing_bound_scale_exits_2(argv, capsys):
+    # Z* ** M underflows to 0.0, so the bound ratio cannot be formed
+    assert main(["bounds", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.count("\n") == 1 and "too small" in captured.err
+
+
 def test_long_cycle_is_not_refused(capsys):
     # every node's entries sum to about 2, so the product of those sums
     # overflows near 1024 nodes while Z stays near 1e-23

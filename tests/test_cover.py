@@ -16,8 +16,8 @@ from bethecover.tensor import ComplexTensor
 
 from conftest import build_fig3, fig3_near_identity, fig3_psd, \
     random_tree_de, two_cycle
-from oracles import as_double_edge, is_forest, labeled_cover_mean, \
-    predecessors, types as oracle_types
+from oracles import as_double_edge, gauge_fixed_cover_mean, is_forest, \
+    labeled_cover_mean, loop_cover_z, predecessors, types as oracle_types
 
 
 class TestBuildCover:
@@ -175,15 +175,11 @@ class TestCoverNetwork:
         g = fig3_psd(1)
         est = cover.zbm_montecarlo(g, 3, 1, seed=2)
         spec = cover.random_cover(g, 3, np.random.default_rng([2, 0]))
-        # the estimator contracts the cover of the absorbed graph with its
-        # copy pairs merged; the unpaired and the full cover have the same
-        # Z up to the order of their sums
-        h, chains = cover._absorb(g)
-        lifted = cover._lift(chains, spec)
-        assert est.power_value == nfg.contract_network(
-            cover._paired(h, 3)(lifted)).real
-        assert est.power_value == pytest.approx(nfg.contract_network(
-            cover.cover_network(h, lifted)).real, rel=1e-13)
+        # the estimator contracts the cover of the reduced graph; the full
+        # cover has the same Z up to the order of its sums
+        h, chains = cover._absorb(g, 3)
+        assert est.power_value == nfg.contract_network(cover.cover_network(
+            h, cover._lift(chains, spec))).real
         assert est.power_value == pytest.approx(nfg.contract_network(
             cover.cover_network(g, spec)).real, rel=1e-13)
         assert est.stderr == 0.0 and est.samples == 1
@@ -578,37 +574,48 @@ def tree_on_cycle(rng):
                      ("u3", "u4", 3)], rng)
 
 
-# case: (builder of the graph from an rng, reduced (nodes, edges), degree
-# of the labeled-cover check)
+# case: (builder of the graph from an rng, reduced (nodes, edges) at
+# M >= 2, all of them loops, degree of the labeled-cover check)
 ABSORB_CASES = {
-    "fig3": (lambda rng: fig3_psd(2), (2, 3), 2),
-    "theta": (theta, (2, 3), 2),
-    "mixed-alphabets": (mixed_alphabets, (2, 2), 3),
+    "fig3": (lambda rng: fig3_psd(2), (1, 2), 2),
+    "theta": (theta, (1, 2), 2),
+    "mixed-alphabets": (mixed_alphabets, (1, 1), 3),
     "mixed-alphabets-double": (
-        lambda rng: as_double_edge(mixed_alphabets(rng)), (2, 2), 2),
-    "tree-on-cycle": (tree_on_cycle, (2, 2), 2),
+        lambda rng: as_double_edge(mixed_alphabets(rng)), (1, 1), 2),
+    "tree-on-cycle": (tree_on_cycle, (1, 1), 2),
     "two-cycle": (lambda rng: two_cycle(rng.random((3, 3)),
                                         rng.random((3, 3)), alphabet=3),
-                  (2, 2), 3),
-    "isolated": (lambda rng: with_isolated_node(fig3_psd(1)), (3, 3), 2),
-    "two-components": (two_components, (4, 4), 2),
+                  (1, 1), 3),
+    "isolated": (lambda rng: with_isolated_node(fig3_psd(1)), (2, 2), 2),
+    "two-components": (two_components, (2, 2), 2),
 }
 
 
+def loop_nodes(h):
+    return {e.head for e in h.edges if e.head == e.tail}
+
+
 class TestAbsorb:
-    """The cover estimators contract the covers of the graph with its
-    leaves and series nodes absorbed, each cover lifted from one of the
-    base graph; each lifted cover's Z is the base cover's."""
+    """The cover estimators contract the covers of the reduced graph, each
+    cover lifted from one of the base graph; each lifted cover's Z is the
+    base cover's."""
 
     @pytest.mark.parametrize("case", list(ABSORB_CASES))
     def test_each_cover_keeps_its_value(self, case, rng):
         build, shape, _ = ABSORB_CASES[case]
         g = build(rng)
-        h, chains = cover._absorb(g)
-        assert (h.n_nodes, h.n_edges) == shape
-        assert max(t.size for t in h.tensors) \
-            <= max(t.size for t in g.tensors)
-        for degree in range(2, 6):
+        for degree in range(1, 6):
+            h, chains = cover._absorb(g, degree)
+            if degree == 1:     # every edge of a pair is contracted
+                assert (h.n_nodes, h.n_edges) == (shape[0], 0)
+            else:
+                assert (h.n_nodes, h.n_edges) == shape
+                assert all(e.head == e.tail for e in h.edges)
+                # a node without loops took no spine, and a leaf or series
+                # merge never grows a tensor
+                assert all(t.size <= max(u.size for u in g.tensors)
+                           for k, t in enumerate(h.tensors)
+                           if k not in loop_nodes(h))
             for _ in range(10):
                 spec = cover.random_cover(g, degree, rng)
                 lifted = cover._lift(chains, spec)
@@ -628,7 +635,7 @@ class TestAbsorb:
         forests = [random_tree_de(3, 5),
                    with_isolated_node(random_tree_de(4, 3))]
         for g, components in zip(forests, (1, 2)):
-            h, chains = cover._absorb(g)
+            h, chains = cover._absorb(g, degree)
             network = cover.cover_network(
                 h, cover._lift(chains, cover.random_cover(g, degree, rng)))
             assert len(network) == components * degree
@@ -658,92 +665,115 @@ def multigraphs(draw):
                     np.random.default_rng(draw(st.integers(0, 2**16))))
 
 
-def without_pairing(h, degree):
-    """Stands in for ``cover._paired``: every cover network unpaired."""
-    return lambda spec: cover.cover_network(h, spec)
+def sampled_cover_mean(g, degree, samples, seed=0):
+    """The Monte-Carlo mean over the covers that ``zbm_montecarlo`` draws,
+    each contracted as a cover of ``g`` itself."""
+    values = np.array([nfg.contract_network(cover.cover_network(
+        g, cover.random_cover(g, degree, np.random.default_rng([seed, s]))))
+        for s in range(samples)])
+    return (values.sum() / samples).real
 
 
 class TestPairs:
-    """The cover estimators merge the copies that a pair's spine joins
-    before planning; each merged array is built once per call."""
+    """The node pairs that two or more edges join contract their lowest
+    edge (the spine) before lifting, and the pair's other edges become
+    loops; each traced array is built once per reduced graph."""
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(g=multigraphs(), degree=st.sampled_from(range(1, 6)),
            data=st.data())
     def test_paired_matches_unpaired(self, g, degree, data):
         # each base edge takes a fresh permutation or one of a pool of at
-        # most two, so the pair's edges often agree with the spine at some
-        # copies and not at others (at every copy when M = 1)
+        # most two, so a pair's loops are often fixed at some copies and
+        # not at others (at every copy when M = 1)
         perm = st.permutations(range(degree)).map(tuple)
         pool = data.draw(st.lists(perm, min_size=1, max_size=2))
         spec = cover.CoverSpec(degree, tuple(
             data.draw(st.one_of(st.sampled_from(pool), perm))
             for _ in g.edges))
-        h, chains = cover._absorb(g)
-        pairs = cover._pairs(h)
-        assert len(pairs) == 1 and h.n_nodes in (2, 3)
-        lifted = cover._lift(chains, spec)
-        full = cover.cover_network(h, lifted)
-        paired = cover._paired(h, degree)(lifted)
-        assert len(paired) == len(full) - degree
-        assert nfg.contract_network(paired) == pytest.approx(
-            nfg.contract_network(full), rel=1e-12)
+        h, chains = cover._absorb(g, degree)
+        assert h.n_nodes in (1, 2) and len(loop_nodes(h)) == (degree > 1)
+        assert nfg.contract_network(cover.cover_network(
+            h, cover._lift(chains, spec))) == pytest.approx(
+                nfg.contract_network(cover.cover_network(g, spec)),
+                rel=1e-12)
 
     def test_degree_one_merges_a_theta_into_a_scalar(self):
         g = fig3_psd(0)
-        h, chains = cover._absorb(g)
-        network = cover._paired(h, 1)(cover.identity_cover(h, 1))
+        h, chains = cover._absorb(g, 1)
+        assert (h.n_nodes, h.n_edges) == (1, 0)
+        network = cover.cover_network(h, cover.identity_cover(h, 1))
         assert len(network) == 1
         assert network[0].labels == [] and network[0].array.ndim == 0
         assert nfg.contract_network(network) == pytest.approx(
             nfg.partition_contract(g), rel=1e-12)
 
     def test_fig3_cover_has_one_tensor_per_copy(self, rng):
-        # the absorbed theta has three parallel edges: at most 2**2
-        # sharing patterns, each merged array built once per call
+        # the theta fig3 absorbs to is one node with two loops, its head
+        # legs first: a copy traces neither, one or both, so 3 traced
+        # arrays besides the node's own, each built once
         g = fig3_psd(0)
-        h, chains = cover._absorb(g)
-        network = cover._paired(h, 4)
-        nets = [network(cover._lift(chains, cover.random_cover(g, 4, rng)))
-                for _ in range(20)]
+        h, chains = cover._absorb(g, 4)
+        assert h.incidences == ((0, 1, 0, 1),)
+        nets = [cover.cover_network(h, cover._lift(
+            chains, cover.random_cover(g, 4, rng))) for _ in range(20)]
         assert all(len(net) == 4 for net in nets)
         assert len({id(t.array) for net in nets for t in net}) <= 4
 
+    @pytest.mark.parametrize("degree", range(1, 6))
+    def test_loops_match_the_ring_oracle(self, degree):
+        # the two-cycle reduces to one node whose loop carries the
+        # transfer matrix; sigma = identity traces every copy
+        g = two_cycle(np.random.default_rng(1).random((3, 3)),
+                      np.random.default_rng(2).random((3, 3)), alphabet=3)
+        h, _ = cover._absorb(g, 2)
+        assert h.incidences == ((0, 0),)
+        for sigma in itertools.permutations(range(degree)):
+            network = cover.cover_network(h, cover.CoverSpec(degree,
+                                                             (sigma,)))
+            assert nfg.contract_network(network) == pytest.approx(
+                loop_cover_z(h.tensors[0], sigma), rel=1e-12)
+
     def test_pairs_are_taken_greedily_in_edge_order(self, rng):
         # v has two edges to u and two to x: whichever comes first in
-        # edge order is v's pair, and the other node stays unpaired
+        # edge order is v's pair, and the other node stays unmerged
         uv, vx = [("u", "v", 2)] * 2, [("v", "x", 2)] * 2
         g = graph_of(["u", "v", "x"], uv + vx + [("u", "x", 2)], rng)
-        assert cover._pairs(g) == [[0, 1]]
+        h, _ = cover._absorb(g, 2)
+        assert h.node_names == ("u", "x")       # v went into u
+        assert [e.eid for e in h.edges if e.head == e.tail] == ["e1"]
         g = graph_of(["u", "v", "x"], vx[:1] + uv + vx[1:], rng)
-        assert cover._pairs(g) == [[0, 3]]
+        h, _ = cover._absorb(g, 2)
+        assert h.node_names == ("u", "v")       # x went into v
+        assert [e.eid for e in h.edges if e.head == e.tail] == ["e3"]
 
     @pytest.mark.parametrize("case", ["fig3", "two-cycle", "theta"])
-    def test_estimators_match_the_unpaired_networks(self, case, rng,
-                                                    monkeypatch):
+    def test_estimators_match_the_unpaired_networks(self, case, rng):
+        # the base graph's own cover networks, gauge-fixed or drawn alike
         g = ABSORB_CASES[case][0](rng)
-        ests = [cover.zbm_exhaustive(g, 3), cover.zbm_montecarlo(g, 4, 8)]
-        monkeypatch.setattr(cover, "_paired", without_pairing)
-        for est, plain in zip(ests, [cover.zbm_exhaustive(g, 3),
-                                     cover.zbm_montecarlo(g, 4, 8)]):
-            assert est.power_value == pytest.approx(plain.power_value,
-                                                    rel=1e-12)
+        assert cover.zbm_exhaustive(g, 3).power_value == pytest.approx(
+            gauge_fixed_cover_mean(g, 3), rel=1e-12)
+        assert cover.zbm_montecarlo(g, 4, 8).power_value == pytest.approx(
+            sampled_cover_mean(g, 4, 8), rel=1e-12)
 
     @pytest.mark.parametrize("build", [
         lambda rng: gen(GeneratorSpec(topology="fig-b", kind="double-edge",
                                       ensemble="psd-random", seed=3)),
         k44])
-    def test_no_parallel_edges_keep_every_bit(self, build, rng,
-                                              monkeypatch):
+    def test_no_parallel_edges_keep_every_bit(self, build, rng):
+        # nothing to absorb or pair: the reduced graph is the base graph,
+        # with its own arrays, so the estimators do the base graph's work
         g = build(rng)
-        h, chains = cover._absorb(g)
-        assert cover._pairs(h) == []
+        h, chains = cover._absorb(g, 3)
+        assert (h.incidences, h.edges) == (g.incidences, g.edges)
+        assert all(t is u for t, u in zip(h.tensors, g.tensors))
         spec = cover._lift(chains, cover.random_cover(g, 3, rng))
-        assert cover._paired(h, 3)(spec) == cover.cover_network(h, spec)
-        ests = [cover.zbm_exhaustive(g, 2), cover.zbm_montecarlo(g, 3, 4)]
-        monkeypatch.setattr(cover, "_paired", without_pairing)
-        assert ests == [cover.zbm_exhaustive(g, 2),
-                        cover.zbm_montecarlo(g, 3, 4)]
+        assert all(t.array is h.tensors[n // 3]
+                   for n, t in enumerate(cover.cover_network(h, spec)))
+        assert cover.zbm_exhaustive(g, 2).power_value \
+            == gauge_fixed_cover_mean(g, 2).real
+        assert cover.zbm_montecarlo(g, 3, 4).power_value \
+            == sampled_cover_mean(g, 3, 4)
 
 
 class TestReach:
@@ -769,27 +799,16 @@ class TestReach:
         est = cover.zbm_typeformula(k44(rng), 4)
         assert est.root > 0.0
 
-    def test_fig3_montecarlo_covers_at_degree_12(self):
-        # the covers zbm_montecarlo(g, 12, 6, seed=i) draws, i < 16
-        g = fig3_psd(0)
-        h, chains = cover._absorb(g)
-        peaks = [nfg.plan_contraction([
-            (t.labels, t.sizes) for t in cover.cover_network(
-                h, cover._lift(chains, cover.random_cover(
-                    g, 12, np.random.default_rng([i, s]))))]).peak
-            for i in range(16) for s in range(6)]
-        assert max(peaks) <= 4 ** 7
-
     def test_fig3_paired_covers_at_degree_12(self):
-        # the same draws, as the networks zbm_montecarlo contracts: fig3
-        # absorbs to a theta, so a merged copy pair keeps one leg at each
-        # end of every edge it does not share, and every intermediate has
-        # an even number of legs (4**8 here, 4**7 unpaired)
+        # the covers zbm_montecarlo(g, 12, 6, seed=i) draws, i < 16, as
+        # the networks it contracts: fig3 reduces to one node with two
+        # loops, so a copy keeps one leg at each end of every loop it
+        # does not trace, and every intermediate has an even number of
+        # legs (4**8 here, 4**7 with the pair's copies left apart)
         g = fig3_psd(0)
-        h, chains = cover._absorb(g)
-        network = cover._paired(h, 12)
+        h, chains = cover._absorb(g, 12)
         peaks = [nfg.plan_contraction([
-            (t.labels, t.sizes) for t in network(cover._lift(
+            (t.labels, t.sizes) for t in cover.cover_network(h, cover._lift(
                 chains, cover.random_cover(
                     g, 12, np.random.default_rng([i, s]))))]).peak
             for i in range(16) for s in range(6)]
