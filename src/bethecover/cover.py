@@ -37,6 +37,7 @@ from .tensor import ComplexTensor
 
 _IMAG_TOL = 1e-9      # relative imaginary part allowed in a cover mean
 _BOUND_SLACK = 1e-6   # margin a sandwich bound may miss by and still hold
+_BLOCK = 2**14        # entries a type-tensor block's buffers are held to
 
 
 # ------------------------------------------------------------------ #
@@ -406,8 +407,9 @@ def zbm_montecarlo(g, degree, samples, seed=0):
 
 
 def _type_tables(alphabet_size, degree):
-    """Gather tables of the type recursion for levels 1..``degree``, and
-    the types of length-``degree`` vectors.
+    """Gather tables of the type recursion for levels 1..``degree``,
+    which :func:`_leg_tables` lays out for :func:`_type_tensor`, and the
+    types of length-``degree`` vectors.
 
     The types of a level are listed in the fixed order the type tensors
     index them by: count tuples sorted in reverse, which is the order of
@@ -416,7 +418,7 @@ def _type_tables(alphabet_size, degree):
     row k, column c holds the index at level j - 1 of type k with one c
     removed, or the zero slot ``n_{j-1}`` when type k holds no c; an
     extra last row, the zero slot of level j, maps every c to the zero
-    slot.
+    slot, so the first leg builds that slot as it builds a type.
     """
     below = [(0,) * alphabet_size]
     tables = []
@@ -437,48 +439,134 @@ def _type_tables(alphabet_size, degree):
     return tables, below
 
 
+def _leg_tables(tables):
+    """Per level, the two gather tables a leg of alphabet size ``s`` reads
+    the level below by, from its :func:`_type_tables` tables.
+
+    ``first[c, u]`` is the row below of type u with one c removed, or the
+    zero row ``n_{j-1}``, for every type u of the level and its zero slot
+    ``n_j``: the first leg gathers whole rows of the level below.
+    ``rows[c, u]`` indexes the same predecessor of a type u in a (type,
+    symbol) row layout, row ``first[c, u] * s + c``, with the single zero
+    row ``n_{j-1} * s``: every further leg gathers those rows.
+    """
+    legs = []
+    for table in tables:
+        zero, s = table[-1, 0], table.shape[1]
+        first = np.ascontiguousarray(table.T)
+        rows = np.where(first[:, :-1] < zero,
+                        first[:, :-1] * s + np.arange(s)[:, None], zero * s)
+        legs.append((first, rows))
+    return legs
+
+
+def _type_blocks(sizes, degree):
+    """How :func:`_type_tensor` blocks each level of a node with leg sizes
+    ``sizes``: per level 2..``degree``, the first leg's types one block
+    builds (its zero slot among them), and the entries of the largest
+    array a block needs.  Each array of a block is linear in its type
+    count, so ``_BLOCK`` bounds a block unless one type alone is over it.
+    """
+    steps, largest = [], 0
+    for j in range(2, degree + 1):
+        below = [math.comb(s + j - 2, j - 1) for s in sizes]
+        here = [math.comb(s + j - 1, j) for s in sizes]
+        cols = math.prod(below[1:])
+        per_type = [sizes[0] * cols]   # the first leg's gather
+        cols *= math.prod(sizes[1:])   # after the product with the node
+        for a in range(1, len(sizes)):
+            cols //= below[a] * sizes[a]
+            # leg a's rows with their zero row, then its sum and one gather
+            per_type += [(below[a] * sizes[a] + 1) * cols, here[a] * cols]
+            cols *= here[a]
+        per_type = max(per_type)
+        steps.append(max(1, min(here[0] + 1, _BLOCK // per_type)))
+        largest = max(largest, steps[-1] * per_type)
+    return steps, largest
+
+
 def _type_tensor_peak(sizes, degree):
     """Entries of the largest array :func:`_type_tensor` allocates for a
-    node with leg sizes ``sizes``: the last level's first gather or first
-    tensordot output, since sizes grow with the level and each later leg
-    step trades a factor ``s*(n_{M-1}+1)`` for ``n_M+1``, never larger."""
+    node with leg sizes ``sizes``: the last level with its first leg's
+    zero slot, or one of the three block buffers, whichever is larger."""
     if not sizes:
         return 1
-    below = [math.comb(s + degree - 2, degree - 1) + 1 for s in sizes]
-    here = math.comb(sizes[0] + degree - 1, degree) + 1
-    return here * max(sizes[0] * math.prod(below[1:]),
-                      math.prod(n * s for n, s in zip(below[1:], sizes[1:])))
+    here = [math.comb(s + degree - 1, degree) for s in sizes]
+    return max((here[0] + 1) * math.prod(here[1:]),
+               _type_blocks(sizes, degree)[1])
 
 
-def _type_tensor(t, tables, degree):
+def _type_tensor(t, legs, degree):
     """Type tensor of a node: entry ``[u_1..u_d]`` sums
     ``prod_m t(x^(m))`` over the ordered M-tuples of configurations whose
     leg-a symbols have type ``u_a``, i.e. the coefficients of the M-th
     power of the node's multilinear form.
 
-    ``tables[a][j]`` is leg a's :func:`_type_tables` table for level
-    j + 1.  Level j + 1 is gathered from level j one leg at a time; every
-    axis carries one trailing zero slot, which invalid predecessors read.
+    ``legs[a][j]`` is leg a's :func:`_leg_tables` pair for level j + 1.
+    Level 1 is ``t`` itself, the sum with one nonzero term; level j + 1
+    is built from level j, whose first axis ends in its zero slot, in
+    blocks of the first leg's types (:func:`_type_blocks`), each
+    written into the preallocated level through three buffers that every
+    block reuses.  In a block, the first leg gathers rows of level j, one
+    per symbol, and one matrix product with ``t`` sums them; each further
+    leg a then lays its (type, symbol) pairs out as rows, with one zero
+    row, and sums ``s_a`` row gathers.  The sums run in the order of the
+    one-leg-at-a-time recursion over levels padded on every axis, whose
+    bits they give.
     """
     d = t.ndim
     if d == 0:
         return t ** degree
-    level = np.zeros((2,) * d, dtype=np.complex128)
-    level[(0,) * d] = 1.0
-    for j in range(degree):
-        pred = [leg[j] for leg in tables]
-        # leg 0 folds in t; axes become (i_1..i_{d-1}, c_1..c_{d-1}, u_0)
-        x = np.tensordot(level[pred[0]], t, axes=([1], [0]))
-        x = np.moveaxis(x, 0, -1)
-        for a in range(1, d):
-            # i_a is axis 0, c_a is axis d - a
-            between = (slice(None),) * (d - a - 1)
-            acc = x[(pred[a][:, 0],) + between + (0,)]
-            for c in range(1, t.shape[a]):
-                acc += x[(pred[a][:, c],) + between + (c,)]
-            x = np.moveaxis(acc, 0, -1)
-        level = x
-    return level[(slice(-1),) * d]
+    sizes = t.shape
+    node = t.reshape(sizes[0], -1)
+    steps, largest = _type_blocks(sizes, degree)
+    # laid: the first leg's gather, then each leg's rows; summed: the
+    # product with t, then each leg's sum; part: one gather of that sum
+    laid, summed, part = (np.empty(largest, dtype=np.complex128)
+                          for _ in range(3))
+    level = np.zeros((sizes[0] + 1,) + sizes[1:], dtype=np.complex128)
+    level[:-1] = t
+    for j, step in enumerate(steps, 1):
+        below = (level.shape[0] - 1,) + level.shape[1:]
+        here = [leg[j][1].shape[1] for leg in legs]
+        rows = level.reshape(below[0] + 1, -1)
+        level = np.empty((here[0] + 1,) + tuple(here[1:]),
+                         dtype=np.complex128)
+        for lo in range(0, here[0] + 1, step):
+            first = legs[0][j][0][:, lo:lo + step]
+            cols = first.shape[1] * rows.shape[1]
+            # every index is in range: "clip" lets take fill out unbuffered
+            x = rows.take(first, axis=0, mode="clip", out=laid[
+                :sizes[0] * cols].reshape(first.shape + (-1,)))
+            x = x.reshape(sizes[0], cols).T
+            if node.shape[1] == 1:
+                # numpy hands a one-column product to gemv, whose sums
+                # follow the recursion's only on rows laid out contiguously
+                rowwise = part[:x.size].reshape(x.shape)
+                np.copyto(rowwise, x)
+                x = rowwise
+            # axes (b, i_1..i_{d-1}, c_1..c_{d-1}); b is the block's type
+            x = np.dot(x, node, out=summed[:cols * node.shape[1]].reshape(
+                cols, node.shape[1]))
+            x = x.reshape(first.shape[1:] + below[1:] + sizes[1:]).transpose(
+                [ax for a in range(1, d) for ax in (a, d - 1 + a)] + [0])
+            for a in range(1, d):
+                # x holds (i_a, c_a, ...) and becomes (u_a, ...): leg a's
+                # rows, its zero row last, then s_a gathers summed in order
+                width = x.size // (below[a] * sizes[a])
+                x_rows = laid[:x.size + width].reshape(-1, width)
+                x_rows[-1] = 0.0
+                np.copyto(x_rows[:-1].reshape(x.shape), x)
+                gather = legs[a][j][1]
+                acc = summed[:here[a] * width].reshape(here[a], width)
+                one = part[:acc.size].reshape(acc.shape)
+                x_rows.take(gather[0], axis=0, out=acc, mode="clip")
+                for c in range(1, sizes[a]):
+                    x_rows.take(gather[c], axis=0, out=one, mode="clip")
+                    acc += one
+                x = acc.T   # (..., u_a): u_a joins the block's own types
+            np.copyto(level[lo:lo + step].reshape(x.shape), x)
+    return level[:-1]
 
 
 def zbm_typeformula(g, degree):
@@ -505,11 +593,12 @@ def zbm_typeformula(g, degree):
         for k, t in enumerate(g.tensors)])
     config.check_capacity("contract", plan.peak,
                           "largest contraction intermediate")
-    tables, weights = {}, {}
+    legs, weights = {}, {}
     for i in range(g.n_edges):
         s = g.axis_size(i)
-        if s not in tables:
-            tables[s], types = _type_tables(s, M)
+        if s not in legs:
+            tables, types = _type_tables(s, M)
+            legs[s] = _leg_tables(tables)
             # integer true division is correctly rounded, and a count
             # beyond the float range gives 0.0, not an OverflowError
             weights[s] = np.array([1 / class_size(u) for u in types])
@@ -517,10 +606,10 @@ def zbm_typeformula(g, degree):
     # an entry that overflows is refused by run_plan
     with np.errstate(over="ignore", invalid="ignore"):
         for k, t in enumerate(g.tensors):
-            u = _type_tensor(t, [tables[s] for s in t.shape], M)
+            u = _type_tensor(t, [legs[s] for s in t.shape], M)
             for a, i in enumerate(g.incidences[k]):
                 if g.edges[i].head == k:
-                    u = u * weights[t.shape[a]].reshape(
+                    u *= weights[t.shape[a]].reshape(
                         [-1 if b == a else 1 for b in range(t.ndim)])
             tensors.append(ComplexTensor(g.incidences[k], u))
     mean = run_plan(plan, tensors)

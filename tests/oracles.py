@@ -366,3 +366,33 @@ def predecessors(alphabet_size, level):
             if t[c]:
                 table[k, c] = below[t[:c] + (t[c] - 1,) + t[c + 1:]]
     return table
+
+
+def type_tensor(t, tables, degree):
+    """Type tensor of a node by the one-leg-at-a-time recursion over
+    levels padded with a zero slot on every axis: the construction
+    :func:`bethecover.cover._type_tensor` reorganises into blocks of
+    contiguous row gathers, with the same sums in the same order.
+
+    ``tables[a][j]`` is leg a's :func:`bethecover.cover._type_tables`
+    table for level j + 1; invalid predecessors read the zero slot.
+    """
+    d = t.ndim
+    if d == 0:
+        return t ** degree
+    level = np.zeros((2,) * d, dtype=np.complex128)
+    level[(0,) * d] = 1.0
+    for j in range(degree):
+        pred = [leg[j] for leg in tables]
+        # leg 0 folds in t; axes become (i_1..i_{d-1}, c_1..c_{d-1}, u_0)
+        x = np.tensordot(level[pred[0]], t, axes=([1], [0]))
+        x = np.moveaxis(x, 0, -1)
+        for a in range(1, d):
+            # i_a is axis 0, c_a is axis d - a
+            between = (slice(None),) * (d - a - 1)
+            acc = x[(pred[a][:, 0],) + between + (0,)]
+            for c in range(1, t.shape[a]):
+                acc += x[(pred[a][:, c],) + between + (c,)]
+            x = np.moveaxis(acc, 0, -1)
+        level = x
+    return level[(slice(-1),) * d]

@@ -44,8 +44,10 @@ def _contract():
 
 
 def _typeformula():
+    # a block of 9 first-leg types of fig3's degree-3 node at its last
+    # level, each with 10 * 4 + 1 rows of 10 * 4 entries
     g = fig3_psd(0)
-    return lambda: cover.zbm_typeformula(g, 3), 21 * (11 * 4) ** 2
+    return lambda: cover.zbm_typeformula(g, 3), 9 * (10 * 4 + 1) * (10 * 4)
 
 
 def _gen():

@@ -17,7 +17,8 @@ from bethecover.tensor import ComplexTensor
 from conftest import build_fig3, fig3_near_identity, fig3_psd, \
     random_tree_de, two_cycle
 from oracles import as_double_edge, gauge_fixed_cover_mean, is_forest, \
-    labeled_cover_mean, loop_cover_z, predecessors, types as oracle_types
+    labeled_cover_mean, loop_cover_z, predecessors, \
+    type_tensor as oracle_type_tensor, types as oracle_types
 
 
 class TestBuildCover:
@@ -228,6 +229,60 @@ class TestTypeUtilities:
                                       predecessors(alphabet, level))
             assert types == oracle_types(alphabet, degree)
             assert len(types) == math.comb(alphabet + degree - 1, degree)
+
+
+# every shape up to degree 2, and mixed ones at degrees 3 and 4, over
+# alphabets 1-4
+TYPE_TENSOR_SHAPES = ([(), (1,), (2,), (3,), (4,)]
+                      + list(itertools.product(range(1, 5), repeat=2))
+                      + [(4, 4, 4), (1, 3, 4), (2, 4, 3), (4, 1, 2),
+                         (3, 3, 1), (2, 2, 2), (1, 1, 1), (1, 2, 3, 4),
+                         (3, 1, 1, 2), (2, 3, 2, 3), (4, 2, 1, 1),
+                         (2, 2, 2, 2), (1, 1, 1, 1)])
+
+
+class TestTypeTensor:
+    @pytest.mark.parametrize("sizes", TYPE_TENSOR_SHAPES, ids=str)
+    def test_matches_the_padded_recursion(self, sizes, rng):
+        t = rng.normal(size=sizes) + 1j * rng.normal(size=sizes)
+        tables = {s: cover._type_tables(s, 6)[0] for s in set(sizes)}
+        legs = {s: cover._leg_tables(tables[s]) for s in tables}
+        for degree in range(1, 7):
+            got = cover._type_tensor(t, [legs[s] for s in sizes], degree)
+            want = oracle_type_tensor(t, [tables[s] for s in sizes], degree)
+            if len(sizes) == 4 and t.size == 1:
+                # a one-entry node: numpy multiplies each level by it with
+                # zaxpy, whose vector path rounds the recursion's 16 padded
+                # entries and whose scalar path the 2 here
+                np.testing.assert_allclose(got, want, rtol=1e-15, atol=0)
+            else:
+                assert np.array_equal(got, want)
+
+    def test_a_level_spans_several_blocks(self):
+        # levels 2 and 3 of the degree-3 double-edge node at M = 3: the
+        # last holds 21 first-leg types (20 and the zero slot) of 1640
+        # entries each
+        steps, largest = cover._type_blocks((4, 4, 4), 3)
+        assert steps == [11, cover._BLOCK // 1640] and steps[-1] < 21
+        assert largest == steps[-1] * 1640
+
+    @pytest.mark.parametrize("sizes,degree", [((4, 4, 4), 3),
+                                              ((4, 4, 4), 6),
+                                              ((2, 3), 40)])
+    def test_build_allocates_the_predicted_peak(self, sizes, degree, rng):
+        # three block buffers and two levels are alive at once, none
+        # larger than the predicted array
+        t = rng.normal(size=sizes) + 1j * rng.normal(size=sizes)
+        legs = [cover._leg_tables(cover._type_tables(s, degree)[0])
+                for s in sizes]
+        predicted = cover._type_tensor_peak(sizes, degree)
+        tracemalloc.start()
+        try:
+            cover._type_tensor(t, legs, degree)
+            _, peak_bytes = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert 16 * predicted <= peak_bytes <= 5 * 16 * predicted
 
 
 class TestSocketProjector:
@@ -912,9 +967,10 @@ class TestEstimators:
         assert info.value.requested == 120 ** 2
 
     def test_typeformula_capacity(self, monkeypatch):
-        # the peak is the degree-3 node's first gather step at the last
-        # level: 21 padded types of length 3 times (11 padded types of
-        # length 2 times 4 symbols) on each of its other two legs
+        # the peak is a block of the degree-3 node's last level: 9 of its
+        # 21 first-leg types (20 and the zero slot), each laying its
+        # second leg out as 10 types times 4 symbols plus one zero row,
+        # of 10 types times 4 symbols of its third leg
         g = fig3_psd(0)
         monkeypatch.setenv("BETHE_COVER_LIMITS", "contract=1000")
         tracemalloc.start()
@@ -924,14 +980,14 @@ class TestEstimators:
             _, peak_bytes = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert info.value.requested == 21 * (11 * 4) ** 2
+        assert info.value.requested == 9 * (10 * 4 + 1) * (10 * 4)
         assert info.value.limit == 1000
         assert peak_bytes < 16 * 1000
 
     def test_typeformula_plans_before_it_builds(self, monkeypatch):
         # fig-b is K_4 with leg size C(4 + 2, 3) = 20 at degree 3: each
-        # node's construction peaks at 21 * (11 * 4) ** 2 = 40656 entries,
-        # and the network's first merge leaves four legs, 20 ** 4 entries
+        # node's construction peaks at 9 * 41 * 40 = 14760 entries, and
+        # the network's first merge leaves four legs, 20 ** 4 entries
         g = gen(GeneratorSpec(topology="fig-b", kind="double-edge",
                               ensemble="psd-random", seed=3))
 
@@ -945,6 +1001,26 @@ class TestEstimators:
             cover.zbm_typeformula(g, 3)
         assert info.value.requested == 20 ** 4
         assert info.value.limit == 100000
+
+    @pytest.mark.parametrize("degree", [9, 10])
+    def test_typeformula_reaches_the_build_at_high_degree(self, degree,
+                                                         monkeypatch):
+        # fig3's degree-3 nodes carry C(4 + M - 1, M) types per leg, 220
+        # at M = 9 and 286 at M = 10: under the default caps both the
+        # construction, whose largest array is the last level with its
+        # zero slot, and the plan fit
+        class Built(Exception):
+            pass
+
+        def built(*args):
+            raise Built
+
+        n = math.comb(4 + degree - 1, degree)
+        assert cover._type_tensor_peak((4, 4, 4), degree) == (n + 1) * n * n
+        monkeypatch.setattr(cover, "_type_tensor", built)
+        monkeypatch.delenv("BETHE_COVER_LIMITS", raising=False)
+        with pytest.raises(Built):
+            cover.zbm_typeformula(fig3_psd(0), degree)
 
     def test_typeformula_degree_zero_refused(self):
         with pytest.raises(StructuralError, match="degree"):
