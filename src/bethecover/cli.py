@@ -86,14 +86,15 @@ def _spa_options(args):
     return {key: getattr(args, key) for key in _SPA.values()}
 
 
-def _spa_of(args, g):
+def _transform_of(args, g):
+    """The LCT of ``g`` at its SPA fixed point; exit 4 if none converged."""
     rep = spa_run(g, seed=args.seed, **_spa_options(args))
     if not rep.converged:
         raise NonConvergenceError(
             f"sum-product did not converge within {args.max_iter} "
             f"iterations over {args.restarts} restarts "
             f"(final residual {rep.residual:.3e})")
-    return rep
+    return lct_mod.transform(g, rep)
 
 
 def _write(path, text, mode="w"):
@@ -191,8 +192,7 @@ def cmd_spa(args):
 
 def cmd_lct(args):
     g = _graph_of(args)
-    rep = _spa_of(args, g)
-    lr = lct_mod.transform(g, rep)
+    lr = _transform_of(args, g)
     d = lr.diagnostics
     print(f"Z_B = {lr.zb_spa.real!r}")
     print(f"transformed all-zero value = {lr.g0.real!r} + {lr.g0.imag!r}j "
@@ -208,8 +208,7 @@ def cmd_lct(args):
 
 def cmd_loopseries(args):
     g = _graph_of(args)
-    rep = _spa_of(args, g)
-    lr = lct_mod.transform(g, rep)
+    lr = _transform_of(args, g)
     terms = lct_mod.loop_series(lr)
     total = sum(w for _, w in terms)
     print(f"{len(terms)} correction terms; sum = "
@@ -270,8 +269,7 @@ def cmd_zbm(args):
 
 def cmd_check_condition(args):
     g = _graph_of(args)
-    rep = _spa_of(args, g)
-    lr = lct_mod.transform(g, rep)
+    lr = _transform_of(args, g)
     c = lct_mod.check_condition(lr)
     print(f"Z* = {c.z_star!r}")
     print(f"absolute mass = {c.mass!r}")
@@ -288,8 +286,7 @@ def cmd_bounds(args):
     if args.mmax < 1:
         raise StructuralError(f"mmax must be positive, got {args.mmax}")
     g = _graph_of(args)
-    rep = _spa_of(args, g)
-    lr = lct_mod.transform(g, rep)
+    lr = _transform_of(args, g)
     c = lct_mod.check_condition(lr)
     ests = [exp_mod.zbm_estimate(g, m, samples=args.samples, seed=args.seed)
             for m in range(1, args.mmax + 1)]

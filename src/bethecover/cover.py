@@ -485,15 +485,21 @@ def _type_blocks(sizes, degree):
     return steps, largest
 
 
+def _type_level(sizes, degree):
+    """Entries of the last level :func:`_type_tensor` builds for a node
+    with leg sizes ``sizes`` (its first leg's zero slot included; 1 for no
+    legs): a lower bound of :func:`_type_tensor_peak`, counted in O(d)."""
+    here = [math.comb(s + degree - 1, degree) for s in sizes] or [0]
+    return (here[0] + 1) * math.prod(here[1:])
+
+
 def _type_tensor_peak(sizes, degree):
     """Entries of the largest array :func:`_type_tensor` allocates for a
-    node with leg sizes ``sizes``: the last level with its first leg's
-    zero slot, or one of the three block buffers, whichever is larger."""
+    node with leg sizes ``sizes``: the last level (:func:`_type_level`)
+    or one of the three block buffers, whichever is larger."""
     if not sizes:
         return 1
-    here = [math.comb(s + degree - 1, degree) for s in sizes]
-    return max((here[0] + 1) * math.prod(here[1:]),
-               _type_blocks(sizes, degree)[1])
+    return max(_type_level(sizes, degree), _type_blocks(sizes, degree)[1])
 
 
 def _type_tensor(t, legs, degree):
@@ -585,6 +591,12 @@ def zbm_typeformula(g, degree):
     if degree < 1:
         raise StructuralError("cover degree must be positive")
     M = degree
+    # a last level of 2**63 entries or more is refused at once: the peak's
+    # check reports the same bound, 2**63, after a walk over every level
+    for name, t in zip(g.node_names, g.tensors):
+        if _type_level(t.shape, M) >= 2**63:
+            config.check_capacity("contract", 2**63,
+                                  f"type tensor of node {name!r}")
     for name, t in zip(g.node_names, g.tensors):
         config.check_capacity("contract", _type_tensor_peak(t.shape, M),
                               f"type tensor of node {name!r}")

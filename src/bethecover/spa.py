@@ -96,7 +96,6 @@ def uniform_messages(g):
     return _filled(g, lambda key, n: 1.0 / n)
 
 
-_SPARE = 4        # attempts drawn past a run's length, against refusals
 _ATTEMPTS = 64    # refused attempts in a row before a draw gives up
 
 
@@ -114,8 +113,6 @@ def _draw(g, plan, keys, rngs):
     one-at-a-time draws leave it.
     """
     out = np.zeros((len(rngs), len(keys), plan.width), dtype=np.complex128)
-    if not rngs:
-        return out
     stop = 0
     for n, run in itertools.groupby(g.edges[i].alphabet for i, _k in keys):
         start, stop = stop, stop + len(list(run))
@@ -134,48 +131,38 @@ def _psd_draws(rngs, count, n):
 
     An attempt takes ``2 n^2`` doubles of its rng (a uniform draw is
     ``low + (high - low) * rng.random()``), and whether it is refused
-    depends on those doubles alone.  So each rng's stream is cut into
-    attempts, drawn ``count + _SPARE`` at a time and projected in one
-    stack, and its message j is its j-th accepted attempt.  The rngs that
-    fall short draw more; at the end each rng is reset and advanced by
-    exactly the attempts its messages used.
+    depends on those doubles alone.  So each round draws, from every rng
+    still short, as many attempts as it lacks messages, projects the
+    attempts of all of them in one stack and appends each rng's accepted
+    ones: no rng draws past its last message.  The first round is the
+    largest, so the draw buffer is checked against the cap once, before it.
     """
     size = 2 * n * n
-    states = [rng.bit_generator.state for rng in rngs]
-    flat = np.empty((len(rngs), 0, n * n), dtype=np.complex128)
-    ok = np.empty((len(rngs), 0), dtype=bool)
-    short, more = np.arange(len(rngs)), count + _SPARE
-    while short.size:
-        config.check_capacity("contract", short.size * more * size,
-                              "SPA start draws")
-        attempts = np.empty((short.size, more, size))
-        for row, b in zip(attempts, short):
-            rngs[b].random(out=row)
-        # the rngs that are not short get refused padding, which lies
-        # past their last message
-        grown = np.zeros((len(rngs), more), dtype=bool)
-        grown_flat = np.zeros((len(rngs), more, n * n), dtype=np.complex128)
-        projected, accepts = _psd_project(attempts.reshape(-1, size), n)
-        grown_flat[short] = projected.reshape(short.size, more, n * n)
-        grown[short] = accepts.reshape(short.size, more)
-        flat = np.concatenate((flat, grown_flat), axis=1)
-        ok = np.concatenate((ok, grown), axis=1)
-        # an attempt is made when fewer than ``count`` accepted ones came
-        # before it
-        accepted = np.cumsum(ok, axis=1)
-        made = accepted - ok < count
-        pos = np.arange(ok.shape[1])
-        refused_run = pos - np.maximum.accumulate(np.where(ok, pos, -1),
-                                                  axis=1)
-        if (made & (refused_run >= _ATTEMPTS)).any():
-            raise RuntimeError("could not draw a normalizable random message")
-        short = np.flatnonzero(accepted[:, -1] < count)
-        more = count - accepted[short, -1].min(initial=count) + _SPARE
-    used = np.argmax(accepted >= count, axis=1) + 1
-    for rng, state, k in zip(rngs, states, used):
-        rng.bit_generator.state = state
-        rng.random(k * size)
-    return flat[ok & made].reshape(len(rngs), count, n * n)
+    config.check_capacity("contract", len(rngs) * count * size,
+                          "SPA start draws")
+    out = np.empty((len(rngs), count, n * n), dtype=np.complex128)
+    have = [0] * len(rngs)
+    refused = [0] * len(rngs)   # each rng's refusals in a row
+    short = list(range(len(rngs)))
+    while short:
+        lack = [count - have[b] for b in short]
+        flat, ok = _psd_project(np.concatenate(
+            [rngs[b].random((k, size)) for b, k in zip(short, lack)]), n)
+        owner = np.repeat(short, lack)
+        slots = []
+        for b, accepted in zip(owner.tolist(), ok.tolist()):
+            if accepted:
+                slots.append(have[b])
+                have[b] += 1
+                refused[b] = 0
+            else:
+                refused[b] += 1
+                if refused[b] == _ATTEMPTS:
+                    raise RuntimeError(
+                        "could not draw a normalizable random message")
+        out[owner[ok], slots] = flat[ok]
+        short = [b for b in short if have[b] < count]
+    return out
 
 
 def _psd_project(attempts, n):

@@ -148,7 +148,7 @@ def test_spa_restart_batch_refused_before_any_draw_or_sweep(monkeypatch):
 def test_spa_start_draws_refused_before_any_draw_or_sweep(monkeypatch):
     # 9 random starts of 10 double-edge messages at alphabet 2 pass the
     # restart batch (400 entries) but not their draw buffer: 2 * 2**2
-    # doubles for each of the 10 + _SPARE attempts of each start
+    # doubles for each of the 10 messages of each start
     def refuse(*args):
         raise AssertionError("a sweep ran")
 
@@ -157,10 +157,10 @@ def test_spa_start_draws_refused_before_any_draw_or_sweep(monkeypatch):
     rngs = [np.random.default_rng([0, r]) for r in range(1, 10)]
     states = [rng.bit_generator.state for rng in rngs]
     monkeypatch.setattr(spa, "_sweep", refuse)
-    monkeypatch.setenv("BETHE_COVER_LIMITS", "contract=1000")
+    monkeypatch.setenv("BETHE_COVER_LIMITS", "contract=500")
     with pytest.raises(CapacityError, match="SPA start draws") as info:
         spa._draw(g, plan, plan.keys, rngs)
-    assert info.value.requested == 9 * (10 + spa._SPARE) * 8 > 1000
+    assert info.value.requested == 9 * 10 * 8 > 500
     assert [rng.bit_generator.state for rng in rngs] == states
     with pytest.raises(CapacityError, match="SPA start draws"):
         spa.spa_run(g, restarts=10)
@@ -195,12 +195,24 @@ def test_cover_count_exact_below_two_to_the_63(monkeypatch):
     assert info.value.requested == 120 ** 2
 
 
+def test_huge_type_formula_refused_before_any_block_plan(monkeypatch):
+    # every node's last level is checked before any node's block plan
+    # walks the levels, which takes seconds at M = 300000
+    def refuse(*args):
+        raise AssertionError("a block plan was walked")
+
+    monkeypatch.setattr(cover, "_type_blocks", refuse)
+    with pytest.raises(CapacityError, match="at least 2\\*\\*63"):
+        cover.zbm_typeformula(fig3_psd(0), 300000)
+
+
 @pytest.mark.parametrize("argv", [
     ["exact", "--alphabet", "40"],
     ["zbm", "--m", "2", "--method", "montecarlo",
      "--samples", "1000000000000"],
     ["zbm", "--m", "1000", "--method", "exhaustive"],
     ["zbm", "--m", "300000", "--method", "exhaustive"],
+    ["zbm", "--m", "1000000", "--method", "typeformula"],
     ["spa", "--restarts", "1000000000"],
 ])
 def test_cli_capacity_exit(argv, capsys):

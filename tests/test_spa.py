@@ -134,23 +134,18 @@ def oracle_graphs():
 class _Stream:
     """A stand-in for ``np.random.Generator`` that hands out a fixed list
     of doubles in order, as ``random`` and ``uniform`` do one per entry;
-    its ``bit_generator.state`` is the position in the list."""
+    ``state`` is the position in the list."""
 
     def __init__(self, doubles):
         self.doubles = np.asarray(doubles, dtype=np.float64)
-        self.bit_generator = self
         self.state = 0
 
-    def random(self, size=None, out=None):
-        shape = out.shape if out is not None else size
-        count = int(np.prod(shape))
+    def random(self, size=None):
+        count = int(np.prod(size))
         doubles = self.doubles[self.state:self.state + count]
         assert doubles.size == count, "the stream ran out"
         self.state += count
-        if out is None:
-            return doubles.reshape(shape)
-        out[...] = doubles.reshape(shape)
-        return out
+        return doubles.reshape(size)
 
     def uniform(self, low=0.0, high=1.0, size=None):
         return low + (high - low) * self.random(size)
@@ -212,10 +207,12 @@ class TestStartDraws:
         assert refused
 
     def test_a_start_that_falls_short_draws_more(self, monkeypatch):
-        # with no spare attempts, every start with a refusal comes up
-        # short after the first round and draws again
+        # the first round draws one attempt per message; every start with
+        # a refusal comes up short and draws its deficit again.  All
+        # rounds draw the messages plus the oracle's refusals; as every
+        # rng ends where its oracle does, without a rewind, each one
+        # draws its own messages plus its own refusals, none more
         refused = count_refusals(monkeypatch)
-        monkeypatch.setattr(spa, "_SPARE", 0)
         rounds = []
         project = spa._psd_project
 
@@ -226,6 +223,7 @@ class TestStartDraws:
         monkeypatch.setattr(spa, "_psd_project", counted)
         assert_draws_match_oracle(fig3_psd(1), 0, restarts=8)
         assert refused and len(rounds) > 1 and rounds[0] == 8 * 10
+        assert sum(rounds) == 8 * 10 + len(refused)
 
     @pytest.mark.parametrize("refusals, fails", [(63, False), (64, True)])
     def test_sixty_four_refusals_in_a_row_give_up(self, refusals, fails):
