@@ -2,18 +2,23 @@
 mean of Z over the labeled M-covers (P. O. Vontobel, "Counting in Graph
 Covers", IEEE Trans. IT 59(9), 2013).
 
-:func:`cover_network` states the cover wiring once, as an integer-labeled
-network that the exhaustive and Monte-Carlo means contract without
-building a graph; :func:`build_cover` names it as a graph.  Relabeling a
-node's M copies keeps a cover's Z, so any edge's permutation can be taken
-to the identity and the edge contracted in the base graph.  Both means
-first reduce the graph this way (:func:`_absorb`): every leaf and every
-node of degree 2 between two distinct neighbours goes into a neighbour,
-and then each pair of nodes that two or more edges join contracts its
-lowest edge, the pair's other edges becoming loops, so a fig3 cover is M
-tensors, not 4M.  A copy on which a loop's permutation is fixed traces
-that loop, with an array built once per reduced graph.  The exhaustive
-mean fixes a spanning forest to the identity.
+:func:`_networks` states the cover wiring once, as integer-labeled
+networks that the exhaustive and Monte-Carlo means contract without
+building a graph.  It wires a call's covers in blocks: one integer array
+of permutations per block (:func:`_blocks`), whose inverses give every
+label of every copy in a few array operations; :func:`cover_network` is
+its one-row use and :func:`build_cover` names that network as a graph.
+Relabeling a node's M copies keeps a cover's Z, so any edge's permutation
+can be taken to the identity and the edge contracted in the base graph.
+Both means first reduce the graph this way (:func:`_absorb`): every leaf
+and every node of degree 2 between two distinct neighbours goes into a
+neighbour, and then each pair of nodes that two or more edges join
+contracts its lowest edge, the pair's other edges becoming loops, so a
+fig3 cover is M tensors, not 4M.  A block of drawn covers is lifted to
+the reduced graph at once (:func:`_lift_block`).  A copy on which a
+loop's permutation is fixed traces that loop, with an array built once
+per reduced graph.  The exhaustive mean fixes a spanning forest to the
+identity.
 The third estimator contracts the average-cover network, whose edges
 carry the symmetric-subspace projector, in the type basis: one tensor per
 node over the types of length-M socket vectors, one weight
@@ -37,7 +42,8 @@ from .tensor import ComplexTensor
 
 _IMAG_TOL = 1e-9      # relative imaginary part allowed in a cover mean
 _BOUND_SLACK = 1e-6   # margin a sandwich bound may miss by and still hold
-_BLOCK = 2**14        # entries a type-tensor block's buffers are held to
+_BLOCK = 2**14        # entries a type-tensor block's buffers, or a stack
+                      # of covers, are held to
 
 
 # ------------------------------------------------------------------ #
@@ -66,62 +72,125 @@ def identity_cover(g, degree):
 
 
 def random_cover(g, degree, rng):
-    return CoverSpec(degree, tuple(tuple(rng.permutation(degree).tolist())
-                                   for _ in g.edges))
+    """A uniformly drawn cover: one ``rng.permuted`` call over a row of
+    ``range(degree)`` per edge draws what |E| sequential
+    ``rng.permutation(degree)`` calls draw, and leaves ``rng`` where they
+    leave it."""
+    draw = rng.permuted(np.tile(np.arange(degree), (g.n_edges, 1)), axis=1)
+    return CoverSpec(degree, tuple(map(tuple, draw.tolist())))
 
 
-_TRACED = weakref.WeakKeyDictionary()   # graph -> {(node, fixed): array}
+# graph -> {(node, code): (axes kept, traced array)}, see _networks
+_TRACED = weakref.WeakKeyDictionary()
 
 
 def cover_network(g, spec):
-    """The degree-M cover of ``g`` as a closed network, one
-    :class:`ComplexTensor` per cover node ``(f_k, m)`` in the order
-    ``k*M + m``, with f_k's legs and f_k's read-only array itself: the one
-    statement of the wiring.  Copy m of the i-th base edge e (a double
-    edge moves as a unit) is the label ``i*M + m`` at ``(head, m)`` and
-    ``(tail, sigma_i(m))``.  For a graph that :func:`make_graph` builds,
-    no check of it can fail on the cover: names are distinct; head !=
-    tail, so no self-loop; sigma_i is a permutation, so each label is on
-    exactly two legs; shapes and alphabets are the base graph's.
+    """The degree-M cover of ``g`` as a closed network: :func:`_networks`
+    on the one row that ``spec`` gives."""
+    if len(spec.sigma) != g.n_edges:
+        raise StructuralError(f"cover spec has {len(spec.sigma)} "
+                              f"permutations for {g.n_edges} edges")
+    sigma = np.array(spec.sigma, dtype=np.intp).reshape(
+        1, g.n_edges, spec.degree)
+    return next(_networks(g, spec.degree, [sigma]))
+
+
+def _blocks(rows, shape, h):
+    """``rows`` of permutations, each of ``shape`` ``(edges, M)`` (an
+    array or nested sequences), stacked in order into integer blocks.  A
+    block holds as many rows as keep it, and the labels that
+    :func:`_networks` gives it on the legs of ``h``, within ``_BLOCK``
+    entries, or one row when a row alone is larger."""
+    n_edges, M = shape
+    rows, size = iter(rows), max(1, _BLOCK // (
+        M * max(1, n_edges, 2 * h.n_edges)))
+    while chunk := list(itertools.islice(rows, size)):
+        yield np.array(chunk, dtype=np.intp).reshape((len(chunk),) + shape)
+
+
+def _networks(g, degree, blocks):
+    """The degree-M cover of ``g`` of each row of ``blocks``, in order, as
+    a closed network, one :class:`ComplexTensor` per cover node ``(f_k,
+    m)`` in the order ``k*M + m``, with f_k's legs and f_k's read-only
+    array itself: the one statement of the wiring.  A block is an ``(S,
+    |E|, M)`` integer array whose row ``sigma`` holds ``sigma_i`` for the
+    i-th edge e of ``g`` (a double edge moves as a unit); copy m of e is the
+    label ``i*M + m`` at ``(head, m)`` and ``(tail, sigma_i(m))``, so the
+    tail legs of a block read the inverse permutations.  For a graph that
+    :func:`make_graph` builds, no check of it can fail on the cover: names
+    are distinct; head != tail, so no self-loop; sigma_i is a permutation,
+    so each label is on exactly two legs; shapes and alphabets are the
+    base graph's.
 
     A reduced graph of :func:`_absorb` may hold loops: at node k, a loop's
     first leg is its head.  A copy m with ``sigma_i(m) == m`` holds its
     label on both legs, so that axis pair is traced out of the array,
-    which is built once per graph, node and set of traced loops.
+    which is built once per graph, node and set of traced loops: a copy's
+    code, bit j for its node's j-th loop, names that set.
     """
-    if len(spec.sigma) != g.n_edges:
-        raise StructuralError(f"cover spec has {len(spec.sigma)} "
-                              f"permutations for {g.n_edges} edges")
-    M = spec.degree
-    legs = [[None] * len(inc) for inc in g.incidences for _ in range(M)]
-    loops = [[] for _ in g.incidences]   # per node: (head axis, tail axis, i)
+    M, E = degree, g.n_edges
+    # per leg of g, node by node in axis order: its edge, and whether it
+    # holds its label's tail end; copy c's labels follow copy c - 1's, so
+    # cover node (f_k, c) reads its run of copy c's legs
+    legs = [i for inc in g.incidences for i in inc]
+    tail, loops = [], {}    # loops: node -> [(head axis, tail axis, i)]
     for k, inc in enumerate(g.incidences):
         for a, i in enumerate(inc):
             x = inc.index(i)
             if x != a:
-                loops[k].append((x, a, i))
-            held = range(M) if x == a and g.edges[i].head == k \
-                else spec.sigma[i]
-            for lab, c in enumerate(held, i * M):
-                legs[k * M + c][a] = lab    # lab = i*M + m, on (f_k, c)
-    network = [ComplexTensor(labels, g.tensors[n // M])
-               for n, labels in enumerate(legs)]
-    traced = _TRACED.setdefault(g, {}) if any(loops) else None
-    for k, ends in enumerate(loops):
-        for c in range(M if ends else 0):
-            fixed = tuple((x, y) for x, y, i in ends if spec.sigma[i][c] == c)
-            if fixed:
-                sub = list(range(len(g.incidences[k])))
-                for x, y in fixed:
+                loops.setdefault(k, []).append((x, a, i))
+            tail.append(x != a or g.edges[i].head != k)
+    runs = list(itertools.accumulate(map(len, g.incidences), initial=0))
+    spans = [(c * len(legs) + lo, c * len(legs) + hi, t)
+             for lo, hi, t in zip(runs, runs[1:], g.tensors)
+             for c in range(M)]
+    copies = np.arange(M)
+    if M > 1:
+        tail = np.array(tail, dtype=bool)
+        base = np.array(legs, dtype=np.intp) * M
+        own = base + copies[:, None]        # (M, legs): i*M + c
+    if loops:
+        traced = _TRACED.setdefault(g, {})
+        # a copy's code has bit j set when it traces its node's j-th loop
+        weights = np.zeros((len(loops), E), dtype=np.intp)
+        for r, ends in enumerate(loops.values()):
+            for j, (_, _, i) in enumerate(ends):
+                weights[r, i] = 1 << j
+
+    def variant(k, code):
+        """The axes kept at node k's copies of ``code`` and their array."""
+        if (k, code) not in traced:
+            sub = list(range(len(g.incidences[k])))
+            for j, (x, y, _) in enumerate(loops[k]):
+                if code >> j & 1:
                     sub[y] = x
-                keep = [ax for ax in sub if sub.count(ax) == 1]
-                if (k, fixed) not in traced:
-                    # an entry that overflows is refused by the contraction
-                    with np.errstate(over="ignore", invalid="ignore"):
-                        traced[k, fixed] = np.einsum(g.tensors[k], sub, keep)
-                network[k * M + c] = ComplexTensor(
-                    [legs[k * M + c][ax] for ax in keep], traced[k, fixed])
-    return network
+            keep = [ax for ax in sub if sub.count(ax) == 1]
+            # an entry that overflows is refused by the contraction
+            with np.errstate(over="ignore", invalid="ignore"):
+                traced[k, code] = keep, np.einsum(g.tensors[k], sub, keep)
+        return traced[k, code]
+
+    for sigma in blocks:
+        # the tail leg of edge i at copy c holds i*M + sigma_i^-1(c): at
+        # M = 1, i itself
+        labels = [legs] * len(sigma)
+        if M > 1:
+            inverse = np.argsort(sigma, axis=-1).reshape(len(sigma), E * M)
+            labels = np.where(tail, inverse[:, own] + base, own).reshape(
+                len(sigma), -1).tolist()
+        codes = [()] * len(sigma)
+        if loops:
+            codes = np.matmul(weights, sigma == copies).tolist()
+        for flat, node_codes in zip(labels, codes):
+            network = [ComplexTensor(flat[lo:hi], t) for lo, hi, t in spans]
+            for k, copy_codes in zip(loops, node_codes):
+                for c, code in enumerate(copy_codes):
+                    if code:
+                        keep, array = variant(k, code)
+                        held = network[k * M + c].labels
+                        network[k * M + c] = ComplexTensor(
+                            [held[ax] for ax in keep], array)
+            yield network
 
 
 def _absorb(g, degree):
@@ -167,12 +236,19 @@ def _absorb(g, degree):
         return ends[i][0], flip(chains[i])
 
     def contract(joined, v, a):
-        """Contract the edges ``joined`` between v and a into a."""
+        """Contract the edges ``joined`` between v and a into a, by the
+        transposes and the one ``np.dot`` that ``np.tensordot`` runs."""
         step = walk(joined[0], a)[1]
-        tensors[a] = np.tensordot(
-            tensors[a], tensors[v],
-            ([inc[a].index(i) for i in joined],
-             [inc[v].index(i) for i in joined]))
+        x, y = tensors[a], tensors[v]
+        pair_x = [inc[a].index(i) for i in joined]
+        pair_y = [inc[v].index(i) for i in joined]
+        free_x = [ax for ax in range(x.ndim) if ax not in pair_x]
+        free_y = [ax for ax in range(y.ndim) if ax not in pair_y]
+        n = math.prod(x.shape[ax] for ax in pair_x)
+        shape = [x.shape[ax] for ax in free_x] + [y.shape[ax] for ax in free_y]
+        tensors[a] = np.dot(x.transpose(free_x + pair_x).reshape(-1, n),
+                            y.transpose(pair_y + free_y).reshape(n, -1)
+                            ).reshape(shape)
         for j in inc[v]:
             if j not in joined:
                 b, rest = walk(j, v)
@@ -234,19 +310,27 @@ def _absorb(g, degree):
 
 def _lift(chains, spec):
     """The cover of :func:`_absorb`'s reduced graph that a cover ``spec``
-    of the base graph becomes: each chain's permutations composed from
-    the reduced edge's head, a step that runs tail to head inverted."""
-    M = spec.degree
-    sigma = []
-    for chain in chains:
-        perm = range(M)
-        for i, forward in chain:
-            step = spec.sigma[i]
-            if not forward:     # a permutation's argsort is its inverse
-                step = sorted(range(M), key=step.__getitem__)
-            perm = [step[c] for c in perm]
-        sigma.append(tuple(perm))
-    return CoverSpec(M, tuple(sigma))
+    of the base graph becomes: the one row of :func:`_lift_block`."""
+    sigma = np.array(spec.sigma, dtype=np.intp).reshape(
+        1, len(spec.sigma), spec.degree)
+    return CoverSpec(spec.degree,
+                     tuple(map(tuple, _lift_block(chains, sigma)[0].tolist())))
+
+
+def _lift_block(chains, sigma):
+    """Each row of an ``(S, |E|, M)`` block of base covers lifted to the
+    reduced graph: each chain's permutations composed from the reduced
+    edge's head, a step that runs tail to head inverted."""
+    # a permutation's argsort is its inverse
+    steps = sigma, np.argsort(sigma, axis=-1)
+    lifted = np.empty((len(sigma), len(chains), sigma.shape[2]),
+                      dtype=np.intp)
+    for e, ((i, forward), *rest) in enumerate(chains):
+        perm = steps[not forward][:, i]
+        for i, forward in rest:
+            perm = np.take_along_axis(steps[not forward][:, i], perm, axis=-1)
+        lifted[:, e] = perm
+    return lifted
 
 
 def build_cover(g, spec):
@@ -371,18 +455,22 @@ def zbm_exhaustive(g, degree):
         n_covers = math.factorial(degree) ** sum(free)
     config.check_capacity("covers", n_covers, "gauge-fixed covers")
     identity = tuple(range(degree))
+    rows = itertools.product(*(
+        itertools.permutations(identity) if f else (identity,)
+        for f in free))
     total = 0.0 + 0.0j
-    for sigma in itertools.product(*(
-            itertools.permutations(identity) if f else (identity,)
-            for f in free)):
-        total += contract_network(cover_network(h, CoverSpec(degree, sigma)))
+    for network in _networks(h, degree,
+                             _blocks(rows, (h.n_edges, degree), h)):
+        total += contract_network(network)
     return _finish("exhaustive", degree, total / n_covers,
                    covers=math.factorial(degree) ** g.n_edges)
 
 
 def zbm_montecarlo(g, degree, samples, seed=0):
     """Unbiased sample mean over uniformly drawn covers; deterministic
-    for a given seed (one independent permutation per edge per sample).
+    for a given seed (one independent permutation per edge per sample,
+    sample s drawn from ``default_rng([seed, s])`` as :func:`random_cover`
+    draws).
 
     Each drawn cover of ``g`` is contracted as its :func:`_lift` to
     :func:`_absorb`'s graph, which has the same Z with the absorbed nodes
@@ -390,11 +478,17 @@ def zbm_montecarlo(g, degree, samples, seed=0):
     if samples < 1:
         raise StructuralError(f"samples must be positive, got {samples}")
     config.check_capacity("contract", samples, "Monte-Carlo value buffer")
+    if degree < 1:
+        raise StructuralError("cover degree must be positive")
     values = np.empty(samples, dtype=np.complex128)
     h, chains = _absorb(g, degree)
-    for s in range(samples):
-        spec = random_cover(g, degree, np.random.default_rng([seed, s]))
-        values[s] = contract_network(cover_network(h, _lift(chains, spec)))
+    identity = np.tile(np.arange(degree), (g.n_edges, 1))
+    draws = (np.random.default_rng([seed, s]).permuted(identity, axis=1)
+             for s in range(samples))
+    blocks = _blocks(draws, identity.shape, h)
+    for s, network in enumerate(_networks(
+            h, degree, (_lift_block(chains, b) for b in blocks))):
+        values[s] = contract_network(network)
     # a sum that overflows is refused by _finish
     with np.errstate(over="ignore", invalid="ignore"):
         mean = values.sum() / samples
@@ -460,29 +554,55 @@ def _leg_tables(tables):
     return legs
 
 
+def _type_block(sizes, j):
+    """How :func:`_type_tensor` blocks level ``j`` >= 2 of a node with leg
+    sizes ``sizes``: the first leg's types one block builds (its zero slot
+    among them), and the entries per type of the largest array a block
+    needs.  Each array of a block is linear in its type count, so
+    ``_BLOCK`` bounds a block unless one type alone is over it."""
+    below = [math.comb(s + j - 2, j - 1) for s in sizes]
+    here = [math.comb(s + j - 1, j) for s in sizes]
+    cols = math.prod(below[1:])
+    per_type = [sizes[0] * cols]   # the first leg's gather
+    cols *= math.prod(sizes[1:])   # after the product with the node
+    for a in range(1, len(sizes)):
+        cols //= below[a] * sizes[a]
+        # leg a's rows with their zero row, then its sum and one gather
+        per_type += [(below[a] * sizes[a] + 1) * cols, here[a] * cols]
+        cols *= here[a]
+    per_type = max(per_type)
+    return max(1, min(here[0] + 1, _BLOCK // per_type)), per_type
+
+
 def _type_blocks(sizes, degree):
-    """How :func:`_type_tensor` blocks each level of a node with leg sizes
-    ``sizes``: per level 2..``degree``, the first leg's types one block
-    builds (its zero slot among them), and the entries of the largest
-    array a block needs.  Each array of a block is linear in its type
-    count, so ``_BLOCK`` bounds a block unless one type alone is over it.
-    """
+    """Per level 2..``degree``, the first leg's types one block of
+    :func:`_type_tensor` builds (:func:`_type_block`), and the entries of
+    the largest array a block needs."""
     steps, largest = [], 0
     for j in range(2, degree + 1):
-        below = [math.comb(s + j - 2, j - 1) for s in sizes]
-        here = [math.comb(s + j - 1, j) for s in sizes]
-        cols = math.prod(below[1:])
-        per_type = [sizes[0] * cols]   # the first leg's gather
-        cols *= math.prod(sizes[1:])   # after the product with the node
-        for a in range(1, len(sizes)):
-            cols //= below[a] * sizes[a]
-            # leg a's rows with their zero row, then its sum and one gather
-            per_type += [(below[a] * sizes[a] + 1) * cols, here[a] * cols]
-            cols *= here[a]
-        per_type = max(per_type)
-        steps.append(max(1, min(here[0] + 1, _BLOCK // per_type)))
-        largest = max(largest, steps[-1] * per_type)
+        step, per_type = _type_block(sizes, j)
+        steps.append(step)
+        largest = max(largest, step * per_type)
     return steps, largest
+
+
+def _type_block_peak(sizes, degree):
+    """The entries of the largest array of :func:`_type_blocks`, without
+    its walk over every level once the degree passes ``_BLOCK``.
+
+    A block holds one type when that type is over ``_BLOCK``, and at most
+    ``_BLOCK`` entries otherwise.  The counts of :func:`_type_block` are
+    products of binomials that grow with the level j, so the entries per
+    type grow with j: not at all when every leg after the first has one
+    symbol, and otherwise to at least j, the first leg's gather.  Past
+    ``_BLOCK`` levels, then, either every level's block holds as many
+    types as the last or fewer, or the last level's one type is over
+    ``_BLOCK`` and over every other level's: the last block is the
+    largest either way."""
+    if degree <= _BLOCK:
+        return _type_blocks(sizes, degree)[1]
+    step, per_type = _type_block(sizes, degree)
+    return step * per_type
 
 
 def _type_level(sizes, degree):
@@ -496,10 +616,11 @@ def _type_level(sizes, degree):
 def _type_tensor_peak(sizes, degree):
     """Entries of the largest array :func:`_type_tensor` allocates for a
     node with leg sizes ``sizes``: the last level (:func:`_type_level`)
-    or one of the three block buffers, whichever is larger."""
+    or one of the three block buffers (:func:`_type_block_peak`),
+    whichever is larger."""
     if not sizes:
         return 1
-    return max(_type_level(sizes, degree), _type_blocks(sizes, degree)[1])
+    return max(_type_level(sizes, degree), _type_block_peak(sizes, degree))
 
 
 def _type_tensor(t, legs, degree):
@@ -591,8 +712,8 @@ def zbm_typeformula(g, degree):
     if degree < 1:
         raise StructuralError("cover degree must be positive")
     M = degree
-    # a last level of 2**63 entries or more is refused at once: the peak's
-    # check reports the same bound, 2**63, after a walk over every level
+    # every node's last level is checked before any node's peak, so a
+    # level of 2**63 entries or more is refused with that lower bound first
     for name, t in zip(g.node_names, g.tensors):
         if _type_level(t.shape, M) >= 2**63:
             config.check_capacity("contract", 2**63,

@@ -10,11 +10,11 @@ import math
 
 import numpy as np
 
-from bethecover import nfg, spa
+from bethecover import cover, nfg, spa
 from bethecover._kernels import jacobi_eigh
 from bethecover.cover import CoverSpec, cover_network, type_of
 from bethecover.errors import StructuralError
-from bethecover.tensor import Merge, contract, paired_from_choi
+from bethecover.tensor import ComplexTensor, Merge, contract, paired_from_choi
 
 
 def _max_abs(arr):
@@ -324,6 +324,111 @@ def gauge_fixed_cover_mean(g, degree):
     return total / count
 
 
+def sequential_cover(g, degree, rng):
+    """A uniformly drawn cover, one ``rng.permutation(degree)`` call per
+    edge in edge order: the draws :func:`bethecover.cover.random_cover`
+    makes in one call."""
+    return CoverSpec(degree, tuple(tuple(rng.permutation(degree).tolist())
+                                   for _ in range(g.n_edges)))
+
+
+def spec_cover_network(g, spec):
+    """The cover network of one spec, wired leg by leg: the network each
+    row of :func:`bethecover.cover._networks` gives, with the traced
+    arrays taken from (and added to) the package's own cache, so both
+    routes hold the same array objects."""
+    if len(spec.sigma) != g.n_edges:
+        raise StructuralError(f"cover spec has {len(spec.sigma)} "
+                              f"permutations for {g.n_edges} edges")
+    M = spec.degree
+    legs = [[None] * len(inc) for inc in g.incidences for _ in range(M)]
+    loops = [[] for _ in g.incidences]   # per node: (head axis, tail axis, i)
+    for k, inc in enumerate(g.incidences):
+        for a, i in enumerate(inc):
+            x = inc.index(i)
+            if x != a:
+                loops[k].append((x, a, i))
+            held = range(M) if x == a and g.edges[i].head == k \
+                else spec.sigma[i]
+            for lab, c in enumerate(held, i * M):
+                legs[k * M + c][a] = lab    # lab = i*M + m, on (f_k, c)
+    network = [ComplexTensor(labels, g.tensors[n // M])
+               for n, labels in enumerate(legs)]
+    traced = cover._TRACED.setdefault(g, {}) if any(loops) else None
+    for k, ends in enumerate(loops):
+        for c in range(M if ends else 0):
+            fixed = [(j, x, y) for j, (x, y, i) in enumerate(ends)
+                     if spec.sigma[i][c] == c]
+            if fixed:
+                sub = list(range(len(g.incidences[k])))
+                for _, x, y in fixed:
+                    sub[y] = x
+                keep = [ax for ax in sub if sub.count(ax) == 1]
+                code = sum(1 << j for j, _, _ in fixed)
+                if (k, code) not in traced:
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        traced[k, code] = keep, np.einsum(g.tensors[k], sub,
+                                                          keep)
+                network[k * M + c] = ComplexTensor(
+                    [legs[k * M + c][ax] for ax in keep], traced[k, code][1])
+    return network
+
+
+def spec_lift(chains, spec):
+    """The reduced cover of one base cover, each chain's permutations
+    composed in a Python loop: the row :func:`bethecover.cover._lift_block`
+    gives."""
+    M = spec.degree
+    sigma = []
+    for chain in chains:
+        perm = range(M)
+        for i, forward in chain:
+            step = spec.sigma[i]
+            if not forward:     # a permutation's argsort is its inverse
+                step = sorted(range(M), key=step.__getitem__)
+            perm = [step[c] for c in perm]
+        sigma.append(tuple(perm))
+    return CoverSpec(M, tuple(sigma))
+
+
+def spec_exhaustive(g, degree):
+    """:func:`bethecover.cover.zbm_exhaustive` with each gauge-fixed cover
+    wired on its own by :func:`spec_cover_network`, summed in the same
+    order."""
+    h, _ = cover._absorb(g, degree)
+    free = [not joins for joins in forest_edges(h)]
+    identity = tuple(range(degree))
+    total = 0.0 + 0.0j
+    for sigma in itertools.product(*(
+            itertools.permutations(identity) if f else (identity,)
+            for f in free)):
+        total += nfg.contract_network(spec_cover_network(
+            h, CoverSpec(degree, sigma)))
+    return cover._finish("exhaustive", degree,
+                         total / math.factorial(degree) ** sum(free),
+                         covers=math.factorial(degree) ** g.n_edges)
+
+
+def spec_montecarlo(g, degree, samples, seed=0):
+    """:func:`bethecover.cover.zbm_montecarlo` with each drawn cover made
+    by :func:`sequential_cover`, lifted by :func:`spec_lift` and wired by
+    :func:`spec_cover_network`, one sample at a time."""
+    values = np.empty(samples, dtype=np.complex128)
+    h, chains = cover._absorb(g, degree)
+    for s in range(samples):
+        spec = sequential_cover(g, degree, np.random.default_rng([seed, s]))
+        values[s] = nfg.contract_network(spec_cover_network(
+            h, spec_lift(chains, spec)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = values.sum() / samples
+        if samples > 1:
+            stderr = float(np.std(values.real, ddof=1) / np.sqrt(samples))
+        else:
+            stderr = 0.0
+    return cover._finish("montecarlo", degree, mean, stderr=stderr,
+                         samples=samples)
+
+
 def loop_cover_z(t, sigma):
     """Z of the cover with permutation ``sigma`` of a graph with one node
     and one loop, whose local function is the transfer matrix ``t``: each
@@ -396,3 +501,28 @@ def type_tensor(t, tables, degree):
             x = np.moveaxis(acc, 0, -1)
         level = x
     return level[(slice(-1),) * d]
+
+
+def type_tensor_peak(sizes, degree):
+    """Entries of the largest array :func:`bethecover.cover._type_tensor`
+    allocates, by a walk over every level 2..``degree``: the last level
+    or the largest block buffer, whichever is larger (1 for no legs).
+    Reads ``cover._BLOCK`` when called."""
+    if not sizes:
+        return 1
+    largest = 0
+    for j in range(2, degree + 1):
+        below = [math.comb(s + j - 2, j - 1) for s in sizes]
+        here = [math.comb(s + j - 1, j) for s in sizes]
+        cols = math.prod(below[1:])
+        per_type = [sizes[0] * cols]
+        cols *= math.prod(sizes[1:])
+        for a in range(1, len(sizes)):
+            cols //= below[a] * sizes[a]
+            per_type += [(below[a] * sizes[a] + 1) * cols, here[a] * cols]
+            cols *= here[a]
+        per_type = max(per_type)
+        step = max(1, min(here[0] + 1, cover._BLOCK // per_type))
+        largest = max(largest, step * per_type)
+    here = [math.comb(s + degree - 1, degree) for s in sizes]
+    return max((here[0] + 1) * math.prod(here[1:]), largest)

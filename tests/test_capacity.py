@@ -2,6 +2,7 @@
 ``config.check_capacity`` before it allocates anything sized by the
 request, and only ``config`` reads a limit or builds a CapacityError."""
 
+import math
 import pathlib
 import re
 import time
@@ -206,6 +207,21 @@ def test_huge_type_formula_refused_before_any_block_plan(monkeypatch):
         cover.zbm_typeformula(fig3_psd(0), 300000)
 
 
+def test_one_leg_type_formula_refused_without_a_block_plan(monkeypatch):
+    # two leaves joined by one edge of 4 symbols: a one-leg node's blocks
+    # hold 4 entries per type at every level, so its peak, the last level
+    # of C(M + 3, 3) types and the zero slot, is read off the last level
+    def refuse(*args):
+        raise AssertionError("a block plan was walked")
+
+    monkeypatch.setattr(cover, "_type_blocks", refuse)
+    g = gen(GeneratorSpec(topology="tree", n=2))
+    with pytest.raises(CapacityError, match="type tensor of node 'f1'") \
+            as info:
+        cover.zbm_typeformula(g, 10**6)
+    assert info.value.requested == math.comb(10**6 + 3, 3) + 1
+
+
 @pytest.mark.parametrize("argv", [
     ["exact", "--alphabet", "40"],
     ["zbm", "--m", "2", "--method", "montecarlo",
@@ -213,6 +229,8 @@ def test_huge_type_formula_refused_before_any_block_plan(monkeypatch):
     ["zbm", "--m", "1000", "--method", "exhaustive"],
     ["zbm", "--m", "300000", "--method", "exhaustive"],
     ["zbm", "--m", "1000000", "--method", "typeformula"],
+    ["zbm", "--topology", "tree", "--nodes", "2", "--m", "1000000",
+     "--method", "typeformula"],
     ["spa", "--restarts", "1000000000"],
 ])
 def test_cli_capacity_exit(argv, capsys):

@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,9 +17,11 @@ from bethecover.tensor import ComplexTensor
 
 from conftest import build_fig3, fig3_near_identity, fig3_psd, \
     random_tree_de, two_cycle
-from oracles import as_double_edge, gauge_fixed_cover_mean, is_forest, \
-    labeled_cover_mean, loop_cover_z, predecessors, \
-    type_tensor as oracle_type_tensor, types as oracle_types
+from oracles import as_double_edge, forest_edges, gauge_fixed_cover_mean, \
+    is_forest, labeled_cover_mean, loop_cover_z, predecessors, \
+    sequential_cover, spec_cover_network, spec_exhaustive, spec_lift, \
+    spec_montecarlo, type_tensor as oracle_type_tensor, \
+    type_tensor_peak as oracle_type_tensor_peak, types as oracle_types
 
 
 class TestBuildCover:
@@ -265,6 +268,19 @@ class TestTypeTensor:
         steps, largest = cover._type_blocks((4, 4, 4), 3)
         assert steps == [11, cover._BLOCK // 1640] and steps[-1] < 21
         assert largest == steps[-1] * 1640
+
+    @pytest.mark.parametrize("block", [cover._BLOCK, 100, 7])
+    def test_peak_matches_the_walk_over_every_level(self, block,
+                                                    monkeypatch):
+        # legs of degree 0-4 up to M = 40, under the default block and two
+        # small ones that put a type over the block at a low level
+        monkeypatch.setattr(cover, "_BLOCK", block)
+        for d in range(5):
+            for sizes in itertools.product((1, 2, 4) if d == 4 else
+                                           (1, 2, 3, 4), repeat=d):
+                for degree in range(1, 41):
+                    assert cover._type_tensor_peak(sizes, degree) \
+                        == oracle_type_tensor_peak(sizes, degree)
 
     @pytest.mark.parametrize("sizes,degree", [((4, 4, 4), 3),
                                               ((4, 4, 4), 6),
@@ -829,6 +845,127 @@ class TestPairs:
             == gauge_fixed_cover_mean(g, 2).real
         assert cover.zbm_montecarlo(g, 3, 4).power_value \
             == sampled_cover_mean(g, 3, 4)
+
+
+STACKED_GRAPHS = {
+    "fig3": lambda: fig3_psd(0),
+    "fig-b": lambda: gen(GeneratorSpec(topology="fig-b", kind="double-edge",
+                                       ensemble="psd-random", seed=3)),
+    "forest": lambda: with_isolated_node(random_tree_de(4, 3)),
+    "two-cycle": lambda: two_cycle(np.random.default_rng(1).random((3, 3)),
+                                   np.random.default_rng(2).random((3, 3)),
+                                   alphabet=3),
+}
+
+
+def assert_same_networks(got, want):
+    """Each network of ``got`` holds the labels of ``want``'s, as lists of
+    Python ints in the same order, and the very same arrays."""
+    got = list(got)
+    assert len(got) == len(want)
+    for network, oracle in zip(got, want):
+        assert len(network) == len(oracle)
+        for t, u in zip(network, oracle):
+            assert type(t.labels) is list and t.labels == u.labels
+            assert all(type(lab) is int for lab in t.labels)
+            assert t.array is u.array
+
+
+def exhaustive_rows(h, degree, count):
+    """The first ``count`` gauge-fixed covers ``zbm_exhaustive`` visits on
+    the reduced graph ``h``, in its order."""
+    identity = tuple(range(degree))
+    return list(itertools.islice(itertools.product(*(
+        (identity,) if joins else itertools.permutations(identity)
+        for joins in forest_edges(h))), count))
+
+
+def check_stacked_rows(g, degree, samples=12, seed=3):
+    """The stacked exhaustive and Monte-Carlo rows of ``g`` at ``degree``
+    against one spec at a time, wired leg by leg."""
+    h, chains = cover._absorb(g, degree)
+    rows = exhaustive_rows(h, degree, 30)
+    assert_same_networks(
+        cover._networks(h, degree, cover._blocks(rows, (h.n_edges, degree),
+                                                 h)),
+        [spec_cover_network(h, cover.CoverSpec(degree, r)) for r in rows])
+    identity = np.tile(np.arange(degree), (g.n_edges, 1))
+    draws = [np.random.default_rng([seed, s]).permuted(identity, axis=1)
+             for s in range(samples)]
+    lifted = (cover._lift_block(chains, b)
+              for b in cover._blocks(draws, identity.shape, h))
+    assert_same_networks(cover._networks(h, degree, lifted), [
+        spec_cover_network(h, spec_lift(chains, sequential_cover(
+            g, degree, np.random.default_rng([seed, s]))))
+        for s in range(samples)])
+
+
+class TestStackedWiring:
+    """The cover means wire every cover of a call in stacked blocks; each
+    row is the network of its one spec wired on its own."""
+
+    @pytest.mark.parametrize("block", [cover._BLOCK, 40, 1])
+    @pytest.mark.parametrize("name", list(STACKED_GRAPHS))
+    def test_rows_match_the_spec_wiring(self, name, block, monkeypatch):
+        # a block of 1 entry holds one row; 40 holds a few at low degree
+        monkeypatch.setattr(cover, "_BLOCK", block)
+        g = STACKED_GRAPHS[name]()
+        for degree in range(1, 7):
+            check_stacked_rows(g, degree)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(g=multigraphs(), degree=st.sampled_from(range(1, 7)),
+           block=st.sampled_from([cover._BLOCK, 40, 1]))
+    def test_multigraph_rows_match_the_spec_wiring(self, g, degree, block):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cover, "_BLOCK", block)
+            check_stacked_rows(g, degree)
+
+    @pytest.mark.parametrize("name", list(STACKED_GRAPHS))
+    def test_means_equal_the_spec_wiring(self, name):
+        g = STACKED_GRAPHS[name]()
+        for degree in range(1, 7):
+            assert cover.zbm_montecarlo(g, degree, 5, seed=2) \
+                == spec_montecarlo(g, degree, 5, seed=2)
+        for degree in range(1, 4):
+            assert cover.zbm_exhaustive(g, degree) \
+                == spec_exhaustive(g, degree)
+
+    def test_one_row_routes_are_the_stacked_path(self, rng):
+        g = fig3_psd(0)
+        h, chains = cover._absorb(g, 4)
+        for _ in range(5):
+            spec = cover.random_cover(g, 4, rng)
+            lifted = cover._lift(chains, spec)
+            assert lifted == spec_lift(chains, spec)
+            assert_same_networks([cover.cover_network(h, lifted)],
+                                 [spec_cover_network(h, lifted)])
+
+    def test_blocks_hold_at_most_block_entries(self, monkeypatch):
+        # fig3 at M = 8: a drawn row is 5 x 8 permutation entries, and its
+        # cover 4 legs x 8 copies = 32 labels, so 409 rows fill a block
+        g = fig3_psd(0)
+        h, _ = cover._absorb(g, 8)
+        rows = [np.tile(np.arange(8), (5, 1))] * 1000
+        assert [len(b) for b in cover._blocks(rows, (5, 8), h)] \
+            == [409, 409, 182] and 409 * 40 <= cover._BLOCK
+        monkeypatch.setattr(cover, "_BLOCK", 39)
+        assert all(b.shape == (1, 5, 8)
+                   for b in cover._blocks(rows, (5, 8), h))
+
+    @pytest.mark.parametrize("degree", range(1, 13))
+    def test_random_cover_draws_the_sequential_permutations(self, degree):
+        # one permuted call over |E| rows draws what |E| permutation
+        # calls draw, and leaves the generator where they leave it
+        for n_edges in range(7):
+            g = SimpleNamespace(n_edges=n_edges)
+            for seed in range(4):
+                rng = np.random.default_rng(seed)
+                ref = np.random.default_rng(seed)
+                for _ in range(2):
+                    assert cover.random_cover(g, degree, rng) \
+                        == sequential_cover(g, degree, ref)
+                    assert rng.bit_generator.state == ref.bit_generator.state
 
 
 class TestReach:
