@@ -234,16 +234,16 @@ def cmd_loopseries(args):
 def cmd_cover(args):
     g = _graph_of(args)
     if args.identity_sigma:
-        spec = cover_mod.identity_cover(g, args.m)
+        sigma = cover_mod.identity_cover(g, args.m)
     else:
         rng = np.random.default_rng([args.seed, args.m])
-        spec = cover_mod.random_cover(g, args.m, rng)
-    z = nfg.contract_network(cover_mod.cover_network(g, spec))
+        sigma = cover_mod.random_cover(g, args.m, rng)
+    z = nfg.contract_network(cover_mod.cover_network(g, sigma))
     print(f"degree-{args.m} cover: {g.n_nodes * args.m} nodes, "
           f"{g.n_edges * args.m} edges")
     print(f"Z(cover) = {z.real!r} + {z.imag!r}j")
     if args.json:
-        _write(args.json, nfg.serialize(cover_mod.build_cover(g, spec)))
+        _write(args.json, nfg.serialize(cover_mod.build_cover(g, sigma)))
     return 0
 
 

@@ -50,25 +50,10 @@ _BLOCK = 2**14        # entries a type-tensor block's buffers, or a stack
 # covers                                                              #
 # ------------------------------------------------------------------ #
 
-@dataclass(frozen=True)
-class CoverSpec:
-    """Degree M plus a tuple of permutations of range(M), one per edge."""
-
-    degree: int
-    sigma: tuple
-
-    def __post_init__(self):
-        if self.degree < 1:
-            raise StructuralError("cover degree must be positive")
-        for i, perm in enumerate(self.sigma):
-            if sorted(perm) != list(range(self.degree)):
-                raise StructuralError(
-                    f"edge {i}: {perm!r} is not a permutation of "
-                    f"range({self.degree})")
-
-
 def identity_cover(g, degree):
-    return CoverSpec(degree, (tuple(range(degree)),) * g.n_edges)
+    """The cover of ``degree`` disjoint copies of ``g``: every edge's row
+    is ``range(degree)``."""
+    return np.tile(np.arange(degree), (g.n_edges, 1))
 
 
 def random_cover(g, degree, rng):
@@ -76,23 +61,33 @@ def random_cover(g, degree, rng):
     ``range(degree)`` per edge draws what |E| sequential
     ``rng.permutation(degree)`` calls draw, and leaves ``rng`` where they
     leave it."""
-    draw = rng.permuted(np.tile(np.arange(degree), (g.n_edges, 1)), axis=1)
-    return CoverSpec(degree, tuple(map(tuple, draw.tolist())))
+    return rng.permuted(identity_cover(g, degree), axis=1)
 
 
 # graph -> {(node, code): (axes kept, traced array)}, see _networks
 _TRACED = weakref.WeakKeyDictionary()
 
 
-def cover_network(g, spec):
+def cover_network(g, sigma):
     """The degree-M cover of ``g`` as a closed network: :func:`_networks`
-    on the one row that ``spec`` gives."""
-    if len(spec.sigma) != g.n_edges:
-        raise StructuralError(f"cover spec has {len(spec.sigma)} "
+    on the one cover ``sigma``, an ``(|E|, M)`` integer array whose row i
+    is the i-th edge's permutation of range(M), once it is checked to be
+    one."""
+    if sigma.ndim != 2:
+        raise StructuralError(f"a cover is an (edges, degree) array, not "
+                              f"one of shape {sigma.shape}")
+    n_edges, M = sigma.shape
+    if n_edges != g.n_edges:
+        raise StructuralError(f"cover spec has {n_edges} "
                               f"permutations for {g.n_edges} edges")
-    sigma = np.array(spec.sigma, dtype=np.intp).reshape(
-        1, g.n_edges, spec.degree)
-    return next(_networks(g, spec.degree, [sigma]))
+    if M < 1:
+        raise StructuralError("cover degree must be positive")
+    bad = np.flatnonzero((np.sort(sigma) != np.arange(M)).any(axis=1))
+    if bad.size:
+        raise StructuralError(
+            f"edge {bad[0]}: {tuple(sigma[bad[0]].tolist())!r} is not a "
+            f"permutation of range({M})")
+    return next(_networks(g, M, [sigma[None]]))
 
 
 def _blocks(rows, shape, h):
@@ -118,9 +113,10 @@ def _networks(g, degree, blocks):
     label ``i*M + m`` at ``(head, m)`` and ``(tail, sigma_i(m))``, so the
     tail legs of a block read the inverse permutations.  For a graph that
     :func:`make_graph` builds, no check of it can fail on the cover: names
-    are distinct; head != tail, so no self-loop; sigma_i is a permutation,
-    so each label is on exactly two legs; shapes and alphabets are the
-    base graph's.
+    are distinct; head != tail, so no self-loop; sigma_i is a permutation
+    (:func:`cover_network` checks a caller's cover, and the means make
+    their own), so each label is on exactly two legs; shapes and
+    alphabets are the base graph's.
 
     A reduced graph of :func:`_absorb` may hold loops: at node k, a loop's
     first leg is its head.  A copy m with ``sigma_i(m) == m`` holds its
@@ -145,10 +141,9 @@ def _networks(g, degree, blocks):
              for lo, hi, t in zip(runs, runs[1:], g.tensors)
              for c in range(M)]
     copies = np.arange(M)
-    if M > 1:
-        tail = np.array(tail, dtype=bool)
-        base = np.array(legs, dtype=np.intp) * M
-        own = base + copies[:, None]        # (M, legs): i*M + c
+    tail = np.array(tail, dtype=bool)
+    base = np.array(legs, dtype=np.intp) * M
+    own = base + copies[:, None]        # (M, legs): i*M + c
     if loops:
         traced = _TRACED.setdefault(g, {})
         # a copy's code has bit j set when it traces its node's j-th loop
@@ -171,13 +166,10 @@ def _networks(g, degree, blocks):
         return traced[k, code]
 
     for sigma in blocks:
-        # the tail leg of edge i at copy c holds i*M + sigma_i^-1(c): at
-        # M = 1, i itself
-        labels = [legs] * len(sigma)
-        if M > 1:
-            inverse = np.argsort(sigma, axis=-1).reshape(len(sigma), E * M)
-            labels = np.where(tail, inverse[:, own] + base, own).reshape(
-                len(sigma), -1).tolist()
+        # the tail leg of edge i at copy c holds i*M + sigma_i^-1(c)
+        inverse = np.argsort(sigma, axis=-1).reshape(len(sigma), E * M)
+        labels = np.where(tail, inverse[:, own] + base, own).reshape(
+            len(sigma), -1).tolist()
         codes = [()] * len(sigma)
         if loops:
             codes = np.matmul(weights, sigma == copies).tolist()
@@ -205,7 +197,7 @@ def _absorb(g, degree):
     copies takes i's permutation to the identity, so copy c of a meets
     one copy of v, and the two contract into one; composing the
     permutations along each chain gives the cover of the reduced graph
-    that :func:`_lift` names, with the same Z.  An edge that ends with
+    that :func:`_lift_block` gives, with the same Z.  An edge that ends with
     both ends at a is a loop: its head leg is a's own, and its chain runs
     a -> v -> a.
 
@@ -308,15 +300,6 @@ def _absorb(g, degree):
     return h, lifted
 
 
-def _lift(chains, spec):
-    """The cover of :func:`_absorb`'s reduced graph that a cover ``spec``
-    of the base graph becomes: the one row of :func:`_lift_block`."""
-    sigma = np.array(spec.sigma, dtype=np.intp).reshape(
-        1, len(spec.sigma), spec.degree)
-    return CoverSpec(spec.degree,
-                     tuple(map(tuple, _lift_block(chains, sigma)[0].tolist())))
-
-
 def _lift_block(chains, sigma):
     """Each row of an ``(S, |E|, M)`` block of base covers lifted to the
     reduced graph: each chain's permutations composed from the reduced
@@ -333,12 +316,12 @@ def _lift_block(chains, sigma):
     return lifted
 
 
-def build_cover(g, spec):
-    """:func:`cover_network` of a graph without loops as a graph: node
-    ``(f, m)`` is ``f.m``; label ``i*M + m`` is edge ``e.m`` between the
-    two nodes that hold it."""
-    network = cover_network(g, spec)
-    M = spec.degree
+def build_cover(g, sigma):
+    """:func:`cover_network` of a graph without loops as a graph, for the
+    cover ``sigma`` that it checks: node ``(f, m)`` is ``f.m``; label
+    ``i*M + m`` is edge ``e.m`` between the two nodes that hold it."""
+    network = cover_network(g, sigma)
+    M = sigma.shape[1]
     names = [f"{name}.{m}" for name in g.node_names for m in range(M)]
     labels = [f"{e.eid}.{m}" for e in g.edges for m in range(M)]
     nodes, tensors, ends = [], {}, [[] for _ in labels]
@@ -472,9 +455,10 @@ def zbm_montecarlo(g, degree, samples, seed=0):
     sample s drawn from ``default_rng([seed, s])`` as :func:`random_cover`
     draws).
 
-    Each drawn cover of ``g`` is contracted as its :func:`_lift` to
-    :func:`_absorb`'s graph, which has the same Z with the absorbed nodes
-    of every copy contracted into their neighbours."""
+    Each drawn cover of ``g`` is contracted as its row of
+    :func:`_lift_block` on :func:`_absorb`'s graph, which has the same Z
+    with the absorbed nodes of every copy contracted into their
+    neighbours."""
     if samples < 1:
         raise StructuralError(f"samples must be positive, got {samples}")
     config.check_capacity("contract", samples, "Monte-Carlo value buffer")
@@ -482,7 +466,7 @@ def zbm_montecarlo(g, degree, samples, seed=0):
         raise StructuralError("cover degree must be positive")
     values = np.empty(samples, dtype=np.complex128)
     h, chains = _absorb(g, degree)
-    identity = np.tile(np.arange(degree), (g.n_edges, 1))
+    identity = identity_cover(g, degree)
     draws = (np.random.default_rng([seed, s]).permuted(identity, axis=1)
              for s in range(samples))
     blocks = _blocks(draws, identity.shape, h)
@@ -705,19 +689,15 @@ def zbm_typeformula(g, degree):
     per node, with leg size ``C(s+M-1, M)`` instead of ``s**M``; each edge
     keeps the diagonal weight ``1/multinomial(type)``, folded into its
     head endpoint.  Before any type tensor is built, the capacity check
-    covers the largest array their construction allocates, then the
+    covers each node's :func:`_type_tensor_peak`, in node order, then the
     largest intermediate of the type-tensor network's contraction plan,
-    made from the leg sizes alone; the built network runs that plan.
+    made from the leg sizes alone; the built network runs that plan.  A
+    peak reads at most ``_BLOCK`` levels, so a huge degree is refused at
+    the first node at once.
     """
     if degree < 1:
         raise StructuralError("cover degree must be positive")
     M = degree
-    # every node's last level is checked before any node's peak, so a
-    # level of 2**63 entries or more is refused with that lower bound first
-    for name, t in zip(g.node_names, g.tensors):
-        if _type_level(t.shape, M) >= 2**63:
-            config.check_capacity("contract", 2**63,
-                                  f"type tensor of node {name!r}")
     for name, t in zip(g.node_names, g.tensors):
         config.check_capacity("contract", _type_tensor_peak(t.shape, M),
                               f"type tensor of node {name!r}")

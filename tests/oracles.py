@@ -12,7 +12,7 @@ import numpy as np
 
 from bethecover import cover, nfg, spa
 from bethecover._kernels import jacobi_eigh
-from bethecover.cover import CoverSpec, cover_network, type_of
+from bethecover.cover import cover_network, type_of
 from bethecover.errors import StructuralError
 from bethecover.tensor import ComplexTensor, Merge, contract, paired_from_choi
 
@@ -297,14 +297,26 @@ def induced_fixed_point_check(lr):
 # covers                                                              #
 # ------------------------------------------------------------------ #
 
+def cover_array(sigma, degree):
+    """A tuple of permutations of range(``degree``), one per edge, as the
+    ``(|E|, M)`` array that :func:`bethecover.cover.cover_network` takes."""
+    return np.array(sigma, dtype=np.intp).reshape(len(sigma), degree)
+
+
+def cover_rows(sigma):
+    """An ``(|E|, M)`` cover array as a tuple of permutation tuples, the
+    form the wiring and lift oracles read."""
+    return tuple(map(tuple, sigma.tolist()))
+
+
 def labeled_cover_mean(g, degree):
     """Mean of Z over every one of the ``(M!)**|E|`` labeled degree-M
     covers, each contracted: the exhaustive mean without the gauge."""
     total, count = 0.0 + 0.0j, 0
     for sigma in itertools.product(
             itertools.permutations(range(degree)), repeat=g.n_edges):
-        total += nfg.contract_network(cover_network(g, CoverSpec(degree,
-                                                                 sigma)))
+        total += nfg.contract_network(cover_network(
+            g, cover_array(sigma, degree)))
         count += 1
     return total / count
 
@@ -318,8 +330,8 @@ def gauge_fixed_cover_mean(g, degree):
     for sigma in itertools.product(*(
             (identity,) if joins else itertools.permutations(identity)
             for joins in forest_edges(g))):
-        total += nfg.contract_network(cover_network(g, CoverSpec(degree,
-                                                                 sigma)))
+        total += nfg.contract_network(cover_network(
+            g, cover_array(sigma, degree)))
         count += 1
     return total / count
 
@@ -327,20 +339,21 @@ def gauge_fixed_cover_mean(g, degree):
 def sequential_cover(g, degree, rng):
     """A uniformly drawn cover, one ``rng.permutation(degree)`` call per
     edge in edge order: the draws :func:`bethecover.cover.random_cover`
-    makes in one call."""
-    return CoverSpec(degree, tuple(tuple(rng.permutation(degree).tolist())
-                                   for _ in range(g.n_edges)))
+    makes in one call, as a tuple of permutation tuples."""
+    return tuple(tuple(rng.permutation(degree).tolist())
+                 for _ in range(g.n_edges))
 
 
-def spec_cover_network(g, spec):
-    """The cover network of one spec, wired leg by leg: the network each
-    row of :func:`bethecover.cover._networks` gives, with the traced
-    arrays taken from (and added to) the package's own cache, so both
-    routes hold the same array objects."""
-    if len(spec.sigma) != g.n_edges:
-        raise StructuralError(f"cover spec has {len(spec.sigma)} "
+def spec_cover_network(g, degree, sigma):
+    """The degree-``degree`` cover network of one tuple ``sigma`` of
+    permutations, one per edge, wired leg by leg: the network each row of
+    :func:`bethecover.cover._networks` gives, with the traced arrays taken
+    from (and added to) the package's own cache, so both routes hold the
+    same array objects."""
+    if len(sigma) != g.n_edges:
+        raise StructuralError(f"cover spec has {len(sigma)} "
                               f"permutations for {g.n_edges} edges")
-    M = spec.degree
+    M = degree
     legs = [[None] * len(inc) for inc in g.incidences for _ in range(M)]
     loops = [[] for _ in g.incidences]   # per node: (head axis, tail axis, i)
     for k, inc in enumerate(g.incidences):
@@ -349,7 +362,7 @@ def spec_cover_network(g, spec):
             if x != a:
                 loops[k].append((x, a, i))
             held = range(M) if x == a and g.edges[i].head == k \
-                else spec.sigma[i]
+                else sigma[i]
             for lab, c in enumerate(held, i * M):
                 legs[k * M + c][a] = lab    # lab = i*M + m, on (f_k, c)
     network = [ComplexTensor(labels, g.tensors[n // M])
@@ -358,7 +371,7 @@ def spec_cover_network(g, spec):
     for k, ends in enumerate(loops):
         for c in range(M if ends else 0):
             fixed = [(j, x, y) for j, (x, y, i) in enumerate(ends)
-                     if spec.sigma[i][c] == c]
+                     if sigma[i][c] == c]
             if fixed:
                 sub = list(range(len(g.incidences[k])))
                 for _, x, y in fixed:
@@ -374,21 +387,21 @@ def spec_cover_network(g, spec):
     return network
 
 
-def spec_lift(chains, spec):
-    """The reduced cover of one base cover, each chain's permutations
-    composed in a Python loop: the row :func:`bethecover.cover._lift_block`
-    gives."""
-    M = spec.degree
-    sigma = []
+def spec_lift(chains, degree, sigma):
+    """The reduced cover of one base cover ``sigma``, a tuple of
+    permutations of range(``degree``), each chain's permutations composed
+    in a Python loop: the row :func:`bethecover.cover._lift_block` gives,
+    as a tuple of permutation tuples."""
+    lifted = []
     for chain in chains:
-        perm = range(M)
+        perm = range(degree)
         for i, forward in chain:
-            step = spec.sigma[i]
+            step = sigma[i]
             if not forward:     # a permutation's argsort is its inverse
-                step = sorted(range(M), key=step.__getitem__)
+                step = sorted(range(degree), key=step.__getitem__)
             perm = [step[c] for c in perm]
-        sigma.append(tuple(perm))
-    return CoverSpec(M, tuple(sigma))
+        lifted.append(tuple(perm))
+    return tuple(lifted)
 
 
 def spec_exhaustive(g, degree):
@@ -402,8 +415,7 @@ def spec_exhaustive(g, degree):
     for sigma in itertools.product(*(
             itertools.permutations(identity) if f else (identity,)
             for f in free)):
-        total += nfg.contract_network(spec_cover_network(
-            h, CoverSpec(degree, sigma)))
+        total += nfg.contract_network(spec_cover_network(h, degree, sigma))
     return cover._finish("exhaustive", degree,
                          total / math.factorial(degree) ** sum(free),
                          covers=math.factorial(degree) ** g.n_edges)
@@ -416,9 +428,9 @@ def spec_montecarlo(g, degree, samples, seed=0):
     values = np.empty(samples, dtype=np.complex128)
     h, chains = cover._absorb(g, degree)
     for s in range(samples):
-        spec = sequential_cover(g, degree, np.random.default_rng([seed, s]))
+        sigma = sequential_cover(g, degree, np.random.default_rng([seed, s]))
         values[s] = nfg.contract_network(spec_cover_network(
-            h, spec_lift(chains, spec)))
+            h, degree, spec_lift(chains, degree, sigma)))
     with np.errstate(over="ignore", invalid="ignore"):
         mean = values.sum() / samples
         if samples > 1:

@@ -197,8 +197,8 @@ def test_cover_count_exact_below_two_to_the_63(monkeypatch):
 
 
 def test_huge_type_formula_refused_before_any_block_plan(monkeypatch):
-    # every node's last level is checked before any node's block plan
-    # walks the levels, which takes seconds at M = 300000
+    # past _BLOCK levels a node's peak is read off its last level's block,
+    # without the walk over every level, which takes seconds at M = 300000
     def refuse(*args):
         raise AssertionError("a block plan was walked")
 
@@ -232,6 +232,9 @@ def test_one_leg_type_formula_refused_without_a_block_plan(monkeypatch):
     ["zbm", "--topology", "tree", "--nodes", "2", "--m", "1000000",
      "--method", "typeformula"],
     ["spa", "--restarts", "1000000000"],
+    ["zbm", "--method", "typeformula", "--topology", "tree", "--nodes", "4",
+     "--m", "16000"],
+    ["zbm", "--method", "typeformula", "--topology", "fig-b", "--m", "16384"],
 ])
 def test_cli_capacity_exit(argv, capsys):
     start = time.perf_counter()

@@ -735,6 +735,15 @@ def test_bounds_json_matches_stdout(tmp_path, capsys):
         assert ent["ok"] == line.endswith("[ok]")
 
 
+@pytest.mark.parametrize("extra", [[], ["--identity-sigma"]])
+def test_cover_degree_zero_exits_2(graph_file, extra, capsys):
+    # cover_network refuses the (|E|, 0) cover either route draws
+    assert main(["cover", graph_file, "--m", "0", *extra]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: cover degree must be positive\n"
+
+
 def test_cover_identity_sigma(graph_file, tmp_path, capsys):
     # the identity permutations give M disjoint copies: Z(cover) = Z**M
     zpath, jpath = tmp_path / "z.json", tmp_path / "cover.nfg.json"

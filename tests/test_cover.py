@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+import re
 import tracemalloc
 from types import SimpleNamespace
 
@@ -17,8 +18,9 @@ from bethecover.tensor import ComplexTensor
 
 from conftest import build_fig3, fig3_near_identity, fig3_psd, \
     random_tree_de, two_cycle
-from oracles import as_double_edge, forest_edges, gauge_fixed_cover_mean, \
-    is_forest, labeled_cover_mean, loop_cover_z, predecessors, \
+from oracles import as_double_edge, cover_array, cover_rows, forest_edges, \
+    gauge_fixed_cover_mean, is_forest, labeled_cover_mean, loop_cover_z, \
+    predecessors, \
     sequential_cover, spec_cover_network, spec_exhaustive, spec_lift, \
     spec_montecarlo, type_tensor as oracle_type_tensor, \
     type_tensor_peak as oracle_type_tensor_peak, types as oracle_types
@@ -42,8 +44,8 @@ class TestBuildCover:
 
     def test_swapped_edge_connects_the_cover(self):
         g = fig3_psd(2)
-        spec = cover.CoverSpec(2, ((1, 0), (0, 1), (0, 1), (0, 1), (0, 1)))
-        cov = cover.build_cover(g, spec)
+        sigma = np.array([(1, 0), (0, 1), (0, 1), (0, 1), (0, 1)])
+        cov = cover.build_cover(g, sigma)
         assert cov.n_nodes == 8
         assert cov.n_edges == 10
         assert not is_forest(cov)
@@ -64,35 +66,66 @@ class TestBuildCover:
 
     def test_bad_permutation_rejected(self):
         g = build_fig3()
-        with pytest.raises(StructuralError):
-            cover.CoverSpec(2, ((0, 0),) * g.n_edges)
+        sigma = np.array([(1, 0), (0, 1), (0, 0), (0, 1), (1, 1)])
+        for route in (cover.build_cover, cover.cover_network):
+            with pytest.raises(StructuralError, match=re.escape(
+                    "edge 2: (0, 0) is not a permutation of range(2)")):
+                route(g, sigma)
 
     def test_spec_missing_an_edge_rejected(self):
         g = build_fig3()
-        spec = cover.CoverSpec(2, ((1, 0),) * 4)
+        sigma = np.array([(1, 0)] * 4)
         for route in (cover.build_cover, cover.cover_network):
             with pytest.raises(StructuralError,
                                match="4 permutations for 5 edges"):
-                route(g, spec)
+                route(g, sigma)
 
     def test_spec_with_an_extra_edge_rejected(self):
         g = build_fig3()
-        spec = cover.CoverSpec(2, ((1, 0),) * 6)
+        sigma = np.array([(1, 0)] * 6)
         for route in (cover.build_cover, cover.cover_network):
             with pytest.raises(StructuralError,
                                match="6 permutations for 5 edges"):
-                route(g, spec)
+                route(g, sigma)
+
+    @pytest.mark.parametrize("sigma", [np.arange(2), np.zeros((1, 5, 2),
+                                                              dtype=int)])
+    def test_array_not_two_dimensional_rejected(self, sigma):
+        g = build_fig3()
+        for route in (cover.build_cover, cover.cover_network):
+            with pytest.raises(StructuralError,
+                               match="a cover is an \\(edges, degree\\)"):
+                route(g, sigma)
+
+    def test_degree_zero_rejected(self):
+        g = build_fig3()
+        for route in (cover.build_cover, cover.cover_network):
+            with pytest.raises(StructuralError,
+                               match="cover degree must be positive"):
+                route(g, np.zeros((g.n_edges, 0), dtype=int))
+
+    @pytest.mark.parametrize("degree", [1, 2, 3])
+    def test_edgeless_cover_is_the_power_of_z(self, degree):
+        g = nfg.make_graph("standard", [("a", []), ("b", [])], [],
+                           {"a": np.array(2.0), "b": np.array(-1.5)})
+        sigma = cover.identity_cover(g, degree)
+        assert sigma.shape == (0, degree)
+        z = nfg.partition_contract(g)
+        assert nfg.contract_network(cover.cover_network(g, sigma)) \
+            == pytest.approx(z ** degree, rel=1e-15)
+        assert nfg.partition_contract(cover.build_cover(g, sigma)) \
+            == pytest.approx(z ** degree, rel=1e-15)
 
 
-def oracle_build_cover(g, spec):
+def oracle_build_cover(g, cover_sigma):
     """The cover wired edge by edge and checked by ``make_graph``: the
     m-th copy of ``e = (f_i, f_j)`` joins ``(f_i, m)`` to
     ``(f_j, sigma_e(m))``, the tail's incidences found through the inverse
-    permutation; ``sigma_e`` is the spec's permutation at e's position in
+    permutation; ``sigma_e`` is the cover's row at e's position in
     ``g.edges``."""
-    sigma = spec.sigma
+    sigma = cover_rows(cover_sigma)
     assert len(sigma) == g.n_edges
-    M = spec.degree
+    M = cover_sigma.shape[1]
     names = [f"{name}.{m}" for name in g.node_names for m in range(M)]
     incidences = []
     for k in range(g.n_nodes):
@@ -183,7 +216,7 @@ class TestCoverNetwork:
         # cover has the same Z up to the order of its sums
         h, chains = cover._absorb(g, 3)
         assert est.power_value == nfg.contract_network(cover.cover_network(
-            h, cover._lift(chains, spec))).real
+            h, cover._lift_block(chains, spec[None])[0])).real
         assert est.power_value == pytest.approx(nfg.contract_network(
             cover.cover_network(g, spec)).real, rel=1e-13)
         assert est.stderr == 0.0 and est.samples == 1
@@ -689,7 +722,7 @@ class TestAbsorb:
                            if k not in loop_nodes(h))
             for _ in range(10):
                 spec = cover.random_cover(g, degree, rng)
-                lifted = cover._lift(chains, spec)
+                lifted = cover._lift_block(chains, spec[None])[0]
                 assert nfg.contract_network(cover.cover_network(
                     h, lifted)) == pytest.approx(nfg.contract_network(
                         cover.cover_network(g, spec)), rel=1e-13)
@@ -707,8 +740,8 @@ class TestAbsorb:
                    with_isolated_node(random_tree_de(4, 3))]
         for g, components in zip(forests, (1, 2)):
             h, chains = cover._absorb(g, degree)
-            network = cover.cover_network(
-                h, cover._lift(chains, cover.random_cover(g, degree, rng)))
+            network = cover.cover_network(h, cover._lift_block(
+                chains, cover.random_cover(g, degree, rng)[None])[0])
             assert len(network) == components * degree
             assert all(not t.labels and t.array.ndim == 0 for t in network)
 
@@ -759,13 +792,12 @@ class TestPairs:
         # not at others (at every copy when M = 1)
         perm = st.permutations(range(degree)).map(tuple)
         pool = data.draw(st.lists(perm, min_size=1, max_size=2))
-        spec = cover.CoverSpec(degree, tuple(
-            data.draw(st.one_of(st.sampled_from(pool), perm))
-            for _ in g.edges))
+        spec = cover_array([data.draw(st.one_of(st.sampled_from(pool), perm))
+                            for _ in g.edges], degree)
         h, chains = cover._absorb(g, degree)
         assert h.n_nodes in (1, 2) and len(loop_nodes(h)) == (degree > 1)
         assert nfg.contract_network(cover.cover_network(
-            h, cover._lift(chains, spec))) == pytest.approx(
+            h, cover._lift_block(chains, spec[None])[0])) == pytest.approx(
                 nfg.contract_network(cover.cover_network(g, spec)),
                 rel=1e-12)
 
@@ -786,8 +818,9 @@ class TestPairs:
         g = fig3_psd(0)
         h, chains = cover._absorb(g, 4)
         assert h.incidences == ((0, 1, 0, 1),)
-        nets = [cover.cover_network(h, cover._lift(
-            chains, cover.random_cover(g, 4, rng))) for _ in range(20)]
+        nets = [cover.cover_network(h, cover._lift_block(
+            chains, cover.random_cover(g, 4, rng)[None])[0])
+            for _ in range(20)]
         assert all(len(net) == 4 for net in nets)
         assert len({id(t.array) for net in nets for t in net}) <= 4
 
@@ -800,8 +833,7 @@ class TestPairs:
         h, _ = cover._absorb(g, 2)
         assert h.incidences == ((0, 0),)
         for sigma in itertools.permutations(range(degree)):
-            network = cover.cover_network(h, cover.CoverSpec(degree,
-                                                             (sigma,)))
+            network = cover.cover_network(h, cover_array((sigma,), degree))
             assert nfg.contract_network(network) == pytest.approx(
                 loop_cover_z(h.tensors[0], sigma), rel=1e-12)
 
@@ -838,7 +870,8 @@ class TestPairs:
         h, chains = cover._absorb(g, 3)
         assert (h.incidences, h.edges) == (g.incidences, g.edges)
         assert all(t is u for t, u in zip(h.tensors, g.tensors))
-        spec = cover._lift(chains, cover.random_cover(g, 3, rng))
+        spec = cover._lift_block(chains,
+                                 cover.random_cover(g, 3, rng)[None])[0]
         assert all(t.array is h.tensors[n // 3]
                    for n, t in enumerate(cover.cover_network(h, spec)))
         assert cover.zbm_exhaustive(g, 2).power_value \
@@ -888,15 +921,16 @@ def check_stacked_rows(g, degree, samples=12, seed=3):
     assert_same_networks(
         cover._networks(h, degree, cover._blocks(rows, (h.n_edges, degree),
                                                  h)),
-        [spec_cover_network(h, cover.CoverSpec(degree, r)) for r in rows])
+        [spec_cover_network(h, degree, r) for r in rows])
     identity = np.tile(np.arange(degree), (g.n_edges, 1))
     draws = [np.random.default_rng([seed, s]).permuted(identity, axis=1)
              for s in range(samples)]
     lifted = (cover._lift_block(chains, b)
               for b in cover._blocks(draws, identity.shape, h))
     assert_same_networks(cover._networks(h, degree, lifted), [
-        spec_cover_network(h, spec_lift(chains, sequential_cover(
-            g, degree, np.random.default_rng([seed, s]))))
+        spec_cover_network(h, degree, spec_lift(
+            chains, degree, sequential_cover(
+                g, degree, np.random.default_rng([seed, s]))))
         for s in range(samples)])
 
 
@@ -936,10 +970,11 @@ class TestStackedWiring:
         h, chains = cover._absorb(g, 4)
         for _ in range(5):
             spec = cover.random_cover(g, 4, rng)
-            lifted = cover._lift(chains, spec)
-            assert lifted == spec_lift(chains, spec)
+            lifted = cover._lift_block(chains, spec[None])[0]
+            rows = spec_lift(chains, 4, cover_rows(spec))
+            assert np.array_equal(lifted, cover_array(rows, 4))
             assert_same_networks([cover.cover_network(h, lifted)],
-                                 [spec_cover_network(h, lifted)])
+                                 [spec_cover_network(h, 4, rows)])
 
     def test_blocks_hold_at_most_block_entries(self, monkeypatch):
         # fig3 at M = 8: a drawn row is 5 x 8 permutation entries, and its
@@ -963,8 +998,9 @@ class TestStackedWiring:
                 rng = np.random.default_rng(seed)
                 ref = np.random.default_rng(seed)
                 for _ in range(2):
-                    assert cover.random_cover(g, degree, rng) \
-                        == sequential_cover(g, degree, ref)
+                    assert np.array_equal(
+                        cover.random_cover(g, degree, rng), cover_array(
+                            sequential_cover(g, degree, ref), degree))
                     assert rng.bit_generator.state == ref.bit_generator.state
 
 
@@ -1000,9 +1036,9 @@ class TestReach:
         g = fig3_psd(0)
         h, chains = cover._absorb(g, 12)
         peaks = [nfg.plan_contraction([
-            (t.labels, t.sizes) for t in cover.cover_network(h, cover._lift(
-                chains, cover.random_cover(
-                    g, 12, np.random.default_rng([i, s]))))]).peak
+            (t.labels, t.sizes) for t in cover.cover_network(
+                h, cover._lift_block(chains, cover.random_cover(
+                    g, 12, np.random.default_rng([i, s]))[None])[0])]).peak
             for i in range(16) for s in range(6)]
         assert max(peaks) <= 4 ** 8
 
@@ -1070,8 +1106,8 @@ class TestEstimators:
         values = set()
         for perms in itertools.product(
                 itertools.permutations(range(2)), repeat=2):
-            spec = cover.CoverSpec(2, perms)
-            z = nfg.partition_contract(cover.build_cover(g, spec))
+            z = nfg.partition_contract(cover.build_cover(
+                g, cover_array(perms, 2)))
             values.add(round(z.real, 9))
         assert len(values) == 1
         mc = cover.zbm_montecarlo(g, 2, samples=8, seed=3)

@@ -243,11 +243,9 @@ class TestPartitionContract:
         assert nfg.partition_contract(power_trap_graph()) == pytest.approx(2)
 
     def test_two_cover_matches_enumeration(self):
-        from bethecover.cover import CoverSpec, build_cover
-
         g = fig3_psd(7)
-        spec = CoverSpec(2, ((1, 0), (0, 1), (0, 1), (1, 0), (0, 1)))
-        cov = build_cover(g, spec)
+        sigma = np.array([(1, 0), (0, 1), (0, 1), (1, 0), (0, 1)])
+        cov = build_cover(g, sigma)
         ze = nfg.partition_exact(cov)
         zc = nfg.partition_contract(cov)
         assert zc == pytest.approx(ze, rel=1e-9)

@@ -1,5 +1,6 @@
 """The package surface: every public function of ``src/bethecover`` has a
-consumer in ``src/`` or ``bench/``, or a stated reason to stay.
+consumer in ``src/`` or ``bench/``, or a stated reason to stay, and every
+private module-level function or class has one.
 
 A route that only the tests need belongs in ``tests/oracles.py``.
 """
@@ -64,9 +65,10 @@ def references(node, aliases, owners=frozenset()):
     modules as the file imports them) or a ``("<module>", "<name>")`` pair
     of strings (how ``bench/tracing.py`` lists the functions it wraps),
     and ``"attr"`` for any ``.name``; ``owners`` holds the ids of the
-    function definitions the reference sits in.
+    function and class definitions the reference sits in.
     """
-    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                         ast.ClassDef)):
         owners = owners | {id(node)}
     if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
         yield "name", node.id, owners
@@ -82,23 +84,45 @@ def references(node, aliases, owners=frozenset()):
         yield from references(child, aliases, owners)
 
 
+def reference_table(trees):
+    """``(form, name) -> [owners]`` over every reference in ``trees``."""
+    refs = {}
+    for tree in trees.values():
+        for form, name, owners in references(tree, package_aliases(tree)):
+            refs.setdefault((form, name), []).append(owners)
+    return refs
+
+
+def _referenced(refs, name, node, forms):
+    return any(id(node) not in owners for form in forms
+               for owners in refs.get((form, name), ()))
+
+
 def unreferenced():
     """Public names that nothing in src/ or bench/ references outside
     their own definition: a function by its bare name or ``<module>.name``,
     a method by any ``.name``."""
     trees = {path: ast.parse(path.read_text(encoding="utf-8"))
              for path in CONSUMERS}
-    refs = {}
-    for tree in trees.values():
-        for form, name, owners in references(tree, package_aliases(tree)):
-            refs.setdefault((form, name), []).append(owners)
-    out = set()
-    for name, is_method, node in definitions(trees):
-        forms = ("attr",) if is_method else ("name", "module")
-        if not any(id(node) not in owners for form in forms
-                   for owners in refs.get((form, name), ())):
-            out.add(name)
-    return out
+    refs = reference_table(trees)
+    return {name for name, is_method, node in definitions(trees)
+            if not _referenced(refs, name, node,
+                               ("attr",) if is_method else ("name", "module"))}
+
+
+def unreferenced_private():
+    """``module.name`` for every private module-level function or class of
+    the package that nothing in src/ or bench/ references, by its bare
+    name or ``<module>.name``, outside its own definition."""
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"))
+             for path in CONSUMERS}
+    refs = reference_table(trees)
+    return {f"{path.stem}.{node.name}"
+            for path in sorted(PACKAGE.glob("*.py"))
+            for node in trees[path].body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not _public(node)
+            and not _referenced(refs, node.name, node, ("name", "module"))}
 
 
 def test_every_public_name_has_a_consumer():
@@ -112,6 +136,13 @@ def test_every_kept_name_still_lacks_a_consumer():
     assert unreferenced() >= KEEP.keys(), (
         f"{sorted(KEEP.keys() - unreferenced())} now have a consumer; "
         "drop them from KEEP")
+
+
+def test_every_private_name_has_a_consumer():
+    unused = sorted(unreferenced_private())
+    assert not unused, (
+        f"src/ and bench/ never use {unused}: a private route that only the "
+        "tests need belongs in tests/oracles.py")
 
 
 # keyword parameters (those with a default) that no call in src/ or bench/
