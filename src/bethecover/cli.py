@@ -232,6 +232,9 @@ def cmd_loopseries(args):
 
 
 def cmd_cover(args):
+    # checked before the degree seeds the random cover's generator
+    if args.m < 1:
+        raise StructuralError("cover degree must be positive")
     g = _graph_of(args)
     if args.identity_sigma:
         sigma = cover_mod.identity_cover(g, args.m)
@@ -363,6 +366,10 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # numpy seeds its generators with nonnegative integers only
+        if args.seed < 0:
+            raise StructuralError(
+                f"seed must be nonnegative, got {args.seed}")
         # claimed before the work, so an unwritable path is refused at once;
         # appending nothing keeps an existing file until the final write
         for path in (getattr(args, "json", None), getattr(args, "csv", None)):

@@ -8,6 +8,7 @@ weight-one configurations vanish.  Works with zero-valued message
 components; the only hard requirement is a positive edge overlap Z_e.
 """
 
+import itertools
 import json
 from dataclasses import dataclass, field
 
@@ -271,12 +272,23 @@ def loop_series(lr):
     :func:`bethecover.nfg.global_eval` takes it; its weight is its value
     divided by the all-zero value, which is itself omitted.  Terms whose
     magnitude is below 1e-12 relative to the all-zero value are dropped.
+
+    The all-zero configuration is the first row of the first chunk of
+    :func:`bethecover.nfg.configurations`; a kept row's configuration is
+    read off one ``itertools.product`` over the axis indices, which runs
+    in the chunks' row-major order, a chunk's length at a time.
     """
+    g = lr.transformed
     floor = _WEIGHT_FLOOR * abs(lr.g0)
+    rows = itertools.product(*(range(g.axis_size(i))
+                               for i in range(g.n_edges)))
     out = []
-    for digits, vals in configurations(lr.transformed):
-        keep = (np.abs(vals) > floor) & digits.any(axis=1)
-        out.extend(zip(map(tuple, digits[keep].tolist()),
+    for k, vals in enumerate(configurations(g)):
+        keep = np.abs(vals) > floor
+        if k == 0:
+            keep[0] = False
+        out.extend(zip(itertools.compress(itertools.islice(rows, len(vals)),
+                                          keep.tolist()),
                        (vals[keep] / lr.g0).tolist()))
     return out
 

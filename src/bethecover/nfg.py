@@ -7,9 +7,17 @@ graph every edge carries a pair ``(x, x')`` over the same base alphabet;
 the pair is stored as a single axis of size ``|X|**2`` (unprimed-major),
 and local functions are complex with a Hermitian (weak sense) or
 positive-semidefinite (strict sense) matrix representation.
+
+The partition function is summed in two ways: over every configuration
+(:func:`partition_exact`) and by contracting the network
+(:func:`partition_contract`).  :func:`configurations`, the one
+enumeration routine of the package, which the loop series also reads,
+computes each chunk of configurations as one broadcast product of the
+nodes' tensors.
 """
 
 import heapq
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -17,7 +25,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import config
-from ._kernels import enum_configs
 from .errors import ParseError, StructuralError, ValidationError
 from .tensor import (ComplexTensor, Merge, choi_from_paired, contract,
                      stored_array)
@@ -276,15 +283,48 @@ def global_eval(g, configuration):
     return out
 
 
+_CHUNK = 65536   # most rows of a chunk, unless its last edge alone has more
+
+
 def configurations(g):
-    """The ``(digits, values)`` chunks of :func:`_kernels.enum_configs`
-    over every configuration of ``g``, after the ``enum`` cap check; a
-    chunk with a product that overflows raises ``ValidationError``."""
+    """The value of every configuration of ``g``, in chunks, after the
+    ``enum`` cap check: the one enumeration routine of the package.
+
+    Configurations run in row-major order over ``g.edges`` (the last edge
+    varies fastest), so a chunk's rows follow each other in that order.
+    A chunk holds every value of the longest run of trailing edges with
+    at most 65536 configurations (the last edge alone when it has more),
+    for one value of the edges before them.  It is computed as one
+    broadcast product: each node's tensor, its axes moved to edge order
+    and its leading edges fixed, multiplied in node order onto a one,
+    which is the order in which :func:`global_eval` multiplies one row.
+    A chunk with a value that overflows raises ``ValidationError``.
+    """
     sizes = [g.axis_size(i) for i in range(g.n_edges)]
     config.check_capacity("enum", math.prod(sizes), "configurations")
-    return ((digits, finite(values, "a configuration's product"))
-            for digits, values in enum_configs(g.tensors, g.incidences,
-                                               sizes))
+    split, rows = len(sizes), 1
+    while split and rows * sizes[split - 1] <= _CHUNK:
+        split -= 1
+        rows *= sizes[split]
+    split = min(split, max(len(sizes) - 1, 0))
+    factors = []
+    for t, inc in zip(g.tensors, g.incidences):
+        edges = sorted(set(inc))
+        # axes in edge order; the two axes of a loop give their diagonal
+        arr = np.einsum(t, [edges.index(i) for i in inc], range(len(edges)))
+        lead = [i for i in edges if i < split]
+        shape = [sizes[i] for i in lead] + [
+            sizes[i] if i in inc else 1 for i in range(split, len(sizes))]
+        factors.append((arr.reshape(shape), lead))
+
+    def chunk(prefix):
+        values = np.ones((), dtype=np.complex128)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for arr, lead in factors:
+                values = values * arr[tuple(prefix[i] for i in lead)]
+        return finite(values.reshape(-1), "a configuration's product")
+
+    return map(chunk, itertools.product(*map(range, sizes[:split])))
 
 
 def partition_exact(g):
@@ -292,7 +332,7 @@ def partition_exact(g):
     chunk sums added in fixed order; ``ValidationError`` if it overflows."""
     total = 0.0 + 0.0j
     with np.errstate(over="ignore", invalid="ignore"):
-        for _, values in configurations(g):
+        for values in configurations(g):
             total += values.sum()
     return finite(complex(total), "Z")
 

@@ -11,17 +11,19 @@ A message vector lives in one complex array with a zero-padded row per
 directed key: rows 2i and 2i + 1 are the messages into the head and into
 the tail of edge i.  A sweep works on that array through a plan built once
 per graph: nodes whose local functions have the same shape form a group
-whose tensors are stacked, so each group needs one batched einsum per leg
-for its outgoing messages and one for its node sums, whatever its size.
-The plan takes any leading axes on the array: :func:`spa_run` stacks the
-message arrays of all its restarts, and one sweep updates every restart
-that is still live with those same einsums.  Random messages, for the
-starts and for the redraws after a degenerate edge, come from one routine
-that draws for all restarts at once the bits each would draw alone.
+whose tensors are stacked, and each group contracts its stack with the
+messages entering it by chains of batched matrix-vector and vector-matrix
+products (``np.matmul``), whatever the group's size: the legs' outgoing
+messages share their partial products, and the node sums contract one leg
+at a time from the back.  The plan takes any leading axes on the array:
+:func:`spa_run` stacks the message arrays of all its restarts, and one
+sweep updates every restart that is still live with those same products.
+Random messages, for the starts and for the redraws after a degenerate
+edge, come from one routine that draws for all restarts at once the bits
+each would draw alone.
 """
 
 import itertools
-import string
 import weakref
 from dataclasses import dataclass
 
@@ -32,11 +34,11 @@ from ._kernels import jacobi_eigh
 from .errors import DegenerateBeliefError, StructuralError, ValidationError
 from .nfg import STANDARD, finite
 
-_LETTERS = string.ascii_letters[:-1]   # "Z" indexes the stacked nodes
 _BELIEF_TOL = 1e-6   # slack of the pmf and local-consistency checks
 ZERO_TOL = 1e-12        # degenerate-edge trigger of a sweep
 FIXED_POINT_TOL = 1e-9  # message residual declaring convergence
 Z_EDGE_TOL = 1e-9       # smallest usable edge normalizer Z_e
+ZB_TIE_RTOL = 1e-12     # Re Z_B of two restarts this close is one value
 
 
 class MessageVector:
@@ -188,18 +190,67 @@ def _psd_project(attempts, n):
 
 @dataclass
 class _NodeGroup:
-    """Nodes sharing one local-function shape, and their einsums."""
+    """Nodes sharing one local-function shape, their tensors stacked."""
 
     nodes: np.ndarray      # node indices
-    tensors: np.ndarray    # (n_group, *shape), the stacked local functions
+    tensors: np.ndarray    # (n_group, *sizes), the stacked local functions
     sizes: tuple           # axis size of each leg
     in_rows: list          # per leg: rows of the messages entering
     out_rows: list         # per leg: rows of the messages leaving
-    leave_one_out: list    # per leg: "Zabc,...Zb,...Zc->...Za"
-    full: str              # "Zabc,...Za,...Zb,...Zc->...Z"
 
     def incoming(self, rows):
         return [rows[..., r, :n] for r, n in zip(self.in_rows, self.sizes)]
+
+    def sums(self, msgs):
+        """The tensors contracted with the messages on every leg,
+        ``(..., n_group)``: one matrix-vector product per leg, from the
+        back."""
+        x = self.tensors
+        for b in reversed(range(len(self.sizes))):
+            x = _back(x, msgs[b], self.sizes[:b + 1])
+        return x
+
+
+def _back(x, m, sizes):
+    """``x``, of shape ``(..., n_group, *sizes)``, contracted on its last
+    axis with the vectors ``m``, ``(..., n_group, sizes[-1])``: one
+    batched matrix-vector product."""
+    lead = x.shape[:x.ndim - len(sizes)]
+    out = np.matmul(x.reshape(lead + (-1, sizes[-1])), m[..., None])
+    return out.reshape(out.shape[:-2] + sizes[:-1])
+
+
+def _front(x, m, sizes):
+    """``x``, of shape ``(..., n_group, *sizes)``, contracted on its first
+    leg axis with the vectors ``m``, ``(..., n_group, sizes[0])``: one
+    batched vector-matrix product."""
+    lead = x.shape[:x.ndim - len(sizes)]
+    out = np.matmul(m[..., None, :], x.reshape(lead + (sizes[0], -1)))
+    return out.reshape(out.shape[:-2] + sizes[1:])
+
+
+def _legs(x, msgs, sizes):
+    """Per leg a of ``x``, of shape ``(..., n_group, *sizes)``, ``x``
+    contracted with the messages ``msgs`` on every other leg, ``(...,
+    n_group, sizes[a])``: a group's outgoing messages when ``x`` is its
+    stacked tensors.
+
+    The legs split in halves.  The first half's outgoing messages all
+    contract ``x`` with the second half's messages, which that product
+    does once, leg by leg from the back; the second half's contract it
+    with the first half's, from the front.  Each half then splits again,
+    so a degree-d group takes about d log2(d) products.
+    """
+    if len(sizes) < 2:
+        return [x] * len(sizes)
+    mid = len(sizes) // 2
+    head = tail = x
+    for b in reversed(range(mid, len(sizes))):
+        head = _back(head, msgs[b], sizes[:b + 1])
+    for b in range(mid):
+        tail = _front(tail, msgs[b], sizes[b:])
+    return (_legs(head, msgs[:mid], sizes[:mid])
+            + _legs(tail, msgs[mid:], sizes[mid:]))
 
 
 class _SweepPlan:
@@ -231,22 +282,15 @@ class _SweepPlan:
                        for nodes in by_shape.values()]
 
     def _group(self, g, nodes):
-        d = g.degree(nodes[0])
-        subs = _LETTERS[:d]
         in_rows = [np.array([self.index[(g.incidences[k][a], k)]
-                             for k in nodes]) for a in range(d)]
-        leave_one_out = [
-            "Z" + subs + "".join(",...Z" + subs[b] for b in range(d)
-                                 if b != a)
-            + "->...Z" + subs[a] for a in range(d)]
-        full = "Z" + subs + "".join(",...Z" + c for c in subs) + "->...Z"
+                             for k in nodes])
+                   for a in range(g.degree(nodes[0]))]
         return _NodeGroup(
             nodes=np.array(nodes),
             tensors=np.stack([g.tensors[k] for k in nodes]),
             sizes=g.tensors[nodes[0]].shape, in_rows=in_rows,
             # the same edge's other key: row 2i <-> row 2i + 1
-            out_rows=[r ^ 1 for r in in_rows],
-            leave_one_out=leave_one_out, full=full)
+            out_rows=[r ^ 1 for r in in_rows])
 
     def rows_of(self, m):
         """The message array of ``m``, which must be laid out in this
@@ -262,10 +306,9 @@ class _SweepPlan:
         """Unnormalized outgoing messages of every node."""
         out = np.zeros_like(rows)
         for grp in self.groups:
-            msgs = grp.incoming(rows)
-            for a, expr in enumerate(grp.leave_one_out):
-                out[..., grp.out_rows[a], :grp.sizes[a]] = np.einsum(
-                    expr, grp.tensors, *msgs[:a], *msgs[a + 1:])
+            legs = _legs(grp.tensors, grp.incoming(rows), grp.sizes)
+            for a, vec in enumerate(legs):
+                out[..., grp.out_rows[a], :grp.sizes[a]] = vec
         return out
 
     def node_sums(self, rows):
@@ -273,8 +316,7 @@ class _SweepPlan:
         out = np.empty(rows.shape[:-2] + (self.n_nodes,),
                        dtype=np.complex128)
         for grp in self.groups:
-            out[..., grp.nodes] = np.einsum(grp.full, grp.tensors,
-                                       *grp.incoming(rows))
+            out[..., grp.nodes] = grp.sums(grp.incoming(rows))
         return out
 
     def edge_sums(self, rows):
@@ -488,7 +530,8 @@ def _restarts(g, rows, rngs, max_iter, tol_fp, damping):
 def spa_run(g, max_iter=10000, tol_fp=FIXED_POINT_TOL, damping=0.0,
             restarts=8, seed=0):
     """Iterate the sum-product update from several starts and keep the
-    converged fixed point with the largest Re of the Bethe value.
+    converged fixed point with the largest Re of the Bethe value, values
+    within a relative ``ZB_TIE_RTOL`` of the largest counting as ties.
 
     These defaults are stated here only; the CLI reads its SPA flags'
     defaults from this signature.  Restart 0 starts from uniform messages
@@ -499,9 +542,11 @@ def spa_run(g, max_iter=10000, tol_fp=FIXED_POINT_TOL, damping=0.0,
     starts undamped switches to 0.5 when its residual stops shrinking
     over a window of sweeps.  One sweep updates every restart
     still live, their message arrays stacked in one array whose size the
-    ``contract`` cap bounds.  Ties go to the earliest restart, and restart
-    0 is reported when none converged.  A non-convergent run is reported,
-    not raised; out-of-range settings are refused before any sweep.
+    ``contract`` cap bounds.  Ties go to the earliest restart, a converged
+    restart without a Bethe value is reported only when no converged one
+    has one, and restart 0 when none converged.  A non-convergent run is
+    reported, not raised; out-of-range settings are refused before any
+    sweep.
     """
     if max_iter < 1:
         raise StructuralError(f"max_iter must be positive, got {max_iter}")
@@ -522,6 +567,11 @@ def spa_run(g, max_iter=10000, tol_fp=FIXED_POINT_TOL, damping=0.0,
     reports = _restarts(g, starts, rngs, max_iter, tol_fp, damping)
     best = max(reports, key=lambda rep: (
         rep.converged, rep.zb_spa.real if rep.zb_defined else -np.inf))
+    if best.zb_defined:
+        # values this close differ by rounding alone
+        floor = best.zb_spa.real - ZB_TIE_RTOL * abs(best.zb_spa.real)
+        best = next(rep for rep in reports
+                    if rep.zb_defined and rep.zb_spa.real >= floor)
     best.restarts_used = restarts
     best.restarts_converged = sum(rep.converged for rep in reports)
     best.degenerate_log = [ev for rep in reports for ev in rep.degenerate_log]

@@ -42,6 +42,34 @@ def as_double_edge(g):
     return nfg.make_graph(nfg.DOUBLE, nodes, edges, tensors)
 
 
+def every_degree_graph(kind, seed):
+    """A graph with nodes of every degree 0-4 and edge alphabets of sizes
+    1-3: hub ``h`` (degree 4), leaf ``l``, ``a`` and ``c`` (degree 2, the
+    same tensor shape, so one stacked group), ``b`` (degree 3) and the
+    isolated ``iso``.  Positive standard functions, or random positive
+    definite matrices on a double-edge graph."""
+    rng = np.random.default_rng(seed)
+    nodes = [("h", ["e1", "e2", "e3", "e4"]), ("l", ["e1"]),
+             ("a", ["e2", "e5"]), ("b", ["e3", "e5", "e6"]),
+             ("c", ["e6", "e4"]), ("iso", [])]
+    edges = [("e1", ("h", "l"), 2), ("e2", ("h", "a"), 3),
+             ("e3", ("h", "b"), 1), ("e4", ("h", "c"), 2),
+             ("e5", ("a", "b"), 2), ("e6", ("b", "c"), 3)]
+    alpha = {eid: n for eid, _, n in edges}
+    if kind == nfg.STANDARD:
+        return nfg.make_graph(kind, nodes, edges, {
+            name: rng.uniform(0.1, 1.0, [alpha[e] for e in inc])
+            for name, inc in nodes})
+    tensors = {}
+    for name, inc in nodes:
+        bases = [alpha[e] for e in inc]
+        side = math.prod(bases)
+        a = rng.normal(size=(side, side)) + 1j * rng.normal(size=(side, side))
+        choi = a @ a.conj().T + side * np.eye(side)
+        tensors[name] = paired_from_choi(choi / np.trace(choi).real, bases)
+    return nfg.make_graph(kind, nodes, edges, tensors)
+
+
 def forest_edges(g):
     """Per edge of ``g`` in edge order, whether it joins two components
     of the edges before it: a spanning forest, taken greedily."""
@@ -64,6 +92,45 @@ def forest_edges(g):
 def is_forest(g):
     """Whether ``g`` has no cycle (parallel edges make one)."""
     return all(forest_edges(g))
+
+
+# ------------------------------------------------------------------ #
+# enumeration                                                         #
+# ------------------------------------------------------------------ #
+
+def enum_configs(g):
+    """``(digits, values)`` chunks over every configuration of ``g`` by
+    digit arithmetic: the enumerator that the broadcast products of
+    :func:`bethecover.nfg.configurations` replace, kept as their oracle.
+
+    Configurations run in row-major order (the last edge varies fastest),
+    at most 65536 per chunk: ``digits`` holds one row of axis indices
+    per configuration and ``values`` the product of the node entries it
+    selects, multiplied in node order onto a one.
+    """
+    sizes = np.array([g.axis_size(i) for i in range(g.n_edges)],
+                     dtype=np.int64)
+    radix = _place_values(sizes)
+    gathers = []
+    for arr, edges in zip(g.tensors, g.incidences):
+        edges = np.asarray(edges, dtype=np.int64)
+        gathers.append((arr.ravel(), edges, _place_values(sizes[edges])))
+    total = math.prod(sizes.tolist())
+    for lo in range(0, total, 65536):
+        hi = min(lo + 65536, total)
+        idx = np.arange(lo, hi, dtype=np.int64)
+        digits = (idx[:, None] // radix[None, :]) % sizes[None, :]
+        values = np.ones(hi - lo, dtype=np.complex128)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for flat, edges, strides in gathers:
+                values *= flat[digits[:, edges] @ strides]
+        yield digits, values
+
+
+def _place_values(sizes):
+    """Row-major place value of each digit of a number with these digit
+    sizes: the product of the sizes after it."""
+    return np.cumprod(np.r_[sizes, 1][:0:-1])[::-1]
 
 
 # ------------------------------------------------------------------ #
@@ -241,12 +308,29 @@ def _sequential_restart(g, m, max_iter, tol_fp, damping, rng, restart):
         damping_switched_at=switched_at)
 
 
+def best_restart(reports):
+    """The report :func:`spa.spa_run` keeps: the earliest restart whose Re
+    Z_B lies within a relative ``spa.ZB_TIE_RTOL`` of the largest; else
+    the earliest converged restart; else restart 0."""
+    values = [rep.zb_spa.real for rep in reports if rep.zb_defined]
+    if values:
+        top = max(values)
+        for rep in reports:
+            if rep.zb_defined and (top - rep.zb_spa.real
+                                   <= spa.ZB_TIE_RTOL * abs(top)):
+                return rep
+    for rep in reports:
+        if rep.converged:
+            return rep
+    return reports[0]
+
+
 def sequential_spa_run(g, max_iter=10000, tol_fp=spa.FIXED_POINT_TOL,
                        damping=0.0, restarts=8, seed=0):
     """:func:`spa.spa_run` with its restarts run one after another, each
     to the end before the next is drawn: the same starts, the same sweeps
-    and the same choice of the best report.  Returns the best report and
-    the list of every restart's report."""
+    and the same choice of the best report (:func:`best_restart`).
+    Returns the best report and the list of every restart's report."""
     reports = []
     for r in range(restarts):
         rng = np.random.default_rng([seed, r])
@@ -256,8 +340,7 @@ def sequential_spa_run(g, max_iter=10000, tol_fp=spa.FIXED_POINT_TOL,
             m0 = random_messages(g, rng)
         reports.append(_sequential_restart(g, m0, max_iter, tol_fp, damping,
                                            rng, r))
-    best = max(reports, key=lambda rep: (
-        rep.converged, rep.zb_spa.real if rep.zb_defined else -np.inf))
+    best = best_restart(reports)
     best.restarts_used = restarts
     best.restarts_converged = sum(rep.converged for rep in reports)
     best.degenerate_log = [ev for rep in reports for ev in rep.degenerate_log]

@@ -13,7 +13,8 @@ from bethecover.generators import GeneratorSpec, gen
 
 from conftest import (fig3_near_identity, fig3_psd, power_trap_fixed_point,
                       power_trap_graph, random_tree_de)
-from oracles import induced_fixed_point_check, nonzero_edge_subgraph_degrees
+from oracles import (enum_configs, every_degree_graph,
+                     induced_fixed_point_check, nonzero_edge_subgraph_degrees)
 
 
 def converged_transform(g, seed=0, restarts=1, overrides=None):
@@ -23,13 +24,14 @@ def converged_transform(g, seed=0, restarts=1, overrides=None):
 
 
 def oracle_loop_series(lr):
-    """One configuration per kept row, its weight from
-    :func:`nfg.global_eval`: the loop series that the masked chunk decode
-    of :func:`lct.loop_series` replaces, kept as its oracle."""
+    """One configuration per kept row of the digit-arithmetic enumerator,
+    decoded from its digit row and checked against
+    :func:`nfg.global_eval`: the loop series that the product-iterator
+    decode of :func:`lct.loop_series` replaces, kept as its oracle."""
     g = lr.transformed
     floor = 1e-12 * abs(lr.g0)
     out = []
-    for digits, vals in nfg.configurations(g):
+    for digits, vals in enum_configs(g):
         for row in np.nonzero(np.abs(vals) > floor)[0]:
             if not digits[row].any():
                 continue
@@ -271,6 +273,20 @@ class TestLoopSeries:
         for cfg, _w in terms:
             assert len(cfg) == g.n_edges and all(v != 0 for v in cfg)
 
+    def test_terms_past_the_first_chunk(self):
+        # 2**17 configurations in two chunks; the one generalized loop of
+        # a cycle, every edge at 1, is the last row of the second
+        n = 17
+        g = nfg.make_graph(
+            "standard",
+            [(f"f{k}", [f"e{(k - 1) % n}", f"e{k}"]) for k in range(n)],
+            [(f"e{k}", (f"f{k}", f"f{(k + 1) % n}"), 2) for k in range(n)],
+            {f"f{k}": np.array([[1.0, 0.1], [0.1, 1.0]]) for k in range(n)})
+        lr = converged_transform(g)
+        terms = lct.loop_series(lr)
+        assert [cfg for cfg, _w in terms] == [(1,) * 17]
+        assert terms == oracle_loop_series(lr)
+
     def test_correction_sum_identity(self):
         g = fig3_psd(11)
         lr = converged_transform(g)
@@ -298,6 +314,9 @@ class TestLoopSeries:
         graphs.append(gen(GeneratorSpec(topology="cycle", kind="standard",
                                         ensemble="positive-s-nfg", n=4,
                                         alphabet=3, seed=3)))
+        # node degrees 0-4, edge alphabets 1-3
+        graphs += [every_degree_graph(kind, 1)
+                   for kind in ("standard", "double-edge")]
         for g in graphs:
             lr = converged_transform(g)
             terms = lct.loop_series(lr)

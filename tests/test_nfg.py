@@ -22,7 +22,8 @@ from bethecover.tensor import (ComplexTensor, Merge, contract,
 from conftest import (FIG3_EDGES, FIG3_NODES, build_fig3, fig3_psd,
                       graph_with_choi, power_trap_graph, random_tree_de,
                       two_cycle)
-from oracles import as_double_edge, is_forest, merge_of, pairwise_greedy
+from oracles import (as_double_edge, enum_configs, every_degree_graph,
+                     is_forest, merge_of, pairwise_greedy)
 
 
 def brute_force_partition(g):
@@ -229,6 +230,76 @@ class TestPartitionExact:
             z = nfg.partition_exact(g)
             assert abs(z.imag) <= 1e-9 * (1.0 + abs(z))
             assert z.real >= -1e-9
+
+
+def edgeless_graph():
+    return nfg.make_graph("standard", [("a", []), ("b", [])], [],
+                          {"a": np.array(2.0), "b": np.array(-1.5 + 0.5j)})
+
+
+def long_edge_graph():
+    """A path a - b - c whose last edge has 70000 values, more than one
+    chunk holds."""
+    rng = np.random.default_rng(5)
+    return nfg.make_graph(
+        "standard", [("a", ["e1"]), ("b", ["e1", "e2"]), ("c", ["e2"])],
+        [("e1", ("a", "b"), 2), ("e2", ("b", "c"), 70000)],
+        {"a": rng.uniform(0.5, 1.0, 2), "b": rng.uniform(0.5, 1.0, (2, 70000)),
+         "c": rng.uniform(0.5, 1.0, 70000)})
+
+
+ENUM_GRAPHS = {
+    "mixed-alphabets-standard": lambda: every_degree_graph("standard", 1),
+    "mixed-alphabets-double": lambda: every_degree_graph("double-edge", 1),
+    "edgeless": edgeless_graph,
+    # 2**17 configurations in two chunks of 2**16
+    "cycle-17": lambda: gen(GeneratorSpec(
+        topology="cycle", kind="standard", ensemble="positive-s-nfg", n=17,
+        seed=2)),
+    "long-edge": long_edge_graph,
+}
+
+
+class TestConfigurations:
+    @pytest.mark.parametrize("name", sorted(ENUM_GRAPHS))
+    def test_rows_match_the_digit_oracle(self, name):
+        g = ENUM_GRAPHS[name]()
+        chunks = list(nfg.configurations(g))
+        got = np.concatenate(chunks)
+        digits, want = (np.concatenate(part) for part
+                        in zip(*enum_configs(g)))
+        total = math.prod(g.axis_size(i) for i in range(g.n_edges))
+        assert got.shape == want.shape == (total,)
+        if total <= 65536:
+            assert len(chunks) == 1 and got.tobytes() == want.tobytes()
+        else:
+            # equal blocks of trailing edges, of at most 65536 rows unless
+            # the last edge alone has more
+            last = g.axis_size(g.n_edges - 1)
+            assert len({len(c) for c in chunks}) == 1
+            assert len(chunks[0]) <= max(65536, last)
+            assert np.allclose(got, want, rtol=1e-14, atol=0.0)
+        if total <= 6000:
+            rows = range(total)
+        else:   # a sample, with every chunk's first and last row
+            ends = np.cumsum([len(c) for c in chunks])
+            rows = sorted({*range(0, total, 1009), *ends - 1,
+                           *(ends[:-1])})
+        for r in rows:
+            cfg = tuple(digits[r].tolist())
+            assert nfg.global_eval(g, cfg) == pytest.approx(got[r],
+                                                            rel=1e-14)
+        assert nfg.partition_exact(g) == pytest.approx(
+            nfg.partition_contract(g), rel=1e-12)
+
+    def test_a_graph_without_edges_has_one_configuration(self):
+        assert [c.tolist() for c in nfg.configurations(edgeless_graph())] \
+            == [[-3.0 + 1.0j]]
+
+    def test_cap_is_checked_when_called(self, monkeypatch):
+        monkeypatch.setenv("BETHE_COVER_LIMITS", "enum=16")
+        with pytest.raises(CapacityError, match="16"):
+            nfg.configurations(build_fig3())
 
 
 class TestPartitionContract:

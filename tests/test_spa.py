@@ -16,8 +16,9 @@ from conftest import (build_fig3, fig3_psd, graph_with_choi,
                       random_tree_de, two_cycle)
 import oracles
 from oracles import (as_double_edge, beliefs_from_configuration_weights,
-                     fixed_point_residual, message_keys, random_message,
-                     random_messages, residual, sequential_spa_run)
+                     every_degree_graph, fixed_point_residual, message_keys,
+                     random_message, random_messages, residual,
+                     sequential_spa_run)
 
 
 def min_choi_eigenvalue(vec, base):
@@ -115,19 +116,19 @@ def mixed_alphabet_graph(kind, seed):
 
 
 def oracle_graphs():
-    """(graph, all axis sizes equal) pairs over both kinds."""
+    """Graphs of both kinds, one with mixed alphabets."""
     out = []
     for kind, ens in (("standard", "positive-s-nfg"),
                       ("double-edge", "psd-random")):
         for topo in ("fig3", "fig-b"):
-            out.append((gen(GeneratorSpec(topology=topo, kind=kind,
-                                          ensemble=ens, seed=4)), True))
+            out.append(gen(GeneratorSpec(topology=topo, kind=kind,
+                                         ensemble=ens, seed=4)))
         tree = gen(GeneratorSpec(topology="tree", kind=kind, ensemble=ens,
                                  n=5, seed=2))
-        out += [(tree, True), (with_isolated_node(tree), True),
-                (gen(GeneratorSpec(topology="cycle", kind=kind,
-                                   ensemble=ens, n=2, seed=3)), True),
-                (mixed_alphabet_graph(kind, 1), False)]
+        out += [tree, with_isolated_node(tree),
+                gen(GeneratorSpec(topology="cycle", kind=kind, ensemble=ens,
+                                  n=2, seed=3)),
+                mixed_alphabet_graph(kind, 1)]
     return out
 
 
@@ -253,23 +254,16 @@ class TestStartDraws:
 class TestBatchedSweep:
     @pytest.mark.parametrize("damping", [0.0, 0.5])
     def test_step_matches_per_message_oracle(self, damping):
-        for g, equal_sizes in oracle_graphs():
+        for g in oracle_graphs():
             m = random_messages(g, np.random.default_rng(7))
             new, info = spa.spa_step(g, m, damping=damping)
             want, residual, degenerate = oracle_step(g, m, damping=damping)
             assert info.degenerate_edges == degenerate == []
             assert list(new) == message_keys(g)
             for key in want:
-                if equal_sizes:
-                    assert np.array_equal(new[key], want[key]), key
-                else:
-                    assert np.allclose(new[key], want[key], rtol=1e-14,
-                                       atol=0.0), key
-            if equal_sizes:
-                assert info.map_residual == residual
-            else:
-                assert info.map_residual == pytest.approx(residual,
-                                                          rel=1e-14)
+                assert np.allclose(new[key], want[key], rtol=1e-14,
+                                   atol=0.0), key
+            assert info.map_residual == pytest.approx(residual, rel=1e-14)
 
     def test_reinitialization_matches_oracle(self):
         g = power_trap_graph()
@@ -309,7 +303,7 @@ class TestBatchedSweep:
             assert np.array_equal(new[key], want[key]), key
 
     def test_raw_updates_match_oracle(self):
-        for g, _equal in oracle_graphs():
+        for g in oracle_graphs():
             m = random_messages(g, np.random.default_rng(3))
             raw, kappa = spa.raw_updates(g, m)
             want, want_kappa = oracle_raw_updates(g, m)
@@ -351,6 +345,53 @@ class TestBatchedSweep:
         assert rep.converged and rep.iterations == 1
         assert rep.residual == 0.0
         assert rep.zb_spa == 3.0 and rep.z_e == {}
+
+
+def assert_close(got, want):
+    """Equal within 1e-14 of ``want``'s largest modulus: a complex entry
+    whose exact value is real carries rounding noise of that size in its
+    imaginary part, so no elementwise relative bound holds there."""
+    scale = np.max(np.abs(want))
+    assert np.max(np.abs(got - want)) <= 1e-14 * scale, (got, want)
+
+
+class TestGroupKernel:
+    """The stacked node groups' matrix-vector chains against one einsum
+    per directed message, on messages with 0, 1 and 2 leading axes."""
+
+    @pytest.mark.parametrize("kind", ["standard", "double-edge"])
+    @pytest.mark.parametrize("lead", [(), (3,), (2, 3)],
+                             ids=["no-axis", "one-axis", "two-axes"])
+    def test_raw_and_node_sums_match_the_per_message_oracle(self, kind,
+                                                            lead):
+        graphs = [every_degree_graph(kind, 2), mixed_alphabet_graph(kind, 1),
+                  gen(GeneratorSpec(
+                      topology="fig-b", kind=kind, seed=1,
+                      ensemble=("positive-s-nfg" if kind == "standard"
+                                else "psd-random")))]
+        hub = graphs[0]
+        assert {hub.degree(k) for k in range(hub.n_nodes)} == {0, 1, 2, 3, 4}
+        for g in graphs:
+            plan = spa._plan(g)
+            rng = np.random.default_rng(9)
+            vectors = [random_messages(g, rng)
+                       for _ in range(int(np.prod(lead)))]
+            rows = np.stack([m.rows for m in vectors]).reshape(
+                lead + (len(plan.keys), plan.width))
+            raw = plan.raw(rows)
+            sums = plan.node_sums(rows)
+            assert raw.shape == rows.shape
+            assert sums.shape == lead + (g.n_nodes,)
+            raw = raw.reshape(-1, len(plan.keys), plan.width)
+            sums = sums.reshape(-1, g.n_nodes)
+            for j, m in enumerate(vectors):
+                want, _kappa = oracle_raw_updates(g, m)
+                for key, vec in want.items():
+                    r = plan.index[key]
+                    assert_close(raw[j, r, :len(vec)], vec)
+                    assert not raw[j, r, len(vec):].any()
+                for got, z in zip(sums[j], oracle_node_sums(g, m)):
+                    assert_close(got, z)
 
 
 class TestStep:
@@ -640,10 +681,17 @@ class TestRun:
         # (converged, zb_spa) per restart
         ([(False, None), (True, 2.0), (True, 5.0 + 1j), (True, 3.0)], 2),
         ([(False, None), (True, 4.0), (True, 4.0 - 2j), (True, 1.0)], 1),
+        # Re Z_B within a relative 1e-12 of the largest is a tie
+        ([(True, 4.0), (True, 4.0 * (1.0 + 9e-13))], 0),
+        ([(True, 4.0), (True, 4.0 * (1.0 + 2e-12))], 1),
+        ([(True, 3.0), (True, 4.0 - 2e-12), (True, 4.0)], 1),
+        ([(True, -2.0), (True, -2.0 * (1.0 - 9e-13))], 0),
         ([(False, None), (True, None), (False, None)], 1),
         ([(True, None), (True, -0.5)], 1),
         ([(False, None), (False, None), (False, None)], 0),
     ], ids=["converged-beats-earlier", "tie-goes-to-earliest",
+            "rounding-tie-goes-to-earliest", "beyond-the-tie-wins",
+            "earliest-within-the-tie", "negative-rounding-tie",
             "converged-without-value", "value-beats-none", "none-converged"])
     def test_restart_choice(self, monkeypatch, outcomes, winner):
         made = []
@@ -661,6 +709,7 @@ class TestRun:
         monkeypatch.setattr(spa, "_restarts", restarts)
         rep = spa.spa_run(build_fig3(), restarts=len(outcomes))
         assert rep is made[winner] and rep.restart == winner
+        assert oracles.best_restart(made) is rep
         assert rep.restarts_used == len(outcomes)
         assert rep.restarts_converged == sum(c for c, _ in outcomes)
         assert rep.degenerate_log == [(r, it, i) for r in range(len(outcomes))
