@@ -739,8 +739,6 @@ class BoundEntry:
     ratio_power: float     # (Z_{B,M} / Z*)**M
     lower: float
     upper: float
-    margin_lower: float
-    margin_upper: float
     ok: bool
 
 
@@ -774,10 +772,8 @@ def bethe_cover_bounds(estimates, z_star, alpha):
         ratio = est.power_value / scale
         lower = 1.0 - sum(alpha ** j for j in range(1, M + 1))
         upper = sum(alpha ** j for j in range(0, M + 1))
-        ml = ratio - lower
-        mu = upper - ratio
         report.entries.append(BoundEntry(
             degree=M, ratio_power=ratio, lower=lower, upper=upper,
-            margin_lower=ml, margin_upper=mu,
-            ok=(ml >= -_BOUND_SLACK and mu >= -_BOUND_SLACK)))
+            ok=(ratio - lower >= -_BOUND_SLACK
+                and upper - ratio >= -_BOUND_SLACK)))
     return report

@@ -43,10 +43,6 @@ class InternalConsistencyError(BetheCoverError):
     """A computed object violates one of its own invariants."""
 
 
-class DegenerateBeliefError(BetheCoverError):
-    """A belief normalizer vanished at the given edge or node."""
-
-
 class SignedRootError(BetheCoverError):
     """The M-th root of a negative mean was requested."""
 

@@ -269,9 +269,10 @@ def loop_series(lr):
 
     Returns a list of (configuration, weight) pairs: a configuration is a
     tuple of axis indices, one per edge in ``g.edges`` order, as
-    :func:`bethecover.nfg.global_eval` takes it; its weight is its value
-    divided by the all-zero value, which is itself omitted.  Terms whose
-    magnitude is below 1e-12 relative to the all-zero value are dropped.
+    :func:`bethecover.nfg.configurations` enumerates them; its weight is
+    its value divided by the all-zero value, which is itself omitted.
+    Terms whose magnitude is below 1e-12 relative to the all-zero value
+    are dropped.
 
     The all-zero configuration is the first row of the first chunk of
     :func:`bethecover.nfg.configurations`; a kept row's configuration is

@@ -265,24 +265,6 @@ def validate(g):
 # evaluation                                                          #
 # ------------------------------------------------------------------ #
 
-def global_eval(g, configuration):
-    """Product of the local-function entries a configuration selects.
-
-    ``configuration`` is a tuple of axis indices, one per edge in
-    ``g.edges`` order: a digit row of :func:`configurations`.  On a
-    double-edge graph the pair ``(x, x')`` has axis index ``x*|X| + x'``.
-    """
-    sizes = [g.axis_size(i) for i in range(g.n_edges)]
-    if len(configuration) != len(sizes) or not all(
-            0 <= x < n for x, n in zip(configuration, sizes)):
-        raise StructuralError(f"configuration {configuration!r} does not "
-                              f"fit the edges' axis sizes {sizes}")
-    out = 1.0 + 0.0j
-    for k, t in enumerate(g.tensors):
-        out *= t[tuple(configuration[i] for i in g.incidences[k])]
-    return out
-
-
 _CHUNK = 65536   # most rows of a chunk, unless its last edge alone has more
 
 
@@ -290,15 +272,17 @@ def configurations(g):
     """The value of every configuration of ``g``, in chunks, after the
     ``enum`` cap check: the one enumeration routine of the package.
 
-    Configurations run in row-major order over ``g.edges`` (the last edge
-    varies fastest), so a chunk's rows follow each other in that order.
-    A chunk holds every value of the longest run of trailing edges with
-    at most 65536 configurations (the last edge alone when it has more),
-    for one value of the edges before them.  It is computed as one
-    broadcast product: each node's tensor, its axes moved to edge order
-    and its leading edges fixed, multiplied in node order onto a one,
-    which is the order in which :func:`global_eval` multiplies one row.
-    A chunk with a value that overflows raises ``ValidationError``.
+    A configuration is a tuple of axis indices, one per edge in
+    ``g.edges`` order; on a double-edge graph the pair ``(x, x')`` has
+    axis index ``x*|X| + x'``.  Configurations run in row-major order
+    over ``g.edges`` (the last edge varies fastest), so a chunk's rows
+    follow each other in that order.  A chunk holds every value of the
+    longest run of trailing edges with at most 65536 configurations (the
+    last edge alone when it has more), for one value of the edges before
+    them.  It is computed as one broadcast product: each node's tensor,
+    its axes moved to edge order and its leading edges fixed, multiplied
+    in node order onto a one.  A chunk with a value that overflows raises
+    ``ValidationError``.
     """
     sizes = [g.axis_size(i) for i in range(g.n_edges)]
     config.check_capacity("enum", math.prod(sizes), "configurations")
@@ -652,12 +636,6 @@ def parse(text):
         return make_graph(kind, nodes, edges, tensors, weak_sense=weak_sense)
     except StructuralError as exc:
         raise ParseError(str(exc)) from exc
-
-
-def save(g, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(serialize(g))
-        fh.write("\n")
 
 
 def load(path):

@@ -1,5 +1,5 @@
-"""Sum-product message passing for both graph kinds, fixed points,
-beliefs and the message-based Bethe partition function.
+"""Sum-product message passing for both graph kinds, fixed points and
+the message-based Bethe partition function.
 
 Messages are kept normalized to component sum one.  A directed message is
 keyed by ``(edge position, receiving node index)``; the update for the
@@ -31,10 +31,9 @@ import numpy as np
 
 from . import config
 from ._kernels import jacobi_eigh
-from .errors import DegenerateBeliefError, StructuralError, ValidationError
+from .errors import StructuralError
 from .nfg import STANDARD, finite
 
-_BELIEF_TOL = 1e-6   # slack of the pmf and local-consistency checks
 ZERO_TOL = 1e-12        # degenerate-edge trigger of a sweep
 FIXED_POINT_TOL = 1e-9  # message residual declaring convergence
 Z_EDGE_TOL = 1e-9       # smallest usable edge normalizer Z_e
@@ -411,8 +410,7 @@ def spa_step(g, m, rng=None, damping=0.0):
     the product is (numerically) zero, every message
     incident to either endpoint is redrawn from ``rng`` (PSD-projected on
     double-edge graphs), or from a fresh ``default_rng(0)`` when ``rng``
-    is None.  Beliefs are not stored between sweeps, so their
-    reinitialization happens implicitly at the next read.
+    is None.
 
     ``info.map_residual`` is the change produced by the plain update,
     before damping, and is what convergence is judged on.
@@ -577,97 +575,3 @@ def spa_run(g, max_iter=10000, tol_fp=FIXED_POINT_TOL, damping=0.0,
     best.degenerate_log = [ev for rep in reports for ev in rep.degenerate_log]
     return best
 
-
-# ------------------------------------------------------------------ #
-# beliefs and the Bethe free energy                                   #
-# ------------------------------------------------------------------ #
-
-@dataclass
-class Beliefs:
-    edge: dict   # edge id -> normalized vector
-    node: dict   # node name -> normalized tensor
-
-
-def beliefs_at(g, m):
-    """Edge and node beliefs induced by a message vector."""
-    plan = _plan(g)
-    rows = plan.rows_of(m)
-    kappa_node = plan.node_sums(rows)
-    pair = rows[0::2] * rows[1::2]
-    kappa_edge = pair.sum(axis=1)
-    bad = np.flatnonzero(kappa_edge == 0.0)
-    if bad.size:
-        raise DegenerateBeliefError(
-            f"edge {g.edges[bad[0]].eid!r}: belief normalizer vanished")
-    bad = np.flatnonzero(kappa_node == 0.0)
-    if bad.size:
-        raise DegenerateBeliefError(
-            f"node {g.node_names[bad[0]]!r}: belief normalizer vanished")
-    edge = {e.eid: pair[i, :plan.sizes[2 * i]] / kappa_edge[i]
-            for i, e in enumerate(g.edges)}
-    node = [None] * g.n_nodes
-    for grp in plan.groups:
-        t = grp.tensors.copy()
-        d = len(grp.sizes)
-        for a, msg in enumerate(grp.incoming(rows)):
-            shape = [len(grp.nodes)] + [1] * d
-            shape[1 + a] = -1
-            t = t * msg.reshape(shape)
-        for j, k in enumerate(grp.nodes):
-            node[k] = t[j] / kappa_node[k]
-    return Beliefs(edge, dict(zip(g.node_names, node)))
-
-
-def consistency_defect(g, b):
-    """Largest gap between node marginals and edge beliefs."""
-    worst = 0.0
-    for idx, name in enumerate(g.node_names):
-        t = b.node[name]
-        incident = g.incidences[idx]
-        for a, i in enumerate(incident):
-            axes = tuple(x for x in range(len(incident)) if x != a)
-            marg = t.sum(axis=axes) if axes else t
-            worst = max(worst, float(np.max(np.abs(
-                marg - b.edge[g.edges[i].eid]))))
-    return worst
-
-
-def _entropy(p):
-    p = np.real(p).reshape(-1)
-    mask = p > 0.0
-    return float(-(p[mask] * np.log(p[mask])).sum())
-
-
-def bethe_free_energy(g, b):
-    """Bethe free energy of a collection of beliefs on a standard graph.
-
-    Average energy minus Bethe entropy, with the 0*log(0)=0 convention.
-    A belief that puts mass on a zero of a local function makes the
-    average energy diverge; +inf is returned in that case.
-    """
-    if g.kind != STANDARD:
-        raise ValidationError(
-            "the Bethe free energy is only evaluated on standard graphs")
-    for what, beliefs in (("node", b.node), ("edge", b.edge)):
-        for key, p in beliefs.items():
-            p = np.asarray(p)
-            if (float(np.max(np.abs(p.imag))) > _BELIEF_TOL
-                    or float(np.min(p.real)) < -_BELIEF_TOL
-                    or abs(float(np.sum(p.real)) - 1.0) > _BELIEF_TOL):
-                raise ValidationError(f"{what} belief {key!r} is not a pmf")
-    defect = consistency_defect(g, b)
-    if defect > _BELIEF_TOL:
-        raise ValidationError(
-            f"beliefs violate local consistency by {defect:.3e}")
-
-    energy = 0.0
-    for idx, name in enumerate(g.node_names):
-        f = np.real(g.tensors[idx]).reshape(-1)
-        p = np.real(b.node[name]).reshape(-1)
-        mass = p > 1e-12
-        if np.any(mass & (f <= 0.0)):
-            return float("inf")
-        energy -= float((p[mass] * np.log(f[mass])).sum())
-    entropy = sum(_entropy(b.node[name]) for name in g.node_names)
-    entropy -= sum(_entropy(b.edge[eid]) for eid in b.edge)
-    return energy - entropy

@@ -7,13 +7,14 @@ import this module as they import ``conftest``.
 
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from bethecover import cover, nfg, spa
 from bethecover._kernels import jacobi_eigh
 from bethecover.cover import cover_network, type_of
-from bethecover.errors import StructuralError
+from bethecover.errors import StructuralError, ValidationError
 from bethecover.tensor import ComplexTensor, Merge, contract, paired_from_choi
 
 
@@ -97,6 +98,25 @@ def is_forest(g):
 # ------------------------------------------------------------------ #
 # enumeration                                                         #
 # ------------------------------------------------------------------ #
+
+def global_eval(g, configuration):
+    """Product of the local-function entries a configuration selects, in
+    node order: one row of :func:`bethecover.nfg.configurations`.
+
+    ``configuration`` is a tuple of axis indices, one per edge in
+    ``g.edges`` order.  On a double-edge graph the pair ``(x, x')`` has
+    axis index ``x*|X| + x'``.
+    """
+    sizes = [g.axis_size(i) for i in range(g.n_edges)]
+    if len(configuration) != len(sizes) or not all(
+            0 <= x < n for x, n in zip(configuration, sizes)):
+        raise StructuralError(f"configuration {configuration!r} does not "
+                              f"fit the edges' axis sizes {sizes}")
+    out = 1.0 + 0.0j
+    for k, t in enumerate(g.tensors):
+        out *= t[tuple(configuration[i] for i in g.incidences[k])]
+    return out
+
 
 def enum_configs(g):
     """``(digits, values)`` chunks over every configuration of ``g`` by
@@ -257,14 +277,47 @@ def fixed_point_residual(g, m):
     return _max_abs(raw.rows / kappa[:, None] - m.rows)
 
 
+@dataclass
+class Beliefs:
+    edge: dict   # edge id -> normalized vector
+    node: dict   # node name -> normalized tensor
+
+
+def _normalized(p, what):
+    kappa = p.sum()
+    if kappa == 0.0:
+        raise ZeroDivisionError(f"{what}: belief normalizer vanished")
+    return p / kappa
+
+
+def beliefs_at(g, m):
+    """Edge and node beliefs induced by a message vector.
+
+    An edge's belief is the product of its two messages, a node's its
+    local function times the messages entering it, each normalized to
+    sum one; ``ZeroDivisionError`` names the first edge, else the first
+    node, whose normalizer vanished.
+    """
+    edge = {e.eid: _normalized(m[(i, e.head)] * m[(i, e.tail)],
+                               f"edge {e.eid!r}")
+            for i, e in enumerate(g.edges)}
+    node = {}
+    for k, name in enumerate(g.node_names):
+        t = g.tensors[k]
+        for a, i in enumerate(g.incidences[k]):
+            t = t * m[(i, k)].reshape((-1,) + (1,) * (t.ndim - a - 1))
+        node[name] = _normalized(t, f"node {name!r}")
+    return Beliefs(edge, node)
+
+
 def beliefs_from_configuration_weights(g, weights):
     """Consistent beliefs induced by a distribution over configurations.
 
     ``weights`` maps configurations to nonnegative numbers; they are
     normalized internally.  A configuration is a tuple of axis indices,
-    one per edge in ``g.edges`` order, as :func:`bethecover.nfg.global_eval`
-    takes it.  The resulting beliefs satisfy the local consistency
-    constraints exactly.
+    one per edge in ``g.edges`` order, as :func:`global_eval` takes it.
+    The resulting beliefs satisfy the local consistency constraints
+    exactly.
     """
     total = float(sum(weights.values()))
     edge = {e.eid: np.zeros(g.axis_size(i), dtype=np.complex128)
@@ -277,7 +330,64 @@ def beliefs_from_configuration_weights(g, weights):
             edge[e.eid][x] += p
         for name, pos in zip(g.node_names, g.incidences):
             node[name][tuple(cfg[i] for i in pos)] += p
-    return spa.Beliefs(edge, node)
+    return Beliefs(edge, node)
+
+
+def consistency_defect(g, b):
+    """Largest gap between node marginals and edge beliefs."""
+    worst = 0.0
+    for name, incident in zip(g.node_names, g.incidences):
+        t = b.node[name]
+        for a, i in enumerate(incident):
+            marg = t.sum(axis=tuple(x for x in range(t.ndim) if x != a))
+            worst = max(worst, _max_abs(marg - b.edge[g.edges[i].eid]))
+    return worst
+
+
+_BELIEF_TOL = 1e-6   # slack of the pmf and local-consistency checks
+
+
+def _entropy(p):
+    p = np.real(p).reshape(-1)
+    mask = p > 0.0
+    return float(-(p[mask] * np.log(p[mask])).sum())
+
+
+def bethe_free_energy(g, b):
+    """Bethe free energy of a collection of beliefs on a standard graph,
+    ``-log Z_B`` at an interior fixed point (Yedidia, Freeman and Weiss,
+    IEEE Trans. IT 51(7), 2005).
+
+    Average energy minus Bethe entropy, with the 0*log(0)=0 convention.
+    A belief that puts mass on a zero of a local function makes the
+    average energy diverge; +inf is returned in that case.
+    """
+    if g.kind != nfg.STANDARD:
+        raise ValidationError(
+            "the Bethe free energy is only evaluated on standard graphs")
+    for what, beliefs in (("node", b.node), ("edge", b.edge)):
+        for key, p in beliefs.items():
+            p = np.asarray(p)
+            if (float(np.max(np.abs(p.imag))) > _BELIEF_TOL
+                    or float(np.min(p.real)) < -_BELIEF_TOL
+                    or abs(float(np.sum(p.real)) - 1.0) > _BELIEF_TOL):
+                raise ValidationError(f"{what} belief {key!r} is not a pmf")
+    defect = consistency_defect(g, b)
+    if defect > _BELIEF_TOL:
+        raise ValidationError(
+            f"beliefs violate local consistency by {defect:.3e}")
+
+    energy = 0.0
+    for idx, name in enumerate(g.node_names):
+        f = np.real(g.tensors[idx]).reshape(-1)
+        p = np.real(b.node[name]).reshape(-1)
+        mass = p > 1e-12
+        if np.any(mass & (f <= 0.0)):
+            return float("inf")
+        energy -= float((p[mass] * np.log(f[mass])).sum())
+    entropy = sum(_entropy(b.node[name]) for name in g.node_names)
+    entropy -= sum(_entropy(b.edge[eid]) for eid in b.edge)
+    return energy - entropy
 
 
 def _sequential_restart(g, m, max_iter, tol_fp, damping, rng, restart):

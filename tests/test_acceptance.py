@@ -16,8 +16,9 @@ from bethecover.generators import GeneratorSpec, gen
 
 from conftest import (fig3_near_identity, fig3_psd, power_trap_fixed_point,
                       power_trap_graph)
-from oracles import (beliefs_from_configuration_weights, fixed_point_residual,
-                     induced_fixed_point_check, residual)
+from oracles import (beliefs_from_configuration_weights, bethe_free_energy,
+                     fixed_point_residual, induced_fixed_point_check,
+                     residual)
 
 
 def report(number, detail, started):
@@ -88,7 +89,7 @@ def test_criterion_3_degenerate_two_cycle():
         p = float(rng.uniform(0.05, 0.95))
         b = beliefs_from_configuration_weights(
             g, {(0, 0): p, (1, 1): 1.0 - p})
-        values.append(spa.bethe_free_energy(g, b))
+        values.append(bethe_free_energy(g, b))
     assert max(abs(v) for v in values) <= 1e-9
     assert np.exp(-values[0]) == pytest.approx(1.0, abs=1e-9)
     elapsed = report(3, "Z=2, fixed point verified, overlaps vanish, "
@@ -228,8 +229,8 @@ def test_criterion_7_sandwich_bounds():
         rep = cover.bethe_cover_bounds(ests, cond.z_star, cond.alpha)
         assert rep.all_ok
         for ent in rep.entries:
-            worst_margin = min(worst_margin, ent.margin_lower,
-                               ent.margin_upper)
+            worst_margin = min(worst_margin, ent.ratio_power - ent.lower,
+                               ent.upper - ent.ratio_power)
     assert worst_margin >= -1e-6
     elapsed = report(7, f"{len(passing)} passing fixtures x degrees 1-3, "
                         f"smallest margin {worst_margin:.2e}", t0)

@@ -110,8 +110,8 @@ def test_bounds_near_identity(capsys):
 def test_graph_without_edges(tmp_path, capsys):
     # one isolated node of value 2: every route reduces to Z_B = Z = 2
     path = tmp_path / "isolated.nfg.json"
-    nfg.save(nfg.make_graph("standard", [("f", [])], [],
-                            {"f": np.array(2.0)}), path)
+    g = nfg.make_graph("standard", [("f", [])], [], {"f": np.array(2.0)})
+    path.write_text(nfg.serialize(g) + "\n", encoding="utf-8")
     for cmd in ("spa", "lct", "loopseries", "check-condition", "bounds"):
         assert main([cmd, str(path)]) == 0, cmd
         out = capsys.readouterr().out
@@ -173,7 +173,7 @@ def test_validation_exit_code(tmp_path, capsys):
         [("f1", ["e1", "e2"]), ("f2", ["e1", "e2"])],
         [("e1", ("f1", "f2"), 2), ("e2", ("f1", "f2"), 2)], choi)
     path, jpath = tmp_path / "weak.nfg.json", tmp_path / "v.json"
-    nfg.save(g, path)
+    path.write_text(nfg.serialize(g) + "\n", encoding="utf-8")
     assert main(["validate", str(path), "--json", str(jpath)]) == 2
     problems = [line[len("problem: "):] for line
                 in capsys.readouterr().out.splitlines()

@@ -1269,8 +1269,8 @@ class TestBounds:
         report = cover.bethe_cover_bounds(ests, c.z_star, c.alpha)
         assert report.all_ok
         for ent in report.entries:
-            assert ent.margin_lower > 0.0
-            assert ent.margin_upper > 0.0
+            assert ent.ratio_power - ent.lower > 0.0
+            assert ent.upper - ent.ratio_power > 0.0
 
     def test_degrees_four_and_five_within_bounds(self):
         checked = 0

@@ -87,7 +87,7 @@ def test_non_finite_functions_fail_validation(field):
 def test_custom_file_round_trip(tmp_path):
     g = gen(GeneratorSpec(topology="fig3", ensemble="psd-random", seed=4))
     path = tmp_path / "custom.nfg.json"
-    nfg.save(g, path)
+    path.write_text(nfg.serialize(g) + "\n", encoding="utf-8")
     g2 = nfg.load(path)
     assert nfg.serialize(g2) == nfg.serialize(g)
 

@@ -13,7 +13,7 @@ from bethecover.generators import GeneratorSpec, gen
 
 from conftest import (fig3_near_identity, fig3_psd, power_trap_fixed_point,
                       power_trap_graph, random_tree_de)
-from oracles import (enum_configs, every_degree_graph,
+from oracles import (enum_configs, every_degree_graph, global_eval,
                      induced_fixed_point_check, nonzero_edge_subgraph_degrees)
 
 
@@ -26,7 +26,7 @@ def converged_transform(g, seed=0, restarts=1, overrides=None):
 def oracle_loop_series(lr):
     """One configuration per kept row of the digit-arithmetic enumerator,
     decoded from its digit row and checked against
-    :func:`nfg.global_eval`: the loop series that the product-iterator
+    :func:`oracles.global_eval`: the loop series that the product-iterator
     decode of :func:`lct.loop_series` replaces, kept as its oracle."""
     g = lr.transformed
     floor = 1e-12 * abs(lr.g0)
@@ -37,7 +37,7 @@ def oracle_loop_series(lr):
                 continue
             cfg = tuple(int(v) for v in digits[row])
             out.append((cfg, complex(vals[row] / lr.g0)))
-            assert nfg.global_eval(g, cfg) == pytest.approx(vals[row],
+            assert global_eval(g, cfg) == pytest.approx(vals[row],
                                                             rel=1e-14)
     return out
 

@@ -1,4 +1,5 @@
-"""Sum-product iteration, fixed points, beliefs, Bethe free energy."""
+"""Sum-product iteration, fixed points, and the beliefs and Bethe free
+energy of its messages (through the reference routes of ``oracles``)."""
 
 import string
 
@@ -6,8 +7,7 @@ import numpy as np
 import pytest
 
 from bethecover import nfg, spa
-from bethecover.errors import (DegenerateBeliefError, StructuralError,
-                               ValidationError)
+from bethecover.errors import StructuralError, ValidationError
 from bethecover.generators import GeneratorSpec, gen
 from bethecover.tensor import choi_from_paired
 
@@ -15,9 +15,10 @@ from conftest import (build_fig3, fig3_psd, graph_with_choi,
                       power_trap_fixed_point, power_trap_graph, random_choi,
                       random_tree_de, two_cycle)
 import oracles
-from oracles import (as_double_edge, beliefs_from_configuration_weights,
-                     every_degree_graph, fixed_point_residual, message_keys,
-                     random_message, random_messages, residual,
+from oracles import (as_double_edge, beliefs_at, bethe_free_energy,
+                     beliefs_from_configuration_weights, consistency_defect,
+                     enum_configs, every_degree_graph, fixed_point_residual,
+                     message_keys, random_message, random_messages, residual,
                      sequential_spa_run)
 
 
@@ -454,7 +455,7 @@ class TestStep:
                 base = g.edges[i].alphabet
                 assert min_choi_eigenvalue(m[(i, node)], base) >= -1e-9
             if it % 10 == 0:
-                b = spa.beliefs_at(g, m)
+                b = beliefs_at(g, m)
                 for e in g.edges:
                     assert min_choi_eigenvalue(b.edge[e.eid],
                                                e.alphabet) >= -1e-9
@@ -728,7 +729,7 @@ class TestRun:
 class TestBeliefs:
     def test_uniform(self):
         g = build_fig3()
-        b = spa.beliefs_at(g, spa.uniform_messages(g))
+        b = beliefs_at(g, spa.uniform_messages(g))
         for vec in b.edge.values():
             assert np.allclose(vec, 0.5)
         for t in b.node.values():
@@ -740,23 +741,41 @@ class TestBeliefs:
         g = gen(GeneratorSpec(topology="fig3", kind=kind,
                               ensemble=ensemble, seed=8))
         rep = spa.spa_run(g, restarts=1, tol_fp=1e-12)
-        b = spa.beliefs_at(g, rep.messages)
-        assert spa.consistency_defect(g, b) <= 1e-8
+        b = beliefs_at(g, rep.messages)
+        assert consistency_defect(g, b) <= 1e-8
 
     def test_unitary_chain_node_beliefs_psd(self):
         g = gen(GeneratorSpec(topology="unitary-chain", seed=6))
         rep = spa.spa_run(g, restarts=1)
-        b = spa.beliefs_at(g, rep.messages)
+        b = beliefs_at(g, rep.messages)
         for idx, name in enumerate(g.node_names):
             bases = [g.edges[i].alphabet for i in g.incidences[idx]]
             c = choi_from_paired(b.node[name], bases)
             vals = np.linalg.eigvalsh((c + c.conj().T) / 2)
             assert vals[0] >= -1e-9
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_tree_beliefs_are_exact_marginals(self, seed):
+        # BP is exact on a tree: the fixed point's beliefs are the marginals
+        # of the distribution that weights each configuration by its value
+        g = gen(GeneratorSpec(topology="tree", kind="standard", alphabet=3,
+                              ensemble="positive-s-nfg", n=7, seed=seed))
+        rep = spa.spa_run(g, restarts=1, tol_fp=1e-12)
+        assert rep.converged
+        want = beliefs_from_configuration_weights(g, {
+            tuple(row.tolist()): float(v.real)
+            for digits, values in enum_configs(g)
+            for row, v in zip(digits, values)})
+        got = beliefs_at(g, rep.messages)
+        for part in ("edge", "node"):
+            for key, p in getattr(want, part).items():
+                assert np.allclose(getattr(got, part)[key], p,
+                                   rtol=0.0, atol=1e-12), (part, key)
+
     def test_degenerate_normalizer_raises(self):
         g = power_trap_graph()
-        with pytest.raises(DegenerateBeliefError, match="e1"):
-            spa.beliefs_at(g, power_trap_fixed_point(g))
+        with pytest.raises(ZeroDivisionError, match="e1"):
+            beliefs_at(g, power_trap_fixed_point(g))
 
 
 class TestBetheFreeEnergy:
@@ -769,7 +788,7 @@ class TestBetheFreeEnergy:
             p = rng.uniform(0.05, 0.95)
             b = beliefs_from_configuration_weights(
                 g, {(0, 0): p, (1, 1): 1.0 - p})
-            f = spa.bethe_free_energy(g, b)
+            f = bethe_free_energy(g, b)
             assert abs(f) <= 1e-9
             assert np.exp(-f) == pytest.approx(1.0)
 
@@ -777,8 +796,8 @@ class TestBetheFreeEnergy:
         # hand evaluation: zero energy, node entropies log 4, edge
         # entropies log 2, so F_B = -log 4 and exp(-F_B) = Z = 4
         g = two_cycle(np.ones((2, 2)), np.ones((2, 2)))
-        b = spa.beliefs_at(g, spa.uniform_messages(g))
-        f = spa.bethe_free_energy(g, b)
+        b = beliefs_at(g, spa.uniform_messages(g))
+        f = bethe_free_energy(g, b)
         assert f == pytest.approx(-np.log(4.0))
         assert np.exp(-f) == pytest.approx(4.0)
         assert np.exp(-f) == pytest.approx(nfg.partition_exact(g).real)
@@ -788,22 +807,22 @@ class TestBetheFreeEnergy:
             g = gen(GeneratorSpec(topology="fig3", kind="standard",
                                   ensemble="positive-s-nfg", seed=seed))
             rep = spa.spa_run(g, restarts=1, tol_fp=1e-12)
-            b = spa.beliefs_at(g, rep.messages)
-            f = spa.bethe_free_energy(g, b)
+            b = beliefs_at(g, rep.messages)
+            f = bethe_free_energy(g, b)
             assert np.exp(-f) == pytest.approx(rep.zb_spa.real, rel=1e-6)
 
     def test_divergence_guard(self):
         g = power_trap_graph()
         # mass on the zero of f1 at (1, 0)
         b = beliefs_from_configuration_weights(g, {(1, 0): 1.0})
-        assert spa.bethe_free_energy(g, b) == float("inf")
+        assert bethe_free_energy(g, b) == float("inf")
 
     def test_double_edge_rejected(self):
         g = fig3_psd(0)
         m = spa.uniform_messages(g)
-        b = spa.beliefs_at(g, m)
+        b = beliefs_at(g, m)
         with pytest.raises(ValidationError):
-            spa.bethe_free_energy(g, b)
+            bethe_free_energy(g, b)
 
     @pytest.mark.parametrize("part, key, what", [
         ("node", "f2", "node belief 'f2'"), ("edge", "e3", "edge belief 'e3'")])
@@ -811,20 +830,20 @@ class TestBetheFreeEnergy:
     def test_non_pmf_beliefs_rejected(self, part, key, what, entry):
         # an imaginary part, a negative entry or a total other than one
         g = build_fig3()
-        b = spa.beliefs_at(g, spa.uniform_messages(g))
+        b = beliefs_at(g, spa.uniform_messages(g))
         beliefs = getattr(b, part)
         p = beliefs[key].copy()
         p.reshape(-1)[0] = entry
         beliefs[key] = p
         with pytest.raises(ValidationError, match=f"{what} is not a pmf"):
-            spa.bethe_free_energy(g, b)
+            bethe_free_energy(g, b)
 
     def test_inconsistent_beliefs_rejected(self):
         g = build_fig3()
-        b = spa.beliefs_at(g, spa.uniform_messages(g))
+        b = beliefs_at(g, spa.uniform_messages(g))
         b.edge["e1"] = np.array([0.9, 0.1], dtype=np.complex128)
         with pytest.raises(ValidationError, match="consistency"):
-            spa.bethe_free_energy(g, b)
+            bethe_free_energy(g, b)
 
 
 def test_beliefs_from_weights_are_consistent():
@@ -837,6 +856,6 @@ def test_beliefs_from_weights_are_consistent():
                     for _ in g.edges)
         weights[cfg] = float(rng.uniform(0.1, 1.0))
     b = beliefs_from_configuration_weights(g, weights)
-    assert spa.consistency_defect(g, b) <= 1e-12
+    assert consistency_defect(g, b) <= 1e-12
     for vec in b.edge.values():
         assert np.sum(vec).real == pytest.approx(1.0)

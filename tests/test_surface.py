@@ -1,6 +1,6 @@
-"""The package surface: every public function of ``src/bethecover`` has a
-consumer in ``src/`` or ``bench/``, or a stated reason to stay, and every
-private module-level function or class has one.
+"""The package surface: every public function or class of
+``src/bethecover`` has a consumer in ``src/`` or ``bench/``, or a stated
+reason to stay, and every private module-level function or class has one.
 
 A route that only the tests need belongs in ``tests/oracles.py``.
 """
@@ -14,16 +14,10 @@ CONSUMERS = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
 
 # public names with no consumer in src/ or bench/, each with its reason
 KEEP = {
-    "global_eval": "documented library API: the product one configuration "
-                   "selects",
-    "save": "documented library API: the writer that load() reads back",
     "partition_contract": "documented library API: Z by contracting the "
                           "graph's own tensors",
-    "beliefs_at": "documented library API: the beliefs of a message vector",
-    "bethe_free_energy": "documented library API: the variational Bethe "
-                         "value of a set of beliefs",
     "messages": "documented library API: lays caller-supplied messages "
-                "out for beliefs_at and transform",
+                "out for transform",
     "raw_updates": "the sum-product map that tests/oracles.py builds on, so "
                    "tests need no private name",
 }
@@ -35,12 +29,13 @@ def _public(node):
 
 def definitions(trees):
     """``(name, is_method, node)`` for every public module-level function
-    and every public method of a public class of the package."""
+    or class and every public method of a public class of the package."""
     for path in sorted(PACKAGE.glob("*.py")):
         for node in trees[path].body:
             if isinstance(node, ast.FunctionDef) and _public(node):
                 yield node.name, False, node
             elif isinstance(node, ast.ClassDef) and _public(node):
+                yield node.name, False, node
                 for item in node.body:
                     if isinstance(item, ast.FunctionDef) and _public(item):
                         yield item.name, True, item
@@ -100,8 +95,9 @@ def _referenced(refs, name, node, forms):
 
 def unreferenced():
     """Public names that nothing in src/ or bench/ references outside
-    their own definition: a function by its bare name or ``<module>.name``,
-    a method by any ``.name``."""
+    their own definition: a function or class by its bare name or
+    ``<module>.name`` (a call, a raise, a base class or an isinstance
+    check), a method by any ``.name``."""
     trees = {path: ast.parse(path.read_text(encoding="utf-8"))
              for path in CONSUMERS}
     refs = reference_table(trees)
@@ -183,6 +179,8 @@ def unpassed_keywords():
                 calls.setdefault(name, []).append(node)
     out = set()
     for name, is_method, node in definitions(trees):
+        if isinstance(node, ast.ClassDef):
+            continue
         args = node.args
         positional = args.posonlyargs + args.args
         if is_method:
