@@ -22,7 +22,10 @@ identity.
 The third estimator contracts the average-cover network, whose edges
 carry the symmetric-subspace projector, in the type basis: one tensor per
 node over the types of length-M socket vectors, one weight
-``1/multinomial(type)`` per edge.
+``1/multinomial(type)`` per edge.  Its work is counted once, before
+anything is built: the gather tables of all levels (:func:`_type_tables`)
+in closed form, and per node shape the block schedule
+(:func:`_type_schedule`) that the build then follows.
 :func:`socket_projector` keeps the socket-basis projector as ground truth.
 """
 
@@ -485,152 +488,106 @@ def zbm_montecarlo(g, degree, samples, seed=0):
 
 
 def _type_tables(alphabet_size, degree):
-    """Gather tables of the type recursion for levels 1..``degree``,
-    which :func:`_leg_tables` lays out for :func:`_type_tensor`, and the
-    types of length-``degree`` vectors.
+    """Per level 1..``degree``, the two gather tables a leg of ``s`` =
+    ``alphabet_size`` symbols reads the level below by, and the types of
+    length-``degree`` vectors.
 
     The types of a level are listed in the fixed order the type tensors
     index them by: count tuples sorted in reverse, which is the order of
     ``itertools.combinations_with_replacement``.  Each level's types are
-    the previous level's with one symbol added.  In the table of level j,
-    row k, column c holds the index at level j - 1 of type k with one c
-    removed, or the zero slot ``n_{j-1}`` when type k holds no c; an
-    extra last row, the zero slot of level j, maps every c to the zero
-    slot, so the first leg builds that slot as it builds a type.
+    the previous level's with one symbol added.  At level j, ``first[c,
+    u]`` is the index at level j - 1 of type u with one c removed, or the
+    zero slot ``n_{j-1}`` when u holds no c, for every type u and the
+    level's own zero slot ``n_j``, which maps every c to the zero slot:
+    the first leg gathers whole rows of the level below, and builds that
+    slot as it builds a type.  ``rows[c, u]`` indexes the same predecessor
+    of a type u in a (type, symbol) row layout, row ``first[c, u] * s +
+    c``, with the single zero row ``n_{j-1} * s``: every further leg
+    gathers those rows.  The pairs of all levels hold ``s (2 C(s+M, M) + M
+    - 2)`` entries, which :func:`zbm_typeformula` checks first.
     """
-    below = [(0,) * alphabet_size]
-    tables = []
+    s = alphabet_size
+    below = [(0,) * s]
+    legs = []
     for _ in range(degree):
         # type -> {symbol c: index below of the type with one c removed}
         grown = {}
         for i, t in enumerate(below):
-            for c in range(alphabet_size):
+            for c in range(s):
                 grown.setdefault(t[:c] + (t[c] + 1,) + t[c + 1:], {})[c] = i
         here = sorted(grown, reverse=True)
-        table = np.full((len(here) + 1, alphabet_size), len(below),
-                        dtype=np.intp)
+        zero = len(below)
+        first = np.full((s, len(here) + 1), zero, dtype=np.intp)
         for k, t in enumerate(here):
             for c, i in grown[t].items():
-                table[k, c] = i
-        tables.append(table)
-        below = here
-    return tables, below
-
-
-def _leg_tables(tables):
-    """Per level, the two gather tables a leg of alphabet size ``s`` reads
-    the level below by, from its :func:`_type_tables` tables.
-
-    ``first[c, u]`` is the row below of type u with one c removed, or the
-    zero row ``n_{j-1}``, for every type u of the level and its zero slot
-    ``n_j``: the first leg gathers whole rows of the level below.
-    ``rows[c, u]`` indexes the same predecessor of a type u in a (type,
-    symbol) row layout, row ``first[c, u] * s + c``, with the single zero
-    row ``n_{j-1} * s``: every further leg gathers those rows.
-    """
-    legs = []
-    for table in tables:
-        zero, s = table[-1, 0], table.shape[1]
-        first = np.ascontiguousarray(table.T)
+                first[c, k] = i
         rows = np.where(first[:, :-1] < zero,
                         first[:, :-1] * s + np.arange(s)[:, None], zero * s)
         legs.append((first, rows))
-    return legs
+        below = here
+    return legs, below
 
 
-def _type_block(sizes, j):
-    """How :func:`_type_tensor` blocks level ``j`` >= 2 of a node with leg
-    sizes ``sizes``: the first leg's types one block builds (its zero slot
-    among them), and the entries per type of the largest array a block
-    needs.  Each array of a block is linear in its type count, so
-    ``_BLOCK`` bounds a block unless one type alone is over it."""
-    below = [math.comb(s + j - 2, j - 1) for s in sizes]
-    here = [math.comb(s + j - 1, j) for s in sizes]
-    cols = math.prod(below[1:])
-    per_type = [sizes[0] * cols]   # the first leg's gather
-    cols *= math.prod(sizes[1:])   # after the product with the node
-    for a in range(1, len(sizes)):
-        cols //= below[a] * sizes[a]
-        # leg a's rows with their zero row, then its sum and one gather
-        per_type += [(below[a] * sizes[a] + 1) * cols, here[a] * cols]
-        cols *= here[a]
-    per_type = max(per_type)
-    return max(1, min(here[0] + 1, _BLOCK // per_type)), per_type
-
-
-def _type_blocks(sizes, degree):
-    """Per level 2..``degree``, the first leg's types one block of
-    :func:`_type_tensor` builds (:func:`_type_block`), and the entries of
-    the largest array a block needs."""
+def _type_schedule(sizes, degree):
+    """How :func:`_type_tensor` builds levels 2..``degree`` of a node with
+    leg sizes ``sizes``: per level, the first leg's types one block builds
+    (its zero slot among them), and the entries of the largest of the three
+    buffers that every block reuses.  Each array of a block is linear in
+    its type count, so ``_BLOCK`` bounds a block unless one type alone is
+    over it."""
+    if not sizes:
+        return [], 0
     steps, largest = [], 0
     for j in range(2, degree + 1):
-        step, per_type = _type_block(sizes, j)
-        steps.append(step)
-        largest = max(largest, step * per_type)
+        below = [math.comb(s + j - 2, j - 1) for s in sizes]
+        here = [math.comb(s + j - 1, j) for s in sizes]
+        cols = math.prod(below[1:])
+        per_type = [sizes[0] * cols]   # the first leg's gather
+        cols *= math.prod(sizes[1:])   # after the product with the node
+        for a in range(1, len(sizes)):
+            cols //= below[a] * sizes[a]
+            # leg a's rows with their zero row, then its sum and one gather
+            per_type += [(below[a] * sizes[a] + 1) * cols, here[a] * cols]
+            cols *= here[a]
+        per_type = max(per_type)
+        steps.append(max(1, min(here[0] + 1, _BLOCK // per_type)))
+        largest = max(largest, steps[-1] * per_type)
     return steps, largest
-
-
-def _type_block_peak(sizes, degree):
-    """The entries of the largest array of :func:`_type_blocks`, without
-    its walk over every level once the degree passes ``_BLOCK``.
-
-    A block holds one type when that type is over ``_BLOCK``, and at most
-    ``_BLOCK`` entries otherwise.  The counts of :func:`_type_block` are
-    products of binomials that grow with the level j, so the entries per
-    type grow with j: not at all when every leg after the first has one
-    symbol, and otherwise to at least j, the first leg's gather.  Past
-    ``_BLOCK`` levels, then, either every level's block holds as many
-    types as the last or fewer, or the last level's one type is over
-    ``_BLOCK`` and over every other level's: the last block is the
-    largest either way."""
-    if degree <= _BLOCK:
-        return _type_blocks(sizes, degree)[1]
-    step, per_type = _type_block(sizes, degree)
-    return step * per_type
 
 
 def _type_level(sizes, degree):
     """Entries of the last level :func:`_type_tensor` builds for a node
     with leg sizes ``sizes`` (its first leg's zero slot included; 1 for no
-    legs): a lower bound of :func:`_type_tensor_peak`, counted in O(d)."""
+    legs).  The node's exact peak is the larger of this and the largest
+    buffer of its :func:`_type_schedule`."""
     here = [math.comb(s + degree - 1, degree) for s in sizes] or [0]
     return (here[0] + 1) * math.prod(here[1:])
 
 
-def _type_tensor_peak(sizes, degree):
-    """Entries of the largest array :func:`_type_tensor` allocates for a
-    node with leg sizes ``sizes``: the last level (:func:`_type_level`)
-    or one of the three block buffers (:func:`_type_block_peak`),
-    whichever is larger."""
-    if not sizes:
-        return 1
-    return max(_type_level(sizes, degree), _type_block_peak(sizes, degree))
-
-
-def _type_tensor(t, legs, degree):
+def _type_tensor(t, legs, degree, schedule):
     """Type tensor of a node: entry ``[u_1..u_d]`` sums
     ``prod_m t(x^(m))`` over the ordered M-tuples of configurations whose
     leg-a symbols have type ``u_a``, i.e. the coefficients of the M-th
     power of the node's multilinear form.
 
-    ``legs[a][j]`` is leg a's :func:`_leg_tables` pair for level j + 1.
-    Level 1 is ``t`` itself, the sum with one nonzero term; level j + 1
-    is built from level j, whose first axis ends in its zero slot, in
-    blocks of the first leg's types (:func:`_type_blocks`), each
-    written into the preallocated level through three buffers that every
-    block reuses.  In a block, the first leg gathers rows of level j, one
-    per symbol, and one matrix product with ``t`` sums them; each further
-    leg a then lays its (type, symbol) pairs out as rows, with one zero
-    row, and sums ``s_a`` row gathers.  The sums run in the order of the
-    one-leg-at-a-time recursion over levels padded on every axis, whose
-    bits they give.
+    ``legs[a][j]`` is leg a's :func:`_type_tables` pair for level j + 1,
+    and ``schedule`` is the node's :func:`_type_schedule`.  Level 1 is
+    ``t`` itself, the sum with one nonzero term; level j + 1 is built from
+    level j, whose first axis ends in its zero slot, in the schedule's
+    blocks of the first leg's types, each written into the preallocated
+    level through three buffers that every block reuses.  In a block, the
+    first leg gathers rows of level j, one per symbol, and one matrix
+    product with ``t`` sums them; each further leg a then lays its (type,
+    symbol) pairs out as rows, with one zero row, and sums ``s_a`` row
+    gathers.  The sums run in the order of the one-leg-at-a-time recursion
+    over levels padded on every axis, whose bits they give.
     """
     d = t.ndim
     if d == 0:
         return t ** degree
     sizes = t.shape
     node = t.reshape(sizes[0], -1)
-    steps, largest = _type_blocks(sizes, degree)
+    steps, largest = schedule
     # laid: the first leg's gather, then each leg's rows; summed: the
     # product with t, then each leg's sum; part: one gather of that sum
     laid, summed, part = (np.empty(largest, dtype=np.complex128)
@@ -688,38 +645,46 @@ def zbm_typeformula(g, degree):
     ``S`` into the M-fold stacked local functions leaves one type tensor
     per node, with leg size ``C(s+M-1, M)`` instead of ``s**M``; each edge
     keeps the diagonal weight ``1/multinomial(type)``, folded into its
-    head endpoint.  Before any type tensor is built, the capacity check
-    covers each node's :func:`_type_tensor_peak`, in node order, then the
-    largest intermediate of the type-tensor network's contraction plan,
-    made from the leg sizes alone; the built network runs that plan.  A
-    peak reads at most ``_BLOCK`` levels, so a huge degree is refused at
-    the first node at once.
+    head endpoint.  Before anything is built, the capacity check covers,
+    in this order: the :func:`_type_tables` of each alphabet size, all
+    levels together, a closed form that refuses a huge degree at once;
+    each node's exact peak, from its shape's :func:`_type_schedule`, which
+    is made once per shape and which the build reads; and the largest
+    intermediate of the type-tensor network's contraction plan, made from
+    the leg sizes alone.  The built network runs that plan.
     """
     if degree < 1:
         raise StructuralError("cover degree must be positive")
     M = degree
+    alphabets = dict.fromkeys(g.axis_size(i) for i in range(g.n_edges))
+    for s in alphabets:
+        entries = s * (2 * math.comb(s + M, M) + M - 2)
+        config.check_capacity("contract", entries,
+                              f"type tables of {s} symbols")
+    schedules = {}
     for name, t in zip(g.node_names, g.tensors):
-        config.check_capacity("contract", _type_tensor_peak(t.shape, M),
-                              f"type tensor of node {name!r}")
+        if t.shape not in schedules:
+            schedules[t.shape] = _type_schedule(t.shape, M)
+        config.check_capacity(
+            "contract", max(_type_level(t.shape, M), schedules[t.shape][1]),
+            f"type tensor of node {name!r}")
     plan = plan_contraction([
         (g.incidences[k], [math.comb(s + M - 1, M) for s in t.shape])
         for k, t in enumerate(g.tensors)])
     config.check_capacity("contract", plan.peak,
                           "largest contraction intermediate")
     legs, weights = {}, {}
-    for i in range(g.n_edges):
-        s = g.axis_size(i)
-        if s not in legs:
-            tables, types = _type_tables(s, M)
-            legs[s] = _leg_tables(tables)
-            # integer true division is correctly rounded, and a count
-            # beyond the float range gives 0.0, not an OverflowError
-            weights[s] = np.array([1 / class_size(u) for u in types])
+    for s in alphabets:
+        legs[s], types = _type_tables(s, M)
+        # integer true division is correctly rounded, and a count
+        # beyond the float range gives 0.0, not an OverflowError
+        weights[s] = np.array([1 / class_size(u) for u in types])
     tensors = []
     # an entry that overflows is refused by run_plan
     with np.errstate(over="ignore", invalid="ignore"):
         for k, t in enumerate(g.tensors):
-            u = _type_tensor(t, [legs[s] for s in t.shape], M)
+            u = _type_tensor(t, [legs[s] for s in t.shape], M,
+                             schedules[t.shape])
             for a, i in enumerate(g.incidences[k]):
                 if g.edges[i].head == k:
                     u *= weights[t.shape[a]].reshape(

@@ -58,9 +58,6 @@ class MessageVector:
         r = self.plan.index[key]
         return self.rows[r, :self.plan.sizes[r]]
 
-    def __iter__(self):
-        return iter(self.plan.keys)
-
 
 def _filled(g, row):
     """The message vector of ``g`` whose row for each directed key, in the

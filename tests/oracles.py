@@ -665,8 +665,9 @@ def types(alphabet_size, degree):
 
 def predecessors(alphabet_size, level):
     """Gather table of the type recursion at ``level`` >= 1, from the
-    recounted types of ``level`` and ``level - 1``: the table
-    :func:`bethecover.cover._type_tables` derives level by level."""
+    recounted types of ``level`` and ``level - 1``: the transpose of the
+    ``first`` table :func:`bethecover.cover._type_tables` derives level by
+    level."""
     below = {t: k for k, t in enumerate(types(alphabet_size, level - 1))}
     here = types(alphabet_size, level)
     table = np.full((len(here) + 1, alphabet_size), len(below),
@@ -684,8 +685,9 @@ def type_tensor(t, tables, degree):
     :func:`bethecover.cover._type_tensor` reorganises into blocks of
     contiguous row gathers, with the same sums in the same order.
 
-    ``tables[a][j]`` is leg a's :func:`bethecover.cover._type_tables`
-    table for level j + 1; invalid predecessors read the zero slot.
+    ``tables[a][j]`` is leg a's :func:`predecessors` table for level j + 1,
+    C-contiguous (the bits of ``tensordot`` follow the layout); invalid
+    predecessors read the zero slot.
     """
     d = t.ndim
     if d == 0:

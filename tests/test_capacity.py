@@ -197,29 +197,49 @@ def test_cover_count_exact_below_two_to_the_63(monkeypatch):
 
 
 def test_huge_type_formula_refused_before_any_block_plan(monkeypatch):
-    # past _BLOCK levels a node's peak is read off its last level's block,
-    # without the walk over every level, which takes seconds at M = 300000
+    # the type tables of all levels are counted in closed form before any
+    # node's schedule walks its levels, which takes seconds at M = 300000
     def refuse(*args):
         raise AssertionError("a block plan was walked")
 
-    monkeypatch.setattr(cover, "_type_blocks", refuse)
+    monkeypatch.setattr(cover, "_type_schedule", refuse)
     with pytest.raises(CapacityError, match="at least 2\\*\\*63"):
         cover.zbm_typeformula(fig3_psd(0), 300000)
 
 
 def test_one_leg_type_formula_refused_without_a_block_plan(monkeypatch):
-    # two leaves joined by one edge of 4 symbols: a one-leg node's blocks
-    # hold 4 entries per type at every level, so its peak, the last level
-    # of C(M + 3, 3) types and the zero slot, is read off the last level
+    # two leaves joined by one edge of 4 symbols: the tables of the edge's
+    # alphabet, 4 (2 C(M + 4, 4) + M - 2) entries, are refused before
+    # either node's schedule, whose last level of C(M + 3, 3) types would
+    # be refused next
     def refuse(*args):
         raise AssertionError("a block plan was walked")
 
-    monkeypatch.setattr(cover, "_type_blocks", refuse)
+    monkeypatch.setattr(cover, "_type_schedule", refuse)
     g = gen(GeneratorSpec(topology="tree", n=2))
-    with pytest.raises(CapacityError, match="type tensor of node 'f1'") \
+    with pytest.raises(CapacityError,
+                       match="type tables of 4 symbols: at least 2\\*\\*63") \
             as info:
         cover.zbm_typeformula(g, 10**6)
-    assert info.value.requested == math.comb(10**6 + 3, 3) + 1
+    assert info.value.requested == 2**63
+
+
+def test_type_tables_refused_before_they_are_built(monkeypatch):
+    # a binary two-node tree: each node's last level holds only M + 2
+    # entries, but the tables hold 2 (2 C(M + 2, 2) + M - 2), over the
+    # default cap from M = 5791 on
+    def refuse(*args):
+        raise AssertionError("the type tables were built")
+
+    monkeypatch.setattr(cover, "_type_tables", refuse)
+    monkeypatch.delenv("BETHE_COVER_LIMITS", raising=False)
+    g = gen(GeneratorSpec(topology="tree", n=2, kind="standard",
+                          ensemble="positive-s-nfg"))
+    assert g.axis_size(0) == 2
+    with pytest.raises(CapacityError, match="type tables of 2 symbols") \
+            as info:
+        cover.zbm_typeformula(g, 6000)
+    assert info.value.requested == 2 * (2 * math.comb(6002, 2) + 5998)
 
 
 @pytest.mark.parametrize("argv", [
@@ -235,6 +255,9 @@ def test_one_leg_type_formula_refused_without_a_block_plan(monkeypatch):
     ["zbm", "--method", "typeformula", "--topology", "tree", "--nodes", "4",
      "--m", "16000"],
     ["zbm", "--method", "typeformula", "--topology", "fig-b", "--m", "16384"],
+    ["zbm", "--topology", "tree", "--nodes", "2", "--kind", "standard",
+     "--ensemble", "positive-s-nfg", "--m", "1000000",
+     "--method", "typeformula"],
 ])
 def test_cli_capacity_exit(argv, capsys):
     start = time.perf_counter()

@@ -257,14 +257,25 @@ class TestTypeUtilities:
 
     @pytest.mark.parametrize("alphabet", range(1, 6))
     def test_tables_match_the_recount(self, alphabet):
-        for degree in range(1, 7):
-            tables, types = cover._type_tables(alphabet, degree)
-            assert len(tables) == degree
-            for level, table in enumerate(tables, 1):
-                assert np.array_equal(table,
-                                      predecessors(alphabet, level))
+        for degree in range(1, 9):
+            legs, types = cover._type_tables(alphabet, degree)
+            assert len(legs) == degree
+            for level, (first, rows) in enumerate(legs, 1):
+                table = predecessors(alphabet, level)
+                assert first.flags.c_contiguous
+                assert np.array_equal(first.T, table)
+                zero = table[-1, 0]
+                assert np.array_equal(rows, np.where(
+                    table[:-1].T < zero,
+                    table[:-1].T * alphabet + np.arange(alphabet)[:, None],
+                    zero * alphabet))
             assert types == oracle_types(alphabet, degree)
             assert len(types) == math.comb(alphabet + degree - 1, degree)
+            # the closed form zbm_typeformula checks: s (n_j + 1) + s n_j
+            # entries per level j, and n_1 + ... + n_M = C(s + M, M) - 1
+            assert sum(first.size + rows.size for first, rows in legs) \
+                == alphabet * (2 * math.comb(alphabet + degree, degree)
+                               + degree - 2)
 
 
 # every shape up to degree 2, and mixed ones at degrees 3 and 4, over
@@ -277,14 +288,23 @@ TYPE_TENSOR_SHAPES = ([(), (1,), (2,), (3,), (4,)]
                          (2, 2, 2, 2), (1, 1, 1, 1)])
 
 
+def type_tensor_peak(sizes, degree):
+    """The exact peak :func:`cover.zbm_typeformula` checks for a node."""
+    return max(cover._type_level(sizes, degree),
+               cover._type_schedule(sizes, degree)[1])
+
+
 class TestTypeTensor:
     @pytest.mark.parametrize("sizes", TYPE_TENSOR_SHAPES, ids=str)
     def test_matches_the_padded_recursion(self, sizes, rng):
         t = rng.normal(size=sizes) + 1j * rng.normal(size=sizes)
-        tables = {s: cover._type_tables(s, 6)[0] for s in set(sizes)}
-        legs = {s: cover._leg_tables(tables[s]) for s in tables}
+        legs = {s: cover._type_tables(s, 6)[0] for s in set(sizes)}
+        # the oracle reads each level's table in the (type, symbol) layout
+        tables = {s: [np.ascontiguousarray(first.T) for first, _ in legs[s]]
+                  for s in legs}
         for degree in range(1, 7):
-            got = cover._type_tensor(t, [legs[s] for s in sizes], degree)
+            got = cover._type_tensor(t, [legs[s] for s in sizes], degree,
+                                     cover._type_schedule(sizes, degree))
             want = oracle_type_tensor(t, [tables[s] for s in sizes], degree)
             if len(sizes) == 4 and t.size == 1:
                 # a one-entry node: numpy multiplies each level by it with
@@ -298,7 +318,7 @@ class TestTypeTensor:
         # levels 2 and 3 of the degree-3 double-edge node at M = 3: the
         # last holds 21 first-leg types (20 and the zero slot) of 1640
         # entries each
-        steps, largest = cover._type_blocks((4, 4, 4), 3)
+        steps, largest = cover._type_schedule((4, 4, 4), 3)
         assert steps == [11, cover._BLOCK // 1640] and steps[-1] < 21
         assert largest == steps[-1] * 1640
 
@@ -312,7 +332,7 @@ class TestTypeTensor:
             for sizes in itertools.product((1, 2, 4) if d == 4 else
                                            (1, 2, 3, 4), repeat=d):
                 for degree in range(1, 41):
-                    assert cover._type_tensor_peak(sizes, degree) \
+                    assert type_tensor_peak(sizes, degree) \
                         == oracle_type_tensor_peak(sizes, degree)
 
     @pytest.mark.parametrize("sizes,degree", [((4, 4, 4), 3),
@@ -322,12 +342,12 @@ class TestTypeTensor:
         # three block buffers and two levels are alive at once, none
         # larger than the predicted array
         t = rng.normal(size=sizes) + 1j * rng.normal(size=sizes)
-        legs = [cover._leg_tables(cover._type_tables(s, degree)[0])
-                for s in sizes]
-        predicted = cover._type_tensor_peak(sizes, degree)
+        legs = [cover._type_tables(s, degree)[0] for s in sizes]
+        schedule = cover._type_schedule(sizes, degree)
+        predicted = type_tensor_peak(sizes, degree)
         tracemalloc.start()
         try:
-            cover._type_tensor(t, legs, degree)
+            cover._type_tensor(t, legs, degree, schedule)
             _, peak_bytes = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -1189,7 +1209,7 @@ class TestEstimators:
             raise Built
 
         n = math.comb(4 + degree - 1, degree)
-        assert cover._type_tensor_peak((4, 4, 4), degree) == (n + 1) * n * n
+        assert type_tensor_peak((4, 4, 4), degree) == (n + 1) * n * n
         monkeypatch.setattr(cover, "_type_tensor", built)
         monkeypatch.delenv("BETHE_COVER_LIMITS", raising=False)
         with pytest.raises(Built):
